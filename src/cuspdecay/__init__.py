@@ -4,7 +4,7 @@ n^2 diagonal.
 
 Layout:
 
-* maps      -- cusp map chain, damping factor, symbol, calibration
+* maps      -- cusp map chain, damping factor, symbol parameters, calibration
 * hardy     -- coefficient-space assembly of the operator matrix
 * spectrum  -- singular values, decay-rate fits, split Gram experiments
 * verifier  -- numerically checkable statements behind the construction

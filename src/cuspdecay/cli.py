@@ -27,8 +27,9 @@ unknown keys are errors (drift detection).  Keys:
 
 Flags override the file; CUSPDECAY_OUT overrides the configured output
 directory (an explicit --out still wins).  Every artifact embeds the
-12-hex config hash and the seed, and re-running a double-precision
-config reproduces each file byte for byte.  Exit codes: 0 success,
+12-hex config hash (all keys but out and precision) and the seed, and
+re-running a double-precision config reproduces each file byte for
+byte, into any output directory.  Exit codes: 0 success,
 1 property/estimation failure, 2 configuration or parse error.
 
 Extended precision re-evaluates the conformal chain and the damping
@@ -58,6 +59,7 @@ from .errors import (
 )
 
 OUT_ENV = "CUSPDECAY_OUT"
+DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
 
 _SYMBOLS = ("paper", "diagonal", "one-dim")
 
@@ -100,8 +102,12 @@ class RunConfig:
         return self
 
     def hash(self) -> str:
+        """12-hex digest of the fields that feed the numbers.  The output
+        directory changes no artifact, and precision, read by map-eval
+        alone, is recorded in its CSV header."""
         text = "".join("%s=%r\n" % (f.name, getattr(self, f.name))
-                       for f in fields(self))
+                       for f in fields(self)
+                       if f.name not in ("out", "precision"))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def stamp(self) -> str:
@@ -239,49 +245,54 @@ def _read_points(args) -> list:
     return pts
 
 
+def _check_points(points) -> None:
+    """Each point must be finite and in the closed unit disk."""
+    for label, z in points:
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise InvalidInputError("%s: point is not finite: %r" % (label, z))
+        if abs(z) > 1.0 + DISK_SLACK:
+            raise InvalidInputError(
+                "%s: point outside the closed unit disk: %r" % (label, z))
+
+
 def _g_of(z: complex, g_kind: str) -> complex:
     return z if g_kind == "identity_in_z2" else 1.0 + 0j
 
 
-def _trace_row_double(z: complex, params) -> list:
-    tr = maps.cusp(z)
-    phi = maps.phi_theta(tr.chi, params.theta)
-    w2 = tr.chi + params.c * phi * _g_of(z, params.g_kind)
-    return [tr.z, tr.chi0, tr.chi, phi, tr.chi, w2]
+def _rows_double(z, chi0, params) -> list:
+    chi = maps.cusp_values(z)
+    phi = maps.phi_values(chi, params.theta)
+    w2 = chi + params.c * phi * _g_of(z, params.g_kind)
+    return [["%.17g,%.17g" % (v.real, v.imag) for v in row]
+            for row in zip(z, chi0, chi, phi, chi, w2)]
 
 
-def _trace_row_extended(z: complex, params) -> list:
-    chi0 = maps.chi0(z)  # no cancellation in this stage
-    chi = maps.cusp_mp(z)
-    phi = maps.phi_mp(chi, params.theta, dps=60)
-    with mp.workdps(60):
-        w2 = chi + params.c * phi * mp.mpc(_g_of(z, params.g_kind))
-    return [mp.mpc(z), mp.mpc(chi0), chi, phi, chi, w2]
+def _rows_extended(z, chi0, params) -> list:
+    rows = []
+    for zz, c0 in zip(z, chi0):
+        chi = maps.cusp_mp(complex(zz))
+        phi = maps.phi_mp(chi, params.theta, dps=60)
+        with mp.workdps(60):
+            w2 = chi + params.c * phi * mp.mpc(_g_of(zz, params.g_kind))
+        rows.append(["%s,%s" % (mp.nstr(mp.re(v), 25), mp.nstr(mp.im(v), 25))
+                     for v in (mp.mpc(zz), mp.mpc(c0), chi, phi, chi, w2)])
+    return rows
 
 
 def cmd_map_eval(cfg: RunConfig, args) -> int:
     points = _read_points(args)
+    _check_points(points)
     params = resolve_params(cfg)
-    extended = cfg.precision == "extended"
+    z = np.array([p for _, p in points])
+    chi0 = maps.chi0_values(z)  # no cancellation in this stage
+    rows = (_rows_extended if cfg.precision == "extended"
+            else _rows_double)(z, chi0, params)
     path = _out_path(cfg, "map_eval.csv")
     with open(path, "w") as fh:
         fh.write("# %s precision %s\n" % (cfg.stamp(), cfg.precision))
         fh.write("z_re,z_im,chi0_re,chi0_im,chi_re,chi_im,"
                  "phi_re,phi_im,w1_re,w1_im,w2_re,w2_im\n")
-        for label, z in points:
-            try:
-                row = (_trace_row_extended(z, params) if extended
-                       else _trace_row_double(z, params))
-            except (DomainError, InvalidInputError) as exc:
-                raise InvalidInputError("%s: %s" % (label, exc)) from None
-            cells = []
-            for v in row:
-                if extended:
-                    cells.append(mp.nstr(mp.re(v), 25))
-                    cells.append(mp.nstr(mp.im(v), 25))
-                else:
-                    cells.append("%.17g" % v.real)
-                    cells.append("%.17g" % v.imag)
+        for cells in rows:
             fh.write(",".join(cells) + "\n")
     print("wrote %s (%d points)" % (path, len(points)))
     return 0

@@ -43,16 +43,6 @@ from .errors import (
 # index bookkeeping
 
 
-@dataclass(frozen=True)
-class MonomialIndex:
-    alpha1: int
-    alpha2: int
-
-    def __post_init__(self):
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise InvalidInputError("monomial exponents must be non-negative")
-
-
 def index_set(max_degree: int) -> np.ndarray:
     """All (a1, a2) with max(a1, a2) <= D, ordered by max-degree block,
     lexicographic inside a block.  The degree-d truncation is then a
@@ -87,44 +77,6 @@ class TruncationSpec:
             )
 
 
-@dataclass(frozen=True)
-class CarlesonWindow:
-    """Boundary window {z : |z - xi| <= h}."""
-
-    xi: complex
-    h: float
-
-    def __post_init__(self):
-        if abs(abs(self.xi) - 1.0) > 1e-12:
-            raise InvalidInputError("window center must be unimodular")
-        if not 0.0 < self.h <= 1.0:
-            raise InvalidInputError("window size must lie in (0, 1]")
-
-    def contains(self, z) -> np.ndarray:
-        return np.abs(np.asarray(z) - self.xi) <= self.h
-
-
-# ---------------------------------------------------------------------------
-# kernels
-
-
-def reproducing_kernel(a, z) -> complex:
-    """K_a(z) = 1/((1 - conj(a1) z1)(1 - conj(a2) z2)); a interior."""
-    a1, a2 = complex(a[0]), complex(a[1])
-    if max(abs(a1), abs(a2)) >= 1.0:
-        raise DomainError("kernel node must be interior to the bidisk")
-    z1, z2 = complex(z[0]), complex(z[1])
-    return 1.0 / ((1.0 - a1.conjugate() * z1) * (1.0 - a2.conjugate() * z2))
-
-
-def evaluation_bound(a) -> float:
-    """Norm of point evaluation at a: |f(a)| <= this * ||f||_2."""
-    a1, a2 = complex(a[0]), complex(a[1])
-    if max(abs(a1), abs(a2)) >= 1.0:
-        raise DomainError("evaluation bound needs an interior point")
-    return 1.0 / math.sqrt((1.0 - abs(a1) ** 2) * (1.0 - abs(a2) ** 2))
-
-
 # ---------------------------------------------------------------------------
 # boundary data for separable symbols
 
@@ -155,8 +107,8 @@ def symbol_boundary_data(params, t1, kind: str = "paper",
 
     kind: "paper" (perturbed diagonal), "diagonal", "identity",
     or "scaling" (z -> (r z1, r z2) with r = scale < 1, test symbol).
-    The cusp values come from the zoned boundary evaluator, so graded
-    meshes reaching t ~ 1e-300 are safe.
+    The cusp values come from cusp_on_circle, whose two double zones
+    keep graded meshes reaching t ~ 1e-300 accurate.
     """
     t1 = np.asarray(t1, dtype=float)
     if kind == "paper":
@@ -189,38 +141,6 @@ def symbol_boundary_data(params, t1, kind: str = "paper",
 def midpoint_nodes(q: int) -> np.ndarray:
     # midpoint grid never contains t = 0, so chi = 1 is never a node
     return 2.0 * math.pi * (np.arange(q) + 0.5) / q
-
-
-@dataclass(frozen=True)
-class PullbackSamples:
-    """Uniform endpoint Q x Q torus grid with the symbol values: the
-    discrete pullback measure.  w1 depends on t1 only (separable
-    symbols); w2 is the full 2-D array.  Weights are 1/Q^2 each."""
-
-    t1: np.ndarray
-    t2: np.ndarray
-    w1: np.ndarray
-    w2: np.ndarray
-
-    @property
-    def weight(self) -> float:
-        return 1.0 / (self.t1.size * self.t2.size)
-
-    def first_coordinate_mean(self) -> complex:
-        return complex(np.mean(self.w1))
-
-
-def boundary_samples(params, spec: TruncationSpec,
-                     kind: str = "paper") -> PullbackSamples:
-    """Endpoint grid t_k = 2 pi k / Q; contains t = (0, 0), where the
-    paper symbol attains (1, 1).  Used for convergence diagnostics; the
-    matrix assembly uses the midpoint grid instead (see module notes).
-    """
-    q = spec.quad_points
-    t = 2.0 * math.pi * np.arange(q) / q
-    data = symbol_boundary_data(params, t, kind)
-    w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
-    return PullbackSamples(t1=t, t2=t, w1=data.F, w2=w2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +195,7 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
     F^{a1} A^{a2-b2} B^{b2}, zero for b2 > a2.
 
     When the symbol is not Hilbert-Schmidt (identity, |scale| -> 1)
-    tail_hs is +inf; matrix_truncation_error raises for those instead.
+    tail_hs is +inf, as is the tail column_gram returns.
     """
     d, q = spec.max_degree, spec.quad_points
     data = symbol_boundary_data(params, midpoint_nodes(q), kind, scale)
@@ -372,23 +292,6 @@ def hs_stability(params, spec: TruncationSpec, kind: str = "paper",
     v2 = hs_norm_squared(params, spec2, kind, scale)
     rel = abs(v2 - v1) / abs(v2)
     return HsEstimate(v1, v2, rel, rel < gate)
-
-
-def matrix_truncation_error(params, spec: TruncationSpec,
-                            kind: str = "paper", scale: float = 0.5) -> float:
-    """HS norm of the operator restricted to the discarded columns
-    {e_alpha : max(alpha) > D}: sqrt(HS^2 - sum of full column norms
-    over the kept alpha).  This bounds ||C (I - P_D)|| and is the tail
-    attached to Gram-side spectra, whose kept columns carry no row
-    truncation.  Rejects non-Hilbert-Schmidt symbols."""
-    data = symbol_boundary_data(params, midpoint_nodes(spec.quad_points),
-                                kind, scale)
-    hs_sq = _hs_quadrature(data)  # raises DomainError if divergent
-    _, cols = column_quadrature_norms(params, spec, kind, scale)
-    rad = hs_sq - float(np.sum(cols))
-    if rad < -1e-10:
-        raise InconsistencyError("negative truncation radicand %.3e" % rad)
-    return math.sqrt(max(rad, 0.0))
 
 
 def column_quadrature_norms(params, spec: TruncationSpec,

@@ -1,5 +1,6 @@
 """Conformal cusp map onto a lens with a boundary cusp, an exponential
-damping factor, and the two-variable symbol built from them.
+damping factor, and calibration of the two-variable symbol built from
+them.
 
 Conventions used throughout:
 
@@ -12,6 +13,12 @@ Conventions used throughout:
       stage3: reciprocal, then  w -> 1 - w
   whose composition sends the closed disk onto a lens inside
   D(1/2, 1/2) pinched to a cusp at w = 1;
+* the double chain is written once.  Stage 0 has two forms: chi0_values
+  takes z, and cusp_from_log_gap takes z = 1 - xi as (log|xi|, arg xi)
+  and returns log chi0 directly, which keeps 1 - chi accurate however
+  close z is to the cusp.  Both feed the shared tail
+  _chain_tail (stages 2 and 3).  cusp_mp is the arbitrary-precision
+  oracle;
 * the chain commutes with conjugation.  We enforce that exactly by
   evaluating only in the closed upper half-plane and reflecting, so
   real inputs give real outputs bit-for-bit.
@@ -24,7 +31,6 @@ imaginary part at zero, which is exact for the true map.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,223 +41,106 @@ from .errors import (
     CalibrationError,
     ConfigurationError,
     EstimationError,
-    InvalidInputError,
 )
 
-DISK_SLACK = 1e-14          # tolerated modulus overshoot for disk points
-_LOG4 = math.log(4.0)
 _TWO_OVER_PI = 2.0 / math.pi
+_LOG_MINUS_I = complex(0.0, -math.pi / 2.0)
+_LOG_ONE_PLUS_I = complex(math.log(2.0) / 2.0, math.pi / 4.0)
 
-# Below this threshold on log|1 - z| the exact chain and its leading
-# asymptotics agree to double precision, so the asymptotic branch is
-# used instead of arbitrary-precision arithmetic.
-NEAR_ONE_LOG_CUTOFF = -50.0
-
-
-def _require_disk(z) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidInputError("point is not finite: %r" % (z,))
-    if abs(z) > 1.0 + DISK_SLACK:
-        raise InvalidInputError("point outside the closed unit disk: %r" % (z,))
-    return z
+# Below this |t| the plain chain at e^{it} loses the digits of 1 - chi to
+# the cancellation in 1 - e^{it}, so cusp_on_circle uses the log-gap form.
+CIRCLE_LOG_GAP_SPLIT = 1e-6
 
 
 # ---------------------------------------------------------------------------
 # chain evaluation, double precision
 
 
-@dataclass(frozen=True)
-class CuspChainTrace:
-    """All intermediate stages of one cusp-map evaluation.
-
-    At z = 1 the stored values are the continuous-extension limits along
-    the real axis (stage1 = -inf, stage2 = +inf, stage3 = 0, chi = 1).
-    """
-
-    z: complex
-    chi0: complex
-    chi1: complex
-    chi2: complex
-    chi3: complex
-    chi: complex
-
-
-def _chi0_upper(z: complex) -> complex:
-    # caller guarantees Im z >= 0
-    den = 1j * z - 1.0
-    if den == 0:  # z = -i is the Moebius pole; the chain extends by i
-        return 1j
-    m = (z - 1j) / den
-    # exact image is the closed UHP; kill roundoff, including imag = -0.0,
-    # which cmath.sqrt would otherwise put on the wrong side of the cut
-    if m.imag <= 0.0:
-        m = complex(m.real, 0.0)
-    s = cmath.sqrt(m)
-    return (s - 1j) / (1.0 - 1j * s)
-
-
-def chi0(z) -> complex:
+def chi0_values(z) -> np.ndarray:
     """First chain stage: conformal map of the disk onto the right
     half-disk, fixing the four boundary points 1 -> 0, -1 -> 1,
-    i -> -i, -i -> i."""
-    z = _require_disk(z)
-    if z.imag < 0.0:
-        return _chi0_upper(z.conjugate()).conjugate()
-    w = _chi0_upper(z)
-    if z.imag == 0.0:
-        w = complex(w.real, 0.0)  # real axis maps into [0, 1]
-    return w
-
-
-def _trace_upper(z: complex) -> CuspChainTrace:
-    if z == 1.0:
-        return CuspChainTrace(
-            z=1.0 + 0j,
-            chi0=0j,
-            chi1=complex(-math.inf, 0.0),
-            chi2=complex(math.inf, 0.0),
-            chi3=0j,
-            chi=1.0 + 0j,
-        )
-    c0 = _chi0_upper(z)
-    if z.imag == 0.0:
-        c0 = complex(c0.real, 0.0)
-    c1 = cmath.log(c0)
-    c2 = 1.0 - _TWO_OVER_PI * c1
-    c3 = 1.0 / c2
-    chi = 1.0 - c3
-    if z.imag == 0.0:
-        c1 = complex(c1.real, 0.0)
-        c2 = complex(c2.real, 0.0)
-        c3 = complex(c3.real, 0.0)
-        chi = complex(chi.real, 0.0)
-    return CuspChainTrace(z=z, chi0=c0, chi1=c1, chi2=c2, chi3=c3, chi=chi)
-
-
-def _conj_trace(t: CuspChainTrace) -> CuspChainTrace:
-    return CuspChainTrace(
-        z=t.z.conjugate(),
-        chi0=t.chi0.conjugate(),
-        chi1=t.chi1.conjugate(),
-        chi2=t.chi2.conjugate(),
-        chi3=t.chi3.conjugate(),
-        chi=t.chi.conjugate(),
-    )
-
-
-def cusp(z) -> CuspChainTrace:
-    """Evaluate the cusp map with its full chain trace.
-
-    cusp(z).chi lies in the lens D(1/2, 1/2) minus the two disks
-    D(1 + i/2, 1/2) and D(1 - i/2, 1/2); cusp(1).chi = 1 by continuous
-    extension.
-    """
-    z = _require_disk(z)
-    if z.imag < 0.0:
-        return _conj_trace(_trace_upper(z.conjugate()))
-    return _trace_upper(z)
-
-
-def cusp_values(z) -> np.ndarray:
-    """Vectorized cusp map (values only, no trace).
+    i -> -i, -i -> i.  Vectorized.
 
     Assumes inputs already lie in the closed disk; samplers and grid
     builders guarantee that, so no per-point validation happens here.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
     lower = z.imag < 0.0
     zz = np.where(lower, np.conj(z), z)
-
-    den = 1j * zz - 1.0
-    pole = den == 0
-    m = (zz - 1j) / np.where(pole, 1.0, den)
+    # the Moebius pole z = -i lies outside the closed upper half-plane
+    m = (zz - 1j) / (1j * zz - 1.0)
     # <= catches imag = -0.0, which would flip the sqrt branch
     m = np.where(m.imag <= 0.0, m.real + 0.0j, m)
     s = np.sqrt(m)
-    c0 = np.where(pole, 1j, (s - 1j) / (1.0 - 1j * s))
-
-    on_axis = zz.imag == 0.0
-    c0 = np.where(on_axis, c0.real + 0.0j, c0)
-
-    at_one = zz == 1.0
-    c1 = np.log(np.where(at_one, 0.5, c0))
-    c2 = 1.0 - _TWO_OVER_PI * c1
-    chi = 1.0 - 1.0 / c2
-    chi = np.where(at_one, 1.0 + 0.0j, chi)
-    chi = np.where(on_axis, chi.real + 0.0j, chi)
-    chi = np.where(lower, np.conj(chi), chi)
-    return chi[0] if scalar else chi
+    c0 = (s - 1j) / (1.0 - 1j * s)
+    c0 = np.where(zz.imag == 0.0, c0.real + 0.0j, c0)  # real axis -> [0, 1]
+    return np.where(lower, np.conj(c0), c0)[()]
 
 
-def cusp_near_one(log_offset, phase):
-    """Cusp map at z = 1 - xi for xi = exp(log_offset + i*phase),
-    without forming z.
+def _chain_tail(c1):
+    """Stages 2 and 3 applied to c1 = log chi0."""
+    return 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
 
-    Valid when log_offset <= NEAR_ONE_LOG_CUTOFF: there stage0 equals
-    xi/4 to relative error |xi|, far below double roundoff, and the
-    remaining stages involve no cancellation.  Requires |phase| <= pi/2,
-    which covers every point of the closed disk since 1 - z then lies
-    in D(1, 1).  Vectorized.
+
+def cusp_values(z) -> np.ndarray:
+    """Cusp map, vectorized: chi0_values, its log, then the shared tail.
+
+    chi(z) lies in the lens D(1/2, 1/2) minus the two disks
+    D(1 + i/2, 1/2) and D(1 - i/2, 1/2); chi(1) = 1 by continuous
+    extension.  Inputs must lie in the closed disk, as for chi0_values.
     """
-    log_offset = np.asarray(log_offset, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    at_one = z == 1.0
+    chi = _chain_tail(np.log(np.where(at_one, 0.5, chi0_values(z))))
+    chi = np.where(at_one, 1.0 + 0.0j, chi)
+    return np.where(z.imag == 0.0, chi.real + 0.0j, chi)[()]
+
+
+def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
+    """Cusp map at z = 1 - xi for xi = exp(log_gap + i*phase), without
+    forming z.  Vectorized.
+
+    Stage 0 in log form: with eta = (1+i) xi / ((1-i) + i xi),
+
+        log chi0 = log(-i) + log(1+i) + log xi - log((1-i) + i xi)
+                   - 2 log(1 + sqrt(1 - eta)),
+
+    where log xi = log_gap + i*phase is exact.  No term cancels, and xi
+    itself enters only the last two terms, which tend to the constants
+    log(1-i) and log 2: where exp(log_gap) underflows to 0 the sum is
+    the asymptote log(xi/4) to full precision.  For |xi| <= 1/4
+    (log_gap <= log(1/4)), at any depth, the error in 1 - chi stays
+    within 2e-15 relative plus the final rounding of chi, 2^-53.
+    Callers guarantee |1 - xi| <= 1, so |phase| <= pi/2.
+    """
+    log_gap = np.asarray(log_gap, dtype=float)
     phase = np.asarray(phase, dtype=float)
-    if np.any(log_offset > NEAR_ONE_LOG_CUTOFF):
-        raise InvalidInputError(
-            "asymptotic branch requires log|1-z| <= %g" % NEAR_ONE_LOG_CUTOFF
-        )
-    if np.any(np.abs(phase) > math.pi / 2 + 1e-12):
-        raise InvalidInputError("asymptotic branch requires |arg(1-z)| <= pi/2")
-    c1 = (log_offset - _LOG4) + 1j * phase
-    c2 = 1.0 - _TWO_OVER_PI * c1
-    return 1.0 - 1.0 / c2
-
-
-def cusp_from_gap(xi) -> np.ndarray:
-    """Cusp map at z = 1 - xi, taking the gap xi itself as input.
-
-    Rearranged so no stage subtracts nearly equal quantities: with
-    eta = (1+i) xi / (1 - i + i xi) the first chain stage is exactly
-    chi0 = -i eta / (1 + sqrt(1 - eta))^2, which tends to xi/4.  Keeps
-    full relative accuracy in 1 - chi for |xi| down to the double
-    underflow limit, with no asymptotic approximation; |xi| must stay
-    small enough that chi0 is away from 1 (|xi| <= 1/4 is safe).
-    Callers guarantee |1 - xi| <= 1.  Vectorized."""
-    xi = np.asarray(xi, dtype=complex)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    # Im z >= 0 means Im xi <= 0; reflect the rest
-    lower = xi.imag > 0.0
-    xx = np.where(lower, np.conj(xi), xi)
-    eta = (1.0 + 1j) * xx / ((1.0 - 1j) + 1j * xx)
-    c0 = -1j * eta / (1.0 + np.sqrt(1.0 - eta)) ** 2
-    on_axis = xx.imag == 0.0
-    c0 = np.where(on_axis, c0.real + 0.0j, c0)
-    zero = xx == 0.0
-    c1 = np.log(np.where(zero, 0.5, c0))
-    chi = 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
-    chi = np.where(zero, 1.0 + 0.0j, chi)
-    chi = np.where(on_axis, chi.real + 0.0j, chi)
-    chi = np.where(lower, np.conj(chi), chi)
-    return chi[0] if scalar else chi
+    # Im z >= 0 means phase <= 0; reflect the rest
+    lower = phase > 0.0
+    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
+    xi = np.exp(log_xi)
+    den = (1.0 - 1j) + 1j * xi
+    eta = (1.0 + 1j) * xi / den
+    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - np.log(den)
+          - 2.0 * np.log(1.0 + np.sqrt(1.0 - eta)))
+    chi = _chain_tail(c1)
+    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
+    return np.where(lower, np.conj(chi), chi)[()]
 
 
 def cusp_on_circle(t) -> np.ndarray:
     """Cusp map at e^{it} for arbitrary real t, accurate down to
-    |t| ~ 1e-300.
+    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1.
 
-    Double evaluation of the chain loses all digits of 1 - chi once
-    1 - e^{it} drops near machine epsilon, so the evaluation is split by
-    distance to the cusp:
+    Double evaluation of the chain at e^{it} loses all digits of 1 - chi
+    once 1 - e^{it} drops near machine epsilon, so the evaluation is
+    split by distance to the cusp into two zones:
 
-      |t| >= 1e-6            plain double chain
-      1e-6 > |t| > cutoff    mpmath chain at adaptive precision
-      |t| <= cutoff          double asymptotic kernel (cusp_near_one)
+      |t| >= CIRCLE_LOG_GAP_SPLIT   plain chain, cusp_values(e^{it})
+      |t| <  CIRCLE_LOG_GAP_SPLIT   cusp_from_log_gap, using
+                                    1 - e^{it} = 2 sin(t/2) e^{i(t - pi)/2}
 
-    with cutoff = exp(NEAR_ONE_LOG_CUTOFF).  Uses 1 - e^{it} =
-    2 sin(t/2) exp(i(t - pi)/2).  Vectorized; t = 0 maps to 1.
+    Both are double arithmetic.
     """
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
@@ -263,40 +152,22 @@ def cusp_on_circle(t) -> np.ndarray:
         t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
     neg = t < 0.0
     ta = np.abs(t)
-    out = np.empty(t.shape, dtype=complex)
-
-    far = ta >= 1e-6
-    if np.any(far):
-        out[far] = cusp_values(np.exp(1j * ta[far]))
-
-    cutoff = math.exp(NEAR_ONE_LOG_CUTOFF)
-    near = ta <= cutoff
-    zero = ta == 0.0
-    near &= ~zero
-    if np.any(near):
-        # 2 sin(t/2) = t to relative error t^2/24, invisible below cutoff
-        out[near] = cusp_near_one(np.log(ta[near]), ta[near] / 2.0 - math.pi / 2.0)
-    out[zero] = 1.0
-
-    mid = (~far) & (~near) & (~zero)
-    if np.any(mid):
-        vals = []
-        for tv in ta[mid]:
-            dps = 30 + int(-math.log10(tv)) + 1
-            with mp.workdps(dps):
-                z = mp.exp(mp.mpc(0, 1) * mp.mpf(tv))
-                vals.append(complex(cusp_mp(z, dps=dps)))
-        out[mid] = np.asarray(vals)
-
+    out = np.ones(t.shape, dtype=complex)
+    far = ta >= CIRCLE_LOG_GAP_SPLIT
+    out[far] = cusp_values(np.exp(1j * ta[far]))
+    near = ~far & (ta > 0.0)
+    out[near] = cusp_from_log_gap(np.log(2.0 * np.sin(ta[near] / 2.0)),
+                                  (ta[near] - math.pi) / 2.0)
     out = np.where(neg, np.conj(out), out)
     return out[0] if scalar else out
 
 
 def cusp_mp(z, dps: int | None = None):
-    """Arbitrary-precision cusp map.  z may be any mpmath-convertible
-    complex.  Working precision defaults to 30 digits plus the digits
-    cancelled in 1 - z, which keeps the result accurate to ~30 digits
-    arbitrarily close to the cusp."""
+    """Arbitrary-precision cusp map, the oracle for the double chain and
+    the extended-precision path of map-eval.  z may be any
+    mpmath-convertible complex.  Working precision defaults to 30
+    digits plus the digits cancelled in 1 - z, which keeps the result
+    accurate to ~30 digits arbitrarily close to the cusp."""
     zc = mp.mpc(z)
     if dps is None:
         gap = abs(mp.mpc(1) - zc)
@@ -332,22 +203,12 @@ def cusp_mp(z, dps: int | None = None):
 # damping factor
 
 
-def phi_theta(z, theta: float) -> complex:
+def phi_values(z, theta: float) -> np.ndarray:
     """Exponential damping exp(-(1-z)^(-theta)) on the closed disk,
-    extended by 0 at z = 1.
+    extended by 0 at z = 1.  Vectorized; no domain validation.
 
     Since Re(1-z) >= 0 on the disk, |phi| <= exp(-delta |1-z|^(-theta))
     with delta = cos(pi*theta/2)."""
-    if not 0.0 < theta < 1.0:
-        raise ConfigurationError("theta must lie in (0, 1)")
-    z = _require_disk(z)
-    if z == 1.0:
-        return 0j
-    return cmath.exp(-((1.0 - z) ** (-theta)))
-
-
-def phi_values(z, theta: float) -> np.ndarray:
-    """Vectorized damping factor; no domain validation."""
     z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
     w = np.where(at_one, 0.5, 1.0 - z)
@@ -374,7 +235,7 @@ _G_KINDS = ("identity_in_z2", "constant_one")
 class SymbolParams:
     """Frozen parameter bundle for the two-variable symbol
 
-        Phi(z1, z2) = (chi(z1), chi(z1) + c * phi_theta(chi(z1)) * g(z2)).
+        Phi(z1, z2) = (chi(z1), chi(z1) + c * phi(chi(z1)) * g(z2)).
 
     sigma and j0 drive the dyadic covering scales a_j = 1 - sigma^j,
     rho_j = sigma^j / 4; they must satisfy 2*sigma^j0 <= 1/8 so that the
@@ -474,7 +335,7 @@ def estimate_k(sample_count: int = 100_000, seed: int = 11,
 
 
 def perturbation_reach(z, params: SymbolParams) -> np.ndarray:
-    """|chi(z)| + 2 c |phi_theta(chi(z))|: must stay below 1 for the
+    """|chi(z)| + 2 c |phi(chi(z))|: must stay below 1 for the
     perturbed second coordinate to remain in the disk with margin."""
     chi = cusp_values(z)
     return np.abs(chi) + 2.0 * params.c * np.abs(phi_values(chi, params.theta))
@@ -534,134 +395,14 @@ def build_params(theta: float = 0.5, g_kind: str = "identity_in_z2",
 
 
 # ---------------------------------------------------------------------------
-# the two-variable symbol
-
-
-def _g_values(z2, g_kind: str):
-    if g_kind == "identity_in_z2":
-        return z2
-    return np.ones_like(np.asarray(z2, dtype=complex))
-
-
-def symbol(z1, z2, params: SymbolParams):
-    """Symbol value (w1, w2) at a point of the closed bidisk."""
-    z1 = _require_disk(z1)
-    z2 = _require_disk(z2)
-    w1 = complex(cusp_values(z1))
-    g = z2 if params.g_kind == "identity_in_z2" else 1.0
-    w2 = w1 + params.c * complex(phi_values(w1, params.theta)) * g
-    return (w1, w2)
-
-
-def symbol_values(z1, z2, params: SymbolParams):
-    """Vectorized symbol; z1 and z2 broadcast together."""
-    w1 = cusp_values(z1)
-    g = _g_values(z2, params.g_kind)
-    w2 = w1 + params.c * phi_values(w1, params.theta) * g
-    return w1, w2
-
-
-def diagonal_symbol(z1):
-    """Unperturbed comparison symbol (chi(z1), chi(z1))."""
-    w = complex(cusp_values(_require_disk(z1)))
-    return (w, w)
-
-
-# ---------------------------------------------------------------------------
 # Taylor coefficients at the origin
 #
-# Truncated power-series arithmetic.  Products of truncated series give
-# the exact leading coefficients of the exact product (convolution is
-# lower-triangular in the degree), so operator columns assembled from
+# Truncated power-series arithmetic over mpmath numbers (the plateau's
+# values fall far below double precision).  Products of truncated series
+# give the exact leading coefficients of the exact product (convolution
+# is lower-triangular in the degree), so operator columns assembled from
 # these coefficients carry no aliasing error at all, unlike boundary
 # transforms of the log-singular cusp trace.
-
-
-def _ser_mul(a, b, n):
-    return np.convolve(a, b)[:n]
-
-
-def _ser_inv(a, n):
-    if a[0] == 0:
-        raise InvalidInputError("series has no reciprocal: zero constant term")
-    out = np.zeros(n, dtype=complex)
-    out[0] = 1.0 / a[0]
-    m = 1
-    while m < n:
-        m2 = min(2 * m, n)
-        t = _ser_mul(a[:m2], out[:m2], m2)
-        t = -t
-        t[0] += 2.0
-        out[:m2] = _ser_mul(out[:m2], t, m2)
-        m = m2
-    return out
-
-
-def _ser_log(a, n):
-    if a[0] == 0:
-        raise InvalidInputError("series log needs nonzero constant term")
-    da = a[1:] * np.arange(1, len(a))
-    integrand = _ser_mul(da, _ser_inv(a, n), n - 1) if n > 1 else np.zeros(0, complex)
-    out = np.zeros(n, dtype=complex)
-    out[0] = cmath.log(complex(a[0]))
-    if n > 1:
-        out[1:] = integrand[: n - 1] / np.arange(1, n)
-    return out
-
-
-def _ser_exp(a, n):
-    # y' = a' y solved by the standard convolution recurrence
-    out = np.zeros(n, dtype=complex)
-    out[0] = cmath.exp(complex(a[0]))
-    for k in range(1, n):
-        j = np.arange(1, min(k, len(a) - 1) + 1)
-        out[k] = np.sum(j * a[j] * out[k - j]) / k
-    return out
-
-
-def _ser_pow(a, exponent, n):
-    return _ser_exp(exponent * _ser_log(a, n), n)
-
-
-def cusp_taylor(n_terms: int) -> np.ndarray:
-    """Taylor coefficients of the cusp map at 0, double precision.
-
-    The chain in series form: inner Moebius as a geometric series, sqrt
-    as exp(log/2), then the log / affine / reciprocal stages.
-    """
-    if n_terms < 1:
-        raise ConfigurationError("need at least one term")
-    n = n_terms
-    geo = -((1j) ** np.arange(n))          # 1/(iz - 1)
-    num = np.zeros(n, dtype=complex)
-    num[0] = -1j
-    if n > 1:
-        num[1] = 1.0
-    m = _ser_mul(num, geo, n)
-    s = _ser_pow(m, 0.5, n)
-    den = -1j * s
-    den[0] += 1.0
-    c0 = _ser_mul(s - np.concatenate(([1j], np.zeros(n - 1))), _ser_inv(den, n), n)
-    c1 = _ser_log(c0, n)
-    c2 = -_TWO_OVER_PI * c1
-    c2[0] += 1.0
-    c3 = _ser_inv(c2, n)
-    chi = -c3
-    chi[0] += 1.0
-    return chi
-
-
-def damping_taylor(theta: float, n_terms: int) -> np.ndarray:
-    """Taylor coefficients of phi_theta(chi(z)) at 0."""
-    chi = cusp_taylor(n_terms)
-    u = -chi
-    u[0] += 1.0                              # 1 - chi
-    p = _ser_pow(u, -theta, n_terms)
-    return _ser_exp(-p, n_terms)
-
-
-# mp variants: identical algorithms over mpmath numbers, used to pin the
-# double-precision series and for the deep-spectrum experiments.
 
 
 def _mp_ser_mul(a, b, n):

@@ -20,7 +20,6 @@ from mpmath import mp
 
 from . import maps
 from .errors import ConfigurationError
-from .maps import NEAR_ONE_LOG_CUTOFF
 
 DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
@@ -97,11 +96,12 @@ def check_cusp_geometry(sample_count: int, seed: int = DEFAULT_SEED,
     n_gap = min(5000, sample_count // 10)
     log_gap = rng.uniform(-280.0, -3.0, n_gap)
     ph_gap = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, n_gap)
-    xi = np.exp(log_gap + 1j * ph_gap)
     keep = log_gap < np.log(2.0 * np.cos(ph_gap))  # |1 - xi| <= 1
-    chi_gap = maps.cusp_from_gap(xi[keep])
+    log_gap, ph_gap = log_gap[keep], ph_gap[keep]
+    chi_gap = maps.cusp_from_log_gap(log_gap, ph_gap)
     chi_all = np.concatenate([chi, chi_gap])
-    src = np.concatenate([z, 1.0 - xi[keep]])  # witness only; may round to 1
+    # witness only; may round to 1
+    src = np.concatenate([z, 1.0 - np.exp(log_gap + 1j * ph_gap)])
 
     def record(item, mask, extra=None):
         bad = np.nonzero(mask)[0]
@@ -232,20 +232,6 @@ class CoveringFamily:
         return np.any(dist < self.radii()[None, :], axis=1)
 
 
-def _chi_near_cusp(log_gap: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """chi at z = 1 - exp(log_gap + i phase), switching between the
-    rearranged exact chain and the asymptotic kernel at the kernel's
-    validity cutoff."""
-    out = np.empty(log_gap.shape, dtype=complex)
-    deep = log_gap <= NEAR_ONE_LOG_CUTOFF
-    if np.any(deep):
-        out[deep] = maps.cusp_near_one(log_gap[deep], phase[deep])
-    if np.any(~deep):
-        out[~deep] = maps.cusp_from_gap(
-            np.exp(log_gap[~deep] + 1j * phase[~deep]))
-    return out
-
-
 def check_covering(n: int, sample_count: int, params=None,
                    seed: int = DEFAULT_SEED) -> VerificationReport:
     """Sampled covering test: every image point chi(z) that is both
@@ -271,7 +257,7 @@ def check_covering(n: int, sample_count: int, params=None,
     phase = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, sample_count)
     inside = log_gap < np.log(2.0 * np.cos(phase))  # |1 - xi| <= 1
     log_gap, phase = log_gap[inside], phase[inside]
-    chi = _chi_near_cusp(log_gap, phase)
+    chi = maps.cusp_from_log_gap(log_gap, phase)
     depth = 1.0 - params.sigma ** params.j0 / params.k_hat
     kept = (np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)
     chi_kept = chi[kept]

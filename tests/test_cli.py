@@ -104,6 +104,9 @@ def test_runconfig_hash_and_stamp():
     c = cli.RunConfig(seed=18)
     assert a.hash() == b.hash()
     assert a.hash() != c.hash()
+    # neither the output directory nor precision changes a number
+    assert cli.RunConfig(out="elsewhere").hash() == a.hash()
+    assert cli.RunConfig(precision="extended").hash() == a.hash()
     assert len(a.hash()) == 12 and int(a.hash(), 16) >= 0
     assert a.stamp() == "config %s seed 17" % a.hash()
 
@@ -168,6 +171,9 @@ def test_map_eval_error_paths(tmp_path, frozen_cfg, capsys):
     pts.write_text("0.5\n")
     assert cli.main(base + ["--point", "0.5", "--points", str(pts)]) == 2
     assert cli.main(base + ["--point", "2+0i"]) == 2  # outside the disk
+    capsys.readouterr()
+    assert cli.main(base + ["--point", "0.5", "--point", "nan"]) == 2
+    assert "arg:2: point is not finite" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\nxyz\n")
     capsys.readouterr()
@@ -190,7 +196,7 @@ def test_map_eval_extended_precision(tmp_path):
     cells = lines[2].split(",")
     assert len(cells) == 12
     from cuspdecay import maps
-    assert abs(float(cells[4]) - maps.cusp(0.23).chi.real) < 1e-13
+    assert abs(float(cells[4]) - maps.cusp_values(0.23).real) < 1e-13
 
 
 def test_calibrate_verb(tmp_path, capsys):
@@ -270,6 +276,10 @@ def test_verify_verb_reruns_identically(tmp_path, frozen_cfg):
     first = open(path, "rb").read()
     assert cli.main(args) == 0
     assert open(path, "rb").read() == first
+    # the output directory is not part of the run: same bytes elsewhere
+    other = str(tmp_path / "other")
+    assert cli.main(args[:-1] + [other]) == 0
+    assert open(os.path.join(other, "verify.json"), "rb").read() == first
 
 
 def test_verify_rejects_zero_budget(tmp_path, capsys):

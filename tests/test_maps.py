@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from cuspdecay import maps
+from cuspdecay import cli, maps
 from cuspdecay.errors import (
     CalibrationError,
     ConfigurationError,
@@ -19,11 +19,11 @@ CHI_AT_ZERO = 0.3594259851465734
 
 
 def test_chain_golden_values():
-    assert maps.cusp(1.0).chi == 1.0 + 0j
-    assert abs(maps.cusp(-1.0).chi) == 0.0
-    assert abs(maps.cusp(1j).chi - (0.5 + 0.5j)) < 1e-15
-    assert abs(maps.cusp(-1j).chi - (0.5 - 0.5j)) < 1e-15
-    assert abs(maps.cusp(0.0).chi - CHI_AT_ZERO) < 1e-15
+    assert maps.cusp_values(1.0) == 1.0 + 0j
+    assert abs(maps.cusp_values(-1.0)) == 0.0
+    assert abs(maps.cusp_values(1j) - (0.5 + 0.5j)) < 1e-15
+    assert abs(maps.cusp_values(-1j) - (0.5 - 0.5j)) < 1e-15
+    assert abs(maps.cusp_values(0.0) - CHI_AT_ZERO) < 1e-15
 
 
 def test_chain_golden_value_matches_mp():
@@ -33,28 +33,28 @@ def test_chain_golden_value_matches_mp():
 
 
 def test_first_stage_golden_values():
-    assert abs(maps.chi0(1.0)) == 0.0
-    assert abs(maps.chi0(-1.0) - 1.0) < 1e-15
-    assert abs(maps.chi0(1j) + 1j) < 1e-15
-    assert abs(maps.chi0(-1j) - 1j) < 1e-15
-    assert abs(maps.chi0(0.0) - (math.sqrt(2.0) - 1.0)) < 1e-15
+    assert abs(maps.chi0_values(1.0)) == 0.0
+    assert abs(maps.chi0_values(-1.0) - 1.0) < 1e-15
+    assert abs(maps.chi0_values(1j) + 1j) < 1e-15
+    assert abs(maps.chi0_values(-1j) - 1j) < 1e-15
+    assert abs(maps.chi0_values(0.0) - (math.sqrt(2.0) - 1.0)) < 1e-15
 
 
 def test_trace_limit_values_at_one():
-    tr = maps.cusp(1.0)
-    assert tr.chi1.real == -math.inf
-    assert tr.chi2.real == math.inf
-    assert tr.chi3 == 0j
-    assert tr.chi == 1.0 + 0j
+    # z = 1 is the continuous-extension limit in every form of the chain:
+    # stage 0 vanishes and chi = 1 exactly
+    assert maps.chi0_values(1.0) == 0j
+    assert maps.cusp_values(1.0) == 1.0 + 0j
+    assert maps.cusp_on_circle(0.0) == 1.0 + 0j
 
 
 def test_domain_rejection():
-    with pytest.raises(InvalidInputError):
-        maps.cusp(1.5)
-    with pytest.raises(InvalidInputError):
-        maps.chi0(2j)
-    with pytest.raises(InvalidInputError):
-        maps.cusp(complex("nan"))
+    # the vectorized chain assumes the closed disk; points from outside
+    # are rejected where they enter, in map-eval's point check
+    for z in (1.5, 2j, complex("nan")):
+        with pytest.raises(InvalidInputError):
+            cli._check_points([("arg:1", complex(z))])
+    cli._check_points([("arg:1", 1.0 + 0j), ("arg:2", -1j)])
 
 
 def test_conjugation_symmetry():
@@ -72,14 +72,6 @@ def test_real_axis_stays_real():
     assert np.all(chi.real <= 1.0)
 
 
-def test_vectorized_matches_scalar():
-    z = maps.disk_samples(200, seed=4)
-    chi = maps.cusp_values(z)
-    # cmath vs numpy round differently; agreement to an ulp is the contract
-    for i in range(0, 200, 17):
-        assert abs(chi[i] - maps.cusp(complex(z[i])).chi) < 1e-15
-
-
 def test_lens_geometry_on_samples():
     z = maps.disk_samples(5000, seed=5)
     chi = maps.cusp_values(z)
@@ -92,17 +84,17 @@ def test_lens_geometry_on_samples():
 
 
 def test_cusp_mp_agrees_with_double():
-    z = maps.disk_samples(50, seed=6)
-    for zz in z[:25]:
+    z = maps.disk_samples(50, seed=6)[:25]
+    for zz, chi in zip(z, maps.cusp_values(z)):
         ref = complex(maps.cusp_mp(complex(zz)))
-        assert abs(maps.cusp(complex(zz)).chi - ref) < 1e-13
+        assert abs(chi - ref) < 1e-13
 
 
 def test_cusp_on_circle_matches_chain():
     t = np.array([3.0, 1.0, 0.3, 1e-2, -0.7])
     chi = maps.cusp_on_circle(t)
     for tt, cc in zip(t, chi):
-        assert abs(cc - maps.cusp(cmath.exp(1j * tt)).chi) < 1e-14
+        assert abs(cc - maps.cusp_values(cmath.exp(1j * tt))) < 1e-14
 
 
 def test_cusp_on_circle_range_reduction():
@@ -114,57 +106,80 @@ def test_cusp_on_circle_range_reduction():
     assert abs(maps.cusp_on_circle(np.array([math.pi]))[0]) < 1e-15
 
 
+def _err_1_minus_chi(got, ref):
+    """|(1 - got) - (1 - ref)| and its bound: 2e-15 relative in 1 - chi
+    plus one rounding of chi (got and ref are both doubles, and near the
+    cusp an ulp of chi is a large share of 1 - chi)."""
+    err = abs((1.0 - got) - (1.0 - ref))
+    return err, 2e-15 * abs(1.0 - ref) + 2.0 ** -53
+
+
+# log|xi| from |xi| ~ 1/4 down past exp underflow (log|xi| < -745), as
+# deep as check_covering(1000) samples
+@pytest.mark.parametrize("log_gap", [-1.4, -3.0, -8.0, -20.0, -45.0, -55.0,
+                                     -280.0, -745.0, -800.0, -1740.0])
+def test_log_gap_kernel_matches_mp(log_gap):
+    dps = 40 + int(-log_gap / math.log(10.0))
+    for phase in (0.0, 0.3, -0.3, 0.9, -0.9, 1.2, -1.2):
+        assert log_gap < math.log(2.0 * math.cos(phase))  # |1 - xi| <= 1
+        got = maps.cusp_from_log_gap(log_gap, phase)
+        # the reference gap must be formed at high dps or z rounds to 1
+        with mp.workdps(dps):
+            z = 1 - mp.exp(mp.mpc(log_gap, phase))
+            ref = complex(maps.cusp_mp(z, dps=dps))
+        err, bound = _err_1_minus_chi(got, ref)
+        assert err <= bound, (phase, err)
+
+
 def test_cusp_near_one_matches_mp():
     # z = 1 - exp(l + i p): kernel vs the arbitrary-precision chain;
     # the reference gap must be formed at high dps or it rounds to 0
     for l, p in ((-55.0, 0.0), (-60.0, 1.2), (-80.0, -1.5)):
-        got = maps.cusp_near_one(np.array([l]), np.array([p]))[0]
+        got = maps.cusp_from_log_gap(l, p)
         with mp.workdps(120):
             z = mp.mpf(1) - mp.exp(mp.mpc(l, p))
             ref = complex(maps.cusp_mp(z, dps=120))
         assert abs(got - ref) < 1e-12 * abs(1.0 - ref)
 
 
-def test_cusp_from_gap_matches_chain():
-    # moderate gaps where forming z = 1 - xi is still exact
-    xi = np.array([1e-3, 1e-3 * cmath.exp(1.3j), 1e-5 * cmath.exp(-0.8j),
-                   0.2, 0.25 * cmath.exp(0.5j)])
-    got = maps.cusp_from_gap(xi)
-    # the plain chain itself carries ~1e-13 rounding at the smaller gaps
-    for x, g in zip(xi, got):
-        ref = maps.cusp(1.0 - complex(x)).chi
-        assert abs(g - ref) < 1e-12
-
-
-def test_cusp_from_gap_deep_matches_mp():
-    for l, p in ((-8.0, 0.9), (-20.0, -1.1), (-45.0, 0.0)):
-        xi = cmath.exp(l + 1j * p)
-        got = maps.cusp_from_gap(np.array([xi]))[0]
-        with mp.workdps(80):
-            ref = complex(maps.cusp_mp(1 - mp.exp(mp.mpc(l, p)), dps=80))
-        assert abs((1.0 - got) - (1.0 - ref)) < 2e-15 * abs(1.0 - ref)
-
-
 def test_cusp_from_gap_joins_near_one_kernel():
-    l = np.array([maps.NEAR_ONE_LOG_CUTOFF])
-    p = np.array([0.7])
-    a = maps.cusp_near_one(l, p)[0]
-    b = maps.cusp_from_gap(np.exp(l + 1j * p))[0]
-    assert abs(a - b) < 1e-13 * abs(1.0 - a)
+    # log|xi| = -50 was the seam between two near-cusp kernels; the one
+    # kernel must show no step there
+    for l in (-50.0 - 1e-9, -50.0, -50.0 + 1e-9):
+        got = maps.cusp_from_log_gap(l, 0.7)
+        with mp.workdps(100):
+            ref = complex(maps.cusp_mp(1 - mp.exp(mp.mpc(l, 0.7)), dps=100))
+        err, bound = _err_1_minus_chi(got, ref)
+        assert err <= bound, (l, err)
 
 
-def test_phi_theta_bound_and_limit():
-    assert maps.phi_theta(1.0, 0.5) == 0j
+def test_cusp_on_circle_matches_mp():
+    t = np.geomspace(1e-300, 1e-3, 300)  # crosses the seam at 1e-6
+    got = maps.cusp_on_circle(t)
+    for tt, g in zip(t, got):
+        dps = 30 + int(-math.log10(tt)) + 1
+        with mp.workdps(dps):
+            ref = complex(maps.cusp_mp(mp.expj(mp.mpf(tt)), dps=dps))
+        err, bound = _err_1_minus_chi(g, ref)
+        if tt >= maps.CIRCLE_LOG_GAP_SPLIT:
+            # the plain chain cancels in 1 - e^{it}; the previous
+            # three-zone evaluator met 5.4e-12 here
+            bound = 1e-11 * abs(1.0 - ref)
+        assert err <= bound, (tt, err)
+    assert maps.cusp_on_circle(0.0) == 1.0 + 0j
+    both = maps.cusp_on_circle(np.concatenate([t, -t]))
+    assert np.array_equal(both[t.size:], np.conj(both[:t.size]))
+
+
+def test_phi_values_bound_and_limit():
+    assert maps.phi_values(1.0, 0.5) == 0j
     delta = math.cos(math.pi * 0.25)
     z = maps.disk_samples(2000, seed=7)
     phi = maps.phi_values(z, 0.5)
     cap = np.exp(-delta * np.abs(1.0 - z) ** -0.5)
     assert np.all(np.abs(phi) <= cap + 1e-15)
-    for zz in z[:10]:
-        assert abs(maps.phi_theta(complex(zz), 0.5)
-                   - maps.phi_values(zz, 0.5)) < 1e-16
-    with pytest.raises(ConfigurationError):
-        maps.phi_theta(0.3, 1.5)
+    for zz, ph in zip(z[:10], phi):
+        assert abs(complex(maps.phi_mp(complex(zz), 0.5)) - ph) < 1e-16
 
 
 def test_symbol_params_validation():
@@ -238,57 +253,12 @@ def test_perturbation_reach_margin(params):
     assert np.max(reach) < 1.0
 
 
-def test_symbol_values(params):
-    z1 = maps.disk_samples(300, seed=12)
-    z2 = maps.disk_samples(300, seed=14)
-    w1, w2 = maps.symbol_values(z1, z2, params)
-    chi = maps.cusp_values(z1)
-    assert np.max(np.abs(w1 - chi)) == 0.0
-    assert np.max(np.abs(w2)) < 1.0
-    pert = w2 - chi
-    expect = params.c * maps.phi_values(chi, params.theta) * z2
-    assert np.max(np.abs(pert - expect)) < 1e-15
-    s1, s2 = maps.symbol(complex(z1[0]), complex(z2[0]), params)
-    assert abs(s1 - w1[0]) == 0.0
-    assert abs(s2 - w2[0]) < 1e-15
-
-
-def test_symbol_constant_g(params):
-    p2 = maps.SymbolParams(theta=params.theta, c=params.c,
-                           k_hat=params.k_hat, g_kind="constant_one")
-    _, w2 = maps.symbol_values(np.array([0.3]), np.array([0.9j]), p2)
-    chi = maps.cusp(0.3).chi
-    expect = chi + p2.c * maps.phi_theta(chi, p2.theta)
-    assert abs(w2[0] - expect) < 1e-15
-
-
-def test_diagonal_symbol():
-    w1, w2 = maps.diagonal_symbol(0.4 + 0.1j)
-    tr = maps.cusp(0.4 + 0.1j)
-    assert w1 == tr.chi and w2 == tr.chi
-
-
 def test_cusp_taylor_sums_to_chain():
-    co = maps.cusp_taylor(40)
+    co = [complex(c) for c in maps.cusp_taylor_mp(40)]
     assert abs(co[0] - CHI_AT_ZERO) < 1e-15
     for z in (0.23, -0.2 + 0.1j):
         val = sum(co[k] * z ** k for k in range(40))
-        assert abs(val - maps.cusp(z).chi) < 1e-12
-
-
-def test_cusp_taylor_matches_mp():
-    co = maps.cusp_taylor(30)
-    co_mp = maps.cusp_taylor_mp(30, dps=40)
-    err = max(abs(complex(a) - complex(b)) for a, b in zip(co, co_mp))
-    assert err < 1e-13
-
-
-def test_damping_taylor_sums_to_composition():
-    dt = maps.damping_taylor(0.5, 40)
-    z = 0.23
-    val = sum(dt[k] * z ** k for k in range(40))
-    direct = maps.phi_theta(maps.cusp(z).chi, 0.5)
-    assert abs(val - direct) < 1e-13
+        assert abs(val - maps.cusp_values(z)) < 1e-12
 
 
 def test_distortion_ratio_below_k_hat(params):
