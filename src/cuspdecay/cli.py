@@ -44,6 +44,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 
@@ -205,8 +206,10 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 
 def parse_point(text: str) -> complex:
-    """Accept '1+0i', '-0.3-0.2i', '0.5', 'i'; both i and j spellings."""
-    s = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    """Accept '1+0i', '-0.3-0.2i', '(1+2i)', '0.5', 'i', 'inf'; the
+    imaginary unit may be spelled i, I, j or J.  Only that suffix is
+    rewritten, so 'inf' and 'nan' keep their meaning."""
+    s = re.sub(r"[iI](\)?)$", r"j\1", text.strip().replace(" ", ""))
     if not s:
         raise InvalidInputError("empty point")
     try:

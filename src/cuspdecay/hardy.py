@@ -17,16 +17,19 @@ the pure diagonal (B = 0), the identity and radial scalings (A = 0).
 The t2 integral is then a single binomial term and only 1-D transforms
 in t1 remain.
 
-Matrix entries, column norms and the Hilbert-Schmidt integral are all
-evaluated on one midpoint grid in t1, so the truncation tail
-HS^2 - sum of kept column norms is a discrete Parseval remainder and
-cannot go negative except by rounding.
+Every t1 integral is a weighted sum over one CircleQuadrature on the
+half circle (0, pi]: F, A and B satisfy X(-t) = conj X(t), so the
+normalized circle mean of any product of them and their conjugates is
+(1/pi) sum w Re(...).  Matrix entries, column norms, the column Gram
+and the Hilbert-Schmidt integral share the same nodes and weights, so
+the truncation tail HS^2 - sum of kept column norms is a quadrature
+Parseval remainder and cannot go negative except by rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +84,6 @@ class TruncationSpec:
 # boundary data for separable symbols
 
 
-_KINDS = ("paper", "diagonal", "identity", "scaling")
-
-
 @dataclass(frozen=True)
 class SeparableBoundaryData:
     """Sampled torus data (F, A, B) of a separable symbol.
@@ -98,7 +98,6 @@ class SeparableBoundaryData:
     A: np.ndarray
     B: np.ndarray
     f_equals_a: bool
-    scale: float = 1.0
 
 
 def symbol_boundary_data(params, t1, kind: str = "paper",
@@ -133,14 +132,72 @@ def symbol_boundary_data(params, t1, kind: str = "paper",
             raise ConfigurationError("scaling factor must lie in (0, 1)")
         f = scale * np.exp(1j * t1)
         return SeparableBoundaryData("scaling", t1, f, np.zeros_like(f),
-                                     np.full_like(f, scale), False,
-                                     scale=scale)
+                                     np.full_like(f, scale), False)
     raise ConfigurationError("unknown symbol kind %r" % (kind,))
 
 
 def midpoint_nodes(q: int) -> np.ndarray:
     # midpoint grid never contains t = 0, so chi = 1 is never a node
     return 2.0 * math.pi * (np.arange(q) + 0.5) / q
+
+
+# ---------------------------------------------------------------------------
+# half-circle quadrature
+
+
+PANEL_POINTS = 8
+
+
+@dataclass(frozen=True)
+class CircleQuadrature:
+    """Nodes on (0, pi], ascending, with plain-dt weights.
+
+    For X(-t) = conj X(t), which holds for F, A, B and every product of
+    them and their conjugates, the normalized circle mean is
+    (1/2pi) int_{-pi}^{pi} X dt = (1/pi) sum w Re X(nodes)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def mean(self, values) -> float:
+        return float(np.sum(self.weights * np.real(values))) / math.pi
+
+
+def circle_quadrature(q: int,
+                      t_floor: float | None = None) -> CircleQuadrature:
+    """Midpoint cells of width 2pi/q on (0, pi]; with t_floor, the
+    cusp-adjacent cell (0, 2pi/q) is replaced by dyadic Gauss-Legendre
+    panels [h/2, h] until the left edge drops below t_floor.
+
+    Uniform cells resolve the bulk, where columns of degree up to D
+    oscillate like e^{iDt}; only the panels reach the log-singular cusp
+    at t = 0.  The hole (0, ~t_floor) is left uncovered; callers pick
+    t_floor far below the scale they integrate.  q = 2 gives the purely
+    dyadic mesh on (0, pi]."""
+    if q < 2 or (q & (q - 1)) != 0:
+        raise ConfigurationError("q must be a power of two, at least 2")
+    nodes = [midpoint_nodes(q)[: q // 2]]
+    weights = [np.full(q // 2, 2.0 * math.pi / q)]
+    if t_floor is not None:
+        hi = 2.0 * math.pi / q
+        if not 0.0 < t_floor < hi:
+            raise ConfigurationError("t_floor must lie in (0, 2pi/q)")
+        nodes[0], weights[0] = nodes[0][1:], weights[0][1:]
+        x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
+        while hi > t_floor:
+            lo = hi / 2.0
+            mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
+            nodes.append(mid + half * x)
+            weights.append(half * w)
+            hi = lo
+    nodes = np.concatenate(nodes)
+    order = np.argsort(nodes)
+    return CircleQuadrature(nodes[order], np.concatenate(weights)[order])
+
+
+def _quadrature_data(params, spec: TruncationSpec, kind: str, scale: float):
+    quad = circle_quadrature(spec.quad_points)
+    return quad, symbol_boundary_data(params, quad.nodes, kind, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +224,17 @@ class OperatorMatrix:
 def _coefficient_table(data: SeparableBoundaryData, d: int, p_max: int):
     """ct[p, q, m] = m-th Fourier coefficient of A^p B^q (midpoint
     twiddle included), m = 0..d.  For f_equals_a symbols A^p absorbs the
-    F power as well."""
-    q_nodes = data.t1.size
+    F power as well.
+
+    data holds the half-circle midpoint nodes t_k; the full grid's node
+    q-1-k is -t_k, where every factor takes the conjugate value."""
+    def full(x):
+        return np.concatenate([x, np.conj(x[::-1])])
+
     base = data.A if data.f_equals_a else data.F
-    a_pows = np.empty((p_max + 1, q_nodes), dtype=complex)
-    a_pows[0] = 1.0
-    for p in range(1, p_max + 1):
-        a_pows[p] = a_pows[p - 1] * base
-    b_pows = np.empty((d + 1, q_nodes), dtype=complex)
-    b_pows[0] = 1.0
-    for p in range(1, d + 1):
-        b_pows[p] = b_pows[p - 1] * data.B
+    a_pows = np.vander(full(base), p_max + 1, increasing=True).T
+    b_pows = np.vander(full(data.B), d + 1, increasing=True).T
+    q_nodes = a_pows.shape[1]
     twiddle = np.exp(-1j * math.pi * np.arange(d + 1) / q_nodes) / q_nodes
     ct = np.empty((p_max + 1, d + 1, d + 1), dtype=complex)
     for p in range(p_max + 1):
@@ -198,7 +255,7 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
     tail_hs is +inf, as is the tail column_gram returns.
     """
     d, q = spec.max_degree, spec.quad_points
-    data = symbol_boundary_data(params, midpoint_nodes(q), kind, scale)
+    quad, data = _quadrature_data(params, spec, kind, scale)
     idx = index_set(d)
     a1 = idx[:, 0]
     a2 = idx[:, 1]
@@ -226,21 +283,23 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
         ent = ct[p, b2col, a1[:, None]]
     ent = np.where(valid, ent * binom[a2[None, :], b2col], 0.0)
 
-    hs_sq, tail = _tail_from_hs(data, ent)
+    hs_sq, tail = _truncation_tail(data, quad,
+                                   float(np.sum(np.abs(ent) ** 2)))
     return OperatorMatrix(entries=ent, indices=idx, max_degree=d,
                           quad_points=q, kind=kind, tail_hs=tail,
                           hs_sq=hs_sq)
 
 
-def _hs_quadrature(data: SeparableBoundaryData) -> float:
-    """Hilbert-Schmidt norm squared on the t1 grid, t2 integrated in
-    closed form:
+def _hs_quadrature(data: SeparableBoundaryData,
+                   quad: CircleQuadrature) -> float:
+    """Hilbert-Schmidt norm squared on the t1 quadrature, t2 integrated
+    in closed form:
 
       (1/2pi) int dt2 / (1 - |A + B e^{it2}|^2)
           = 1 / sqrt((1 - |A|^2 - |B|^2)^2 - 4 |A|^2 |B|^2),
 
     valid iff |A| + |B| < 1.  Raises DomainError when the symbol is not
-    Hilbert-Schmidt on the grid (identity: |F| = 1)."""
+    Hilbert-Schmidt on the nodes (identity: |F| = 1)."""
     f2 = np.abs(data.F) ** 2
     a2 = np.abs(data.A) ** 2
     b2 = np.abs(data.B) ** 2
@@ -248,32 +307,34 @@ def _hs_quadrature(data: SeparableBoundaryData) -> float:
     rad = (1.0 - a2 - b2) ** 2 - 4.0 * a2 * b2
     if np.any(gap1 <= 0.0) or np.any((1.0 - a2 - b2) <= 0.0) or np.any(rad <= 0.0):
         raise DomainError(
-            "symbol touches the torus on the quadrature grid; "
+            "symbol touches the torus on the quadrature nodes; "
             "Hilbert-Schmidt integral diverges")
-    vals = 1.0 / (gap1 * np.sqrt(rad))
-    return float(np.mean(vals))
+    return quad.mean(1.0 / (gap1 * np.sqrt(rad)))
 
 
-def _tail_from_hs(data: SeparableBoundaryData, ent: np.ndarray):
+def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
+                     kept: float):
+    """(HS^2, sqrt(HS^2 - kept)), or (inf, inf) when the symbol is not
+    Hilbert-Schmidt.  kept is the sum of kept norms on the same nodes
+    and weights, so the radicand is a Parseval remainder that only
+    rounding can push below zero."""
     try:
-        hs_sq = _hs_quadrature(data)
+        hs_sq = _hs_quadrature(data, quad)
     except DomainError:
         return math.inf, math.inf
-    kept = float(np.sum(np.abs(ent) ** 2))
     rad = hs_sq - kept
     if rad < -1e-10:
         raise InconsistencyError(
-            "column norms exceed the Hilbert-Schmidt integral by %.3e; "
-            "the shared-grid Parseval identity is broken" % (-rad,))
+            "kept norms exceed the Hilbert-Schmidt integral by %.3e; "
+            "the shared-quadrature Parseval identity is broken" % (-rad,))
     return hs_sq, math.sqrt(max(rad, 0.0))
 
 
 def hs_norm_squared(params, spec: TruncationSpec, kind: str = "paper",
                     scale: float = 0.5) -> float:
     """Quadrature value of int dm_Phi / ((1-|w1|^2)(1-|w2|^2))."""
-    data = symbol_boundary_data(params, midpoint_nodes(spec.quad_points),
-                                kind, scale)
-    return _hs_quadrature(data)
+    quad, data = _quadrature_data(params, spec, kind, scale)
+    return _hs_quadrature(data, quad)
 
 
 @dataclass(frozen=True)
@@ -298,31 +359,26 @@ def column_quadrature_norms(params, spec: TruncationSpec,
                             kind: str = "paper", scale: float = 0.5):
     """||e_alpha o Phi||^2 under the discrete pullback measure, t2 exact:
     per node sum_j C(a2,j)^2 |A|^{2(a2-j)} |B|^{2j}, averaged in t1."""
-    data = symbol_boundary_data(params, midpoint_nodes(spec.quad_points),
-                                kind, scale)
+    quad, data = _quadrature_data(params, spec, kind, scale)
     d = spec.max_degree
     idx = index_set(d)
-    fa = np.abs(data.F) ** 2
     aa = np.abs(data.A) ** 2
     bb = np.abs(data.B) ** 2
-    f_pows = np.vstack([fa ** k for k in range(d + 1)])
-    t2_int = np.empty((d + 1, data.t1.size))
+    t2_int = np.zeros((data.t1.size, d + 1))
     for a2 in range(d + 1):
-        acc = np.zeros(data.t1.size)
         for j in range(a2 + 1):
-            acc += math.comb(a2, j) ** 2 * aa ** (a2 - j) * bb ** j
-        t2_int[a2] = acc
-    out = np.empty(idx.shape[0])
-    for i, (a1, a2) in enumerate(idx):
-        out[i] = float(np.mean(f_pows[a1] * t2_int[a2]))
-    return idx, out
+            t2_int[:, a2] += math.comb(a2, j) ** 2 * aa ** (a2 - j) * bb ** j
+    f_pows = np.vander(np.abs(data.F) ** 2, d + 1, increasing=True)
+    vals = f_pows[:, idx[:, 0]] * t2_int[:, idx[:, 1]]
+    return idx, quad.weights @ vals / math.pi
 
 
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
                 scale: float = 0.5):
     """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
     composed kept monomials under the discrete pullback measure, plus
-    the discarded-column tail bound.  Returns (gram, tail).
+    the discarded-column tail bound.  Returns (gram, tail); the Gram is
+    real symmetric.
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -338,122 +394,35 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
 
         M_j[node, (a1, a2)] = sqrt(w) F^{a1} C(a2, j) A^{a2-j} |B|^j
 
-    (the phase of B^j cancels between the two sides).  Assembled per j
-    as a matrix product over the full index square, then reordered to
-    the index_set layout."""
-    d, q = spec.max_degree, spec.quad_points
-    data = symbol_boundary_data(params, midpoint_nodes(q), kind, scale)
-    try:
-        hs_sq = _hs_quadrature(data)
-    except DomainError:
-        hs_sq = math.inf
-    f_pows = np.empty((q, d + 1), dtype=complex)
-    a_pows = np.empty((q, d + 1), dtype=complex)
-    f_pows[:, 0] = 1.0
-    a_pows[:, 0] = 1.0
-    for k in range(1, d + 1):
-        f_pows[:, k] = f_pows[:, k - 1] * data.F
-        a_pows[:, k] = a_pows[:, k - 1] * data.A
-    b_abs = np.abs(data.B)
-    b_zero = bool(np.all(b_abs == 0.0))
-    sqw = math.sqrt(1.0 / q)
-    size = (d + 1) ** 2
-    gram = np.zeros((size, size), dtype=complex)
-    b_pow = np.ones(q)
-    for j in range(d + 1):
-        if j > 0:
-            if b_zero:
-                break
-            b_pow = b_pow * b_abs
-        a2s = np.arange(j, d + 1)
-        comb = np.array([math.comb(int(a2), j) for a2 in a2s])
-        cols_t2 = comb[None, :] * a_pows[:, a2s - j] * b_pow[:, None]
-        m = (sqw * f_pows)[:, :, None] * cols_t2[:, None, :]
-        m = m.reshape(q, -1)
-        cols = np.repeat(np.arange(d + 1), a2s.size) * (d + 1) + np.tile(
-            a2s, d + 1)
-        gram[np.ix_(cols, cols)] += m.conj().T @ m
+    (the phase of B^j cancels between the two sides).  The node at -t
+    carries conj M_j, so over the half circle each contribution is
+    R_j^T R_j with R_j = sqrt(1/pi) [Re M_j; Im M_j], added straight
+    into the index_set layout."""
+    d = spec.max_degree
+    quad, data = _quadrature_data(params, spec, kind, scale)
     idx = index_set(d)
-    perm = idx[:, 0] * (d + 1) + idx[:, 1]
-    gram = gram[np.ix_(perm, perm)]
-    if math.isinf(hs_sq):
-        return gram, math.inf
-    rad = hs_sq - float(np.trace(gram).real)
-    if rad < -1e-10:
-        raise InconsistencyError("negative truncation radicand %.3e" % rad)
-    return gram, math.sqrt(max(rad, 0.0))
+    pos = np.empty((d + 1, d + 1), dtype=np.int64)
+    pos[idx[:, 0], idx[:, 1]] = np.arange(idx.shape[0])
+    f_pows = np.sqrt(quad.weights / math.pi)[:, None] * np.vander(
+        data.F, d + 1, increasing=True)
+    a_pows = np.vander(data.A, d + 1, increasing=True)
+    b_pows = np.vander(np.abs(data.B), d + 1, increasing=True)
+    j_max = 0 if np.all(data.B == 0.0) else d
+    gram = np.zeros((idx.shape[0], idx.shape[0]))
+    for j in range(j_max + 1):
+        a2s = np.arange(j, d + 1)
+        comb = np.array([math.comb(int(a2), j) for a2 in a2s], dtype=float)
+        cols_t2 = comb * a_pows[:, a2s - j] * b_pows[:, j, None]
+        m = (f_pows[:, :, None] * cols_t2[:, None, :]).reshape(
+            data.t1.size, -1)
+        r = np.concatenate([m.real, m.imag])
+        cols = pos[:, a2s].ravel()
+        gram[np.ix_(cols, cols)] += r.T @ r
+    return gram, _truncation_tail(data, quad, float(np.trace(gram)))[1]
 
 
 # ---------------------------------------------------------------------------
-# graded meshes and the window integrals
-
-
-@dataclass(frozen=True)
-class GradedMesh:
-    """Gauss-Legendre panels on (t_min-ish, pi], geometric ratio 1/2
-    toward t = 0.  nodes ascending; weights for plain dt integration on
-    the half-circle t > 0."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def t_min(self) -> float:
-        return float(self.nodes[0])
-
-
-def graded_circle_mesh(t_floor: float, points_per_panel: int = 8) -> GradedMesh:
-    """Dyadic panels [pi 2^{-k-1}, pi 2^{-k}] until the left edge drops
-    below t_floor.  The hole (0, t_floor-ish) is left uncovered; callers
-    pick t_floor far below the scale they integrate."""
-    if not 0.0 < t_floor < math.pi:
-        raise ConfigurationError("t_floor must lie in (0, pi)")
-    x, w = np.polynomial.legendre.leggauss(points_per_panel)
-    panels = int(math.ceil(math.log(math.pi / t_floor, 2.0))) + 1
-    nodes, weights = [], []
-    hi = math.pi
-    for _ in range(panels):
-        lo = hi / 2.0
-        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-        hi = lo
-    nodes = np.concatenate(nodes[::-1])
-    weights = np.concatenate(weights[::-1])
-    order = np.argsort(nodes)
-    return GradedMesh(nodes[order], weights[order])
-
-
-def hybrid_circle_mesh(q: int, t_floor: float,
-                       points_per_panel: int = 8) -> GradedMesh:
-    """Uniform midpoint cells on (2pi/q, pi] plus dyadic Gauss-Legendre
-    refinement of the cusp-adjacent cell (0, 2pi/q), one-sided.
-
-    Pure dyadic grading under-integrates the bulk, where columns of
-    degree up to D oscillate like e^{iDt}; pure uniform grids cannot
-    reach the cusp.  The union resolves both: uniform cells where the
-    integrand oscillates, panels where it is log-singular.  Weights are
-    plain dt on the half-circle, as in GradedMesh."""
-    if q < 4 or (q & (q - 1)) != 0:
-        raise ConfigurationError("q must be a power of two, at least 4")
-    if not 0.0 < t_floor < 2.0 * math.pi / q:
-        raise ConfigurationError("t_floor must lie below the first cell")
-    k = np.arange(1, q // 2)
-    t_u = 2.0 * math.pi * (k + 0.5) / q
-    w_u = np.full(t_u.size, 2.0 * math.pi / q)
-    x, w = np.polynomial.legendre.leggauss(points_per_panel)
-    hi = 2.0 * math.pi / q
-    nodes, weights = [t_u], [w_u]
-    while hi > t_floor:
-        lo = hi / 2.0
-        mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-        hi = lo
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    return GradedMesh(nodes[order], weights[order])
+# the window integrals
 
 
 @dataclass(frozen=True)
@@ -469,23 +438,24 @@ def _window_floor(h: float) -> float:
     return max(math.exp(-math.pi / (2.0 * h) * 1.5 - 30.0), 1e-300)
 
 
-def window_integral_i0(h: float, mesh: GradedMesh | None = None) -> WindowValue:
+def window_integral_i0(h: float,
+                       quad: CircleQuadrature | None = None) -> WindowValue:
     """I0(h) = int_{|chi(e^it)-1| <= h} dt / (1 - |chi(e^it)|)^2,
     plain dt over the full circle (both signs of t)."""
     if not 0.0 < h <= 1.0:
         raise InvalidInputError("window size must lie in (0, 1]")
-    if mesh is None:
-        mesh = graded_circle_mesh(_window_floor(h))
-    chi = maps.cusp_on_circle(mesh.nodes)
+    if quad is None:
+        quad = circle_quadrature(2, _window_floor(h))
+    chi = maps.cusp_on_circle(quad.nodes)
     mask = np.abs(chi - 1.0) <= h
     if not np.any(mask):
         return WindowValue(h, 0.0, True)
     integrand = 1.0 / (1.0 - np.abs(chi[mask])) ** 2
-    return WindowValue(h, 2.0 * float(np.sum(mesh.weights[mask] * integrand)),
+    return WindowValue(h, 2.0 * float(np.sum(quad.weights[mask] * integrand)),
                        False)
 
 
-def window_integral_i(h: float, params, mesh: GradedMesh | None = None,
+def window_integral_i(h: float, params, quad: CircleQuadrature | None = None,
                       t2_points: int = 256) -> WindowValue:
     """Two-variable window integral, normalized Haar measure:
 
@@ -497,9 +467,9 @@ def window_integral_i(h: float, params, mesh: GradedMesh | None = None,
     average, done on a uniform grid."""
     if not 0.0 < h <= 1.0:
         raise InvalidInputError("window size must lie in (0, 1]")
-    if mesh is None:
-        mesh = graded_circle_mesh(_window_floor(h))
-    data = symbol_boundary_data(params, mesh.nodes, "paper")
+    if quad is None:
+        quad = circle_quadrature(2, _window_floor(h))
+    data = symbol_boundary_data(params, quad.nodes, "paper")
     mask = np.abs(data.F - 1.0) <= h
     if not np.any(mask):
         return WindowValue(h, 0.0, True)
@@ -507,7 +477,7 @@ def window_integral_i(h: float, params, mesh: GradedMesh | None = None,
     w2 = data.A[mask, None] + data.B[mask, None] * np.exp(1j * t2)[None, :]
     inner = np.mean(1.0 / (1.0 - np.abs(w2)), axis=1)
     outer = inner / (1.0 - np.abs(data.F[mask]))
-    val = 2.0 * float(np.sum(mesh.weights[mask] * outer)) / (2.0 * math.pi)
+    val = float(np.sum(quad.weights[mask] * outer)) / math.pi
     return WindowValue(h, val, False)
 
 

@@ -109,15 +109,6 @@ class BetaReport:
         }
 
 
-def singular_values(matrix: hardy.OperatorMatrix) -> SingularSpectrum:
-    """SVD of an assembled matrix; tail copied from the assembly."""
-    try:
-        vals = np.linalg.svd(matrix.entries, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ComputationError("SVD failed to converge: %s" % exc) from exc
-    return SingularSpectrum(vals, matrix.tail_hs)
-
-
 def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     """s-numbers from a Gram matrix: square roots of its eigenvalues.
 
@@ -157,15 +148,9 @@ def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
     return (low, low + spectrum.tail_bound)
 
 
-def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
-                  n_range) -> BetaReport:
-    """Extremes of [a_{n^exponent}]^{1/n} over the upper half of
-    n_range; the lower half is treated as transient and discarded.
-
-    Raises RangeError when no n in n_range fits the spectrum, and
-    InvalidInputError (via BetaReport) when the surviving proxies leave
-    [0, 1], which happens when the kept n are so small that a_{n^N}
-    still exceeds 1."""
+def _admissible_n(spectrum: SingularSpectrum, schedule_exponent: int,
+                  n_range) -> list:
+    """Sorted n in n_range with n^exponent inside the computed range."""
     if schedule_exponent < 1:
         raise InvalidInputError("schedule exponent must be >= 1")
     admissible = sorted(
@@ -175,6 +160,19 @@ def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
         raise RangeError(
             "no n in the range has n^%d within the %d computed values"
             % (schedule_exponent, len(spectrum)))
+    return admissible
+
+
+def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
+                  n_range) -> BetaReport:
+    """Extremes of [a_{n^exponent}]^{1/n} over the upper half of
+    n_range; the lower half is treated as transient and discarded.
+
+    Raises RangeError when no n in n_range fits the spectrum, and
+    InvalidInputError (via BetaReport) when the surviving proxies leave
+    [0, 1], which happens when the kept n are so small that a_{n^N}
+    still exceeds 1."""
+    admissible = _admissible_n(spectrum, schedule_exponent, n_range)
     kept = admissible[len(admissible) // 2:]
     lows, highs = [], []
     for n in kept:
@@ -191,15 +189,7 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
     Points with a_{n^exponent} <= 10 * tail_bound sit under the
     truncation noise and are excluded; fewer than 4 survivors is an
     error rather than a meaningless slope."""
-    if schedule_exponent < 1:
-        raise InvalidInputError("schedule exponent must be >= 1")
-    admissible = sorted(
-        {int(n) for n in n_range
-         if n >= 1 and int(n) ** schedule_exponent <= len(spectrum)})
-    if not admissible:
-        raise RangeError(
-            "no n in the range has n^%d within the %d computed values"
-            % (schedule_exponent, len(spectrum)))
+    admissible = _admissible_n(spectrum, schedule_exponent, n_range)
     floor = 10.0 * spectrum.tail_bound
     usable, logs = [], []
     for n in admissible:
@@ -291,36 +281,32 @@ def split_gram(params, spec: hardy.TruncationSpec,
                split: SplitSpec) -> SplitGrams:
     """Assemble the three region Grams over the kept index set.
 
-    One graded mesh in the first boundary variable (reaching far enough
-    below the cusp for the outer region at this n), a uniform midpoint
-    grid in the second; all four Grams use identical nodes and weights,
-    so the partition identity is exact up to float addition order.  The
-    mesh is one-sided and the symbol conjugation-symmetric, so each
-    Gram is assembled as twice the real part of the upper-half sum."""
+    A dyadic circle_quadrature in the first boundary variable (reaching
+    far enough below the cusp for the outer region at this n), a
+    uniform midpoint grid in the second; all four Grams use identical
+    nodes and weights, so the partition identity is exact up to float
+    addition order.  The quadrature covers the half circle and the
+    symbol is conjugation-symmetric, so each Gram is R^T R with
+    R = [Re V; Im V] over the half-circle nodes."""
     t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
-    mesh = hardy.graded_circle_mesh(t_floor)
-    data = hardy.symbol_boundary_data(params, mesh.nodes, "paper")
+    quad = hardy.circle_quadrature(2, t_floor)
+    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
     m2 = spec.quad_points
     t2 = hardy.midpoint_nodes(m2)
     w1 = np.repeat(data.F, m2)
     w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
-    wts = np.repeat(mesh.weights, m2) / (2.0 * math.pi) / m2
+    sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
     mx = np.maximum(np.abs(w1), np.abs(w2))
     idx = hardy.index_set(spec.max_degree)
 
     def region(sel):
         if not np.any(sel):
             return np.zeros((idx.shape[0], idx.shape[0]))
-        u1, u2, ww = w1[sel], w2[sel], wts[sel]
-        p1 = np.empty((u1.size, spec.max_degree + 1), dtype=complex)
-        p2 = np.empty_like(p1)
-        p1[:, 0] = 1.0
-        p2[:, 0] = 1.0
-        for k in range(1, spec.max_degree + 1):
-            p1[:, k] = p1[:, k - 1] * u1
-            p2[:, k] = p2[:, k - 1] * u2
-        v = p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
-        return 2.0 * np.real((v.conj() * ww[:, None]).T @ v)
+        p1 = np.vander(w1[sel], spec.max_degree + 1, increasing=True)
+        p2 = np.vander(w2[sel], spec.max_degree + 1, increasing=True)
+        v = sqw[sel, None] * p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
+        r = np.concatenate([v.real, v.imag])
+        return r.T @ r
 
     inner = region(mx <= split.inner_radius)
     middle = region((mx > split.inner_radius) & (mx <= split.outer_radius))
@@ -334,34 +320,29 @@ def split_gram(params, spec: hardy.TruncationSpec,
 # one-variable comparison runs
 
 
-def one_dim_contrast(spec: hardy.TruncationSpec,
-                     t_floor: float | None = None) -> SingularSpectrum:
+def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
     """Spectrum of the one-variable cusp composition operator, columns
     exact in rows (rectangular factor SVD = full-column Gram route).
 
     The boundary symbol touches the circle, so this operator is not
     Hilbert-Schmidt-small: its a_n^{1/n} creeps toward 1, the contrast
     to the damped two-variable decay.  Degree is capped at 512; beyond
-    that the dense SVD cost outgrows the desk budget."""
+    that the dense SVD cost outgrows the desk budget.  The tail sums the
+    discarded column norms node by node, so it never cancels to zero."""
     if spec.max_degree > 512:
         raise ConfigurationError("one-dim contrast capped at degree 512")
-    if t_floor is None:
-        t_floor = math.exp(-80.0)
-    mesh = hardy.hybrid_circle_mesh(spec.quad_points, t_floor)
-    chi = maps.cusp_on_circle(mesh.nodes)
-    vals = np.concatenate([chi, np.conj(chi)])
-    wts = np.concatenate([mesh.weights, mesh.weights]) / (2.0 * math.pi)
-    v = np.empty((vals.size, spec.max_degree + 1), dtype=complex)
-    v[:, 0] = 1.0
-    for k in range(1, spec.max_degree + 1):
-        v[:, k] = v[:, k - 1] * vals
+    d = spec.max_degree
+    quad = hardy.circle_quadrature(spec.quad_points, math.exp(-80.0))
+    chi = maps.cusp_on_circle(quad.nodes)
+    v = np.sqrt(quad.weights / math.pi)[:, None] * np.vander(
+        chi, d + 1, increasing=True)
     try:
-        s = np.linalg.svd(np.sqrt(wts)[:, None] * v, compute_uv=False)
+        s = np.linalg.svd(np.concatenate([v.real, v.imag]), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ComputationError("SVD failed to converge: %s" % exc) from exc
-    hs = float(np.sum(wts / (1.0 - np.abs(vals) ** 2)))
-    kept = float(np.sum(wts[:, None] * np.abs(v) ** 2))
-    return SingularSpectrum(s, math.sqrt(max(hs - kept, 0.0)))
+    # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2
+    r = np.abs(chi) ** 2
+    return SingularSpectrum(s, math.sqrt(quad.mean(r ** (d + 1) / (1.0 - r))))
 
 
 def scaled_sup_bound(scale: float, grid: int = 1 << 15) -> float:

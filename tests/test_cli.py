@@ -28,6 +28,8 @@ def test_parse_point_forms():
     assert cli.parse_point("2I") == 2j
     assert cli.parse_point(" 0.5 ") == 0.5 + 0j
     assert cli.parse_point("1-1j") == 1 - 1j
+    assert cli.parse_point("(1+2i)") == 1 + 2j
+    assert cli.parse_point("1+2J") == 1 + 2j
     with pytest.raises(InvalidInputError):
         cli.parse_point("")
     with pytest.raises(InvalidInputError):
@@ -174,6 +176,9 @@ def test_map_eval_error_paths(tmp_path, frozen_cfg, capsys):
     capsys.readouterr()
     assert cli.main(base + ["--point", "0.5", "--point", "nan"]) == 2
     assert "arg:2: point is not finite" in capsys.readouterr().err
+    for spelling in ("inf", "-inf"):  # '=' keeps argparse off "-inf"
+        assert cli.main(base + ["--point=" + spelling]) == 2
+        assert "arg:1: point is not finite" in capsys.readouterr().err
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\nxyz\n")
     capsys.readouterr()

@@ -1,5 +1,5 @@
-"""Coefficient-space assembly, Hilbert-Schmidt integrals, meshes,
-window integrals, serialization."""
+"""Coefficient-space assembly, Hilbert-Schmidt integrals, the
+half-circle quadrature, window integrals, serialization."""
 
 import math
 
@@ -88,6 +88,23 @@ def test_boundary_data_constant_g(params):
     chi = maps.cusp_on_circle(t)
     expect = chi + p2.c * maps.phi_values(chi, p2.theta)
     assert np.max(np.abs(d.A - expect)) < 1e-15
+
+
+@pytest.mark.parametrize("kind,g_kind", [
+    ("paper", "identity_in_z2"), ("paper", "constant_one"),
+    ("diagonal", "identity_in_z2"), ("identity", None), ("scaling", None)])
+def test_boundary_data_conjugation_symmetry(params, kind, g_kind):
+    # X(-t) = conj X(t) is what reduces every t1 integral to the half
+    # circle; check it on uniform and on deeply graded nodes
+    p = None if g_kind is None else maps.SymbolParams(
+        theta=params.theta, c=params.c, k_hat=params.k_hat, g_kind=g_kind)
+    t = np.concatenate([hardy.circle_quadrature(4096).nodes,
+                        hardy.circle_quadrature(64, 1e-300).nodes])
+    up = hardy.symbol_boundary_data(p, t, kind)
+    down = hardy.symbol_boundary_data(p, -t, kind)
+    for name in ("F", "A", "B"):
+        assert np.array_equal(getattr(down, name),
+                              np.conj(getattr(up, name))), name
 
 
 def _brute_force_entries(params, spec, kind):
@@ -203,6 +220,7 @@ def test_column_gram_matches_torus_oracle(params):
     v = (data.F[:, None, None] ** idx[:, 0]) * w2[:, :, None] ** idx[:, 1]
     v = v.reshape(-1, idx.shape[0])
     brute = v.conj().T @ v / (spec.quad_points ** 2)
+    assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
     # trace + tail^2 = the HS integral on the same grid
     hs = hardy.hs_norm_squared(params, spec)
@@ -224,28 +242,37 @@ def test_column_gram_infinite_tail_for_identity():
 
 
 def test_graded_mesh():
-    mesh = hardy.graded_circle_mesh(1e-12)
-    assert mesh.nodes[0] < 1e-12 < mesh.nodes[-1] <= math.pi
-    assert np.all(np.diff(mesh.nodes) > 0)
-    assert np.all(mesh.weights > 0)
+    quad = hardy.circle_quadrature(2, 1e-12)
+    assert quad.nodes[0] < 1e-12 < quad.nodes[-1] <= math.pi
+    assert np.all(np.diff(quad.nodes) > 0)
+    assert np.all(quad.weights > 0)
     # plain dt weights integrate t over the covered interval
-    covered = math.pi - mesh.nodes[0]
-    assert abs(np.sum(mesh.weights) - covered) < 1e-8
+    covered = math.pi - quad.nodes[0]
+    assert abs(np.sum(quad.weights) - covered) < 1e-8
     with pytest.raises(ConfigurationError):
-        hardy.graded_circle_mesh(0.0)
+        hardy.circle_quadrature(2, 0.0)
+    with pytest.raises(ConfigurationError):
+        hardy.circle_quadrature(1)
 
 
 def test_hybrid_mesh():
-    mesh = hardy.hybrid_circle_mesh(64, 1e-9)
-    assert np.all(np.diff(mesh.nodes) > 0)
-    assert mesh.nodes[0] < 1e-9
+    quad = hardy.circle_quadrature(64, 1e-9)
+    assert np.all(np.diff(quad.nodes) > 0)
+    assert quad.nodes[0] < 1e-9
     # integrates smooth periodic functions to midpoint-rule accuracy
-    val = float(np.sum(mesh.weights * np.cos(mesh.nodes) ** 2))
+    val = float(np.sum(quad.weights * np.cos(quad.nodes) ** 2))
     assert abs(val - math.pi / 2.0) < 1e-3
+    # without a floor: the upper half of the midpoint grid, whose mean
+    # of a conjugation-symmetric function is the full-grid mean
+    plain = hardy.circle_quadrature(64)
+    assert np.array_equal(plain.nodes, hardy.midpoint_nodes(64)[:32])
+    t = hardy.midpoint_nodes(64)
+    f = np.exp(3j * t) / (2.0 - np.cos(t))
+    assert abs(plain.mean(f[:32]) - np.mean(f).real) < 1e-15
     with pytest.raises(ConfigurationError):
-        hardy.hybrid_circle_mesh(63, 1e-9)
+        hardy.circle_quadrature(63, 1e-9)
     with pytest.raises(ConfigurationError):
-        hardy.hybrid_circle_mesh(64, 1.0)  # above the first cell
+        hardy.circle_quadrature(64, 1.0)  # above the first cell
 
 
 def test_window_integrals_frozen(params):
@@ -274,9 +301,9 @@ def test_window_integral_monotone_and_comparable(params):
 def test_window_integral_floor_invariance():
     # pushing the mesh floor 36 decades deeper adds only panels whose
     # entire mass is ~ 1e-20 relative: the reported value is converged
-    deep = hardy.graded_circle_mesh(1e-60)
+    deep = hardy.circle_quadrature(2, 1e-60)
     a = hardy.window_integral_i0(0.1)
-    b = hardy.window_integral_i0(0.1, mesh=deep)
+    b = hardy.window_integral_i0(0.1, quad=deep)
     assert abs(a.value - b.value) <= 1e-12 * a.value
 
 
@@ -289,9 +316,9 @@ def test_window_integral_validation(params):
 
 def test_window_empty_when_floor_excludes(params):
     # a mesh that stays far from the cusp sees no window points
-    mesh = hardy.GradedMesh(nodes=np.array([2.0, 3.0]),
-                            weights=np.array([0.5, 0.5]))
-    out = hardy.window_integral_i0(1e-3, mesh=mesh)
+    quad = hardy.CircleQuadrature(nodes=np.array([2.0, 3.0]),
+                                  weights=np.array([0.5, 0.5]))
+    out = hardy.window_integral_i0(1e-3, quad=quad)
     assert out.empty and out.value == 0.0
 
 

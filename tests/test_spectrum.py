@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
-from cuspdecay import hardy, spectrum
+from cuspdecay import hardy, maps, spectrum
 from cuspdecay.errors import (
     ConfigurationError,
     EstimationError,
@@ -142,7 +143,8 @@ def test_gram_route_brackets_svd_route(params):
     # rows at degree D: gram >= svd, gap capped by the row defect
     spec = hardy.TruncationSpec(8, 128)
     om = hardy.assemble_matrix(params, spec)
-    s_svd = spectrum.singular_values(om)
+    s_svd = spectrum.SingularSpectrum(
+        np.linalg.svd(om.entries, compute_uv=False), om.tail_hs)
     gram, tail = hardy.column_gram(params, spec)
     s_gram = spectrum.gram_values(gram, tail)
     defect = math.sqrt(max(
@@ -213,7 +215,8 @@ def test_split_gram_partition_and_masses(params):
 
 def test_one_dim_contrast_frozen():
     s = spectrum.one_dim_contrast(hardy.TruncationSpec(64, 512))
-    assert abs(s.tail_bound - 6.7764412906868765e-06) < 1e-15
+    # the 50-digit value of test_one_dim_tail_matches_mp_oracle
+    assert abs(s.tail_bound - 6.7764548454809858e-06) < 1e-15
     roots = [spectrum.approximation_numbers(s, n)[0] ** (1.0 / n)
              for n in (1, 2, 4, 8, 16)]
     frozen = [1.0873009991293119, 0.68494260753940517, 0.56004914397110916,
@@ -221,6 +224,25 @@ def test_one_dim_contrast_frozen():
     assert np.max(np.abs(np.array(roots) - frozen)) < 1e-10
     with pytest.raises(ConfigurationError):
         spectrum.one_dim_contrast(hardy.TruncationSpec(520, 4096))
+
+
+def test_one_dim_tail_matches_mp_oracle():
+    # discarded column norms on the same nodes at 50 digits, summed
+    # without the closed form: (1/pi) sum w (1/(1 - r) - sum_{k<=D} r^k)
+    d = 64
+    got = spectrum.one_dim_contrast(hardy.TruncationSpec(d, 512)).tail_bound
+    quad = hardy.circle_quadrature(512, math.exp(-80.0))
+    total = mp.mpf(0)
+    for t, w in zip(quad.nodes, quad.weights):
+        dps = 50 + max(0, int(-math.log10(t)))  # digits lost in 1 - e^{it}
+        with mp.workdps(dps):
+            r = abs(maps.cusp_mp(mp.expj(mp.mpf(t)), dps=dps)) ** 2
+            kept = mp.fsum(r ** k for k in range(d + 1))
+            total += mp.mpf(w) * (1 / (1 - r) - kept)
+    with mp.workdps(50):
+        oracle = float(mp.sqrt(total / mp.pi))
+    assert abs(oracle - 6.7764548454809858e-06) < 1e-20
+    assert abs(got - oracle) <= 1e-11 * oracle
 
 
 def test_scaled_sup_bound():
