@@ -380,6 +380,7 @@ def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
         "degree": cfg.degree,
         "quad": cfg.quad,
         "tail_bound": spct.tail_bound,
+        "noise_floor": spct.noise_floor,
         "fit": fit.to_dict(),
         "beta": beta.to_dict(),
     })

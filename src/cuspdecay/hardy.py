@@ -13,9 +13,14 @@ Every symbol handled here is separable on the torus:
     Phi1(t1, t2) = F(t1),   Phi2(t1, t2) = A(t1) + B(t1) e^{i t2},
 
 which covers the perturbed-diagonal symbol (F = A = cusp, B = c phi),
-the pure diagonal (B = 0), the identity and radial scalings (A = 0).
-The t2 integral is then a single binomial term and only 1-D transforms
-in t1 remain.
+the pure diagonal (F = A, B = 0), the constant perturbation g = 1
+(F = cusp, A = cusp + c phi, B = 0), the identity and radial scalings
+(A = 0).  The t2 integral is then a single binomial term and only 1-D
+transforms in t1 remain.  When F = A, a column's j-th term depends on
+(a1, a2) only through p = a1 + a2 - j, so the column Gram is assembled
+from (2D+1)^2 moment matrices H_j[p, p'] = <|B|^j F^p', |B|^j F^p>
+(one small product per j) instead of products over all (D+1)^2
+columns; the other symbols have one term per column.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A and B satisfy X(-t) = conj X(t), so the
@@ -88,8 +93,9 @@ class TruncationSpec:
 class SeparableBoundaryData:
     """Sampled torus data (F, A, B) of a separable symbol.
 
-    f_equals_a marks the symbols with F identical to A, which lets the
-    assembly collapse F^a1 A^j into a single power table.
+    f_equals_a marks the symbols with F identical to A on the nodes,
+    which lets the assembly and the column Gram collapse F^a1 A^(a2-j)
+    into the single power F^(a1+a2-j).
     """
 
     kind: str
@@ -118,7 +124,8 @@ def symbol_boundary_data(params, t1, kind: str = "paper",
         a = chi
         if params.g_kind == "constant_one":
             a, b = a + b, np.zeros_like(b)
-        return SeparableBoundaryData("paper", t1, chi, a, b, True)
+        return SeparableBoundaryData("paper", t1, chi, a, b,
+                                     bool(np.array_equal(chi, a)))
     if kind == "diagonal":
         chi = maps.cusp_on_circle(t1)
         return SeparableBoundaryData("diagonal", t1, chi,
@@ -221,24 +228,47 @@ class OperatorMatrix:
             raise InconsistencyError("tail_hs must be non-negative")
 
 
-def _coefficient_table(data: SeparableBoundaryData, d: int, p_max: int):
-    """ct[p, q, m] = m-th Fourier coefficient of A^p B^q (midpoint
-    twiddle included), m = 0..d.  For f_equals_a symbols A^p absorbs the
-    F power as well.
+def _binomials(d: int) -> np.ndarray:
+    """binom[n, k] = C(n, k) for 0 <= k <= n <= d, zero above."""
+    binom = np.zeros((d + 1, d + 1))
+    for n_ in range(d + 1):
+        for k_ in range(n_ + 1):
+            binom[n_, k_] = math.comb(n_, k_)
+    return binom
 
-    data holds the half-circle midpoint nodes t_k; the full grid's node
-    q-1-k is -t_k, where every factor takes the conjugate value."""
-    def full(x):
-        return np.concatenate([x, np.conj(x[::-1])])
 
-    base = data.A if data.f_equals_a else data.F
-    a_pows = np.vander(full(base), p_max + 1, increasing=True).T
-    b_pows = np.vander(full(data.B), d + 1, increasing=True).T
-    q_nodes = a_pows.shape[1]
+def _single_term(data: SeparableBoundaryData):
+    """(Y, shifted) for symbols with F != A.
+
+    A = 0 (identity, scaling) or B = 0 (paper with g = 1) leaves one
+    term of the binomial expansion of Phi2^a2: the image of z1^a1 z2^a2
+    is F^a1 Y^a2 e^{i j t2} with Y = B, j = a2 (shifted) or Y = A, j = 0.
+    Any other separable symbol has no such reduction."""
+    if np.all(data.A == 0):
+        return data.B, True
+    if np.all(data.B == 0):
+        return data.A, False
+    raise ConfigurationError(
+        "separable symbols need F = A, A = 0 or B = 0")
+
+
+def _coefficient_table(x, y, p_max: int, d: int):
+    """ct[p, q, m] = m-th Fourier coefficient of x^p y^q (midpoint
+    twiddle included), p = 0..p_max, q, m = 0..d.
+
+    x, y hold values on the half-circle midpoint nodes t_k; the full
+    grid's node q-1-k is -t_k, where every factor takes the conjugate
+    value."""
+    def full(v):
+        return np.concatenate([v, np.conj(v[::-1])])
+
+    x_pows = np.vander(full(x), p_max + 1, increasing=True).T
+    y_pows = np.vander(full(y), d + 1, increasing=True).T
+    q_nodes = x_pows.shape[1]
     twiddle = np.exp(-1j * math.pi * np.arange(d + 1) / q_nodes) / q_nodes
     ct = np.empty((p_max + 1, d + 1, d + 1), dtype=complex)
     for p in range(p_max + 1):
-        spec = np.fft.fft(a_pows[p][None, :] * b_pows, axis=1)[:, : d + 1]
+        spec = np.fft.fft(x_pows[p][None, :] * y_pows, axis=1)[:, : d + 1]
         ct[p] = spec * twiddle[None, :]
     return ct
 
@@ -249,7 +279,9 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
 
     Expanding Phi2^a2 = (A + B e^{i t2})^a2 binomially kills the t2
     transform: entry((b1,b2),(a1,a2)) = C(a2,b2) * coeff_{b1} of
-    F^{a1} A^{a2-b2} B^{b2}, zero for b2 > a2.
+    F^{a1} A^{a2-b2} B^{b2}, zero for b2 > a2.  For F = A that is one
+    coefficient table of A^p B^q; otherwise a single b2 survives (see
+    _single_term) and the entry is coeff_{b1} of F^{a1} Y^{a2}.
 
     When the symbol is not Hilbert-Schmidt (identity, |scale| -> 1)
     tail_hs is +inf, as is the tail column_gram returns.
@@ -259,28 +291,19 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
     idx = index_set(d)
     a1 = idx[:, 0]
     a2 = idx[:, 1]
-
-    binom = np.zeros((d + 1, d + 1))
-    for n_ in range(d + 1):
-        for k_ in range(n_ + 1):
-            binom[n_, k_] = math.comb(n_, k_)
+    binom = _binomials(d)
 
     b2col = a2[:, None]  # rows carry beta, columns alpha; same index list
-    valid = b2col <= a2[None, :]
     if data.f_equals_a:
-        ct = _coefficient_table(data, d, 2 * d)
-        p = a1[None, :] + a2[None, :] - b2col
-        p = np.where(valid, p, 0)
+        ct = _coefficient_table(data.A, data.B, 2 * d, d)
+        valid = b2col <= a2[None, :]
+        p = np.where(valid, a1[None, :] + a2[None, :] - b2col, 0)
         ent = ct[p, b2col, a1[:, None]]
     else:
-        if not np.all(data.A == 0):
-            raise ConfigurationError(
-                "separable assembly supports F = A or A = 0 symbols only")
-        # A = 0: only beta2 = alpha2 survives
-        ct = _coefficient_table(data, d, d)  # here table is F^p B^q
-        valid &= a2[:, None] == a2[None, :]
-        p = np.where(valid, a1[None, :], 0)
-        ent = ct[p, b2col, a1[:, None]]
+        y, shifted = _single_term(data)
+        ct = _coefficient_table(data.F, y, d, d)
+        valid = b2col == (a2[None, :] if shifted else 0)
+        ent = ct[a1[None, :], a2[None, :], a1[:, None]]
     ent = np.where(valid, ent * binom[a2[None, :], b2col], 0.0)
 
     hs_sq, tail = _truncation_tail(data, quad,
@@ -373,12 +396,15 @@ def column_quadrature_norms(params, spec: TruncationSpec,
     return idx, quad.weights @ vals / math.pi
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
                 scale: float = 0.5):
     """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
     composed kept monomials under the discrete pullback measure, plus
     the discarded-column tail bound.  Returns (gram, tail); the Gram is
-    real symmetric.
+    real symmetric, in the index_set layout.
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -389,35 +415,65 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
     is how the spectrum pipeline reports honest intervals.
 
     Expanding the second coordinate binomially, the t2 integral leaves
-    one term per shared e^{i j t2} power, so G splits into rank
-    contributions G += M_j^H M_j with
+    one term per shared e^{i j t2} power (the phase of B^j cancels
+    between the two sides).  For F = A the j-term of column (a1, a2) is
+    C(a2, j) |B|^j F^p with p = a1 + a2 - j, so
 
-        M_j[node, (a1, a2)] = sqrt(w) F^{a1} C(a2, j) A^{a2-j} |B|^j
+        G[(a1, a2), (b1, b2)]
+            = sum_j C(a2, j) C(b2, j) H_j[a1 + a2 - j, b1 + b2 - j],
+        H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}),
 
-    (the phase of B^j cancels between the two sides).  The node at -t
-    carries conj M_j, so over the half circle each contribution is
-    R_j^T R_j with R_j = sqrt(1/pi) [Re M_j; Im M_j], added straight
-    into the index_set layout."""
+    with (2D+1)^2 moment matrices H_j = S_j^T S_j, S_j the stacked
+    [Re V; Im V] of V[node, p] = sqrt(w/pi) F^p scaled by |B|^j (the
+    node at -t carries conj V, so the half circle suffices).  Stored
+    shifted by j, moments[j, p + j, p' + j] = H_j[p, p'], the (a2, b2)
+    block over (a1, b1) is the contraction over j of one slice,
+    moments[:, a2:a2+D+1, b2:b2+D+1], against C(a2, j) C(b2, j).  Only
+    blocks with a2 <= b2 are computed, the rest mirrored, and one gather
+    puts the [a2, a1, b2, b1] array into the index_set layout.
+
+    Symbols with F != A have a single j-term per column (see
+    _single_term): G = R^T R over the (D+1)^2 stacked columns
+    sqrt(w/pi) F^a1 Y^a2, times [a2 = b2] when j = a2."""
     d = spec.max_degree
     quad, data = _quadrature_data(params, spec, kind, scale)
     idx = index_set(d)
-    pos = np.empty((d + 1, d + 1), dtype=np.int64)
-    pos[idx[:, 0], idx[:, 1]] = np.arange(idx.shape[0])
-    f_pows = np.sqrt(quad.weights / math.pi)[:, None] * np.vander(
-        data.F, d + 1, increasing=True)
-    a_pows = np.vander(data.A, d + 1, increasing=True)
-    b_pows = np.vander(np.abs(data.B), d + 1, increasing=True)
-    j_max = 0 if np.all(data.B == 0.0) else d
-    gram = np.zeros((idx.shape[0], idx.shape[0]))
-    for j in range(j_max + 1):
-        a2s = np.arange(j, d + 1)
-        comb = np.array([math.comb(int(a2), j) for a2 in a2s], dtype=float)
-        cols_t2 = comb * a_pows[:, a2s - j] * b_pows[:, j, None]
-        m = (f_pows[:, :, None] * cols_t2[:, None, :]).reshape(
-            data.t1.size, -1)
+    a1, a2 = idx[:, 0], idx[:, 1]
+    sqw = np.sqrt(quad.weights / math.pi)[:, None]
+    if data.f_equals_a:
+        j_max = 0 if np.all(data.B == 0) else d
+        v = sqw * np.vander(data.F, 2 * d + 1, increasing=True)
+        r = np.concatenate([v.real, v.imag])
+        b = np.abs(np.concatenate([data.B, data.B]))[:, None]
+        moments = np.zeros((j_max + 1, 3 * d + 1, 3 * d + 1))
+        for j in range(j_max + 1):
+            s_j = r * b ** j
+            # keep every product normal: subnormal ones made these
+            # products 5x slower at D = 48, and what is dropped moves
+            # no moment by more than ~1e-150
+            s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
+            moments[j, j:j + 2 * d + 1, j:j + 2 * d + 1] = s_j.T @ s_j
+        binom = _binomials(d)
+        g4 = np.empty((d + 1,) * 4)  # [a2, a1, b2, b1]
+        for m2 in range(d + 1):
+            k = min(m2, j_max) + 1
+            for n2 in range(m2, d + 1):
+                block = np.tensordot(
+                    binom[m2, :k] * binom[n2, :k],
+                    moments[:k, m2:m2 + d + 1, n2:n2 + d + 1], axes=1)
+                if n2 == m2:  # exact symmetry whatever the BLAS order
+                    block = np.triu(block) + np.triu(block, 1).T
+                g4[m2, :, n2, :] = block
+                g4[n2, :, m2, :] = block.T
+        gram = g4[a2[:, None], a1[:, None], a2[None, :], a1[None, :]]
+    else:
+        y, shifted = _single_term(data)
+        m = (sqw * np.vander(data.F, d + 1, increasing=True)[:, a1]
+             * np.vander(y, d + 1, increasing=True)[:, a2])
         r = np.concatenate([m.real, m.imag])
-        cols = pos[:, a2s].ravel()
-        gram[np.ix_(cols, cols)] += r.T @ r
+        gram = r.T @ r
+        if shifted:
+            gram *= a2[:, None] == a2[None, :]
     return gram, _truncation_tail(data, quad, float(np.trace(gram)))[1]
 
 

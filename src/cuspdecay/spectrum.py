@@ -37,10 +37,13 @@ class SingularSpectrum:
     """Descending singular values plus a truncation uncertainty.
 
     The n-th approximation number of the underlying full operator lies
-    in [values[n-1], values[n-1] + tail_bound]."""
+    in [values[n-1], values[n-1] + tail_bound].  noise_floor is the
+    level below which the solver that produced the values cannot
+    resolve them (0 when it certifies every value)."""
 
     values: np.ndarray
     tail_bound: float
+    noise_floor: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -53,6 +56,8 @@ class SingularSpectrum:
             raise InvalidInputError("singular values must descend")
         if not self.tail_bound >= 0.0:  # rejects NaN, admits +inf
             raise InvalidInputError("tail_bound must be >= 0")
+        if not 0.0 <= self.noise_floor < math.inf:
+            raise InvalidInputError("noise_floor must be finite and >= 0")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -112,11 +117,10 @@ class BetaReport:
 def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     """s-numbers from a Gram matrix: square roots of its eigenvalues.
 
-    Rounding can push eigenvalues below zero by ~eps * ||G||; those are
-    clipped, and every reported value below sqrt(eps * ||G||) is noise
-    regardless of sign.  Callers comparing against tail_bound (as
-    fit_decay does) are unaffected whenever the tail dominates that
-    floor, which holds for all the shipped experiments."""
+    Rounding moves every eigenvalue by up to ~eps * ||G||, so s-numbers
+    below sqrt(eps * lambda_max) are noise regardless of sign; negative
+    eigenvalues are clipped to 0 and that level is recorded as the
+    spectrum's noise_floor, which fit_decay enforces."""
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InvalidInputError("gram matrix must be square")
@@ -125,7 +129,8 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     except np.linalg.LinAlgError as exc:
         raise ComputationError("eigensolve failed: %s" % exc) from exc
     vals = np.sqrt(np.clip(ev[::-1], 0.0, None))
-    return SingularSpectrum(vals, tail_bound)
+    noise = math.sqrt(float(np.finfo(float).eps) * max(float(ev[-1]), 0.0))
+    return SingularSpectrum(vals, tail_bound, noise)
 
 
 def composition_spectrum(params, spec: hardy.TruncationSpec,
@@ -186,11 +191,12 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
               n_range) -> DecayFit:
     """Fit log a_{n^exponent} = intercept - rate * n by least squares.
 
-    Points with a_{n^exponent} <= 10 * tail_bound sit under the
-    truncation noise and are excluded; fewer than 4 survivors is an
-    error rather than a meaningless slope."""
+    Points with a_{n^exponent} <= max(10 * tail_bound, noise_floor)
+    sit under the truncation or eigensolver noise and are excluded;
+    fewer than 4 survivors is an error rather than a meaningless
+    slope."""
     admissible = _admissible_n(spectrum, schedule_exponent, n_range)
-    floor = 10.0 * spectrum.tail_bound
+    floor = max(10.0 * spectrum.tail_bound, spectrum.noise_floor)
     usable, logs = [], []
     for n in admissible:
         low, _ = approximation_numbers(spectrum, n ** schedule_exponent)
@@ -199,7 +205,8 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
             logs.append(math.log(low))
     if len(usable) < 4:
         raise InsufficientDataError(
-            "only %d of %d points exceed the truncation floor %.3e; "
+            "only %d of %d points exceed the floor %.3e (10 x tail, or "
+            "the eigensolver noise floor); "
             "need 4 for a fit" % (len(usable), len(admissible), floor))
     x = np.asarray(usable, dtype=float)
     y = np.asarray(logs)

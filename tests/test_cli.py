@@ -249,6 +249,17 @@ def test_spectrum_paper_small_degree_fails_honestly(tmp_path, frozen_cfg,
     assert os.path.exists(os.path.join(out, "spectrum_paper.csv"))
 
 
+def test_spectrum_paper_verb_records_noise_floor(tmp_path, frozen_cfg):
+    # degree 48: the eigensolver floor sqrt(eps * lambda_max) ~ 1.8e-8
+    # sits under the 10 x tail floor, which selects the fitted points
+    out = str(tmp_path / "art")
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out]) == 0
+    payload = json.load(open(os.path.join(out, "decay_paper.json")))
+    assert 1e-8 < payload["noise_floor"] < 1e-7
+    assert payload["noise_floor"] < 10.0 * payload["tail_bound"]
+    assert payload["fit"]["usable_n"] == [1, 2, 3, 4]
+
+
 def test_spectrum_one_dim_verb(tmp_path, frozen_cfg):
     out = str(tmp_path / "art")
     rc = cli.main(["spectrum", "--config", frozen_cfg, "--out", out,

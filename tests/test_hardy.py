@@ -84,20 +84,29 @@ def test_boundary_data_constant_g(params):
                            k_hat=params.k_hat, g_kind="constant_one")
     t = hardy.midpoint_nodes(16)
     d = hardy.symbol_boundary_data(p2, t, "paper")
-    assert np.all(d.B == 0.0)
+    assert np.all(d.B == 0.0) and not d.f_equals_a
     chi = maps.cusp_on_circle(t)
     expect = chi + p2.c * maps.phi_values(chi, p2.theta)
     assert np.max(np.abs(d.A - expect)) < 1e-15
 
 
-@pytest.mark.parametrize("kind,g_kind", [
-    ("paper", "identity_in_z2"), ("paper", "constant_one"),
-    ("diagonal", "identity_in_z2"), ("identity", None), ("scaling", None)])
+_SYMBOL_KINDS = [("paper", "identity_in_z2"), ("paper", "constant_one"),
+                 ("diagonal", "identity_in_z2"), ("identity", None),
+                 ("scaling", None)]
+
+
+def _with_g_kind(params, g_kind):
+    if g_kind is None:
+        return None
+    return maps.SymbolParams(theta=params.theta, c=params.c,
+                             k_hat=params.k_hat, g_kind=g_kind)
+
+
+@pytest.mark.parametrize("kind,g_kind", _SYMBOL_KINDS)
 def test_boundary_data_conjugation_symmetry(params, kind, g_kind):
     # X(-t) = conj X(t) is what reduces every t1 integral to the half
     # circle; check it on uniform and on deeply graded nodes
-    p = None if g_kind is None else maps.SymbolParams(
-        theta=params.theta, c=params.c, k_hat=params.k_hat, g_kind=g_kind)
+    p = _with_g_kind(params, g_kind)
     t = np.concatenate([hardy.circle_quadrature(4096).nodes,
                         hardy.circle_quadrature(64, 1e-300).nodes])
     up = hardy.symbol_boundary_data(p, t, kind)
@@ -142,6 +151,18 @@ def test_assembly_matches_brute_force_scaling(params):
     idx = om.indices
     expect = np.diag([0.5 ** (a1 + a2) for a1, a2 in idx])
     assert np.max(np.abs(om.entries - expect)) < 1e-12
+
+
+def test_assembly_matches_brute_force_constant_g(params):
+    # B = 0 but F = chi != A = chi + c phi(chi): entry((b1, 0), (a1, a2))
+    # is coefficient b1 of F^a1 A^a2; c large enough that mistaking A^a1
+    # for F^a1 moves entries by ~1e-2
+    p2 = maps.SymbolParams(theta=params.theta, c=0.05, k_hat=params.k_hat,
+                           g_kind="constant_one")
+    spec = hardy.TruncationSpec(4, 128)
+    om = hardy.assemble_matrix(p2, spec)
+    brute = _brute_force_entries(p2, spec, "paper")
+    assert np.max(np.abs(om.entries - brute)) < 1e-10
 
 
 def test_assembled_matrix_metadata(params, small_spec):
@@ -210,11 +231,13 @@ def test_column_norms_parseval(params, small_spec):
     assert abs(tail ** 2 + np.sum(cols) - hs) < 1e-12
 
 
-def test_column_gram_matches_torus_oracle(params):
+@pytest.mark.parametrize("kind,g_kind", _SYMBOL_KINDS)
+def test_column_gram_matches_torus_oracle(params, kind, g_kind):
+    p = _with_g_kind(params, g_kind)
     spec = hardy.TruncationSpec(6, 256)
-    gram, tail = hardy.column_gram(params, spec)
+    gram, tail = hardy.column_gram(p, spec, kind)
     t = hardy.midpoint_nodes(spec.quad_points)
-    data = hardy.symbol_boundary_data(params, t, "paper")
+    data = hardy.symbol_boundary_data(p, t, kind)
     w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
     idx = hardy.index_set(6)
     v = (data.F[:, None, None] ** idx[:, 0]) * w2[:, :, None] ** idx[:, 1]
@@ -222,9 +245,43 @@ def test_column_gram_matches_torus_oracle(params):
     brute = v.conj().T @ v / (spec.quad_points ** 2)
     assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
+    if kind == "identity":
+        assert math.isinf(tail)
+        return
     # trace + tail^2 = the HS integral on the same grid
-    hs = hardy.hs_norm_squared(params, spec)
+    hs = hardy.hs_norm_squared(p, spec, kind)
     assert abs(float(np.trace(gram).real) + tail ** 2 - hs) < 1e-12
+
+
+def _stacked_product_gram(params, spec):
+    """The per-j build: G = sum_j R_j^T R_j with R_j = [Re M_j; Im M_j],
+    M_j[node, (a1, a2)] = sqrt(w/pi) F^a1 C(a2, j) A^(a2-j) |B|^j over
+    the half-circle nodes, each product scattered into the index_set
+    layout."""
+    d = spec.max_degree
+    quad = hardy.circle_quadrature(spec.quad_points)
+    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
+    sqw = np.sqrt(quad.weights / math.pi)
+    pos = {(int(a1), int(a2)): i
+           for i, (a1, a2) in enumerate(hardy.index_set(d))}
+    gram = np.zeros((len(pos), len(pos)))
+    for j in range(d + 1):
+        cols = [(a1, a2) for a1 in range(d + 1) for a2 in range(j, d + 1)]
+        m = np.stack([sqw * data.F ** a1 * math.comb(a2, j)
+                      * data.A ** (a2 - j) * np.abs(data.B) ** j
+                      for a1, a2 in cols], axis=1)
+        r = np.concatenate([m.real, m.imag])
+        at = [pos[c] for c in cols]
+        gram[np.ix_(at, at)] += r.T @ r
+    return gram
+
+
+@pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
+def test_column_gram_matches_stacked_products(params, d, q):
+    spec = hardy.TruncationSpec(d, q)
+    gram, _ = hardy.column_gram(params, spec)
+    assert np.array_equal(gram, gram.T)
+    assert np.max(np.abs(gram - _stacked_product_gram(params, spec))) <= 1e-14
 
 
 def test_column_gram_diagonal_matches_column_norms(params, small_spec):

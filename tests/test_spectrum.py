@@ -31,6 +31,10 @@ def test_singular_spectrum_validation():
         spectrum.SingularSpectrum(np.array([1.0]), -1.0)
     with pytest.raises(InvalidInputError):
         spectrum.SingularSpectrum(np.array([1.0]), math.nan)
+    assert s.noise_floor == 0.0
+    for bad in (-1e-20, math.inf, math.nan):
+        with pytest.raises(InvalidInputError):
+            spectrum.SingularSpectrum(np.array([1.0]), 0.0, bad)
 
 
 def test_approximation_numbers_indexing():
@@ -46,7 +50,10 @@ def test_approximation_numbers_indexing():
 
 def test_gram_values_validation_and_clipping():
     out = spectrum.gram_values(np.array([[-1e-18]]), 0.0)
-    assert out.values[0] == 0.0
+    assert out.values[0] == 0.0 and out.noise_floor == 0.0
+    eps = np.finfo(float).eps
+    out = spectrum.gram_values(np.diag([1.0, 9.0, 4.0]), 0.0)
+    assert out.noise_floor == math.sqrt(eps * 9.0)
     with pytest.raises(InvalidInputError):
         spectrum.gram_values(np.zeros((2, 3)), 0.0)
 
@@ -127,6 +134,25 @@ def test_fit_decay_floor_filtering():
         spectrum.fit_decay(s, 2, [9, 10])
     with pytest.raises(InvalidInputError):
         spectrum.fit_decay(s, 0, range(1, 41))
+
+
+def test_fit_decay_noise_floor_filtering():
+    n = np.arange(1, 41)
+    vals = 5.0 * np.exp(-0.3 * n)
+    # the tail is far below every value; the noise floor 5 e^{-5.85}
+    # cuts every n >= 20
+    s = spectrum.SingularSpectrum(vals, 1e-30, 5.0 * math.exp(-5.85))
+    fit = spectrum.fit_decay(s, 1, range(1, 41))
+    assert fit.usable_n == tuple(range(1, 20))
+    assert abs(fit.rate - 0.3) < 1e-12
+    # the higher floor wins: 10 * tail = 5 e^{-2.85} cuts n >= 10
+    s = spectrum.SingularSpectrum(vals, 0.5 * math.exp(-2.85),
+                                  5.0 * math.exp(-5.85))
+    assert spectrum.fit_decay(s, 1, range(1, 41)).usable_n == tuple(
+        range(1, 10))
+    with pytest.raises(InsufficientDataError):
+        spectrum.fit_decay(spectrum.SingularSpectrum(vals, 0.0, 10.0), 1,
+                           range(1, 41))
 
 
 def test_composition_spectrum_frozen(params, small_spec):
