@@ -437,7 +437,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
         spct = spectrum.one_dim_contrast(spec)
         return _write_trend(cfg, "one_dim", spct,
-                            {"symbol": "one-dim", "degree": cfg.degree})
+                            {"symbol": "one-dim", "degree": cfg.degree,
+                             "noise_floor": spct.noise_floor})
     _, scale = tag
     spct = spectrum.one_dim_plateau(scale=scale)
     sup = spectrum.scaled_sup_bound(scale)

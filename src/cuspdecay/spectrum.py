@@ -120,12 +120,15 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     Rounding moves every eigenvalue by up to ~eps * ||G||, so s-numbers
     below sqrt(eps * lambda_max) are noise regardless of sign; negative
     eigenvalues are clipped to 0 and that level is recorded as the
-    spectrum's noise_floor, which fit_decay enforces."""
+    spectrum's noise_floor, which fit_decay enforces.  A Gram that is
+    not exactly Hermitian is replaced by its Hermitian part first."""
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InvalidInputError("gram matrix must be square")
+    if not np.array_equal(gram, gram.conj().T):
+        gram = 0.5 * (gram + gram.conj().T)
     try:
-        ev = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))
+        ev = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
         raise ComputationError("eigensolve failed: %s" % exc) from exc
     vals = np.sqrt(np.clip(ev[::-1], 0.0, None))
@@ -335,7 +338,9 @@ def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
     Hilbert-Schmidt-small: its a_n^{1/n} creeps toward 1, the contrast
     to the damped two-variable decay.  Degree is capped at 512; beyond
     that the dense SVD cost outgrows the desk budget.  The tail sums the
-    discarded column norms node by node, so it never cancels to zero."""
+    discarded column norms node by node, so it never cancels to zero.
+    The SVD resolves values only down to its rounding level eps * s_1,
+    recorded as the noise_floor."""
     if spec.max_degree > 512:
         raise ConfigurationError("one-dim contrast capped at degree 512")
     d = spec.max_degree
@@ -349,7 +354,8 @@ def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
         raise ComputationError("SVD failed to converge: %s" % exc) from exc
     # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2
     r = np.abs(chi) ** 2
-    return SingularSpectrum(s, math.sqrt(quad.mean(r ** (d + 1) / (1.0 - r))))
+    tail = math.sqrt(quad.mean(r ** (d + 1) / (1.0 - r)))
+    return SingularSpectrum(s, tail, float(np.finfo(float).eps * s[0]))
 
 
 def scaled_sup_bound(scale: float, grid: int = 1 << 15) -> float:

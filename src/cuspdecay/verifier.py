@@ -23,6 +23,8 @@ from .errors import ConfigurationError
 
 DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
+# calibration points checked per slice; bounds the (points x 16) arrays
+CALIBRATION_BLOCK = 1 << 15
 
 
 def _c2s(z) -> list:
@@ -162,31 +164,44 @@ def check_calibration(params, sample_count: int,
     the second over a 16-point unimodular grid of u (covering every
     g(z2) value the symbol can produce).  The cusp point attains
     equality only in the z -> 1 limit, which interior sampling never
-    hits."""
+    hits.
+
+    The sample is drawn once, then checked in slices of
+    CALIBRATION_BLOCK points, so the (points x 16) arrays have at most
+    that many rows whatever sample_count is; every element is computed
+    as on the whole array, and the witnesses are the first ten per
+    item in sample order."""
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
     rep = VerificationReport("calibration", seed, sample_count)
-    z = maps.disk_samples(sample_count, seed)
-    chi = maps.cusp_values(z)
-    damp = params.c * np.abs(maps.phi_values(chi, params.theta))
-    gap = 1.0 - np.abs(chi)
-    reach_margin = gap - 2.0 * damp
-    bad = np.nonzero(reach_margin <= 0.0)[0]
-    for i in bad[:10]:
-        rep.violations.append(
-            {"item": "reach", "z": _c2s(z[i]), "margin": float(reach_margin[i])})
-
+    z_all = maps.disk_samples(sample_count, seed)
     u = np.exp(2j * math.pi * np.arange(16) / 16.0)
-    w2 = chi[:, None] + (params.c * maps.phi_values(chi, params.theta))[:, None] * u[None, :]
-    half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
-    bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
-    for i in bad2[:10]:
-        k = int(np.argmin(half_margin[i]))
-        rep.violations.append(
-            {"item": "half_gap", "z": _c2s(z[i]), "u": _c2s(u[k]),
-             "margin": float(half_margin[i, k])})
-    rep.constants["reach_margin_min"] = float(reach_margin.min())
-    rep.constants["half_gap_margin_min"] = float(half_margin.min())
+    reach, half_gap, reach_mins, half_mins = [], [], [], []
+    for start in range(0, sample_count, CALIBRATION_BLOCK):
+        z = z_all[start:start + CALIBRATION_BLOCK]
+        chi = maps.cusp_values(z)
+        phi = maps.phi_values(chi, params.theta)
+        damp = params.c * np.abs(phi)
+        gap = 1.0 - np.abs(chi)
+        reach_margin = gap - 2.0 * damp
+        bad = np.nonzero(reach_margin <= 0.0)[0]
+        for i in bad[:10 - len(reach)]:
+            reach.append(
+                {"item": "reach", "z": _c2s(z[i]), "margin": float(reach_margin[i])})
+
+        w2 = chi[:, None] + (params.c * phi)[:, None] * u[None, :]
+        half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
+        bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
+        for i in bad2[:10 - len(half_gap)]:
+            k = int(np.argmin(half_margin[i]))
+            half_gap.append(
+                {"item": "half_gap", "z": _c2s(z[i]), "u": _c2s(u[k]),
+                 "margin": float(half_margin[i, k])})
+        reach_mins.append(reach_margin.min())
+        half_mins.append(half_margin.min())
+    rep.violations = reach + half_gap
+    rep.constants["reach_margin_min"] = float(np.min(reach_mins))
+    rep.constants["half_gap_margin_min"] = float(np.min(half_mins))
     return rep
 
 
@@ -228,8 +243,10 @@ class CoveringFamily:
     def covers(self, w) -> np.ndarray:
         """True where w lies in at least one open disk of the family."""
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        dist = np.abs(w[:, None] - self.centers()[None, :])
-        return np.any(dist < self.radii()[None, :], axis=1)
+        hit = np.zeros(w.shape, dtype=bool)
+        for center, radius in zip(self.centers(), self.radii()):
+            hit |= np.abs(w - center) < radius
+        return hit
 
 
 def check_covering(n: int, sample_count: int, params=None,

@@ -269,6 +269,8 @@ def test_spectrum_one_dim_verb(tmp_path, frozen_cfg):
     assert payload["symbol"] == "one-dim" and payload["degree"] == 32
     assert [r["n"] for r in payload["trend"]] == [1, 2, 4, 8, 16, 32]
     assert payload["tail_bound"] > 0.0
+    # eps * a_1, with a_1 ~ 1.09
+    assert 2e-16 < payload["noise_floor"] < 3e-16
     for r in payload["trend"]:
         assert r["root_lower"] <= r["root_upper"]
     lines = open(os.path.join(out, "one_dim.csv")).read().splitlines()

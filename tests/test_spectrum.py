@@ -58,6 +58,30 @@ def test_gram_values_validation_and_clipping():
         spectrum.gram_values(np.zeros((2, 3)), 0.0)
 
 
+def test_gram_values_symmetrizes_only_non_hermitian():
+    # the eigenvalues are those of the Hermitian part, bit for bit, as
+    # when every input was symmetrized
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((40, 30))
+    sym = m.T @ m
+    sym = np.triu(sym) + np.triu(sym, 1).T  # exactly symmetric
+    skew = sym + 1e-3 * rng.standard_normal(sym.shape)
+    h = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+    herm = h.conj().T @ h
+    herm = np.triu(herm) + np.triu(herm, 1).conj().T
+    np.fill_diagonal(herm, herm.diagonal().real)  # exactly Hermitian
+    for g in (sym, skew, herm, herm + 1e-3j * np.triu(np.ones((20, 20)))):
+        ev = np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+        want = np.sqrt(np.clip(ev[::-1], 0.0, None))
+        got = spectrum.gram_values(g, 0.0)
+        assert np.array_equal(got.values, want)
+        assert got.noise_floor == math.sqrt(np.finfo(float).eps * max(ev[-1], 0.0))
+    # only the lower triangle reaches LAPACK, so a skipped
+    # symmetrization would show on the non-symmetric input
+    assert not np.array_equal(np.linalg.eigvalsh(skew),
+                              np.linalg.eigvalsh(0.5 * (skew + skew.T)))
+
+
 def test_gram_route_equals_svd_route_random():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -250,6 +274,14 @@ def test_one_dim_contrast_frozen():
     assert np.max(np.abs(np.array(roots) - frozen)) < 1e-10
     with pytest.raises(ConfigurationError):
         spectrum.one_dim_contrast(hardy.TruncationSpec(520, 4096))
+
+
+def test_one_dim_noise_floor():
+    s = spectrum.one_dim_contrast(hardy.TruncationSpec(64, 512))
+    assert s.noise_floor == np.finfo(float).eps * s.values[0]
+    # a_n^{1/n} ~ 0.52, so the trailing values sit below eps * a_1
+    assert 1e-16 < s.noise_floor < 1e-15
+    assert s.values[-1] < s.noise_floor < s.values[40]
 
 
 def test_one_dim_tail_matches_mp_oracle():

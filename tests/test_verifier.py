@@ -3,11 +3,12 @@ report plumbing, budget validation."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cuspdecay import verifier
+from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
 
 
@@ -48,6 +49,106 @@ def test_calibration_suite_reduced_budget(params):
                - 0.060374409672947826) < 1e-14
     with pytest.raises(ConfigurationError):
         verifier.check_calibration(params, 100)
+
+
+def _broadcast_calibration(params, sample_count, seed=17):
+    """The calibration suite over the whole sample at once, with its
+    (samples x 16) arrays: the oracle for the block-streamed suite."""
+    rep = verifier.VerificationReport("calibration", seed, sample_count)
+    z = maps.disk_samples(sample_count, seed)
+    chi = maps.cusp_values(z)
+    damp = params.c * np.abs(maps.phi_values(chi, params.theta))
+    gap = 1.0 - np.abs(chi)
+    reach_margin = gap - 2.0 * damp
+    bad = np.nonzero(reach_margin <= 0.0)[0]
+    for i in bad[:10]:
+        rep.violations.append(
+            {"item": "reach", "z": verifier._c2s(z[i]),
+             "margin": float(reach_margin[i])})
+    u = np.exp(2j * math.pi * np.arange(16) / 16.0)
+    w2 = chi[:, None] + (params.c * maps.phi_values(chi, params.theta))[:, None] * u[None, :]
+    half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
+    bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
+    for i in bad2[:10]:
+        k = int(np.argmin(half_margin[i]))
+        rep.violations.append(
+            {"item": "half_gap", "z": verifier._c2s(z[i]),
+             "u": verifier._c2s(u[k]), "margin": float(half_margin[i, k])})
+    rep.constants["reach_margin_min"] = float(reach_margin.min())
+    rep.constants["half_gap_margin_min"] = float(half_margin.min())
+    return rep, bad, bad2
+
+
+def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
+    block = verifier.CALIBRATION_BLOCK
+    count = 3 * block + 1234  # the last block is a partial one
+    got = verifier.check_calibration(params, count)
+    want, _, _ = _broadcast_calibration(params, count)
+    assert got.passed and got.violations == []
+    assert got.constants == want.constants  # bit for bit
+    # a c far past calibration breaks both inequalities all over the sample
+    loose = maps.SymbolParams(theta=0.5, c=0.6, k_hat=2.519054)
+    got = verifier.check_calibration(loose, count)
+    want, reach, half = _broadcast_calibration(loose, count)
+    # both items fail in every block, the last partial one included
+    for idx in (reach, half):
+        assert np.all(np.isin(np.arange(4), idx // block))
+    assert got.to_json() == want.to_json()
+    assert [v["item"] for v in got.violations] == ["reach"] * 10 + ["half_gap"] * 10
+    # with short blocks the first ten witnesses of each item span several
+    monkeypatch.setattr(verifier, "CALIBRATION_BLOCK", 64)
+    assert reach[9] >= 2 * 64 and half[9] >= 2 * 64
+    assert verifier.check_calibration(loose, count).to_json() == want.to_json()
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc (numpy buffers included) above
+    the level at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_calibration_memory_per_sample(params):
+    # the (samples x 16) arrays cost ~570 B per sample; the streamed
+    # suite keeps only the sample itself and fixed-size blocks
+    small = _traced_peak(verifier.check_calibration, params, 200_000)
+    large = _traced_peak(verifier.check_calibration, params, 400_000)
+    assert large - small < 200_000 * 100
+
+
+def _points_near_disks(fam, count, seed):
+    """Half cusp images drawn as check_covering draws them, half around
+    randomly chosen disks of the family, out to 1.3 radii."""
+    rng = np.random.default_rng(seed)
+    half = count // 2
+    log_gap = rng.uniform(-1740.0, -6.0, half)
+    phase = rng.uniform(-1.5, 1.5, half)
+    j = rng.integers(0, fam.centers().size, count - half)
+    ring = fam.centers()[j] + fam.radii()[j] * rng.uniform(0.0, 1.3, j.size) \
+        * np.exp(2j * math.pi * rng.random(j.size))
+    return np.concatenate([maps.cusp_from_log_gap(log_gap, phase), ring])
+
+
+def test_covers_matches_broadcast(params):
+    fam = verifier.CoveringFamily.for_size(params, 1000)
+    w = _points_near_disks(fam, 50_000, 3)
+    dist = np.abs(w[:, None] - fam.centers()[None, :])
+    want = np.any(dist < fam.radii()[None, :], axis=1)
+    got = fam.covers(w)
+    assert 0 < np.count_nonzero(want) < w.size
+    assert got.dtype == bool and np.array_equal(got, want)
+
+
+def test_covers_memory_per_point(params):
+    # the (points x disks) distance array took about 94 x 24 B per point
+    fam = verifier.CoveringFamily.for_size(params, 1000)
+    w = _points_near_disks(fam, 200_000, 4)
+    assert _traced_peak(fam.covers, w) < 200_000 * 100
 
 
 def test_covering_family_geometry(params):
