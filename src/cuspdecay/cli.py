@@ -307,13 +307,13 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
     k_hat = maps.estimate_k(max(cfg.samples, 10_000), seed=cfg.seed)
-    c = maps.calibrate_c(cfg.theta, k_hat,
-                         validation_count=cfg.calibration_samples,
-                         seed=cfg.seed + 1)
+    # the margin is that of the validation sample, which g_kind does
+    # not enter
+    c, margin = maps.calibrate_c(cfg.theta, k_hat,
+                                 validation_count=cfg.calibration_samples,
+                                 seed=cfg.seed + 1)
     params = maps.SymbolParams(theta=cfg.theta, c=c, k_hat=k_hat,
                                g_kind=cfg.g_kind)
-    z = maps.disk_samples(cfg.calibration_samples, cfg.seed + 1)
-    margin = float(np.min(1.0 - maps.perturbation_reach(z, params)))
     path = _out_path(cfg, "params.json")
     _write_json(path, {
         "config": cfg.hash(),

@@ -25,10 +25,12 @@ columns; the other symbols have one term per column.
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A and B satisfy X(-t) = conj X(t), so the
 normalized circle mean of any product of them and their conjugates is
-(1/pi) sum w Re(...).  Matrix entries, column norms, the column Gram
-and the Hilbert-Schmidt integral share the same nodes and weights, so
-the truncation tail HS^2 - sum of kept column norms is a quadrature
-Parseval remainder and cannot go negative except by rounding.
+(1/pi) sum w Re(...).  The column Gram and the Hilbert-Schmidt integral
+share the same nodes and weights (the uniform grid of Q points unless
+a caller passes its own quadrature), so the truncation tail
+HS^2 - trace G is a quadrature Parseval remainder and cannot go
+negative except by rounding; the assembled matrix uses the same
+uniform grid.
 """
 
 from __future__ import annotations
@@ -360,51 +362,16 @@ def hs_norm_squared(params, spec: TruncationSpec, kind: str = "paper",
     return _hs_quadrature(data, quad)
 
 
-@dataclass(frozen=True)
-class HsEstimate:
-    value: float
-    value_doubled: float
-    rel_change: float
-    converged: bool
-
-
-def hs_stability(params, spec: TruncationSpec, kind: str = "paper",
-                 scale: float = 0.5, gate: float = 0.05) -> HsEstimate:
-    """hs_norm_squared at Q and 2Q with a relative-change flag."""
-    v1 = hs_norm_squared(params, spec, kind, scale)
-    spec2 = TruncationSpec(spec.max_degree, 2 * spec.quad_points)
-    v2 = hs_norm_squared(params, spec2, kind, scale)
-    rel = abs(v2 - v1) / abs(v2)
-    return HsEstimate(v1, v2, rel, rel < gate)
-
-
-def column_quadrature_norms(params, spec: TruncationSpec,
-                            kind: str = "paper", scale: float = 0.5):
-    """||e_alpha o Phi||^2 under the discrete pullback measure, t2 exact:
-    per node sum_j C(a2,j)^2 |A|^{2(a2-j)} |B|^{2j}, averaged in t1."""
-    quad, data = _quadrature_data(params, spec, kind, scale)
-    d = spec.max_degree
-    idx = index_set(d)
-    aa = np.abs(data.A) ** 2
-    bb = np.abs(data.B) ** 2
-    t2_int = np.zeros((data.t1.size, d + 1))
-    for a2 in range(d + 1):
-        for j in range(a2 + 1):
-            t2_int[:, a2] += math.comb(a2, j) ** 2 * aa ** (a2 - j) * bb ** j
-    f_pows = np.vander(np.abs(data.F) ** 2, d + 1, increasing=True)
-    vals = f_pows[:, idx[:, 0]] * t2_int[:, idx[:, 1]]
-    return idx, quad.weights @ vals / math.pi
-
-
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
-                scale: float = 0.5):
+                scale: float = 0.5, quad: CircleQuadrature | None = None):
     """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
     composed kept monomials under the discrete pullback measure, plus
     the discarded-column tail bound.  Returns (gram, tail); the Gram is
-    real symmetric, in the index_set layout.
+    real symmetric, in the index_set layout.  The t1 integrals run over
+    quad, by default circle_quadrature(spec.quad_points).
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -436,7 +403,9 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
     _single_term): G = R^T R over the (D+1)^2 stacked columns
     sqrt(w/pi) F^a1 Y^a2, times [a2 = b2] when j = a2."""
     d = spec.max_degree
-    quad, data = _quadrature_data(params, spec, kind, scale)
+    if quad is None:
+        quad = circle_quadrature(spec.quad_points)
+    data = symbol_boundary_data(params, quad.nodes, kind, scale)
     idx = index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]
     sqw = np.sqrt(quad.weights / math.pi)[:, None]
@@ -511,8 +480,11 @@ def window_integral_i0(h: float,
                        False)
 
 
-def window_integral_i(h: float, params, quad: CircleQuadrature | None = None,
-                      t2_points: int = 256) -> WindowValue:
+WINDOW_T2_POINTS = 256
+
+
+def window_integral_i(h: float, params,
+                      quad: CircleQuadrature | None = None) -> WindowValue:
     """Two-variable window integral, normalized Haar measure:
 
       I(h) = (2pi)^{-2} int_{|chi(e^{it1})-1| <= h}
@@ -520,7 +492,7 @@ def window_integral_i(h: float, params, quad: CircleQuadrature | None = None,
 
     so that I(h) <= (2/(2pi)) I0(h) by the calibration margin
     1-|w2| >= (1-|w1|)/2.  The t2 integral is a smooth periodic
-    average, done on a uniform grid."""
+    average, done on a uniform grid of WINDOW_T2_POINTS points."""
     if not 0.0 < h <= 1.0:
         raise InvalidInputError("window size must lie in (0, 1]")
     if quad is None:
@@ -529,7 +501,7 @@ def window_integral_i(h: float, params, quad: CircleQuadrature | None = None,
     mask = np.abs(data.F - 1.0) <= h
     if not np.any(mask):
         return WindowValue(h, 0.0, True)
-    t2 = midpoint_nodes(t2_points)
+    t2 = midpoint_nodes(WINDOW_T2_POINTS)
     w2 = data.A[mask, None] + data.B[mask, None] * np.exp(1j * t2)[None, :]
     inner = np.mean(1.0 / (1.0 - np.abs(w2)), axis=1)
     outer = inner / (1.0 - np.abs(data.F[mask]))
@@ -550,15 +522,6 @@ def save_matrix(om: OperatorMatrix, path: str, params=None) -> None:
         path, entries=om.entries, indices=om.indices,
         max_degree=om.max_degree, quad_points=om.quad_points,
         kind=om.kind, tail_hs=om.tail_hs, hs_sq=om.hs_sq, **meta)
-
-
-def load_matrix(path: str) -> OperatorMatrix:
-    z = np.load(path, allow_pickle=False)
-    return OperatorMatrix(
-        entries=z["entries"], indices=z["indices"],
-        max_degree=int(z["max_degree"]), quad_points=int(z["quad_points"]),
-        kind=str(z["kind"]), tail_hs=float(z["tail_hs"]),
-        hs_sq=float(z["hs_sq"]))
 
 
 def matrix_csv(om: OperatorMatrix, path: str, params_hash: str = "") -> None:

@@ -289,24 +289,29 @@ class SymbolParams:
         )
 
 
-def disk_samples(count: int, seed: int, radius_cap: float = 1.0 - 1e-6,
-                 bulk_fraction: float = 0.2) -> np.ndarray:
+SAMPLE_RADIUS_CAP = 1.0 - 1e-6
+SAMPLE_BULK_FRACTION = 0.2
+
+
+def disk_samples(count: int, seed: int) -> np.ndarray:
     """Deterministic sample of the open disk, clustered at the boundary.
 
-    Radii come from the dyadic grid r = 1 - 2^-k crossed with uniform
-    angles; every inequality we validate is tight only near the boundary
-    or the cusp, so uniform-area sampling alone would never stress them.
-    A bulk_fraction portion is uniform in area to keep interior coverage.
+    Radii come from the dyadic grid r = 1 - 2^-k, up to
+    SAMPLE_RADIUS_CAP, crossed with uniform angles; every inequality we
+    validate is tight only near the boundary or the cusp, so
+    uniform-area sampling alone would never stress them.  A
+    SAMPLE_BULK_FRACTION portion is uniform in area to keep interior
+    coverage.
     """
     if count < 1:
         raise ConfigurationError("count must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    k_max = int(math.floor(-math.log2(1.0 - radius_cap)))
-    n_bulk = int(count * bulk_fraction)
+    k_max = int(math.floor(-math.log2(1.0 - SAMPLE_RADIUS_CAP)))
+    n_bulk = int(count * SAMPLE_BULK_FRACTION)
     n_ring = count - n_bulk
     k = rng.integers(1, k_max + 1, size=n_ring)
     r_ring = 1.0 - 0.5 ** k
-    r_bulk = np.sqrt(rng.random(n_bulk)) * radius_cap
+    r_bulk = np.sqrt(rng.random(n_bulk)) * SAMPLE_RADIUS_CAP
     r = np.concatenate([r_ring, r_bulk])
     ang = rng.random(count) * 2.0 * np.pi
     return r * np.exp(1j * ang)
@@ -319,14 +324,13 @@ def distortion_ratio(z) -> np.ndarray:
     return np.abs(1.0 - chi) / (1.0 - np.abs(chi))
 
 
-def estimate_k(sample_count: int = 100_000, seed: int = 11,
-               radius_cap: float = 1.0 - 1e-6) -> float:
+def estimate_k(sample_count: int = 100_000, seed: int = 11) -> float:
     """Estimate the smallest K with |1 - chi| <= K (1 - |chi|) on the
     disk: sampled supremum times a 5 percent safety factor, floored at 1.
     """
     if sample_count < 10_000:
         raise ConfigurationError("need at least 1e4 samples for a stable estimate")
-    z = disk_samples(sample_count, seed, radius_cap=radius_cap)
+    z = disk_samples(sample_count, seed)
     ratio = distortion_ratio(z)
     ratio = ratio[np.isfinite(ratio)]
     if ratio.size == 0:
@@ -341,29 +345,32 @@ def perturbation_reach(z, params: SymbolParams) -> np.ndarray:
     return np.abs(chi) + 2.0 * params.c * np.abs(phi_values(chi, params.theta))
 
 
-def calibrate_c(theta: float, k_hat: float,
-                validation_count: int = 1_000_000, seed: int = 13,
-                grid_size: int = 481) -> float:
-    """Choose the perturbation size c.
+CALIBRATION_GRID_SIZE = 481
 
-    On a geometric grid of X in [1e-8, 1], find the largest eta such
-    that 2*exp(-delta X^-theta) < X / k_hat for every grid X < eta, set
-    c = eta / (4 k_hat), then validate |chi| + 2c|phi(chi)| < 1 on a
-    boundary-clustered sample.  Any violation raises CalibrationError
-    with the witness point.
+
+def calibrate_c(theta: float, k_hat: float,
+                validation_count: int = 1_000_000,
+                seed: int = 13) -> tuple:
+    """Choose the perturbation size c; returns (c, margin).
+
+    On a geometric grid of CALIBRATION_GRID_SIZE values X in [1e-8, 1],
+    find the largest eta such that 2*exp(-delta X^-theta) < X / k_hat
+    for every grid X < eta, set c = eta / (4 k_hat), then validate
+    |chi| + 2c|phi(chi)| < 1 on a boundary-clustered sample; margin is
+    the smallest 1 - (|chi| + 2c|phi(chi)|) there.  Any violation
+    raises CalibrationError with the witness point.
     """
     if not 0.0 < theta < 1.0:
         raise ConfigurationError("theta must lie in (0, 1)")
     if k_hat < 1.0:
         raise ConfigurationError("k_hat must be >= 1")
     delta = math.cos(math.pi * theta / 2.0)
-    grid = np.geomspace(1e-8, 1.0, grid_size)
+    grid = np.geomspace(1e-8, 1.0, CALIBRATION_GRID_SIZE)
     bad = grid[2.0 * np.exp(-delta * grid ** (-theta)) >= grid / k_hat]
     eta = float(bad.min()) if bad.size else 1.0
     c = eta / (4.0 * k_hat)
     c = min(max(c, 1e-12), 1.0 - 1e-9)
-    _validate_c(theta, c, k_hat, validation_count, seed)
-    return c
+    return c, _validate_c(theta, c, k_hat, validation_count, seed)
 
 
 def _validate_c(theta: float, c: float, k_hat: float,
@@ -390,7 +397,8 @@ def build_params(theta: float = 0.5, g_kind: str = "identity_in_z2",
     """Full default pipeline: estimate the lens constant, calibrate the
     perturbation, freeze the bundle."""
     k_hat = estimate_k(sample_count=k_samples, seed=seed)
-    c = calibrate_c(theta, k_hat, validation_count=validation_count, seed=seed + 1)
+    c, _ = calibrate_c(theta, k_hat, validation_count=validation_count,
+                       seed=seed + 1)
     return SymbolParams(theta=theta, c=c, k_hat=k_hat, g_kind=g_kind)
 
 

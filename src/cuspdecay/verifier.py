@@ -71,11 +71,11 @@ def _bracket_on_log_grid(count: int) -> tuple:
     return float(vals.min()), float(vals.max())
 
 
-def check_cusp_geometry(sample_count: int, seed: int = DEFAULT_SEED,
-                        tolerance: float = GEOMETRY_TOLERANCE) -> VerificationReport:
+def check_cusp_geometry(sample_count: int,
+                        seed: int = DEFAULT_SEED) -> VerificationReport:
     """Pointwise lens geometry of the cusp map.
 
-    Exact checks (tolerance 1e-10) on boundary-clustered interior
+    Exact checks (GEOMETRY_TOLERANCE, 1e-10) on boundary-clustered interior
     samples plus a deterministic near-cusp batch:
 
       * image inside D(1/2, 1/2) and outside D(1 +- i/2, 1/2)   (lens)
@@ -91,6 +91,7 @@ def check_cusp_geometry(sample_count: int, seed: int = DEFAULT_SEED,
     if sample_count < 10_000:
         raise ConfigurationError("geometry suite needs at least 1e4 samples")
     rep = VerificationReport("cusp_geometry", seed, sample_count)
+    tolerance = GEOMETRY_TOLERANCE
     z = maps.disk_samples(sample_count, seed)
     chi = maps.cusp_values(z)
     # near-cusp stress points, far beyond where forming 1 - z survives

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from cuspdecay import cli, hardy
+from cuspdecay import cli
 from cuspdecay.errors import ConfigurationError, InvalidInputError
 
 FROZEN = "theta = 0.5\nc = 1.456697e-3\nk_hat = 2.519054\n"
@@ -227,9 +227,10 @@ def test_matrix_verb_roundtrip(tmp_path, frozen_cfg, capsys):
     npz = os.path.join(out, "matrix_paper_d6_q32.npz")
     csv = os.path.join(out, "matrix_paper_d6_q32.csv")
     assert os.path.exists(npz) and os.path.exists(csv)
-    om = hardy.load_matrix(npz)
-    assert om.max_degree == 6 and om.quad_points == 32 and om.kind == "paper"
-    assert om.entries.shape == (49, 49)
+    om = np.load(npz, allow_pickle=False)
+    assert int(om["max_degree"]) == 6 and int(om["quad_points"]) == 32
+    assert str(om["kind"]) == "paper"
+    assert om["entries"].shape == (49, 49)
     assert "hs_norm_squared" in capsys.readouterr().out
     # the matrix verb only covers the two-variable symbols
     assert cli.main(["matrix", "--config", frozen_cfg, "--out", out,

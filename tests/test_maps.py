@@ -222,8 +222,14 @@ def test_estimate_k_frozen():
 
 
 def test_calibrate_c_frozen():
-    c = maps.calibrate_c(0.5, 2.5190540230250233, validation_count=50_000)
+    k_hat = 2.5190540230250233
+    c, margin = maps.calibrate_c(0.5, k_hat, validation_count=50_000)
     assert abs(c - 0.0014566968931649326) < 1e-15
+    # the margin is the validation sample's, as a separate pass finds it
+    reach = maps.perturbation_reach(
+        maps.disk_samples(50_000, 13),
+        maps.SymbolParams(theta=0.5, c=c, k_hat=k_hat))
+    assert margin == float(np.min(1.0 - reach))
 
 
 def test_calibrate_c_rejects_bad_inputs():
