@@ -381,6 +381,8 @@ def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
         "quad": cfg.quad,
         "tail_bound": spct.tail_bound,
         "noise_floor": spct.noise_floor,
+        "ritz_block": spct.ritz_block,
+        "dropped_trace": spct.dropped_trace,
         "fit": fit.to_dict(),
         "beta": beta.to_dict(),
     })
@@ -497,6 +499,10 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
         lines.append("- beta interval [%.6f, %.6f] on schedule n^%d"
                      % (beta["beta_minus"], beta["beta_plus"],
                         beta["schedule_exponent"]))
+        lines.append("- Ritz block %d of %d columns"
+                     % (payload["ritz_block"], (payload["degree"] + 1) ** 2))
+        lines.append("- dropped trace tr G - tr B = %.3e"
+                     % payload["dropped_trace"])
     elif name in ("one_dim.json", "plateau.json"):
         for r in payload["trend"]:
             lines.append("- n = %d: a_n^(1/n) in [%.6f, %.6f]"

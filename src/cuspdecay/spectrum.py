@@ -7,6 +7,12 @@ full operator (compressions shrink s-numbers), and the attached
 tail_bound caps the gap in operator norm.  Values at or below the
 tail, or below the eigensolver's rounding floor, carry no information;
 the fitting code refuses to use them.
+
+The two-variable spectra compress once more: a Rayleigh-Ritz step on
+a block subspace keeps only the top of the column Gram's spectrum.
+Ritz values interlace from below, so they are still lower endpoints,
+and the Gram trace the block leaves out joins the tail by Parseval
+(see composition_spectrum).
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .errors import (
     ComputationError,
     ConfigurationError,
     EstimationError,
+    InconsistencyError,
     InsufficientDataError,
     InvalidInputError,
     RangeError,
@@ -61,6 +68,17 @@ class SingularSpectrum:
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RitzSpectrum(SingularSpectrum):
+    """A spectrum whose first ritz_block values are Rayleigh-Ritz values
+    of a Gram G on a block of that width, the rest exact zeros.
+    dropped_trace is trace G - trace B for the block's projected Gram
+    B, signed as computed; its positive part is in tail_bound."""
+
+    ritz_block: int
+    dropped_trace: float
 
 
 @dataclass(frozen=True)
@@ -136,14 +154,68 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     return SingularSpectrum(vals, tail_bound, noise)
 
 
+# seed of the Gaussian start block: fixed, so reruns are byte-identical
+RITZ_SEED = 0
+
+
+def _ritz_spectrum(gram: np.ndarray, tail_bound: float) -> RitzSpectrum:
+    """Top of the spectrum of a real symmetric PSD Gram by block
+    subspace iteration with a Rayleigh-Ritz step; see
+    composition_spectrum for why the intervals stay honest.
+
+    The block starts at width 2 isqrt(n) (2(D+1) for a degree-D Gram)
+    and doubles while its smallest Ritz value is above the noise floor,
+    up to n."""
+    n = gram.shape[0]
+    k = min(2 * math.isqrt(n), n)
+    while True:
+        omega = np.random.default_rng(RITZ_SEED).standard_normal((n, k))
+        q, _ = np.linalg.qr(gram @ omega)
+        q, _ = np.linalg.qr(gram @ q)  # one power step
+        b = q.T @ (gram @ q)
+        top = gram_values(b, tail_bound)
+        if k == n or top.values[-1] <= top.noise_floor:
+            break
+        k = min(2 * k, n)
+    trace_g = float(np.trace(gram))
+    dropped = trace_g - float(np.trace(b))
+    # each trace is an n-term sum, off by at most n eps trace G
+    if dropped < -n * float(np.finfo(float).eps) * trace_g:
+        raise InconsistencyError(
+            "projected trace exceeds trace G by %.3e; the Gram is not "
+            "positive semidefinite" % (-dropped,))
+    values = np.zeros(n)
+    values[:k] = top.values
+    tail = math.sqrt(tail_bound ** 2 + max(dropped, 0.0))
+    return RitzSpectrum(values, tail, top.noise_floor, ritz_block=k,
+                        dropped_trace=dropped)
+
+
 def composition_spectrum(params, spec: hardy.TruncationSpec,
                          kind: str = "paper",
-                         scale: float = 0.5) -> SingularSpectrum:
+                         scale: float = 0.5) -> RitzSpectrum:
     """Spectrum pipeline for the two-variable symbols: column Gram of
-    the kept monomial images, eigenvalue square roots, discarded-column
-    tail.  This is the production route behind the headline decay run."""
+    the kept monomial images, Rayleigh-Ritz values of its top block,
+    discarded-column tail.  This is the production route behind the
+    headline decay run.
+
+    With C the operator on the n = (D+1)^2 kept columns, G = C^T C and
+    Q an orthonormal n x k block (Gaussian start, one power step),
+    B = Q^T G Q is the Gram of the compression C Q Q^T, whose s-numbers
+    are the square roots of B's eigenvalues followed by n - k exact
+    zeros.  By Cauchy interlacing each Ritz value is at most the
+    matching eigenvalue of G, so these stay lower endpoints.  By
+    Parseval ||C - C Q Q^T||_HS^2 = trace G - trace B, and the
+    discarded columns add HS^2 - trace G, so the tail
+    sqrt(tail^2 + trace G - trace B) caps the gap to the full operator
+    for every row, including those past the block, which read
+    [0, tail].  A dropped trace that rounding pushes below zero adds
+    nothing (its signed value is kept as dropped_trace); one below
+    -n eps trace G raises InconsistencyError.  The block grows until its smallest value drops below
+    the eigensolver noise floor, so every value the fit can use is
+    computed; at D = 48 that is k = 98 of 2401."""
     gram, tail = hardy.column_gram(params, spec, kind, scale)
-    return gram_values(gram, tail)
+    return _ritz_spectrum(gram, tail)
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
@@ -231,6 +303,11 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
 # the three-way splitting experiment
 
 
+# (t1 node, t2 point) pairs per block of the region Gram sums, which
+# bounds the stacked rows to SPLIT_CHUNK x (D+1)^2 complex entries
+SPLIT_CHUNK = 1 << 13
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Cuts for restricting the pullback measure by max-modulus of the
@@ -304,7 +381,8 @@ def split_gram(params, spec: hardy.TruncationSpec,
     polynomial of degree <= D in t2, so an entry's t2 integrand has
     degree <= 2D < m2 (Q >= 4(D+1)), which the midpoint grid also
     integrates exactly: the partition identity compares two different
-    computations of the same numbers."""
+    computations of the same numbers.  Each region Gram is summed over
+    blocks of SPLIT_CHUNK pairs."""
     t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
     quad = hardy.circle_quadrature(2, t_floor)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
@@ -314,20 +392,22 @@ def split_gram(params, spec: hardy.TruncationSpec,
     w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
     sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
     mx = np.maximum(np.abs(w1), np.abs(w2))
+    # 0 inner (mx <= inner), 1 middle, 2 outer (mx > outer)
+    region = np.digitize(mx, (split.inner_radius, split.outer_radius),
+                         right=True)
     idx = hardy.index_set(spec.max_degree)
-
-    def region(sel):
-        if not np.any(sel):
-            return np.zeros((idx.shape[0], idx.shape[0]))
-        p1 = np.vander(w1[sel], spec.max_degree + 1, increasing=True)
-        p2 = np.vander(w2[sel], spec.max_degree + 1, increasing=True)
-        v = sqw[sel, None] * p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
-        r = np.concatenate([v.real, v.imag])
-        return r.T @ r
-
-    inner = region(mx <= split.inner_radius)
-    middle = region((mx > split.inner_radius) & (mx <= split.outer_radius))
-    outer = region(mx > split.outer_radius)
+    grams = np.zeros((3, idx.shape[0], idx.shape[0]))
+    for lo in range(0, mx.size, SPLIT_CHUNK):
+        part = slice(lo, lo + SPLIT_CHUNK)
+        p1 = np.vander(w1[part], spec.max_degree + 1, increasing=True)
+        p2 = np.vander(w2[part], spec.max_degree + 1, increasing=True)
+        v = sqw[part, None] * p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
+        for k in range(3):
+            sel = region[part] == k
+            if np.any(sel):
+                r = np.concatenate([v[sel].real, v[sel].imag])
+                grams[k] += r.T @ r
+    inner, middle, outer = grams
     full, _ = hardy.column_gram(params, spec, "paper", quad=quad)
     return SplitGrams(split=split, gram_inner=inner, gram_middle=middle,
                       gram_outer=outer, gram_full=full, node_count=mx.size)
@@ -434,16 +514,18 @@ def one_dim_plateau(scale: float = 0.5, block_size: int = 160,
 
 def save_spectrum_csv(spectrum: SingularSpectrum, path: str,
                       schedule_exponent: int = 1, comment: str = "") -> None:
-    """Rows (n, lower, upper) for the schedule n -> n^exponent, one row
-    per n with n^exponent inside the computed range."""
+    """Rows (n, lower, upper, resolved) for the schedule n -> n^exponent,
+    one row per n with n^exponent inside the computed range; resolved
+    is 1 when lower is above the spectrum's noise floor, else 0."""
     if schedule_exponent < 1:
         raise InvalidInputError("schedule exponent must be >= 1")
     with open(path, "w") as fh:
         if comment:
             fh.write("# %s\n" % comment)
-        fh.write("n,lower,upper\n")
+        fh.write("n,lower,upper,resolved\n")
         n = 1
         while n ** schedule_exponent <= len(spectrum):
             low, high = approximation_numbers(spectrum, n ** schedule_exponent)
-            fh.write("%d,%.17g,%.17g\n" % (n, low, high))
+            fh.write("%d,%.17g,%.17g,%d\n"
+                     % (n, low, high, low > spectrum.noise_floor))
             n += 1

@@ -261,6 +261,30 @@ def test_spectrum_paper_verb_records_noise_floor(tmp_path, frozen_cfg):
     assert payload["fit"]["usable_n"] == [1, 2, 3, 4]
 
 
+def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
+    # the Ritz start block has a fixed seed, so a rerun repeats every byte
+    outs = [str(tmp_path / name) for name in ("a", "b")]
+    for out in outs:
+        assert cli.main(["spectrum", "--config", frozen_cfg,
+                         "--out", out]) == 0
+    for name in ("spectrum_paper.csv", "decay_paper.json"):
+        first, second = (open(os.path.join(o, name), "rb").read()
+                         for o in outs)
+        assert first == second
+    payload = json.load(open(os.path.join(outs[0], "decay_paper.json")))
+    assert payload["ritz_block"] == 98
+    assert abs(payload["dropped_trace"]) < 1e-12
+    csv_path = os.path.join(outs[0], "spectrum_paper.csv")
+    rows = open(csv_path).read().splitlines()[1:]
+    assert rows[0] == "n,lower,upper,resolved"
+    # a_49 = 5.4e-8 is the last value above the 1.8e-8 noise floor
+    assert [r.split(",")[3] for r in rows[1:]] == ["1"] * 7 + ["0"] * 42
+    assert cli.main(["report", "--config", frozen_cfg, "--out", outs[0]]) == 0
+    md = open(os.path.join(outs[0], "report.md")).read()
+    assert "- Ritz block 98 of 2401 columns\n" in md
+    assert "- dropped trace tr G - tr B = " in md
+
+
 def test_spectrum_one_dim_verb(tmp_path, frozen_cfg):
     out = str(tmp_path / "art")
     rc = cli.main(["spectrum", "--config", frozen_cfg, "--out", out,

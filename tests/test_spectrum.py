@@ -11,6 +11,7 @@ from cuspdecay import hardy, maps, spectrum
 from cuspdecay.errors import (
     ConfigurationError,
     EstimationError,
+    InconsistencyError,
     InsufficientDataError,
     InvalidInputError,
     RangeError,
@@ -226,6 +227,74 @@ def test_scaling_spectrum_exact(params):
     expect = np.sort(0.5 ** (idx[:, 0] + idx[:, 1]))[::-1]
     assert np.max(np.abs(s.values - expect)) < 1e-12
     assert abs(s.tail_bound - 0.058911177218042614) < 1e-12
+    # every value is above the noise floor, so the Ritz block doubles
+    # 10 -> 20 -> 25 = n
+    assert s.ritz_block == len(s) == 25
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("d, q, fits", [(16, 256, False), (32, 512, False),
+                                        (48, 1024, True)])
+def test_ritz_spectrum_matches_dense_oracle(params, d, q, fits):
+    # the dense route the Ritz step replaced, written out as the oracle:
+    # every eigenvalue of the full column Gram
+    spec = hardy.TruncationSpec(d, q)
+    gram, tail = hardy.column_gram(params, spec)
+    lam = np.linalg.eigvalsh(gram)[::-1]
+    dense = spectrum.SingularSpectrum(np.sqrt(np.clip(lam, 0.0, None)), tail,
+                                      math.sqrt(EPS * lam[0]))
+    got = spectrum.composition_spectrum(params, spec)
+    k = got.ritz_block
+    assert len(got) == (d + 1) ** 2 and 0 < k < len(got)
+    assert np.all(got.values[k:] == 0.0)
+    # Ritz values match to the dense solver's own rounding and interlace
+    # from below
+    theta = got.values[:k] ** 2
+    tol = 64 * EPS * lam[0]
+    assert np.all(np.abs(theta - np.clip(lam[:k], 0.0, None)) <= tol)
+    assert np.all(theta <= lam[:k] + tol)
+    assert abs(got.noise_floor - dense.noise_floor) <= 1e-12 * dense.noise_floor
+    assert got.tail_bound >= tail - 1e-15 * tail
+    n_max = math.isqrt(d + 1)
+    if not fits:
+        for s in (dense, got):
+            with pytest.raises(InsufficientDataError):
+                spectrum.fit_decay(s, 2, range(1, n_max + 1))
+        return
+    want = spectrum.fit_decay(dense, 2, range(1, n_max + 1))
+    fit = spectrum.fit_decay(got, 2, range(1, n_max + 1))
+    assert fit.usable_n == want.usable_n == (1, 2, 3, 4)
+    assert abs(fit.rate - want.rate) <= 1e-8 * abs(want.rate)
+    assert abs(fit.r_squared - want.r_squared) <= 1e-8 * want.r_squared
+
+
+def test_ritz_intervals_contain_exact_values():
+    # known spectrum: 20 geometric values, then 380 values of 1e-16
+    # (s = 1e-8, under the noise floor 1.5e-8); the block stops at 40,
+    # and only the dropped trace puts the rows past it under the tail
+    rng = np.random.default_rng(3)
+    n = 400
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([0.5 ** np.arange(20.0), np.full(n - 20, 1e-16)])
+    gram = (u * lam) @ u.T
+    gram = np.triu(gram) + np.triu(gram, 1).T
+    s = spectrum._ritz_spectrum(gram, 1e-9)
+    assert s.ritz_block == 40 and len(s) == n
+    exact = np.sqrt(lam)
+    assert np.all(exact <= s.values + s.tail_bound)
+    above = s.values > s.noise_floor
+    assert np.all(s.values[above] <= exact[above] * (1.0 + 1e-12))
+    assert s.dropped_trace > 0.0
+
+
+def test_ritz_rejects_negative_dropped_trace():
+    # an indefinite "Gram": the block holds the four 1s and four of the
+    # -1e-3s, so trace G - trace B = -4e-3, far beyond rounding
+    gram = np.diag([1.0] * 4 + [0.0] * 4 + [-1e-3] * 8)
+    with pytest.raises(InconsistencyError):
+        spectrum._ritz_spectrum(gram, 0.0)
 
 
 def test_split_spec_validation(params):
@@ -336,11 +405,17 @@ def test_save_spectrum_csv(tmp_path):
     spectrum.save_spectrum_csv(s, path, schedule_exponent=2, comment="probe")
     lines = open(path).read().splitlines()
     assert lines[0] == "# probe"
-    assert lines[1] == "n,lower,upper"
+    assert lines[1] == "n,lower,upper,resolved"
     assert len(lines) == 4  # n = 1 and n = 2 fit; n = 3 needs rank 9
     n1 = lines[2].split(",")
     assert n1[0] == "1" and float(n1[1]) == 0.9 and float(n1[2]) == 0.91
     n2 = lines[3].split(",")
     assert n2[0] == "2" and float(n2[1]) == 0.6
+    assert n1[3] == "1" and n2[3] == "1"  # noise floor 0
+    # a row at or below the noise floor is marked unresolved
+    floored = spectrum.SingularSpectrum(s.values, 0.01, 0.6)
+    spectrum.save_spectrum_csv(floored, path, schedule_exponent=2)
+    rows = open(path).read().splitlines()[1:]
+    assert [r.split(",")[3] for r in rows] == ["1", "0"]
     with pytest.raises(InvalidInputError):
         spectrum.save_spectrum_csv(s, path, schedule_exponent=0)
