@@ -383,6 +383,8 @@ def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
         "noise_floor": spct.noise_floor,
         "ritz_block": spct.ritz_block,
         "dropped_trace": spct.dropped_trace,
+        "hs_sq": spct.hs_sq,
+        "tail_radicand": spct.tail_radicand,
         "fit": fit.to_dict(),
         "beta": beta.to_dict(),
     })
@@ -503,6 +505,8 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
                      % (payload["ritz_block"], (payload["degree"] + 1) ** 2))
         lines.append("- dropped trace tr G - tr B = %.3e"
                      % payload["dropped_trace"])
+        lines.append("- tail radicand HS^2 - tr G = %.3e (HS^2 = %.6g)"
+                     % (payload["tail_radicand"], payload["hs_sq"]))
     elif name in ("one_dim.json", "plateau.json"):
         for r in payload["trend"]:
             lines.append("- n = %d: a_n^(1/n) in [%.6f, %.6f]"

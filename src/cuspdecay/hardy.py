@@ -17,10 +17,11 @@ the pure diagonal (F = A, B = 0), the constant perturbation g = 1
 (F = cusp, A = cusp + c phi, B = 0), the identity and radial scalings
 (A = 0).  The t2 integral is then a single binomial term and only 1-D
 transforms in t1 remain.  When F = A, a column's j-th term depends on
-(a1, a2) only through p = a1 + a2 - j, so the column Gram is assembled
-from (2D+1)^2 moment matrices H_j[p, p'] = <|B|^j F^p', |B|^j F^p>
-(one small product per j) instead of products over all (D+1)^2
-columns; the other symbols have one term per column.
+(a1, a2) only through p = a1 + a2 - j, so the column Gram is an
+operator on (2D+1)^2 moment matrices H_j[p, p'] = <|B|^j F^p', |B|^j F^p>
+(one small product per j): G X costs a few small matrix products and
+the (D+1)^2 x (D+1)^2 Gram is never needed; the other symbols have
+one term per column and keep their dense Gram.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A and B satisfy X(-t) = conj X(t), so the
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -308,11 +310,11 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
         ent = ct[a1[None, :], a2[None, :], a1[:, None]]
     ent = np.where(valid, ent * binom[a2[None, :], b2col], 0.0)
 
-    hs_sq, tail = _truncation_tail(data, quad,
-                                   float(np.sum(np.abs(ent) ** 2)))
+    hs_sq, rad = _truncation_tail(data, quad,
+                                  float(np.sum(np.abs(ent) ** 2)))
     return OperatorMatrix(entries=ent, indices=idx, max_degree=d,
-                          quad_points=q, kind=kind, tail_hs=tail,
-                          hs_sq=hs_sq)
+                          quad_points=q, kind=kind,
+                          tail_hs=math.sqrt(max(rad, 0.0)), hs_sq=hs_sq)
 
 
 def _hs_quadrature(data: SeparableBoundaryData,
@@ -339,10 +341,11 @@ def _hs_quadrature(data: SeparableBoundaryData,
 
 def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
                      kept: float):
-    """(HS^2, sqrt(HS^2 - kept)), or (inf, inf) when the symbol is not
+    """(HS^2, HS^2 - kept), or (inf, inf) when the symbol is not
     Hilbert-Schmidt.  kept is the sum of kept norms on the same nodes
     and weights, so the radicand is a Parseval remainder that only
-    rounding can push below zero."""
+    rounding can push below zero; it is returned signed, and the tail
+    is the square root of its positive part."""
     try:
         hs_sq = _hs_quadrature(data, quad)
     except DomainError:
@@ -352,7 +355,7 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
         raise InconsistencyError(
             "kept norms exceed the Hilbert-Schmidt integral by %.3e; "
             "the shared-quadrature Parseval identity is broken" % (-rad,))
-    return hs_sq, math.sqrt(max(rad, 0.0))
+    return hs_sq, rad
 
 
 def hs_norm_squared(params, spec: TruncationSpec, kind: str = "paper",
@@ -365,13 +368,116 @@ def hs_norm_squared(params, spec: TruncationSpec, kind: str = "paper",
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnGram:
+    """The column Gram G of column_gram as an operator X -> G X on
+    blocks of columns in the index_set layout, with its order n, trace
+    and truncation tail.  hs_sq is the Hilbert-Schmidt integral on the
+    same quadrature and tail_radicand the signed HS^2 - trace G before
+    the clamp; both are inf when the symbol is not Hilbert-Schmidt.
+
+    For F = A symbols G is held as shifted moments
+    moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D, zero where
+    s < j or s' < j) and binomials binom[a2, j] = C(a2, j), and
+    (G X)[(b1, b2)] = sum_j C(b2, j) sum_s' H_j[b1 + b2 - j, s' - j]
+    sum_{a1 + a2 = s'} C(a2, j) X[(a1, a2)] is computed without forming
+    G.  The other symbols hold their dense Gram."""
+
+    order: int
+    trace: float
+    hs_sq: float
+    tail_radicand: float
+    moments: np.ndarray | None = None
+    binom: np.ndarray | None = None
+    dense: np.ndarray | None = None
+
+    @property
+    def tail(self) -> float:
+        return math.sqrt(max(self.tail_radicand, 0.0))
+
+    @cached_property
+    def _layout(self):
+        # column (a1, a2) sits at [a2, a1 + a2] of the moment-side blocks
+        idx = index_set(self.binom.shape[0] - 1)
+        return idx[:, 1], idx[:, 0] + idx[:, 1]
+
+    def matmat(self, x: np.ndarray) -> np.ndarray:
+        """G @ x for an (n, k) block x.  With the moments this is five
+        steps, O(D^3 k) flops and no n x n array: scatter x into
+        w[a2, a1 + a2], contract a2 against binom, one batched product
+        with the moment matrices, contract j against binom, gather."""
+        if self.dense is not None:
+            return self.dense @ x
+        a2, s = self._layout
+        w = np.zeros((self.binom.shape[0], self.moments.shape[1], x.shape[1]))
+        w[a2, s] = x
+        # one step per line, so at most two (D+1)(2D+1)k arrays are alive
+        w = np.tensordot(self.binom.T, w, axes=1)
+        w = np.matmul(self.moments, w)
+        w = np.tensordot(self.binom, w, axes=1)
+        return w[a2, s]
+
+
+def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
+                         scale: float = 0.5,
+                         quad: CircleQuadrature | None = None) -> ColumnGram:
+    """The column Gram of column_gram as a ColumnGram operator, on quad
+    (by default circle_quadrature(spec.quad_points)).
+
+    For F = A the moment matrices are H_j = S_j^T S_j, S_j the stacked
+    [Re V; Im V] of V[node, p] = sqrt(w/pi) F^p scaled by |B|^j, p up
+    to 2D - j (the node at -t carries conj V, so the half circle
+    suffices), and trace G = sum_j sum_alpha C(a2, j)^2
+    H_j[a1 + a2 - j, a1 + a2 - j].  Symbols with F != A have a single
+    j-term per column (see _single_term): G = R^T R over the (D+1)^2
+    stacked columns sqrt(w/pi) F^a1 Y^a2, times [a2 = b2] when
+    j = a2."""
+    d = spec.max_degree
+    if quad is None:
+        quad = circle_quadrature(spec.quad_points)
+    data = symbol_boundary_data(params, quad.nodes, kind, scale)
+    idx = index_set(d)
+    a1, a2 = idx[:, 0], idx[:, 1]
+    sqw = np.sqrt(quad.weights / math.pi)[:, None]
+    if not data.f_equals_a:
+        y, shifted = _single_term(data)
+        m = (sqw * np.vander(data.F, d + 1, increasing=True)[:, a1]
+             * np.vander(y, d + 1, increasing=True)[:, a2])
+        r = np.concatenate([m.real, m.imag])
+        gram = r.T @ r
+        if shifted:
+            gram *= a2[:, None] == a2[None, :]
+        trace = float(np.trace(gram))
+        return ColumnGram(gram.shape[0], trace,
+                          *_truncation_tail(data, quad, trace), dense=gram)
+    j_max = 0 if np.all(data.B == 0) else d
+    v = sqw * np.vander(data.F, 2 * d + 1, increasing=True)
+    r = np.concatenate([v.real, v.imag])
+    b = np.abs(np.concatenate([data.B, data.B]))[:, None]
+    moments = np.zeros((j_max + 1, 2 * d + 1, 2 * d + 1))
+    for j in range(j_max + 1):
+        s_j = r[:, :2 * d + 1 - j] * b ** j
+        # keep every product normal: subnormal ones made these
+        # products 5x slower at D = 48, and what is dropped moves
+        # no moment by more than ~1e-150
+        s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
+        moments[j, j:, j:] = s_j.T @ s_j
+    binom = _binomials(d)[:, :j_max + 1]
+    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
+    trace = float(np.sum(binom[a2] ** 2 * diag))
+    return ColumnGram(idx.shape[0], trace,
+                      *_truncation_tail(data, quad, trace),
+                      moments=moments, binom=binom)
+
+
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
                 scale: float = 0.5, quad: CircleQuadrature | None = None):
     """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
     composed kept monomials under the discrete pullback measure, plus
     the discarded-column tail bound.  Returns (gram, tail); the Gram is
-    real symmetric, in the index_set layout.  The t1 integrals run over
-    quad, by default circle_quadrature(spec.quad_points).
+    real and exactly symmetric, in the index_set layout.  The t1
+    integrals run over quad, by default
+    circle_quadrature(spec.quad_points).
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -388,62 +494,19 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
 
         G[(a1, a2), (b1, b2)]
             = sum_j C(a2, j) C(b2, j) H_j[a1 + a2 - j, b1 + b2 - j],
-        H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}),
+        H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}).
 
-    with (2D+1)^2 moment matrices H_j = S_j^T S_j, S_j the stacked
-    [Re V; Im V] of V[node, p] = sqrt(w/pi) F^p scaled by |B|^j (the
-    node at -t carries conj V, so the half circle suffices).  Stored
-    shifted by j, moments[j, p + j, p' + j] = H_j[p, p'], the (a2, b2)
-    block over (a1, b1) is the contraction over j of one slice,
-    moments[:, a2:a2+D+1, b2:b2+D+1], against C(a2, j) C(b2, j).  Only
-    blocks with a2 <= b2 are computed, the rest mirrored, and one gather
-    puts the [a2, a1, b2, b1] array into the index_set layout.
-
-    Symbols with F != A have a single j-term per column (see
-    _single_term): G = R^T R over the (D+1)^2 stacked columns
-    sqrt(w/pi) F^a1 Y^a2, times [a2 = b2] when j = a2."""
-    d = spec.max_degree
-    if quad is None:
-        quad = circle_quadrature(spec.quad_points)
-    data = symbol_boundary_data(params, quad.nodes, kind, scale)
-    idx = index_set(d)
-    a1, a2 = idx[:, 0], idx[:, 1]
-    sqw = np.sqrt(quad.weights / math.pi)[:, None]
-    if data.f_equals_a:
-        j_max = 0 if np.all(data.B == 0) else d
-        v = sqw * np.vander(data.F, 2 * d + 1, increasing=True)
-        r = np.concatenate([v.real, v.imag])
-        b = np.abs(np.concatenate([data.B, data.B]))[:, None]
-        moments = np.zeros((j_max + 1, 3 * d + 1, 3 * d + 1))
-        for j in range(j_max + 1):
-            s_j = r * b ** j
-            # keep every product normal: subnormal ones made these
-            # products 5x slower at D = 48, and what is dropped moves
-            # no moment by more than ~1e-150
-            s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
-            moments[j, j:j + 2 * d + 1, j:j + 2 * d + 1] = s_j.T @ s_j
-        binom = _binomials(d)
-        g4 = np.empty((d + 1,) * 4)  # [a2, a1, b2, b1]
-        for m2 in range(d + 1):
-            k = min(m2, j_max) + 1
-            for n2 in range(m2, d + 1):
-                block = np.tensordot(
-                    binom[m2, :k] * binom[n2, :k],
-                    moments[:k, m2:m2 + d + 1, n2:n2 + d + 1], axes=1)
-                if n2 == m2:  # exact symmetry whatever the BLAS order
-                    block = np.triu(block) + np.triu(block, 1).T
-                g4[m2, :, n2, :] = block
-                g4[n2, :, m2, :] = block.T
-        gram = g4[a2[:, None], a1[:, None], a2[None, :], a1[None, :]]
-    else:
-        y, shifted = _single_term(data)
-        m = (sqw * np.vander(data.F, d + 1, increasing=True)[:, a1]
-             * np.vander(y, d + 1, increasing=True)[:, a2])
-        r = np.concatenate([m.real, m.imag])
-        gram = r.T @ r
-        if shifted:
-            gram *= a2[:, None] == a2[None, :]
-    return gram, _truncation_tail(data, quad, float(np.trace(gram)))[1]
+    The Gram is the ColumnGram operator of column_gram_operator applied
+    to the identity, D+1 columns at a time, then symmetrised from its
+    upper triangle; the spectrum pipeline uses the operator directly."""
+    op = column_gram_operator(params, spec, kind, scale, quad)
+    if op.dense is not None:
+        return op.dense, op.tail
+    n, width = op.order, spec.max_degree + 1
+    gram = np.empty((n, n))
+    for lo in range(0, n, width):
+        gram[:, lo:lo + width] = op.matmat(np.eye(n, width, -lo))
+    return np.triu(gram) + np.triu(gram, 1).T, op.tail
 
 
 # ---------------------------------------------------------------------------

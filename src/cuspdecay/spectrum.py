@@ -75,10 +75,13 @@ class RitzSpectrum(SingularSpectrum):
     """A spectrum whose first ritz_block values are Rayleigh-Ritz values
     of a Gram G on a block of that width, the rest exact zeros.
     dropped_trace is trace G - trace B for the block's projected Gram
-    B, signed as computed; its positive part is in tail_bound."""
+    B, and tail_radicand is HS^2 - trace G for the discarded columns,
+    each signed as computed; their positive parts are in tail_bound."""
 
     ritz_block: int
     dropped_trace: float
+    hs_sq: float
+    tail_radicand: float
 
 
 @dataclass(frozen=True)
@@ -158,37 +161,37 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
 RITZ_SEED = 0
 
 
-def _ritz_spectrum(gram: np.ndarray, tail_bound: float) -> RitzSpectrum:
-    """Top of the spectrum of a real symmetric PSD Gram by block
-    subspace iteration with a Rayleigh-Ritz step; see
-    composition_spectrum for why the intervals stay honest.
+def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
+    """Top of the spectrum of a real symmetric PSD Gram, given as the
+    operator X -> G X, by block subspace iteration with a Rayleigh-Ritz
+    step; see composition_spectrum for why the intervals stay honest.
 
     The block starts at width 2 isqrt(n) (2(D+1) for a degree-D Gram)
     and doubles while its smallest Ritz value is above the noise floor,
     up to n."""
-    n = gram.shape[0]
+    n = gram.order
     k = min(2 * math.isqrt(n), n)
     while True:
         omega = np.random.default_rng(RITZ_SEED).standard_normal((n, k))
-        q, _ = np.linalg.qr(gram @ omega)
-        q, _ = np.linalg.qr(gram @ q)  # one power step
-        b = q.T @ (gram @ q)
-        top = gram_values(b, tail_bound)
+        q, _ = np.linalg.qr(gram.matmat(omega))
+        q, _ = np.linalg.qr(gram.matmat(q))  # one power step
+        b = q.T @ gram.matmat(q)
+        top = gram_values(b, gram.tail)
         if k == n or top.values[-1] <= top.noise_floor:
             break
         k = min(2 * k, n)
-    trace_g = float(np.trace(gram))
-    dropped = trace_g - float(np.trace(b))
+    dropped = gram.trace - float(np.trace(b))
     # each trace is an n-term sum, off by at most n eps trace G
-    if dropped < -n * float(np.finfo(float).eps) * trace_g:
+    if dropped < -n * float(np.finfo(float).eps) * gram.trace:
         raise InconsistencyError(
             "projected trace exceeds trace G by %.3e; the Gram is not "
             "positive semidefinite" % (-dropped,))
     values = np.zeros(n)
     values[:k] = top.values
-    tail = math.sqrt(tail_bound ** 2 + max(dropped, 0.0))
+    tail = math.sqrt(gram.tail ** 2 + max(dropped, 0.0))
     return RitzSpectrum(values, tail, top.noise_floor, ritz_block=k,
-                        dropped_trace=dropped)
+                        dropped_trace=dropped, hs_sq=gram.hs_sq,
+                        tail_radicand=gram.tail_radicand)
 
 
 def composition_spectrum(params, spec: hardy.TruncationSpec,
@@ -211,11 +214,16 @@ def composition_spectrum(params, spec: hardy.TruncationSpec,
     for every row, including those past the block, which read
     [0, tail].  A dropped trace that rounding pushes below zero adds
     nothing (its signed value is kept as dropped_trace); one below
-    -n eps trace G raises InconsistencyError.  The block grows until its smallest value drops below
-    the eigensolver noise floor, so every value the fit can use is
-    computed; at D = 48 that is k = 98 of 2401."""
-    gram, tail = hardy.column_gram(params, spec, kind, scale)
-    return _ritz_spectrum(gram, tail)
+    -n eps trace G raises InconsistencyError.  The block grows until
+    its smallest value drops below the eigensolver noise floor, so every
+    value the fit can use is computed; at D = 48 that is k = 98 of 2401.
+
+    G is never formed: hardy.column_gram_operator supplies G X from the
+    moment matrices (O(D^3 k) flops per block of k columns) along with
+    trace G, HS^2 and the signed radicand HS^2 - trace G, which the
+    result carries as hs_sq and tail_radicand."""
+    return _ritz_spectrum(hardy.column_gram_operator(params, spec, kind,
+                                                     scale))
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:

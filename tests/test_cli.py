@@ -274,6 +274,10 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
     payload = json.load(open(os.path.join(outs[0], "decay_paper.json")))
     assert payload["ritz_block"] == 98
     assert abs(payload["dropped_trace"]) < 1e-12
+    # the radicand HS^2 - tr G (3.2e-10 of HS^2 = 2.26 at degree 48) is
+    # recorded signed, before the tail clamps it
+    assert 2.0 < payload["hs_sq"] < 2.5
+    assert 0.0 < payload["tail_radicand"] <= payload["tail_bound"] ** 2
     csv_path = os.path.join(outs[0], "spectrum_paper.csv")
     rows = open(csv_path).read().splitlines()[1:]
     assert rows[0] == "n,lower,upper,resolved"
@@ -283,6 +287,7 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
     md = open(os.path.join(outs[0], "report.md")).read()
     assert "- Ritz block 98 of 2401 columns\n" in md
     assert "- dropped trace tr G - tr B = " in md
+    assert "- tail radicand HS^2 - tr G = " in md
 
 
 def test_spectrum_one_dim_verb(tmp_path, frozen_cfg):

@@ -12,6 +12,7 @@ from cuspdecay.errors import (
     DomainError,
     InvalidInputError,
 )
+from conftest import stacked_product_gram
 
 
 def test_index_set_layout():
@@ -299,35 +300,29 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     assert abs(float(np.trace(graded)) + graded_tail ** 2 - hs) < 1e-12
 
 
-def _stacked_product_gram(params, spec):
-    """The per-j build: G = sum_j R_j^T R_j with R_j = [Re M_j; Im M_j],
-    M_j[node, (a1, a2)] = sqrt(w/pi) F^a1 C(a2, j) A^(a2-j) |B|^j over
-    the half-circle nodes, each product scattered into the index_set
-    layout."""
-    d = spec.max_degree
-    quad = hardy.circle_quadrature(spec.quad_points)
-    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
-    sqw = np.sqrt(quad.weights / math.pi)
-    pos = {(int(a1), int(a2)): i
-           for i, (a1, a2) in enumerate(hardy.index_set(d))}
-    gram = np.zeros((len(pos), len(pos)))
-    for j in range(d + 1):
-        cols = [(a1, a2) for a1 in range(d + 1) for a2 in range(j, d + 1)]
-        m = np.stack([sqw * data.F ** a1 * math.comb(a2, j)
-                      * data.A ** (a2 - j) * np.abs(data.B) ** j
-                      for a1, a2 in cols], axis=1)
-        r = np.concatenate([m.real, m.imag])
-        at = [pos[c] for c in cols]
-        gram[np.ix_(at, at)] += r.T @ r
-    return gram
-
-
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
 def test_column_gram_matches_stacked_products(params, d, q):
     spec = hardy.TruncationSpec(d, q)
     gram, _ = hardy.column_gram(params, spec)
     assert np.array_equal(gram, gram.T)
-    assert np.max(np.abs(gram - _stacked_product_gram(params, spec))) <= 1e-14
+    assert np.max(np.abs(gram - stacked_product_gram(params, spec))) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["paper", "diagonal"])
+@pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
+def test_column_gram_operator_matches_stacked_products(params, kind, d, q):
+    spec = hardy.TruncationSpec(d, q)
+    op = hardy.column_gram_operator(params, spec, kind)
+    gram = stacked_product_gram(params, spec, kind)
+    assert op.order == gram.shape[0] == (d + 1) ** 2
+    x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
+    err = np.max(np.abs(op.matmat(x) - gram @ x))
+    assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2)
+    trace = float(np.trace(gram))
+    assert abs(op.trace - trace) <= 1e-14 * trace
+    assert hardy.column_gram(params, spec, kind)[1] == op.tail
+    hs = hardy.hs_norm_squared(params, spec, kind)
+    assert op.hs_sq == hs and op.tail_radicand == hs - op.trace
 
 
 def test_column_gram_diagonal_matches_column_norms(params, small_spec):

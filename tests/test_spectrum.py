@@ -16,6 +16,7 @@ from cuspdecay.errors import (
     InvalidInputError,
     RangeError,
 )
+from conftest import stacked_product_gram
 
 
 def test_singular_spectrum_validation():
@@ -239,9 +240,11 @@ EPS = float(np.finfo(float).eps)
                                         (48, 1024, True)])
 def test_ritz_spectrum_matches_dense_oracle(params, d, q, fits):
     # the dense route the Ritz step replaced, written out as the oracle:
-    # every eigenvalue of the full column Gram
+    # every eigenvalue of the full column Gram, built by the per-j
+    # stacked products, which share no code with the moment operator
     spec = hardy.TruncationSpec(d, q)
-    gram, tail = hardy.column_gram(params, spec)
+    gram = stacked_product_gram(params, spec)
+    tail = hardy.column_gram_operator(params, spec).tail
     lam = np.linalg.eigvalsh(gram)[::-1]
     dense = spectrum.SingularSpectrum(np.sqrt(np.clip(lam, 0.0, None)), tail,
                                       math.sqrt(EPS * lam[0]))
@@ -270,6 +273,12 @@ def test_ritz_spectrum_matches_dense_oracle(params, d, q, fits):
     assert abs(fit.r_squared - want.r_squared) <= 1e-8 * want.r_squared
 
 
+def _dense_operator(gram, tail):
+    trace = float(np.trace(gram))
+    return hardy.ColumnGram(gram.shape[0], trace, trace + tail ** 2,
+                            tail ** 2, dense=gram)
+
+
 def test_ritz_intervals_contain_exact_values():
     # known spectrum: 20 geometric values, then 380 values of 1e-16
     # (s = 1e-8, under the noise floor 1.5e-8); the block stops at 40,
@@ -280,7 +289,7 @@ def test_ritz_intervals_contain_exact_values():
     lam = np.concatenate([0.5 ** np.arange(20.0), np.full(n - 20, 1e-16)])
     gram = (u * lam) @ u.T
     gram = np.triu(gram) + np.triu(gram, 1).T
-    s = spectrum._ritz_spectrum(gram, 1e-9)
+    s = spectrum._ritz_spectrum(_dense_operator(gram, 1e-9))
     assert s.ritz_block == 40 and len(s) == n
     exact = np.sqrt(lam)
     assert np.all(exact <= s.values + s.tail_bound)
@@ -294,7 +303,7 @@ def test_ritz_rejects_negative_dropped_trace():
     # -1e-3s, so trace G - trace B = -4e-3, far beyond rounding
     gram = np.diag([1.0] * 4 + [0.0] * 4 + [-1e-3] * 8)
     with pytest.raises(InconsistencyError):
-        spectrum._ritz_spectrum(gram, 0.0)
+        spectrum._ritz_spectrum(_dense_operator(gram, 0.0))
 
 
 def test_split_spec_validation(params):
