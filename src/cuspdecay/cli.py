@@ -16,7 +16,7 @@ unknown keys are errors (drift detection).  Keys:
     g_kind                identity_in_z2 | constant_one
     c, k_hat              frozen calibration pair; both or neither;
                           omitted -> calibrate on demand
-    degree, quad          truncation: max degree, FFT points  [48, 1024]
+    degree, quad          truncation: max degree, quadrature  [48, 1024]
     seed                  master RNG seed                     [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
@@ -187,7 +187,7 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
                                  g_kind=cfg.g_kind)
     return maps.build_params(cfg.theta, cfg.g_kind,
                              k_samples=max(cfg.samples, 10_000),
-                             seed=cfg.seed)
+                             seed=cfg.seed)[0]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -306,14 +306,11 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    k_hat = maps.estimate_k(max(cfg.samples, 10_000), seed=cfg.seed)
     # the margin is that of the validation sample, which g_kind does
     # not enter
-    c, margin = maps.calibrate_c(cfg.theta, k_hat,
-                                 validation_count=cfg.calibration_samples,
-                                 seed=cfg.seed + 1)
-    params = maps.SymbolParams(theta=cfg.theta, c=c, k_hat=k_hat,
-                               g_kind=cfg.g_kind)
+    params, margin = maps.build_params(
+        cfg.theta, cfg.g_kind, k_samples=max(cfg.samples, 10_000),
+        validation_count=cfg.calibration_samples, seed=cfg.seed)
     path = _out_path(cfg, "params.json")
     _write_json(path, {
         "config": cfg.hash(),
@@ -324,7 +321,7 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
                     "validation_count": cfg.calibration_samples},
     })
     print("wrote %s (c = %.6e, k_hat = %.6f, margin = %.3e)"
-          % (path, c, k_hat, margin))
+          % (path, params.c, params.k_hat, margin))
     return 0
 
 

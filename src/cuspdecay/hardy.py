@@ -15,23 +15,28 @@ Every symbol handled here is separable on the torus:
 which covers the perturbed-diagonal symbol (F = A = cusp, B = c phi),
 the pure diagonal (F = A, B = 0), the constant perturbation g = 1
 (F = cusp, A = cusp + c phi, B = 0), the identity and radial scalings
-(A = 0).  The t2 integral is then a single binomial term and only 1-D
-transforms in t1 remain.  When F = A, a column's j-th term depends on
-(a1, a2) only through p = a1 + a2 - j, so the column Gram is an
-operator on (2D+1)^2 moment matrices H_j[p, p'] = <|B|^j F^p', |B|^j F^p>
-(one small product per j): G X costs a few small matrix products and
-the (D+1)^2 x (D+1)^2 Gram is never needed; the other symbols have
-one term per column and keep their dense Gram.
+(A = 0).  For F = A and for A = 0 the image of z1^a1 z2^a2 is
+
+    sum_j W[a2, j] F^(a1 + a2 - j) B^j e^{i j t2},
+
+with W[a2, j] = C(a2, j) (F = A) or the identity (A = 0), so the t2
+transform is a single term per j and only 1-D transforms in t1 remain.
+A column's j-th term depends on (a1, a2) only through p = a1 + a2 - j,
+so the column Gram is an operator on (2D+1)^2 moment matrices
+H_j[p, p'] = <|B|^j F^p', |B|^j F^p> (one small product per j): G X
+costs a few small matrix products and the (D+1)^2 x (D+1)^2 Gram is
+never needed.  Only g = 1 (image F^a1 A^a2) keeps a dense Gram.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
-half circle (0, pi]: F, A and B satisfy X(-t) = conj X(t), so the
-normalized circle mean of any product of them and their conjugates is
-(1/pi) sum w Re(...).  The column Gram and the Hilbert-Schmidt integral
-share the same nodes and weights (the uniform grid of Q points unless
-a caller passes its own quadrature), so the truncation tail
-HS^2 - trace G is a quadrature Parseval remainder and cannot go
-negative except by rounding; the assembled matrix uses the same
-uniform grid.
+half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
+the normalized circle mean of any product of them and their conjugates
+is (1/pi) sum w Re(...), and CircleQuadrature.factor writes the mean
+of conj(X) Y as one real matrix product.  The column Gram, the
+assembled matrix's Fourier coefficients and the Hilbert-Schmidt
+integral share the same nodes and weights (the uniform grid of Q
+points unless a caller passes its own quadrature), so the truncation
+tail HS^2 - trace G is a quadrature Parseval remainder and cannot go
+negative except by rounding.
 """
 
 from __future__ import annotations
@@ -173,6 +178,13 @@ class CircleQuadrature:
     def mean(self, values) -> float:
         return float(np.sum(self.weights * np.real(values))) / math.pi
 
+    def factor(self, values) -> np.ndarray:
+        """The real stack [Re; Im] of sqrt(w/pi) values, values given
+        as (nodes, columns).  For conjugation-symmetric X and Y,
+        factor(X).T @ factor(Y) holds the circle means of conj(X) Y."""
+        v = np.sqrt(self.weights / math.pi)[:, None] * values
+        return np.concatenate([v.real, v.imag])
+
 
 def circle_quadrature(q: int,
                       t_floor: float | None = None) -> CircleQuadrature:
@@ -241,51 +253,38 @@ def _binomials(d: int) -> np.ndarray:
     return binom
 
 
-def _single_term(data: SeparableBoundaryData):
-    """(Y, shifted) for symbols with F != A.
+def _expansion(data: SeparableBoundaryData, d: int):
+    """(X, Y, W) with the image of z1^a1 z2^a2 equal to
 
-    A = 0 (identity, scaling) or B = 0 (paper with g = 1) leaves one
-    term of the binomial expansion of Phi2^a2: the image of z1^a1 z2^a2
-    is F^a1 Y^a2 e^{i j t2} with Y = B, j = a2 (shifted) or Y = A, j = 0.
-    Any other separable symbol has no such reduction."""
+        sum_j W[a2, j] X^(a1 + a2 - j) Y^j e^{i j t2},   a2, j <= d.
+
+    F = A (paper, diagonal): X = F, Y = B and W[a2, j] = C(a2, j), the
+    binomial expansion of (F + B e^{i t2})^a2.  A = 0 (identity,
+    scaling): X = F, Y = B and W = I.  B = 0 with F != A (paper with
+    g = 1) has image F^a1 A^a2, which has no such form: it is returned
+    as (F, A, None).  Any other separable symbol is rejected."""
+    if data.f_equals_a:
+        return data.F, data.B, _binomials(d)
     if np.all(data.A == 0):
-        return data.B, True
+        return data.F, data.B, np.eye(d + 1)
     if np.all(data.B == 0):
-        return data.A, False
+        return data.F, data.A, None
     raise ConfigurationError(
         "separable symbols need F = A, A = 0 or B = 0")
-
-
-def _coefficient_table(x, y, p_max: int, d: int):
-    """ct[p, q, m] = m-th Fourier coefficient of x^p y^q (midpoint
-    twiddle included), p = 0..p_max, q, m = 0..d.
-
-    x, y hold values on the half-circle midpoint nodes t_k; the full
-    grid's node q-1-k is -t_k, where every factor takes the conjugate
-    value."""
-    def full(v):
-        return np.concatenate([v, np.conj(v[::-1])])
-
-    x_pows = np.vander(full(x), p_max + 1, increasing=True).T
-    y_pows = np.vander(full(y), d + 1, increasing=True).T
-    q_nodes = x_pows.shape[1]
-    twiddle = np.exp(-1j * math.pi * np.arange(d + 1) / q_nodes) / q_nodes
-    ct = np.empty((p_max + 1, d + 1, d + 1), dtype=complex)
-    for p in range(p_max + 1):
-        spec = np.fft.fft(x_pows[p][None, :] * y_pows, axis=1)[:, : d + 1]
-        ct[p] = spec * twiddle[None, :]
-    return ct
 
 
 def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
                     scale: float = 0.5) -> OperatorMatrix:
     """Matrix of the composition operator on the degree-D block.
 
-    Expanding Phi2^a2 = (A + B e^{i t2})^a2 binomially kills the t2
-    transform: entry((b1,b2),(a1,a2)) = C(a2,b2) * coeff_{b1} of
-    F^{a1} A^{a2-b2} B^{b2}, zero for b2 > a2.  For F = A that is one
-    coefficient table of A^p B^q; otherwise a single b2 survives (see
-    _single_term) and the entry is coeff_{b1} of F^{a1} Y^{a2}.
+    With the expansion (X, Y, W) of _expansion the t2 transform is one
+    term per j, so entry((b1, b2), (a1, a2)) = W[a2, b2] times the
+    Fourier coefficient b1 of X^(a1 + a2 - b2) Y^b2; for g = 1 it is
+    the coefficient b1 of F^a1 A^a2 when b2 = 0 and zero otherwise.
+    The coefficients come from one table ct[p, q, m], the circle means
+    factor(X^p Y^q).T @ factor(e^{imt}) on the uniform quadrature; they
+    are Fourier coefficients of conjugation-symmetric functions, so the
+    entries are real.
 
     When the symbol is not Hilbert-Schmidt (identity, |scale| -> 1)
     tail_hs is +inf, as is the tail column_gram returns.
@@ -293,25 +292,24 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
     d, q = spec.max_degree, spec.quad_points
     quad, data = _quadrature_data(params, spec, kind, scale)
     idx = index_set(d)
-    a1 = idx[:, 0]
-    a2 = idx[:, 1]
-    binom = _binomials(d)
-
-    b2col = a2[:, None]  # rows carry beta, columns alpha; same index list
-    if data.f_equals_a:
-        ct = _coefficient_table(data.A, data.B, 2 * d, d)
-        valid = b2col <= a2[None, :]
-        p = np.where(valid, a1[None, :] + a2[None, :] - b2col, 0)
-        ent = ct[p, b2col, a1[:, None]]
+    a1, a2 = idx[None, :, 0], idx[None, :, 1]  # columns carry alpha,
+    b1, b2 = idx[:, 0, None], idx[:, 1, None]  # rows carry beta
+    x, y, w = _expansion(data, d)
+    p_max = d if w is None else 2 * d
+    pows = (np.vander(x, p_max + 1, increasing=True)[:, :, None]
+            * np.vander(y, d + 1, increasing=True)[:, None, :])
+    modes = np.exp(1j * np.outer(quad.nodes, np.arange(d + 1)))
+    ct = quad.factor(pows.reshape(x.size, -1)).T @ quad.factor(modes)
+    ct = ct.reshape(p_max + 1, d + 1, d + 1)
+    if w is None:
+        ent = np.where(b2 == 0, ct[a1, a2, b1], 0.0)
     else:
-        y, shifted = _single_term(data)
-        ct = _coefficient_table(data.F, y, d, d)
-        valid = b2col == (a2[None, :] if shifted else 0)
-        ent = ct[a1[None, :], a2[None, :], a1[:, None]]
-    ent = np.where(valid, ent * binom[a2[None, :], b2col], 0.0)
+        # W[a2, b2] = 0 for b2 > a2, where a negative p picks a finite
+        # entry from the end of the table
+        ent = ct[a1 + a2 - b2, b2, b1]
+        ent *= w[a2, b2]
 
-    hs_sq, rad = _truncation_tail(data, quad,
-                                  float(np.sum(np.abs(ent) ** 2)))
+    hs_sq, rad = _truncation_tail(data, quad, float(np.sum(ent ** 2)))
     return OperatorMatrix(entries=ent, indices=idx, max_degree=d,
                           quad_points=q, kind=kind,
                           tail_hs=math.sqrt(max(rad, 0.0)), hs_sq=hs_sq)
@@ -376,19 +374,19 @@ class ColumnGram:
     same quadrature and tail_radicand the signed HS^2 - trace G before
     the clamp; both are inf when the symbol is not Hilbert-Schmidt.
 
-    For F = A symbols G is held as shifted moments
-    moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D, zero where
-    s < j or s' < j) and binomials binom[a2, j] = C(a2, j), and
-    (G X)[(b1, b2)] = sum_j C(b2, j) sum_s' H_j[b1 + b2 - j, s' - j]
-    sum_{a1 + a2 = s'} C(a2, j) X[(a1, a2)] is computed without forming
-    G.  The other symbols hold their dense Gram."""
+    For every symbol with an expansion matrix W (see _expansion) G is
+    held as shifted moments moments[j, s, s'] = H_j[s - j, s' - j]
+    (s, s' <= 2D, zero where s < j or s' < j) and expansion = W, and
+    (G X)[(b1, b2)] = sum_j W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
+    sum_{a1 + a2 = s'} W[a2, j] X[(a1, a2)] is computed without forming
+    G.  Paper with g = 1 holds its dense Gram."""
 
     order: int
     trace: float
     hs_sq: float
     tail_radicand: float
     moments: np.ndarray | None = None
-    binom: np.ndarray | None = None
+    expansion: np.ndarray | None = None
     dense: np.ndarray | None = None
 
     @property
@@ -398,23 +396,24 @@ class ColumnGram:
     @cached_property
     def _layout(self):
         # column (a1, a2) sits at [a2, a1 + a2] of the moment-side blocks
-        idx = index_set(self.binom.shape[0] - 1)
+        idx = index_set(self.expansion.shape[0] - 1)
         return idx[:, 1], idx[:, 0] + idx[:, 1]
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """G @ x for an (n, k) block x.  With the moments this is five
         steps, O(D^3 k) flops and no n x n array: scatter x into
-        w[a2, a1 + a2], contract a2 against binom, one batched product
-        with the moment matrices, contract j against binom, gather."""
+        w[a2, a1 + a2], contract a2 against W, one batched product with
+        the moment matrices, contract j against W, gather."""
         if self.dense is not None:
             return self.dense @ x
         a2, s = self._layout
-        w = np.zeros((self.binom.shape[0], self.moments.shape[1], x.shape[1]))
+        w = np.zeros((self.expansion.shape[0], self.moments.shape[1],
+                      x.shape[1]))
         w[a2, s] = x
         # one step per line, so at most two (D+1)(2D+1)k arrays are alive
-        w = np.tensordot(self.binom.T, w, axes=1)
+        w = np.tensordot(self.expansion.T, w, axes=1)
         w = np.matmul(self.moments, w)
-        w = np.tensordot(self.binom, w, axes=1)
+        w = np.tensordot(self.expansion, w, axes=1)
         return w[a2, s]
 
 
@@ -424,50 +423,43 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
     """The column Gram of column_gram as a ColumnGram operator, on quad
     (by default circle_quadrature(spec.quad_points)).
 
-    For F = A the moment matrices are H_j = S_j^T S_j, S_j the stacked
-    [Re V; Im V] of V[node, p] = sqrt(w/pi) F^p scaled by |B|^j, p up
-    to 2D - j (the node at -t carries conj V, so the half circle
-    suffices), and trace G = sum_j sum_alpha C(a2, j)^2
-    H_j[a1 + a2 - j, a1 + a2 - j].  Symbols with F != A have a single
-    j-term per column (see _single_term): G = R^T R over the (D+1)^2
-    stacked columns sqrt(w/pi) F^a1 Y^a2, times [a2 = b2] when
-    j = a2."""
+    With the expansion (X, Y, W) of _expansion the moment matrices are
+    H_j = S_j^T S_j, S_j = factor(X^p) scaled by |Y|^j, p up to 2D - j,
+    and trace G = sum_j sum_alpha W[a2, j]^2 H_j[a1 + a2 - j,
+    a1 + a2 - j]; j stops at 0 when Y = 0.  Paper with g = 1 has one
+    t2 term per column: G = R^T R with R = factor(F^a1 A^a2) over the
+    (D+1)^2 columns."""
     d = spec.max_degree
     if quad is None:
         quad = circle_quadrature(spec.quad_points)
     data = symbol_boundary_data(params, quad.nodes, kind, scale)
     idx = index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]
-    sqw = np.sqrt(quad.weights / math.pi)[:, None]
-    if not data.f_equals_a:
-        y, shifted = _single_term(data)
-        m = (sqw * np.vander(data.F, d + 1, increasing=True)[:, a1]
-             * np.vander(y, d + 1, increasing=True)[:, a2])
-        r = np.concatenate([m.real, m.imag])
+    x, y, w = _expansion(data, d)
+    if w is None:
+        r = quad.factor(np.vander(x, d + 1, increasing=True)[:, a1]
+                        * np.vander(y, d + 1, increasing=True)[:, a2])
         gram = r.T @ r
-        if shifted:
-            gram *= a2[:, None] == a2[None, :]
         trace = float(np.trace(gram))
         return ColumnGram(gram.shape[0], trace,
                           *_truncation_tail(data, quad, trace), dense=gram)
-    j_max = 0 if np.all(data.B == 0) else d
-    v = sqw * np.vander(data.F, 2 * d + 1, increasing=True)
-    r = np.concatenate([v.real, v.imag])
-    b = np.abs(np.concatenate([data.B, data.B]))[:, None]
-    moments = np.zeros((j_max + 1, 2 * d + 1, 2 * d + 1))
-    for j in range(j_max + 1):
+    if np.all(y == 0):
+        w = w[:, :1]
+    r = quad.factor(np.vander(x, 2 * d + 1, increasing=True))
+    b = np.abs(np.concatenate([y, y]))[:, None]
+    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
+    for j in range(w.shape[1]):
         s_j = r[:, :2 * d + 1 - j] * b ** j
         # keep every product normal: subnormal ones made these
         # products 5x slower at D = 48, and what is dropped moves
         # no moment by more than ~1e-150
         s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
         moments[j, j:, j:] = s_j.T @ s_j
-    binom = _binomials(d)[:, :j_max + 1]
     diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
-    trace = float(np.sum(binom[a2] ** 2 * diag))
+    trace = float(np.sum(w[a2] ** 2 * diag))
     return ColumnGram(idx.shape[0], trace,
                       *_truncation_tail(data, quad, trace),
-                      moments=moments, binom=binom)
+                      moments=moments, expansion=w)
 
 
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
@@ -487,13 +479,13 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
     sqrt(HS^2 - trace G) caps the gap from the discarded columns, which
     is how the spectrum pipeline reports honest intervals.
 
-    Expanding the second coordinate binomially, the t2 integral leaves
-    one term per shared e^{i j t2} power (the phase of B^j cancels
-    between the two sides).  For F = A the j-term of column (a1, a2) is
-    C(a2, j) |B|^j F^p with p = a1 + a2 - j, so
+    Expanding the second coordinate (see _expansion), the t2 integral
+    leaves one term per shared e^{i j t2} power (the phase of B^j
+    cancels between the two sides).  The j-term of column (a1, a2) is
+    W[a2, j] |B|^j F^p with p = a1 + a2 - j, so
 
         G[(a1, a2), (b1, b2)]
-            = sum_j C(a2, j) C(b2, j) H_j[a1 + a2 - j, b1 + b2 - j],
+            = sum_j W[a2, j] W[b2, j] H_j[a1 + a2 - j, b1 + b2 - j],
         H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}).
 
     The Gram is the ColumnGram operator of column_gram_operator applied

@@ -393,13 +393,14 @@ def _validate_c(theta: float, c: float, k_hat: float,
 
 def build_params(theta: float = 0.5, g_kind: str = "identity_in_z2",
                  k_samples: int = 100_000, validation_count: int = 200_000,
-                 seed: int = 11) -> SymbolParams:
-    """Full default pipeline: estimate the lens constant, calibrate the
-    perturbation, freeze the bundle."""
+                 seed: int = 11) -> tuple:
+    """Full default pipeline: estimate the lens constant at seed,
+    calibrate the perturbation at seed + 1, freeze the bundle.  Returns
+    (params, margin), margin as in calibrate_c."""
     k_hat = estimate_k(sample_count=k_samples, seed=seed)
-    c, _ = calibrate_c(theta, k_hat, validation_count=validation_count,
-                       seed=seed + 1)
-    return SymbolParams(theta=theta, c=c, k_hat=k_hat, g_kind=g_kind)
+    c, margin = calibrate_c(theta, k_hat, validation_count=validation_count,
+                            seed=seed + 1)
+    return SymbolParams(theta=theta, c=c, k_hat=k_hat, g_kind=g_kind), margin
 
 
 # ---------------------------------------------------------------------------

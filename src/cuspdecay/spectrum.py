@@ -441,10 +441,9 @@ def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
     d = spec.max_degree
     quad = hardy.circle_quadrature(spec.quad_points, math.exp(-80.0))
     chi = maps.cusp_on_circle(quad.nodes)
-    v = np.sqrt(quad.weights / math.pi)[:, None] * np.vander(
-        chi, d + 1, increasing=True)
+    v = quad.factor(np.vander(chi, d + 1, increasing=True))
     try:
-        s = np.linalg.svd(np.concatenate([v.real, v.imag]), compute_uv=False)
+        s = np.linalg.svd(v, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise ComputationError("SVD failed to converge: %s" % exc) from exc
     # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2

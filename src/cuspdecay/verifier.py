@@ -6,7 +6,8 @@ Each suite samples deterministically from a seed, evaluates its
 inequality exactly (polynomial norms are coefficient norms, never
 quadrature), and returns a report whose violations list is empty iff
 the suite passed.  A violation always carries enough of a witness to
-replay the single failing evaluation by hand.
+replay the single failing evaluation by hand; each suite keeps the
+first WITNESS_CAP witnesses per item.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
 # calibration points checked per slice; bounds the (points x 16) arrays
 CALIBRATION_BLOCK = 1 << 15
+# witnesses kept per violated item; more would only repeat the story
+WITNESS_CAP = 10
 
 
 def _c2s(z) -> list:
@@ -44,6 +47,12 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
+
+    def witness(self, entry: dict) -> None:
+        """Record a violation unless its item already has WITNESS_CAP."""
+        item = entry["item"]
+        if sum(v["item"] == item for v in self.violations) < WITNESS_CAP:
+            self.violations.append(entry)
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +117,7 @@ def check_cusp_geometry(sample_count: int,
 
     def record(item, mask, extra=None):
         bad = np.nonzero(mask)[0]
-        for i in bad[:10]:  # ten witnesses per item are plenty
+        for i in bad[:WITNESS_CAP]:
             w = {"item": item, "z": _c2s(src[i]), "chi": _c2s(chi_all[i])}
             if extra:
                 w.update(extra)
@@ -125,7 +134,7 @@ def check_cusp_geometry(sample_count: int,
     axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
     chi_axis = maps.cusp_values(axis)
     record_axis = np.nonzero(chi_axis.imag != 0.0)[0]
-    for i in record_axis[:10]:
+    for i in record_axis[:WITNESS_CAP]:
         rep.violations.append(
             {"item": "real_axis", "z": [float(axis[i]), 0.0],
              "chi": _c2s(chi_axis[i])})
@@ -186,14 +195,14 @@ def check_calibration(params, sample_count: int,
         gap = 1.0 - np.abs(chi)
         reach_margin = gap - 2.0 * damp
         bad = np.nonzero(reach_margin <= 0.0)[0]
-        for i in bad[:10 - len(reach)]:
+        for i in bad[:WITNESS_CAP - len(reach)]:
             reach.append(
                 {"item": "reach", "z": _c2s(z[i]), "margin": float(reach_margin[i])})
 
         w2 = chi[:, None] + (params.c * phi)[:, None] * u[None, :]
         half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
         bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
-        for i in bad2[:10 - len(half_gap)]:
+        for i in bad2[:WITNESS_CAP - len(half_gap)]:
             k = int(np.argmin(half_margin[i]))
             half_gap.append(
                 {"item": "half_gap", "z": _c2s(z[i]), "u": _c2s(u[k]),
@@ -250,7 +259,7 @@ class CoveringFamily:
         return hit
 
 
-def check_covering(n: int, sample_count: int, params=None,
+def check_covering(n: int, sample_count: int, params,
                    seed: int = DEFAULT_SEED) -> VerificationReport:
     """Sampled covering test: every image point chi(z) that is both
     deep enough (|chi| > 1 - sigma^j0 / k_hat) and not within 1/n of
@@ -266,8 +275,6 @@ def check_covering(n: int, sample_count: int, params=None,
         raise ConfigurationError("covering test needs n >= 2")
     if sample_count < 1000:
         raise ConfigurationError("covering suite needs at least 1000 samples")
-    if params is None:
-        params = maps.build_params()
     rep = VerificationReport("covering_n%d" % n, seed, sample_count)
     family = CoveringFamily.for_size(params, n)
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
@@ -283,7 +290,7 @@ def check_covering(n: int, sample_count: int, params=None,
     bad = np.nonzero(~covered)[0]
     lg, ph = log_gap[kept], phase[kept]
     centers, radii = family.centers(), family.radii()
-    for i in bad[:10]:
+    for i in bad[:WITNESS_CAP]:
         dist = np.abs(chi_kept[i] - centers)
         j = int(np.argmin(dist / radii))
         rep.violations.append({
@@ -348,7 +355,7 @@ def check_derivative_bound(trial_count: int,
         val = abs(_diag_derivative(coef, k, b))
         worst = max(worst, val / bound)
         if val > bound:
-            rep.violations.append(
+            rep.witness(
                 {"item": "derivative", "degree": d, "k": k, "b": _c2s(b),
                  "value": val, "bound": bound})
     rep.constants["max_ratio"] = worst
@@ -391,7 +398,7 @@ def check_schwarz_bound(trial_count: int,
         val = abs(_diag_derivative(coef, k, b))
         worst = max(worst, val / bound)
         if val > bound:
-            rep.violations.append(
+            rep.witness(
                 {"item": "schwarz", "vanish_order": n, "k": k, "a": _c2s(a),
                  "b": _c2s(b), "value": val, "bound": bound})
     rep.constants["max_ratio"] = worst
@@ -425,7 +432,7 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
             end_mp = int(mp.floor(
                 mp.log(2 * n) / (mp.mpf(theta) * mp.log(1 / mp.mpf(shrink))))) + 1
             if end != end_mp:
-                rep.violations.append(
+                rep.witness(
                     {"item": "range_formula", "n": n,
                      "double": end, "exact": end_mp})
                 end = end_mp
@@ -434,7 +441,7 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
                 m_double = int(math.floor(n * shrink ** (j * theta))) + 1
                 m_exact = int(mp.floor(n * mp.mpf(shrink) ** (j * mp.mpf(theta)))) + 1
                 if m_double != m_exact:
-                    rep.violations.append(
+                    rep.witness(
                         {"item": "block_size_formula", "n": n, "j": j,
                          "double": m_double, "exact": m_exact})
                 total += m_exact
@@ -475,12 +482,10 @@ class VerifierConfig:
             raise ConfigurationError("sample budgets must be positive")
 
 
-def run_all(config: VerifierConfig, params=None) -> list:
+def run_all(config: VerifierConfig, params) -> list:
     """Run every suite with the config's budgets; deterministic given
     (config, params).  Returns the reports in a fixed order; the sweep
     passed iff all(r.passed for r in reports)."""
-    if params is None:
-        params = maps.build_params()
     seed = config.seed
     reports = [
         check_cusp_geometry(config.sample_count, seed),

@@ -135,7 +135,7 @@ def _brute_force_entries(params, spec, kind):
     return ent
 
 
-@pytest.mark.parametrize("kind", ["paper", "diagonal"])
+@pytest.mark.parametrize("kind", ["paper", "diagonal", "identity"])
 def test_assembly_matches_brute_force(params, kind):
     spec = hardy.TruncationSpec(4, 64)
     om = hardy.assemble_matrix(params, spec, kind)
@@ -170,6 +170,7 @@ def test_assembled_matrix_metadata(params, small_spec):
     om = hardy.assemble_matrix(params, small_spec)
     assert om.max_degree == 16 and om.quad_points == 256
     assert om.entries.shape == (17 * 17, 17 * 17)
+    assert om.entries.dtype == np.float64
     assert abs(om.hs_sq - 2.2610460801227479) < 1e-12
     assert abs(om.tail_hs - 0.10938138192816624) < 1e-12
 
@@ -269,6 +270,11 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     brute = v.conj().T @ v / (spec.quad_points ** 2)
     assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
+    # only g = 1 (image F^a1 A^a2) has no moment form
+    op = hardy.column_gram_operator(p, spec, kind)
+    dense = kind == "paper" and g_kind == "constant_one"
+    assert (op.dense is not None) == dense
+    assert (op.moments is None) == dense
 
     # a caller's graded quadrature that reaches the cusp: the oracle sums
     # the complex Gram over the +-t nodes with their weights, each node a

@@ -247,7 +247,7 @@ def test_validate_c_catches_escape():
 
 
 def test_build_params_reproduces_frozen(params):
-    got = maps.build_params(validation_count=50_000)
+    got, _ = maps.build_params(validation_count=50_000)
     assert abs(got.c - 1.456697e-3) < 1e-9
     assert abs(got.k_hat - 2.519054) < 1e-6
     assert got.theta == params.theta

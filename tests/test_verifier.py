@@ -210,6 +210,17 @@ def test_schwarz_bound_suite():
         verifier.check_schwarz_bound(-3)
 
 
+def test_derivative_suites_keep_ten_witnesses(monkeypatch):
+    # every trial violates its bound; each suite keeps the first ten
+    monkeypatch.setattr(verifier, "_diag_derivative",
+                        lambda coef, k, b: 1e300)
+    for check in (verifier.check_derivative_bound,
+                  verifier.check_schwarz_bound):
+        rep = check(1000)
+        assert not rep.passed and len(rep.violations) == 10
+        assert rep.violations == check(10).violations  # in trial order
+
+
 def test_codim_count_suite():
     rep = verifier.check_codim_count([10, 100, 1000, 10_000])
     assert rep.passed and rep.violations == []
