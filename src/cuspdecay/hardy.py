@@ -115,12 +115,15 @@ class SeparableBoundaryData:
     f_equals_a: bool
 
 
-def symbol_boundary_data(params, t1, kind: str = "paper",
-                         scale: float = 0.5) -> SeparableBoundaryData:
+SCALING_RADIUS = 0.5
+
+
+def symbol_boundary_data(params, t1,
+                         kind: str = "paper") -> SeparableBoundaryData:
     """Evaluate the separable components on the t1 nodes.
 
     kind: "paper" (perturbed diagonal), "diagonal", "identity",
-    or "scaling" (z -> (r z1, r z2) with r = scale < 1, test symbol).
+    or "scaling" (z -> (r z1, r z2), r = SCALING_RADIUS; test symbol).
     The cusp values come from cusp_on_circle, whose two double zones
     keep graded meshes reaching t ~ 1e-300 accurate.
     """
@@ -144,11 +147,9 @@ def symbol_boundary_data(params, t1, kind: str = "paper",
         return SeparableBoundaryData("identity", t1, f,
                                      np.zeros_like(f), np.ones_like(f), False)
     if kind == "scaling":
-        if not 0.0 < scale < 1.0:
-            raise ConfigurationError("scaling factor must lie in (0, 1)")
-        f = scale * np.exp(1j * t1)
+        f = SCALING_RADIUS * np.exp(1j * t1)
         return SeparableBoundaryData("scaling", t1, f, np.zeros_like(f),
-                                     np.full_like(f, scale), False)
+                                     np.full_like(f, SCALING_RADIUS), False)
     raise ConfigurationError("unknown symbol kind %r" % (kind,))
 
 
@@ -218,9 +219,9 @@ def circle_quadrature(q: int,
     return CircleQuadrature(nodes[order], np.concatenate(weights)[order])
 
 
-def _quadrature_data(params, spec: TruncationSpec, kind: str, scale: float):
+def _quadrature_data(params, spec: TruncationSpec, kind: str):
     quad = circle_quadrature(spec.quad_points)
-    return quad, symbol_boundary_data(params, quad.nodes, kind, scale)
+    return quad, symbol_boundary_data(params, quad.nodes, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +274,8 @@ def _expansion(data: SeparableBoundaryData, d: int):
         "separable symbols need F = A, A = 0 or B = 0")
 
 
-def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
-                    scale: float = 0.5) -> OperatorMatrix:
+def assemble_matrix(params, spec: TruncationSpec,
+                    kind: str = "paper") -> OperatorMatrix:
     """Matrix of the composition operator on the degree-D block.
 
     With the expansion (X, Y, W) of _expansion the t2 transform is one
@@ -286,11 +287,11 @@ def assemble_matrix(params, spec: TruncationSpec, kind: str = "paper",
     are Fourier coefficients of conjugation-symmetric functions, so the
     entries are real.
 
-    When the symbol is not Hilbert-Schmidt (identity, |scale| -> 1)
-    tail_hs is +inf, as is the tail column_gram returns.
+    When the symbol is not Hilbert-Schmidt (identity) tail_hs is +inf,
+    as is the tail column_gram returns.
     """
     d, q = spec.max_degree, spec.quad_points
-    quad, data = _quadrature_data(params, spec, kind, scale)
+    quad, data = _quadrature_data(params, spec, kind)
     idx = index_set(d)
     a1, a2 = idx[None, :, 0], idx[None, :, 1]  # columns carry alpha,
     b1, b2 = idx[:, 0, None], idx[:, 1, None]  # rows carry beta
@@ -356,10 +357,10 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
     return hs_sq, rad
 
 
-def hs_norm_squared(params, spec: TruncationSpec, kind: str = "paper",
-                    scale: float = 0.5) -> float:
+def hs_norm_squared(params, spec: TruncationSpec,
+                    kind: str = "paper") -> float:
     """Quadrature value of int dm_Phi / ((1-|w1|^2)(1-|w2|^2))."""
-    quad, data = _quadrature_data(params, spec, kind, scale)
+    quad, data = _quadrature_data(params, spec, kind)
     return _hs_quadrature(data, quad)
 
 
@@ -418,7 +419,6 @@ class ColumnGram:
 
 
 def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
-                         scale: float = 0.5,
                          quad: CircleQuadrature | None = None) -> ColumnGram:
     """The column Gram of column_gram as a ColumnGram operator, on quad
     (by default circle_quadrature(spec.quad_points)).
@@ -432,7 +432,7 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
     d = spec.max_degree
     if quad is None:
         quad = circle_quadrature(spec.quad_points)
-    data = symbol_boundary_data(params, quad.nodes, kind, scale)
+    data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]
     x, y, w = _expansion(data, d)
@@ -463,7 +463,7 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
 
 
 def column_gram(params, spec: TruncationSpec, kind: str = "paper",
-                scale: float = 0.5, quad: CircleQuadrature | None = None):
+                quad: CircleQuadrature | None = None):
     """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
     composed kept monomials under the discrete pullback measure, plus
     the discarded-column tail bound.  Returns (gram, tail); the Gram is
@@ -491,7 +491,7 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
     The Gram is the ColumnGram operator of column_gram_operator applied
     to the identity, D+1 columns at a time, then symmetrised from its
     upper triangle; the spectrum pipeline uses the operator directly."""
-    op = column_gram_operator(params, spec, kind, scale, quad)
+    op = column_gram_operator(params, spec, kind, quad)
     if op.dense is not None:
         return op.dense, op.tail
     n, width = op.order, spec.max_degree + 1
@@ -581,11 +581,12 @@ def save_matrix(om: OperatorMatrix, path: str, params=None) -> None:
 
 def matrix_csv(om: OperatorMatrix, path: str, params_hash: str = "") -> None:
     """Plain-text dump: comment header, then one row per beta with
-    re,im pairs across alpha (row-major)."""
+    re,im pairs across alpha (row-major).  The entries are real, so
+    every im is written as 0; each row is formatted in one call."""
+    row_format = ",".join(["%.17g,0"] * om.entries.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write("# D=%d Q=%d kind=%s params_hash=%s\n"
                  % (om.max_degree, om.quad_points, om.kind, params_hash))
         fh.write("# row=beta col=alpha, complex entries as re,im pairs\n")
         for row in om.entries:
-            fh.write(",".join("%.17g,%.17g" % (v.real, v.imag) for v in row))
-            fh.write("\n")
+            fh.write(row_format % tuple(row.tolist()))

@@ -195,8 +195,7 @@ def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
 
 
 def composition_spectrum(params, spec: hardy.TruncationSpec,
-                         kind: str = "paper",
-                         scale: float = 0.5) -> RitzSpectrum:
+                         kind: str = "paper") -> RitzSpectrum:
     """Spectrum pipeline for the two-variable symbols: column Gram of
     the kept monomial images, Rayleigh-Ritz values of its top block,
     discarded-column tail.  This is the production route behind the
@@ -222,8 +221,7 @@ def composition_spectrum(params, spec: hardy.TruncationSpec,
     moment matrices (O(D^3 k) flops per block of k columns) along with
     trace G, HS^2 and the signed radicand HS^2 - trace G, which the
     result carries as hs_sq and tail_radicand."""
-    return _ritz_spectrum(hardy.column_gram_operator(params, spec, kind,
-                                                     scale))
+    return _ritz_spectrum(hardy.column_gram_operator(params, spec, kind))
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
@@ -311,11 +309,6 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
 # the three-way splitting experiment
 
 
-# (t1 node, t2 point) pairs per block of the region Gram sums, which
-# bounds the stacked rows to SPLIT_CHUNK x (D+1)^2 complex entries
-SPLIT_CHUNK = 1 << 13
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     """Cuts for restricting the pullback measure by max-modulus of the
@@ -348,24 +341,23 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SplitGrams:
-    """Gram matrices of the monomial embedding restricted to the three
-    regions, plus the unpartitioned Gram column_gram computes on the
-    same t1 nodes with exact t2 moments.  Entrywise gram_inner +
-    gram_middle + gram_outer = gram_full up to roundoff (see
-    split_gram)."""
+    """Real Gram matrices, in the index_set layout, of the monomial
+    embedding restricted to the three regions, plus the unpartitioned
+    Gram column_gram computes on the same t1 nodes with exact t2
+    moments.  Entrywise gram_inner + gram_middle + gram_outer =
+    gram_full up to roundoff (see split_gram)."""
 
     split: SplitSpec
     gram_inner: np.ndarray
     gram_middle: np.ndarray
     gram_outer: np.ndarray
     gram_full: np.ndarray
-    node_count: int
 
     def masses(self) -> tuple:
         # alpha = 0 diagonal entry is the plain measure of each region
-        return (float(self.gram_inner[0, 0].real),
-                float(self.gram_middle[0, 0].real),
-                float(self.gram_outer[0, 0].real))
+        return (float(self.gram_inner[0, 0]),
+                float(self.gram_middle[0, 0]),
+                float(self.gram_outer[0, 0]))
 
     def outer_norm_bound(self) -> float:
         """Upper bound for the norm of the outer-region restriction:
@@ -379,46 +371,46 @@ def split_gram(params, spec: hardy.TruncationSpec,
 
     A dyadic circle_quadrature in the first boundary variable (reaching
     far enough below the cusp for the outer region at this n), a
-    uniform midpoint grid of m2 = Q points in the second.  The
-    quadrature covers the half circle and the symbol is
-    conjugation-symmetric, so each region Gram is R^T R with
-    R = [Re V; Im V] over the half-circle nodes in the region.
+    uniform midpoint grid of m2 = Q points in the second.  At each t1
+    node the t2 sum comes first, as the t2 Gram of the powers of w2 over
+    region k, M_k(t1)[a2, b2] = (1/m2) sum_{t2 in R_k(t1)} conj(w2^a2)
+    w2^b2; the symbol and the regions are conjugation-symmetric, so
+    G_k[(a1, a2), (b1, b2)] is the half-circle mean of
+    conj(F^a1) F^b1 M_k(t1)[a2, b2], one factor product per a2.
 
     The unpartitioned Gram is column_gram on the same t1 quadrature,
     which integrates t2 exactly.  A column is a trigonometric
     polynomial of degree <= D in t2, so an entry's t2 integrand has
     degree <= 2D < m2 (Q >= 4(D+1)), which the midpoint grid also
     integrates exactly: the partition identity compares two different
-    computations of the same numbers.  Each region Gram is summed over
-    blocks of SPLIT_CHUNK pairs."""
+    computations of the same numbers."""
     t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
     quad = hardy.circle_quadrature(2, t_floor)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
-    m2 = spec.quad_points
-    t2 = hardy.midpoint_nodes(m2)
-    w1 = np.repeat(data.F, m2)
-    w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
-    sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
-    mx = np.maximum(np.abs(w1), np.abs(w2))
+    d, m2, nodes = spec.max_degree, spec.quad_points, quad.nodes.size
+    p1 = np.vander(data.F, d + 1, increasing=True)
+    # factor(X).T @ factor(Y) means conj(X) Y: X = F^a1 conj(F^b1)
+    r1 = quad.factor((p1[:, :, None] * p1[:, None, :].conj())
+                     .reshape(nodes, -1))
+    w2 = (data.A[:, None]
+          + data.B[:, None] * np.exp(1j * hardy.midpoint_nodes(m2)))
+    mx = np.maximum(np.abs(data.F)[:, None], np.abs(w2))
     # 0 inner (mx <= inner), 1 middle, 2 outer (mx > outer)
     region = np.digitize(mx, (split.inner_radius, split.outer_radius),
                          right=True)
-    idx = hardy.index_set(spec.max_degree)
-    grams = np.zeros((3, idx.shape[0], idx.shape[0]))
-    for lo in range(0, mx.size, SPLIT_CHUNK):
-        part = slice(lo, lo + SPLIT_CHUNK)
-        p1 = np.vander(w1[part], spec.max_degree + 1, increasing=True)
-        p2 = np.vander(w2[part], spec.max_degree + 1, increasing=True)
-        v = sqw[part, None] * p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
-        for k in range(3):
-            sel = region[part] == k
-            if np.any(sel):
-                r = np.concatenate([v[sel].real, v[sel].imag])
-                grams[k] += r.T @ r
-    inner, middle, outer = grams
+    p2 = np.vander(w2.ravel(), d + 1, increasing=True).reshape(nodes, m2, -1)
+    a1, a2 = hardy.index_set(d).T
+    grams = []
+    for k in range(3):
+        w = (region == k) / m2  # t2 weights of region k
+        g = np.empty((d + 1,) * 4)  # [a1, a2, b1, b2]
+        for a in range(d + 1):
+            # row a2 = a of M_k(t1) at every node, then its t1 mean
+            m = np.matmul((p2[:, :, a].conj() * w)[:, None, :], p2)[:, 0]
+            g[:, a] = (r1.T @ quad.factor(m)).reshape(d + 1, d + 1, -1)
+        grams.append(g[a1, a2][:, a1, a2])
     full, _ = hardy.column_gram(params, spec, "paper", quad=quad)
-    return SplitGrams(split=split, gram_inner=inner, gram_middle=middle,
-                      gram_outer=outer, gram_full=full, node_count=mx.size)
+    return SplitGrams(split, *grams, gram_full=full)
 
 
 # ---------------------------------------------------------------------------

@@ -43,3 +43,42 @@ def stacked_product_gram(params, spec, kind="paper"):
         at = [pos[c] for c in zip(a1.tolist(), a2.tolist())]
         gram[np.ix_(at, at)] += r.T @ r
     return gram
+
+
+# (t1 node, t2 point) pairs per block of pair_stack_split_grams, which
+# bounds the stacked rows to PAIR_CHUNK x (D+1)^2 complex entries
+PAIR_CHUNK = 1 << 13
+
+
+def pair_stack_split_grams(params, spec, split):
+    """Region Gram oracle for spectrum.split_gram, by the product rule
+    over (t1, t2) pairs: on split_gram's dyadic t1 quadrature and the
+    midpoint t2 grid, each pair's row sqrt(w/(pi m2)) w1^a1 w2^a2 over
+    the index_set columns goes to the Gram R^T R, R = [Re V; Im V], of
+    the region its max-modulus falls in.  It shares only the nodes, the
+    boundary data and the index layout with split_gram, none of its
+    per-node t2 Grams.  Returns (inner, middle, outer)."""
+    t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
+    quad = hardy.circle_quadrature(2, t_floor)
+    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
+    d, m2 = spec.max_degree, spec.quad_points
+    t2 = hardy.midpoint_nodes(m2)
+    w1 = np.repeat(data.F, m2)
+    w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
+    sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
+    mx = np.maximum(np.abs(w1), np.abs(w2))
+    region = np.digitize(mx, (split.inner_radius, split.outer_radius),
+                         right=True)
+    idx = hardy.index_set(d)
+    grams = np.zeros((3, idx.shape[0], idx.shape[0]))
+    for lo in range(0, mx.size, PAIR_CHUNK):
+        part = slice(lo, lo + PAIR_CHUNK)
+        p1 = np.vander(w1[part], d + 1, increasing=True)
+        p2 = np.vander(w2[part], d + 1, increasing=True)
+        v = sqw[part, None] * p1[:, idx[:, 0]] * p2[:, idx[:, 1]]
+        for k in range(3):
+            sel = region[part] == k
+            if np.any(sel):
+                r = np.concatenate([v[sel].real, v[sel].imag])
+                grams[k] += r.T @ r
+    return tuple(grams)

@@ -70,10 +70,8 @@ def test_boundary_data_kinds(params):
     di = hardy.symbol_boundary_data(None, t, "identity")
     assert np.all(di.A == 0.0) and np.all(di.B == 1.0)
 
-    ds = hardy.symbol_boundary_data(None, t, "scaling", scale=0.5)
+    ds = hardy.symbol_boundary_data(None, t, "scaling")
     assert np.max(np.abs(ds.F - 0.5 * np.exp(1j * t))) < 1e-15
-    with pytest.raises(ConfigurationError):
-        hardy.symbol_boundary_data(None, t, "scaling", scale=1.5)
     with pytest.raises(ConfigurationError):
         hardy.symbol_boundary_data(params, t, "nope")
     with pytest.raises(ConfigurationError):
@@ -145,7 +143,7 @@ def test_assembly_matches_brute_force(params, kind):
 
 def test_assembly_matches_brute_force_scaling(params):
     spec = hardy.TruncationSpec(4, 64)
-    om = hardy.assemble_matrix(params, spec, "scaling", scale=0.5)
+    om = hardy.assemble_matrix(params, spec, "scaling")
     brute = _brute_force_entries(None, spec, "scaling")
     assert np.max(np.abs(om.entries - brute)) < 1e-10
     # exact diagonal: entry((b),(a)) = delta * 2^-(a1+a2)
@@ -201,7 +199,7 @@ def test_hs_norm_frozen_values(params):
 def test_hs_scaling_closed_form(params):
     # sum over alpha of 4^-(a1+a2) = (4/3)^2
     val = hardy.hs_norm_squared(params, hardy.TruncationSpec(4, 64),
-                                kind="scaling", scale=0.5)
+                                kind="scaling")
     assert abs(val - 16.0 / 9.0) < 1e-12
 
 
@@ -221,18 +219,18 @@ def test_hs_brute_force(params):
 def test_truncation_error_scaling_closed_form(params):
     d = 2
     _, tail = hardy.column_gram(params, hardy.TruncationSpec(d, 64),
-                                kind="scaling", scale=0.5)
+                                kind="scaling")
     kept = sum(0.25 ** (a1 + a2) for a1 in range(d + 1)
                for a2 in range(d + 1))
     assert abs(tail - math.sqrt(16.0 / 9.0 - kept)) < 1e-12
 
 
-def _column_quadrature_norms(params, spec, kind="paper", scale=0.5):
+def _column_quadrature_norms(params, spec, kind="paper"):
     """||e_alpha o Phi||^2 under the discrete pullback measure in closed
     form, t2 exact: per node sum_j C(a2,j)^2 |A|^{2(a2-j)} |B|^{2j},
     averaged in t1 over the uniform half-circle quadrature."""
     quad = hardy.circle_quadrature(spec.quad_points)
-    data = hardy.symbol_boundary_data(params, quad.nodes, kind, scale)
+    data = hardy.symbol_boundary_data(params, quad.nodes, kind)
     d = spec.max_degree
     idx = hardy.index_set(d)
     aa = np.abs(data.A) ** 2

@@ -16,7 +16,7 @@ from cuspdecay.errors import (
     InvalidInputError,
     RangeError,
 )
-from conftest import stacked_product_gram
+from conftest import pair_stack_split_grams, stacked_product_gram
 
 
 def test_singular_spectrum_validation():
@@ -222,8 +222,7 @@ def test_compression_monotonicity(params):
 
 def test_scaling_spectrum_exact(params):
     spec = hardy.TruncationSpec(4, 64)
-    s = spectrum.composition_spectrum(params, spec, kind="scaling",
-                                      scale=0.5)
+    s = spectrum.composition_spectrum(params, spec, kind="scaling")
     idx = hardy.index_set(4)
     expect = np.sort(0.5 ** (idx[:, 0] + idx[:, 1]))[::-1]
     assert np.max(np.abs(s.values - expect)) < 1e-12
@@ -339,6 +338,21 @@ def test_split_gram_partition_and_masses(params):
                     (sg.gram_inner, sg.gram_middle, sg.gram_outer))
         whole = float(np.real(c.conj() @ sg.gram_full @ c))
         assert abs(parts - whole) <= 1e-12 * max(abs(whole), 1.0)
+
+
+@pytest.mark.parametrize("d, q", [(4, 32), (12, 64)])
+@pytest.mark.parametrize("n", [90, 190])
+def test_split_gram_regions_match_pair_stack_oracle(params, d, q, n):
+    # the partition identity sees only the sum of the three Grams; this
+    # catches a point counted in the wrong region
+    spec = hardy.TruncationSpec(d, q)
+    split = spectrum.SplitSpec.for_rank(params, n)
+    sg = spectrum.split_gram(params, spec, split)
+    oracle = pair_stack_split_grams(params, spec, split)
+    for got, want in zip((sg.gram_inner, sg.gram_middle, sg.gram_outer),
+                         oracle):
+        assert np.max(want) > 0.0
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_one_dim_contrast_frozen():
