@@ -6,8 +6,9 @@ Each suite samples deterministically from a seed, evaluates its
 inequality exactly (polynomial norms are coefficient norms, never
 quadrature), and returns a report whose violations list is empty iff
 the suite passed.  A violation always carries enough of a witness to
-replay the single failing evaluation by hand; each suite keeps the
-first WITNESS_CAP witnesses per item.
+replay the single failing evaluation by hand.  Every violation enters
+through VerificationReport.witness or .record, which keep the first
+WITNESS_CAP witnesses per item, grouped by item in sample order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ConfigurationError
 
 DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
-# calibration points checked per slice; bounds the (points x 16) arrays
+# calibration points checked per slice; bounds the per-point temporaries
 CALIBRATION_BLOCK = 1 << 15
 # witnesses kept per violated item; more would only repeat the story
 WITNESS_CAP = 10
@@ -49,10 +50,22 @@ class VerificationReport:
         return not self.violations
 
     def witness(self, entry: dict) -> None:
-        """Record a violation unless its item already has WITNESS_CAP."""
-        item = entry["item"]
-        if sum(v["item"] == item for v in self.violations) < WITNESS_CAP:
-            self.violations.append(entry)
+        """Record a violation unless its item has WITNESS_CAP already,
+        after the item's last one, so each item's witnesses stay together."""
+        same = [k for k, v in enumerate(self.violations)
+                if v["item"] == entry["item"]]
+        if len(same) < WITNESS_CAP:
+            at = same[-1] + 1 if same else len(self.violations)
+            self.violations.insert(at, entry)
+
+    def record(self, item: str, mask: np.ndarray, fields) -> None:
+        """Witness the first WITNESS_CAP points where mask holds; fields(i)
+        maps each witness key to point i's value, a complex one stored
+        as [re, im]."""
+        for i in np.flatnonzero(mask)[:WITNESS_CAP]:
+            entry = {key: _c2s(value) if np.iscomplexobj(value) else value
+                     for key, value in fields(i).items()}
+            self.witness({"item": item, **entry})
 
     def to_dict(self) -> dict:
         return {
@@ -115,35 +128,30 @@ def check_cusp_geometry(sample_count: int,
     # witness only; may round to 1
     src = np.concatenate([z, 1.0 - np.exp(log_gap + 1j * ph_gap)])
 
-    def record(item, mask, extra=None):
-        bad = np.nonzero(mask)[0]
-        for i in bad[:WITNESS_CAP]:
-            w = {"item": item, "z": _c2s(src[i]), "chi": _c2s(chi_all[i])}
-            if extra:
-                w.update(extra)
-            rep.violations.append(w)
+    def at(i):
+        return {"z": src[i], "chi": chi_all[i]}
 
-    record("lens_outer", np.abs(chi_all - 0.5) > 0.5 + tolerance)
-    record("lens_upper", np.abs(chi_all - (1.0 + 0.5j)) < 0.5 - tolerance)
-    record("lens_lower", np.abs(chi_all - (1.0 - 0.5j)) < 0.5 - tolerance)
-    record("near_one", np.abs(chi_all - 1.0) > 1.0 + tolerance)
-    record("real_part", (chi_all.real < -tolerance) | (chi_all.real > 1.0 + tolerance))
-    record("imag_vs_gap",
-           np.abs(chi_all.imag) > 2.0 * (1.0 - chi_all.real) ** 2 + tolerance)
+    rep.record("lens_outer", np.abs(chi_all - 0.5) > 0.5 + tolerance, at)
+    rep.record("lens_upper",
+               np.abs(chi_all - (1.0 + 0.5j)) < 0.5 - tolerance, at)
+    rep.record("lens_lower",
+               np.abs(chi_all - (1.0 - 0.5j)) < 0.5 - tolerance, at)
+    rep.record("near_one", np.abs(chi_all - 1.0) > 1.0 + tolerance, at)
+    rep.record("real_part", (chi_all.real < -tolerance)
+               | (chi_all.real > 1.0 + tolerance), at)
+    rep.record("imag_vs_gap", np.abs(chi_all.imag)
+               > 2.0 * (1.0 - chi_all.real) ** 2 + tolerance, at)
 
-    axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001)
+    axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
     chi_axis = maps.cusp_values(axis)
-    record_axis = np.nonzero(chi_axis.imag != 0.0)[0]
-    for i in record_axis[:WITNESS_CAP]:
-        rep.violations.append(
-            {"item": "real_axis", "z": [float(axis[i]), 0.0],
-             "chi": _c2s(chi_axis[i])})
+    rep.record("real_axis", chi_axis.imag != 0.0,
+               lambda i: {"z": axis[i], "chi": chi_axis[i]})
 
     ratio = np.abs(1.0 - chi_all) / (1.0 - np.abs(chi_all))
     ratio = ratio[np.isfinite(ratio)]
     k_default = maps.estimate_k()
-    record("distortion", np.abs(1.0 - chi_all)
-           > k_default * (1.0 - np.abs(chi_all)) + tolerance)
+    rep.record("distortion", np.abs(1.0 - chi_all)
+               > k_default * (1.0 - np.abs(chi_all)) + tolerance, at)
     rep.constants["distortion_sup"] = float(ratio.max())
     rep.constants["k_hat"] = k_default
 
@@ -155,8 +163,7 @@ def check_cusp_geometry(sample_count: int,
     rep.constants["gap_log_bracket_doubled"] = [lo2, hi2]
     rep.constants["gap_log_bracket_drift"] = drift
     if drift >= 0.05:
-        rep.violations.append(
-            {"item": "gap_log_bracket_unstable", "drift": drift})
+        rep.witness({"item": "gap_log_bracket_unstable", "drift": drift})
     return rep
 
 
@@ -171,22 +178,22 @@ def check_calibration(params, sample_count: int,
       |chi| + 2 c |phi(chi)| < 1
       1 - |w2| >= (1 - |chi|) / 2   for w2 = chi + c phi(chi) u,
 
-    the second over a 16-point unimodular grid of u (covering every
-    g(z2) value the symbol can produce).  The cusp point attains
-    equality only in the z -> 1 limit, which interior sampling never
-    hits.
+    the second for every |u| <= 1, so for every value of g(z2).  Its
+    margin is taken at u* = exp(i (arg chi - arg phi)), where c phi u*
+    points along chi: by the triangle inequality that is the minimum
+    over the closed disk.  The cusp point attains equality only in the
+    z -> 1 limit, which interior sampling never hits.
 
     The sample is drawn once, then checked in slices of
-    CALIBRATION_BLOCK points, so the (points x 16) arrays have at most
-    that many rows whatever sample_count is; every element is computed
-    as on the whole array, and the witnesses are the first ten per
-    item in sample order."""
+    CALIBRATION_BLOCK points, so the per-point temporaries have at most
+    that many entries whatever sample_count is; every element is
+    computed as on the whole array, and the witnesses are the first ten
+    per item in sample order."""
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
     rep = VerificationReport("calibration", seed, sample_count)
     z_all = maps.disk_samples(sample_count, seed)
-    u = np.exp(2j * math.pi * np.arange(16) / 16.0)
-    reach, half_gap, reach_mins, half_mins = [], [], [], []
+    reach_min = half_min = math.inf
     for start in range(0, sample_count, CALIBRATION_BLOCK):
         z = z_all[start:start + CALIBRATION_BLOCK]
         chi = maps.cusp_values(z)
@@ -194,24 +201,16 @@ def check_calibration(params, sample_count: int,
         damp = params.c * np.abs(phi)
         gap = 1.0 - np.abs(chi)
         reach_margin = gap - 2.0 * damp
-        bad = np.nonzero(reach_margin <= 0.0)[0]
-        for i in bad[:WITNESS_CAP - len(reach)]:
-            reach.append(
-                {"item": "reach", "z": _c2s(z[i]), "margin": float(reach_margin[i])})
-
-        w2 = chi[:, None] + (params.c * phi)[:, None] * u[None, :]
-        half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
-        bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
-        for i in bad2[:WITNESS_CAP - len(half_gap)]:
-            k = int(np.argmin(half_margin[i]))
-            half_gap.append(
-                {"item": "half_gap", "z": _c2s(z[i]), "u": _c2s(u[k]),
-                 "margin": float(half_margin[i, k])})
-        reach_mins.append(reach_margin.min())
-        half_mins.append(half_margin.min())
-    rep.violations = reach + half_gap
-    rep.constants["reach_margin_min"] = float(np.min(reach_mins))
-    rep.constants["half_gap_margin_min"] = float(np.min(half_mins))
+        u = np.exp(1j * (np.angle(chi) - np.angle(phi)))
+        half_margin = (1.0 - np.abs(chi + params.c * phi * u)) - gap / 2.0
+        rep.record("reach", reach_margin <= 0.0,
+                   lambda i: {"z": z[i], "margin": reach_margin[i]})
+        rep.record("half_gap", half_margin < 0.0,
+                   lambda i: {"z": z[i], "u": u[i], "margin": half_margin[i]})
+        reach_min = min(reach_min, float(reach_margin.min()))
+        half_min = min(half_min, float(half_margin.min()))
+    rep.constants["reach_margin_min"] = reach_min
+    rep.constants["half_gap_margin_min"] = half_min
     return rep
 
 
@@ -285,22 +284,19 @@ def check_covering(n: int, sample_count: int, params,
     chi = maps.cusp_from_log_gap(log_gap, phase)
     depth = 1.0 - params.sigma ** params.j0 / params.k_hat
     kept = (np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)
-    chi_kept = chi[kept]
-    covered = family.covers(chi_kept) if chi_kept.size else np.zeros(0, bool)
-    bad = np.nonzero(~covered)[0]
-    lg, ph = log_gap[kept], phase[kept]
+    log_gap, phase, chi_kept = log_gap[kept], phase[kept], chi[kept]
     centers, radii = family.centers(), family.radii()
-    for i in bad[:WITNESS_CAP]:
+
+    def uncovered(i):
         dist = np.abs(chi_kept[i] - centers)
-        j = int(np.argmin(dist / radii))
-        rep.violations.append({
-            "item": "uncovered", "log_gap": float(lg[i]), "phase": float(ph[i]),
-            "chi": _c2s(chi_kept[i]),
-            "nearest_disk": {"j": int(j + family.start_index),
-                             "center": float(centers[j]),
-                             "radius": float(radii[j]),
-                             "distance": float(dist[j])},
-        })
+        j = np.argmin(dist / radii)
+        return {"log_gap": log_gap[i], "phase": phase[i], "chi": chi_kept[i],
+                "nearest_disk": {"j": int(j + family.start_index),
+                                 "center": float(centers[j]),
+                                 "radius": float(radii[j]),
+                                 "distance": float(dist[j])}}
+
+    rep.record("uncovered", ~family.covers(chi_kept), uncovered)
     rep.constants["kept"] = int(chi_kept.size)
     rep.constants["vacuous"] = bool(chi_kept.size == 0)
     rep.constants["family"] = {"start_index": family.start_index,
@@ -455,7 +451,7 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
     rep.constants["series_limit"] = limit
     rep.constants["top_relative_gap"] = rel
     if rel > 0.05:
-        rep.violations.append(
+        rep.witness(
             {"item": "limit_convergence", "n": n_top, "ratio": ratios[n_top],
              "limit": limit, "relative_gap": rel})
     return rep

@@ -50,6 +50,20 @@ def stacked_product_gram(params, spec, kind="paper"):
 PAIR_CHUNK = 1 << 13
 
 
+def split_pair_points(params, spec, split):
+    """(w1, w2, sqrt(w/(pi m2))) at every (t1, t2) pair of split_gram's
+    grids: its dyadic t1 quadrature and the midpoint t2 grid."""
+    t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
+    quad = hardy.circle_quadrature(2, t_floor)
+    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
+    m2 = spec.quad_points
+    t2 = hardy.midpoint_nodes(m2)
+    w1 = np.repeat(data.F, m2)
+    w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
+    sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
+    return w1, w2, sqw
+
+
 def pair_stack_split_grams(params, spec, split):
     """Region Gram oracle for spectrum.split_gram, by the product rule
     over (t1, t2) pairs: on split_gram's dyadic t1 quadrature and the
@@ -58,14 +72,8 @@ def pair_stack_split_grams(params, spec, split):
     the region its max-modulus falls in.  It shares only the nodes, the
     boundary data and the index layout with split_gram, none of its
     per-node t2 Grams.  Returns (inner, middle, outer)."""
-    t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
-    quad = hardy.circle_quadrature(2, t_floor)
-    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
-    d, m2 = spec.max_degree, spec.quad_points
-    t2 = hardy.midpoint_nodes(m2)
-    w1 = np.repeat(data.F, m2)
-    w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
-    sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
+    d = spec.max_degree
+    w1, w2, sqw = split_pair_points(params, spec, split)
     mx = np.maximum(np.abs(w1), np.abs(w2))
     region = np.digitize(mx, (split.inner_radius, split.outer_radius),
                          right=True)

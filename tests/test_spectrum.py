@@ -1,6 +1,7 @@
 """Spectrum pipeline: oracle equivalence, honest intervals, decay
 fits, the splitting experiment, one-variable contrast runs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,11 @@ from cuspdecay.errors import (
     InvalidInputError,
     RangeError,
 )
-from conftest import pair_stack_split_grams, stacked_product_gram
+from conftest import (
+    pair_stack_split_grams,
+    split_pair_points,
+    stacked_product_gram,
+)
 
 
 def test_singular_spectrum_validation():
@@ -340,13 +345,25 @@ def test_split_gram_partition_and_masses(params):
         assert abs(parts - whole) <= 1e-12 * max(abs(whole), 1.0)
 
 
-@pytest.mark.parametrize("d, q", [(4, 32), (12, 64)])
-@pytest.mark.parametrize("n", [90, 190])
-def test_split_gram_regions_match_pair_stack_oracle(params, d, q, n):
+@pytest.mark.parametrize("n, d, q, c", [
+    *(pytest.param(n, d, q, None, id="%d-%d-%d" % (n, d, q))
+      for n in (90, 190) for d, q in ((4, 32), (12, 64))),
+    pytest.param(90, 4, 32, 0.1, id="90-4-32-c0.1")])
+def test_split_gram_regions_match_pair_stack_oracle(params, n, d, q, c):
     # the partition identity sees only the sum of the three Grams; this
     # catches a point counted in the wrong region
     spec = hardy.TruncationSpec(d, q)
     split = spectrum.SplitSpec.for_rank(params, n)
+    if c is not None:
+        # at this c, |F| alone and |w2| alone each put some grid points
+        # in another region than max(|F|, |w2|), so the case pins the cut
+        params = dataclasses.replace(params, c=c)
+        w1, w2, _ = split_pair_points(params, spec, split)
+        cuts = (split.inner_radius, split.outer_radius)
+        both = np.digitize(np.maximum(abs(w1), abs(w2)), cuts, right=True)
+        for alone in (w1, w2):
+            moved = np.digitize(abs(alone), cuts, right=True) != both
+            assert np.count_nonzero(moved) > 0
     sg = spectrum.split_gram(params, spec, split)
     oracle = pair_stack_split_grams(params, spec, split)
     for got, want in zip((sg.gram_inner, sg.gram_middle, sg.gram_outer),

@@ -41,39 +41,127 @@ def test_geometry_suite_reduced_budget():
         verifier.check_cusp_geometry(2_000)
 
 
+def _grouped_first_ten(rep, items):
+    """The report's witnesses per item, after checking that each item's
+    are contiguous, in the given order, and at most ten."""
+    order = [v["item"] for v in rep.violations]
+    assert order == sorted(order, key=items.index)
+    got = {item: [v for v in rep.violations if v["item"] == item]
+           for item in items}
+    assert all(len(w) <= 10 for w in got.values())
+    return got
+
+
+def test_geometry_suite_witnesses_every_item(monkeypatch):
+    # a negative tolerance turns every inequality but the exact real
+    # axis one into a violation nearly everywhere
+    monkeypatch.setattr(verifier, "GEOMETRY_TOLERANCE", -1.0)
+    rep = verifier.check_cusp_geometry(10_000)
+    z = maps.disk_samples(10_000, 17)
+    chi = maps.cusp_values(z)
+    gap = 1.0 - np.abs(chi)
+    masks = {
+        "lens_outer": np.abs(chi - 0.5) > -0.5,
+        "lens_upper": np.abs(chi - (1.0 + 0.5j)) < 1.5,
+        "lens_lower": np.abs(chi - (1.0 - 0.5j)) < 1.5,
+        "near_one": np.abs(chi - 1.0) > 0.0,
+        "real_part": (chi.real < 1.0) | (chi.real > 0.0),
+        "imag_vs_gap": np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 - 1.0,
+        "distortion": np.abs(1.0 - chi) > maps.estimate_k() * gap - 1.0,
+    }
+    got = _grouped_first_ten(rep, list(masks))
+    for item, mask in masks.items():
+        # ten hits among the disk samples, which come first in the suite
+        first = np.nonzero(mask)[0][:10]
+        assert first.size == 10
+        assert got[item] == [
+            {"item": item, "z": verifier._c2s(z[i]),
+             "chi": verifier._c2s(chi[i])} for i in first]
+
+
+def test_covering_suite_witnesses_uncovered(params, monkeypatch):
+    monkeypatch.setattr(verifier.CoveringFamily, "covers",
+                        lambda self, w: np.zeros(np.shape(w), bool))
+    n, count = 100, 1000
+    rep = verifier.check_covering(n, count, params=params)
+    # check_covering's draw, then its hypothesis region
+    rng = np.random.default_rng(np.random.SeedSequence((17, n)))
+    log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, count)
+    phase = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, count)
+    inside = log_gap < np.log(2.0 * np.cos(phase))
+    log_gap, phase = log_gap[inside], phase[inside]
+    chi = maps.cusp_from_log_gap(log_gap, phase)
+    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
+    kept = np.nonzero((np.abs(chi) > depth)
+                      & (np.abs(chi - 1.0) > 1.0 / n))[0]
+    assert kept.size == rep.constants["kept"] > 10
+    witnesses = _grouped_first_ten(rep, ["uncovered"])["uncovered"]
+    assert len(witnesses) == 10
+    fam = verifier.CoveringFamily.for_size(params, n)
+    for i, w in zip(kept[:10], witnesses):
+        assert (w["log_gap"], w["phase"]) == (log_gap[i], phase[i])
+        assert w["chi"] == verifier._c2s(chi[i])
+        # nearest disk in units of its radius, by brute force
+        scaled = [abs(chi[i] - c) / r
+                  for c, r in zip(fam.centers(), fam.radii())]
+        j = min(range(len(scaled)), key=scaled.__getitem__)
+        disk = dict(w["nearest_disk"])
+        dist = abs(chi[i] - fam.centers()[j])
+        assert abs(disk.pop("distance") - dist) <= 1e-15 * dist
+        assert disk == {"j": j + fam.start_index, "center": fam.centers()[j],
+                        "radius": fam.radii()[j]}
+
+
 def test_calibration_suite_reduced_budget(params):
     rep = verifier.check_calibration(params, 50_000)
     assert rep.passed and rep.suite == "calibration"
     assert abs(rep.constants["reach_margin_min"] - 0.1207460355776987) < 1e-14
     assert abs(rep.constants["half_gap_margin_min"]
-               - 0.060374409672947826) < 1e-14
+               - 0.06037301778884929) < 1e-14
+    # the margin at the worst u is the min over the disk: no u on a
+    # 4096-point unimodular grid does worse, and the grid comes within
+    # 1e-10.  |chi + c phi u|^2 = |chi|^2 + |c phi|^2 + 2 Re(b u) with
+    # b = conj(chi) c phi, so each point needs only max_u Re(b u).
+    z = maps.disk_samples(50_000, 17)
+    chi = maps.cusp_values(z)
+    cphi = params.c * maps.phi_values(chi, params.theta)
+    b = np.conj(chi) * cphi
+    re_bu = np.full(z.size, -np.inf)
+    for k in range(0, 4096, 64):  # 64 grid points of u at a time
+        t = 2.0 * math.pi * np.arange(k, k + 64) / 4096.0
+        cos_sin = np.stack([np.cos(t), np.sin(t)])
+        re_bu = np.maximum(re_bu, np.max(
+            np.stack([b.real, -b.imag], axis=1) @ cos_sin, axis=1))
+    w2 = np.sqrt(np.abs(chi) ** 2 + np.abs(cphi) ** 2 + 2.0 * re_bu)
+    grid_min = float(np.min((1.0 - w2) - (1.0 - np.abs(chi)) / 2.0))
+    half_min = rep.constants["half_gap_margin_min"]
+    assert half_min <= grid_min <= half_min + 1e-10
     with pytest.raises(ConfigurationError):
         verifier.check_calibration(params, 100)
 
 
 def _broadcast_calibration(params, sample_count, seed=17):
-    """The calibration suite over the whole sample at once, with its
-    (samples x 16) arrays: the oracle for the block-streamed suite."""
+    """The calibration suite over the whole sample at once, the
+    half-gap margin in closed form at u* = exp(i (arg chi - arg phi)):
+    the oracle for the block-streamed suite."""
     rep = verifier.VerificationReport("calibration", seed, sample_count)
     z = maps.disk_samples(sample_count, seed)
     chi = maps.cusp_values(z)
-    damp = params.c * np.abs(maps.phi_values(chi, params.theta))
+    phi = maps.phi_values(chi, params.theta)
     gap = 1.0 - np.abs(chi)
-    reach_margin = gap - 2.0 * damp
+    reach_margin = gap - 2.0 * (params.c * np.abs(phi))
+    u = np.exp(1j * (np.angle(chi) - np.angle(phi)))
+    half_margin = (1.0 - np.abs(chi + params.c * phi * u)) - gap / 2.0
     bad = np.nonzero(reach_margin <= 0.0)[0]
+    bad2 = np.nonzero(half_margin < 0.0)[0]
     for i in bad[:10]:
         rep.violations.append(
             {"item": "reach", "z": verifier._c2s(z[i]),
              "margin": float(reach_margin[i])})
-    u = np.exp(2j * math.pi * np.arange(16) / 16.0)
-    w2 = chi[:, None] + (params.c * maps.phi_values(chi, params.theta))[:, None] * u[None, :]
-    half_margin = (1.0 - np.abs(w2)) - gap[:, None] / 2.0
-    bad2 = np.nonzero(np.min(half_margin, axis=1) < 0.0)[0]
     for i in bad2[:10]:
-        k = int(np.argmin(half_margin[i]))
         rep.violations.append(
             {"item": "half_gap", "z": verifier._c2s(z[i]),
-             "u": verifier._c2s(u[k]), "margin": float(half_margin[i, k])})
+             "u": verifier._c2s(u[i]), "margin": float(half_margin[i])})
     rep.constants["reach_margin_min"] = float(reach_margin.min())
     rep.constants["half_gap_margin_min"] = float(half_margin.min())
     return rep, bad, bad2
