@@ -25,7 +25,9 @@ A column's j-th term depends on (a1, a2) only through p = a1 + a2 - j,
 so the column Gram is an operator on (2D+1)^2 moment matrices
 H_j[p, p'] = <|B|^j F^p', |B|^j F^p> (one small product per j): G X
 costs a few small matrix products and the (D+1)^2 x (D+1)^2 Gram is
-never needed.  Only g = 1 (image F^a1 A^a2) keeps a dense Gram.
+never needed.  g = 1 (image F^a1 A^a2) has no such form; its Gram is
+kept as the real factor R of G = R^T R, two rows per half-circle node
+and one column per kept monomial, so it is never formed either.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
@@ -219,11 +221,6 @@ def circle_quadrature(q: int,
     return CircleQuadrature(nodes[order], np.concatenate(weights)[order])
 
 
-def _quadrature_data(params, spec: TruncationSpec, kind: str):
-    quad = circle_quadrature(spec.quad_points)
-    return quad, symbol_boundary_data(params, quad.nodes, kind)
-
-
 # ---------------------------------------------------------------------------
 # matrix assembly
 
@@ -288,10 +285,11 @@ def assemble_matrix(params, spec: TruncationSpec,
     entries are real.
 
     When the symbol is not Hilbert-Schmidt (identity) tail_hs is +inf,
-    as is the tail column_gram returns.
+    as is the tail of column_gram_operator.
     """
     d, q = spec.max_degree, spec.quad_points
-    quad, data = _quadrature_data(params, spec, kind)
+    quad = circle_quadrature(q)
+    data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
     a1, a2 = idx[None, :, 0], idx[None, :, 1]  # columns carry alpha,
     b1, b2 = idx[:, 0, None], idx[:, 1, None]  # rows carry beta
@@ -357,30 +355,24 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
     return hs_sq, rad
 
 
-def hs_norm_squared(params, spec: TruncationSpec,
-                    kind: str = "paper") -> float:
-    """Quadrature value of int dm_Phi / ((1-|w1|^2)(1-|w2|^2))."""
-    quad, data = _quadrature_data(params, spec, kind)
-    return _hs_quadrature(data, quad)
-
-
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True, eq=False)
 class ColumnGram:
-    """The column Gram G of column_gram as an operator X -> G X on
-    blocks of columns in the index_set layout, with its order n, trace
-    and truncation tail.  hs_sq is the Hilbert-Schmidt integral on the
-    same quadrature and tail_radicand the signed HS^2 - trace G before
-    the clamp; both are inf when the symbol is not Hilbert-Schmidt.
+    """The column Gram G of column_gram_operator as an operator
+    X -> G X on blocks of columns in the index_set layout, with its
+    order n, trace and truncation tail.  hs_sq is the Hilbert-Schmidt
+    integral on the same quadrature and tail_radicand the signed
+    HS^2 - trace G before the clamp; both are inf when the symbol is not
+    Hilbert-Schmidt.
 
     For every symbol with an expansion matrix W (see _expansion) G is
     held as shifted moments moments[j, s, s'] = H_j[s - j, s' - j]
     (s, s' <= 2D, zero where s < j or s' < j) and expansion = W, and
     (G X)[(b1, b2)] = sum_j W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
     sum_{a1 + a2 = s'} W[a2, j] X[(a1, a2)] is computed without forming
-    G.  Paper with g = 1 holds its dense Gram."""
+    G.  Paper with g = 1 holds the real factor R of G = R^T R."""
 
     order: int
     trace: float
@@ -388,7 +380,7 @@ class ColumnGram:
     tail_radicand: float
     moments: np.ndarray | None = None
     expansion: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    factor: np.ndarray | None = None
 
     @property
     def tail(self) -> float:
@@ -404,9 +396,10 @@ class ColumnGram:
         """G @ x for an (n, k) block x.  With the moments this is five
         steps, O(D^3 k) flops and no n x n array: scatter x into
         w[a2, a1 + a2], contract a2 against W, one batched product with
-        the moment matrices, contract j against W, gather."""
-        if self.dense is not None:
-            return self.dense @ x
+        the moment matrices, contract j against W, gather.  With the
+        factor it is R^T (R x)."""
+        if self.factor is not None:
+            return self.factor.T @ (self.factor @ x)
         a2, s = self._layout
         w = np.zeros((self.expansion.shape[0], self.moments.shape[1],
                       x.shape[1]))
@@ -420,56 +413,11 @@ class ColumnGram:
 
 def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
                          quad: CircleQuadrature | None = None) -> ColumnGram:
-    """The column Gram of column_gram as a ColumnGram operator, on quad
-    (by default circle_quadrature(spec.quad_points)).
-
-    With the expansion (X, Y, W) of _expansion the moment matrices are
-    H_j = S_j^T S_j, S_j = factor(X^p) scaled by |Y|^j, p up to 2D - j,
-    and trace G = sum_j sum_alpha W[a2, j]^2 H_j[a1 + a2 - j,
-    a1 + a2 - j]; j stops at 0 when Y = 0.  Paper with g = 1 has one
-    t2 term per column: G = R^T R with R = factor(F^a1 A^a2) over the
-    (D+1)^2 columns."""
-    d = spec.max_degree
-    if quad is None:
-        quad = circle_quadrature(spec.quad_points)
-    data = symbol_boundary_data(params, quad.nodes, kind)
-    idx = index_set(d)
-    a1, a2 = idx[:, 0], idx[:, 1]
-    x, y, w = _expansion(data, d)
-    if w is None:
-        r = quad.factor(np.vander(x, d + 1, increasing=True)[:, a1]
-                        * np.vander(y, d + 1, increasing=True)[:, a2])
-        gram = r.T @ r
-        trace = float(np.trace(gram))
-        return ColumnGram(gram.shape[0], trace,
-                          *_truncation_tail(data, quad, trace), dense=gram)
-    if np.all(y == 0):
-        w = w[:, :1]
-    r = quad.factor(np.vander(x, 2 * d + 1, increasing=True))
-    b = np.abs(np.concatenate([y, y]))[:, None]
-    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
-    for j in range(w.shape[1]):
-        s_j = r[:, :2 * d + 1 - j] * b ** j
-        # keep every product normal: subnormal ones made these
-        # products 5x slower at D = 48, and what is dropped moves
-        # no moment by more than ~1e-150
-        s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
-        moments[j, j:, j:] = s_j.T @ s_j
-    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
-    trace = float(np.sum(w[a2] ** 2 * diag))
-    return ColumnGram(idx.shape[0], trace,
-                      *_truncation_tail(data, quad, trace),
-                      moments=moments, expansion=w)
-
-
-def column_gram(params, spec: TruncationSpec, kind: str = "paper",
-                quad: CircleQuadrature | None = None):
-    """Gram matrix G[alpha, alpha'] = <C e_alpha', C e_alpha> of the
-    composed kept monomials under the discrete pullback measure, plus
-    the discarded-column tail bound.  Returns (gram, tail); the Gram is
-    real and exactly symmetric, in the index_set layout.  The t1
-    integrals run over quad, by default
-    circle_quadrature(spec.quad_points).
+    """Gram G[alpha, alpha'] = <C e_alpha', C e_alpha> of the composed
+    kept monomials under the discrete pullback measure, as a ColumnGram
+    operator with the discarded-column tail.  G is real and symmetric,
+    in the index_set layout.  The t1 integrals run over quad, by
+    default circle_quadrature(spec.quad_points).
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -488,17 +436,42 @@ def column_gram(params, spec: TruncationSpec, kind: str = "paper",
             = sum_j W[a2, j] W[b2, j] H_j[a1 + a2 - j, b1 + b2 - j],
         H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}).
 
-    The Gram is the ColumnGram operator of column_gram_operator applied
-    to the identity, D+1 columns at a time, then symmetrised from its
-    upper triangle; the spectrum pipeline uses the operator directly."""
-    op = column_gram_operator(params, spec, kind, quad)
-    if op.dense is not None:
-        return op.dense, op.tail
-    n, width = op.order, spec.max_degree + 1
-    gram = np.empty((n, n))
-    for lo in range(0, n, width):
-        gram[:, lo:lo + width] = op.matmat(np.eye(n, width, -lo))
-    return np.triu(gram) + np.triu(gram, 1).T, op.tail
+    The moment matrices are H_j = S_j^T S_j, S_j = factor(X^p) scaled
+    by |Y|^j, p up to 2D - j, and trace G = sum_j sum_alpha W[a2, j]^2
+    H_j[a1 + a2 - j, a1 + a2 - j]; j stops at 0 when Y = 0.  Paper with
+    g = 1 has one t2 term per column: G = R^T R with R = factor(F^a1
+    A^a2) over the (D+1)^2 columns, and trace G is the sum of R's
+    squared entries."""
+    d = spec.max_degree
+    if quad is None:
+        quad = circle_quadrature(spec.quad_points)
+    data = symbol_boundary_data(params, quad.nodes, kind)
+    idx = index_set(d)
+    a1, a2 = idx[:, 0], idx[:, 1]
+    x, y, w = _expansion(data, d)
+    if w is None:
+        r = quad.factor(np.vander(x, d + 1, increasing=True)[:, a1]
+                        * np.vander(y, d + 1, increasing=True)[:, a2])
+        trace = float(np.sum(r * r))
+        return ColumnGram(r.shape[1], trace,
+                          *_truncation_tail(data, quad, trace), factor=r)
+    if np.all(y == 0):
+        w = w[:, :1]
+    r = quad.factor(np.vander(x, 2 * d + 1, increasing=True))
+    b = np.abs(np.concatenate([y, y]))[:, None]
+    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
+    for j in range(w.shape[1]):
+        s_j = r[:, :2 * d + 1 - j] * b ** j
+        # keep every product normal: subnormal ones made these
+        # products 5x slower at D = 48, and what is dropped moves
+        # no moment by more than ~1e-150
+        s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
+        moments[j, j:, j:] = s_j.T @ s_j
+    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
+    trace = float(np.sum(w[a2] ** 2 * diag))
+    return ColumnGram(idx.shape[0], trace,
+                      *_truncation_tail(data, quad, trace),
+                      moments=moments, expansion=w)
 
 
 # ---------------------------------------------------------------------------

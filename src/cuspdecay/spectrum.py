@@ -343,8 +343,8 @@ class SplitSpec:
 class SplitGrams:
     """Real Gram matrices, in the index_set layout, of the monomial
     embedding restricted to the three regions, plus the unpartitioned
-    Gram column_gram computes on the same t1 nodes with exact t2
-    moments.  Entrywise gram_inner + gram_middle + gram_outer =
+    column Gram of hardy.column_gram_operator on the same t1 nodes with
+    exact t2 moments.  Entrywise gram_inner + gram_middle + gram_outer =
     gram_full up to roundoff (see split_gram)."""
 
     split: SplitSpec
@@ -378,12 +378,14 @@ def split_gram(params, spec: hardy.TruncationSpec,
     G_k[(a1, a2), (b1, b2)] is the half-circle mean of
     conj(F^a1) F^b1 M_k(t1)[a2, b2], one factor product per a2.
 
-    The unpartitioned Gram is column_gram on the same t1 quadrature,
-    which integrates t2 exactly.  A column is a trigonometric
-    polynomial of degree <= D in t2, so an entry's t2 integrand has
+    The unpartitioned Gram is hardy.column_gram_operator applied to the
+    identity on the same t1 quadrature, which integrates t2 exactly.  A
+    column is a trigonometric polynomial of degree <= D in t2, so an
+    entry's t2 integrand has
     degree <= 2D < m2 (Q >= 4(D+1)), which the midpoint grid also
     integrates exactly: the partition identity compares two different
-    computations of the same numbers."""
+    computations of the same numbers.  gram_full is the operator's
+    output as computed, symmetric only up to roundoff."""
     t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
     quad = hardy.circle_quadrature(2, t_floor)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
@@ -409,8 +411,8 @@ def split_gram(params, spec: hardy.TruncationSpec,
             m = np.matmul((p2[:, :, a].conj() * w)[:, None, :], p2)[:, 0]
             g[:, a] = (r1.T @ quad.factor(m)).reshape(d + 1, d + 1, -1)
         grams.append(g[a1, a2][:, a1, a2])
-    full, _ = hardy.column_gram(params, spec, "paper", quad=quad)
-    return SplitGrams(split, *grams, gram_full=full)
+    op = hardy.column_gram_operator(params, spec, "paper", quad=quad)
+    return SplitGrams(split, *grams, gram_full=op.matmat(np.eye(op.order)))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +470,8 @@ def one_dim_plateau(scale: float = 0.5, block_size: int = 160,
     64, far below double precision; the block is therefore built from
     arbitrary-precision Taylor coefficients (iterated series products,
     exact in the kept rows) and decomposed with the arbitrary-precision
-    SVD.  The tail combines Cauchy estimates for the discarded rows
+    SVD.  chi commutes with conjugation, so its Taylor coefficients are
+    real: the block is an mpf matrix and the SVD is mp.svd_r.  The tail combines Cauchy estimates for the discarded rows
     (coefficients of a function analytic on |z| < 1/scale) with the
     certified sup bound for the discarded columns.  At scale 0.5 and
     the default block 160 it is 6.6e-44: 22 decades below
@@ -484,16 +487,16 @@ def one_dim_plateau(scale: float = 0.5, block_size: int = 160,
         coeffs = maps.cusp_taylor_mp(block_size, dps=precision_dps)
         r = mp.mpf(scale)
         shrunk = [coeffs[k] * r ** k for k in range(block_size)]
-        col = [mp.mpc(0)] * block_size
-        col[0] = mp.mpc(1)
+        col = [mp.mpf(0)] * block_size
+        col[0] = mp.mpf(1)
         block = mp.matrix(block_size, block_size)
-        block[0, 0] = mp.mpc(1)
+        block[0, 0] = mp.mpf(1)
         for alpha in range(1, block_size):
             col = maps._mp_ser_mul(col, shrunk, block_size)
             for b in range(block_size):
                 block[b, alpha] = col[b]
         try:
-            sv = mp.svd_c(block, compute_uv=False)
+            sv = mp.svd_r(block, compute_uv=False)
         except Exception as exc:
             raise ComputationError(
                 "arbitrary-precision SVD failed: %s" % exc) from exc

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,27 @@ def params():
 @pytest.fixture(scope="session")
 def small_spec():
     return hardy.TruncationSpec(16, 256)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced by tracemalloc (numpy buffers included) above
+    the level at the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def dense_column_gram(params, spec, kind="paper", quad=None):
+    """(G, tail): the column Gram of hardy.column_gram_operator written
+    out by applying the operator to the identity, symmetrised from its
+    upper triangle, and the operator's truncation tail."""
+    op = hardy.column_gram_operator(params, spec, kind, quad)
+    gram = op.matmat(np.eye(op.order))
+    return np.triu(gram) + np.triu(gram, 1).T, op.tail
 
 
 def stacked_product_gram(params, spec, kind="paper"):

@@ -12,7 +12,7 @@ from cuspdecay.errors import (
     DomainError,
     InvalidInputError,
 )
-from conftest import stacked_product_gram
+from conftest import dense_column_gram, stacked_product_gram
 
 
 def test_index_set_layout():
@@ -174,23 +174,33 @@ def test_assembled_matrix_metadata(params, small_spec):
 
 
 def test_identity_symbol_is_not_hilbert_schmidt(params):
-    om = hardy.assemble_matrix(None, hardy.TruncationSpec(2, 32), "identity")
-    assert math.isinf(om.tail_hs)
+    spec = hardy.TruncationSpec(2, 32)
+    om = hardy.assemble_matrix(None, spec, "identity")
+    assert math.isinf(om.tail_hs) and math.isinf(om.hs_sq)
+    op = hardy.column_gram_operator(None, spec, "identity")
+    assert math.isinf(op.hs_sq) and math.isinf(op.tail)
+    quad = hardy.circle_quadrature(32)
+    data = hardy.symbol_boundary_data(None, quad.nodes, "identity")
     with pytest.raises(DomainError):
-        hardy.hs_norm_squared(None, hardy.TruncationSpec(2, 32), "identity")
+        hardy._hs_quadrature(data, quad)
+
+
+def _hs(params, d, q, kind="paper"):
+    return hardy.column_gram_operator(
+        params, hardy.TruncationSpec(d, q), kind).hs_sq
 
 
 def test_hs_norm_frozen_values(params):
-    value = hardy.hs_norm_squared(params, hardy.TruncationSpec(16, 256))
-    doubled = hardy.hs_norm_squared(params, hardy.TruncationSpec(16, 512))
+    value = _hs(params, 16, 256)
+    doubled = _hs(params, 16, 512)
     rel_change = abs(doubled - value) / abs(doubled)
     assert abs(value - 2.2610460801227479) < 1e-12
     assert abs(doubled - 2.2640255460019545) < 1e-12
     assert abs(rel_change - 1.3160036486637942e-3) < 1e-9
     assert rel_change < 0.05
 
-    value2 = hardy.hs_norm_squared(params, hardy.TruncationSpec(16, 1024))
-    doubled2 = hardy.hs_norm_squared(params, hardy.TruncationSpec(16, 2048))
+    value2 = _hs(params, 16, 1024)
+    doubled2 = _hs(params, 16, 2048)
     assert abs(value2 - 2.2655443895795493) < 1e-12
     assert abs(abs(doubled2 - value2) / abs(doubled2)
                - 3.4447723006987633e-4) < 1e-9
@@ -198,8 +208,7 @@ def test_hs_norm_frozen_values(params):
 
 def test_hs_scaling_closed_form(params):
     # sum over alpha of 4^-(a1+a2) = (4/3)^2
-    val = hardy.hs_norm_squared(params, hardy.TruncationSpec(4, 64),
-                                kind="scaling")
+    val = _hs(params, 4, 64, kind="scaling")
     assert abs(val - 16.0 / 9.0) < 1e-12
 
 
@@ -212,14 +221,14 @@ def test_hs_brute_force(params):
     vals = 1.0 / ((1.0 - np.abs(data.F[:, None]) ** 2)
                   * (1.0 - np.abs(w2) ** 2))
     brute = float(np.mean(vals))
-    exact = hardy.hs_norm_squared(params, spec)
+    exact = _hs(params, 4, 512)
     assert abs(brute - exact) / exact < 1e-6
 
 
 def test_truncation_error_scaling_closed_form(params):
     d = 2
-    _, tail = hardy.column_gram(params, hardy.TruncationSpec(d, 64),
-                                kind="scaling")
+    tail = hardy.column_gram_operator(params, hardy.TruncationSpec(d, 64),
+                                      kind="scaling").tail
     kept = sum(0.25 ** (a1 + a2) for a1 in range(d + 1)
                for a2 in range(d + 1))
     assert abs(tail - math.sqrt(16.0 / 9.0 - kept)) < 1e-12
@@ -247,10 +256,10 @@ def _column_quadrature_norms(params, spec, kind="paper"):
 def test_column_norms_parseval(params, small_spec):
     idx, cols = _column_quadrature_norms(params, small_spec)
     assert idx.shape[0] == cols.size == 17 * 17
-    hs = hardy.hs_norm_squared(params, small_spec)
+    op = hardy.column_gram_operator(params, small_spec)
+    hs, tail = op.hs_sq, op.tail
     assert np.all(cols > 0.0)
     assert np.sum(cols) < hs
-    _, tail = hardy.column_gram(params, small_spec)
     assert abs(tail ** 2 + np.sum(cols) - hs) < 1e-12
 
 
@@ -258,7 +267,7 @@ def test_column_norms_parseval(params, small_spec):
 def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     p = _with_g_kind(params, g_kind)
     spec = hardy.TruncationSpec(6, 256)
-    gram, tail = hardy.column_gram(p, spec, kind)
+    gram, tail = dense_column_gram(p, spec, kind)
     t = hardy.midpoint_nodes(spec.quad_points)
     data = hardy.symbol_boundary_data(p, t, kind)
     w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
@@ -268,17 +277,17 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     brute = v.conj().T @ v / (spec.quad_points ** 2)
     assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
-    # only g = 1 (image F^a1 A^a2) has no moment form
+    # only g = 1 (image F^a1 A^a2) has no moment form: it keeps its factor
     op = hardy.column_gram_operator(p, spec, kind)
-    dense = kind == "paper" and g_kind == "constant_one"
-    assert (op.dense is not None) == dense
-    assert (op.moments is None) == dense
+    factored = kind == "paper" and g_kind == "constant_one"
+    assert (op.factor is not None) == factored
+    assert (op.moments is None) == factored
 
     # a caller's graded quadrature that reaches the cusp: the oracle sums
     # the complex Gram over the +-t nodes with their weights, each node a
     # plain mean over a 256-point t2 grid
     quad = hardy.circle_quadrature(64, 1e-30)
-    graded, graded_tail = hardy.column_gram(p, spec, kind, quad=quad)
+    graded, graded_tail = dense_column_gram(p, spec, kind, quad=quad)
     t1 = np.concatenate([quad.nodes, -quad.nodes])
     w = np.concatenate([quad.weights, quad.weights]) / (2.0 * math.pi)
     gd = hardy.symbol_boundary_data(p, t1, kind)
@@ -295,7 +304,7 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
         assert math.isinf(tail) and math.isinf(graded_tail)
         return
     # trace + tail^2 = the HS integral on the same grid
-    hs = hardy.hs_norm_squared(p, spec, kind)
+    hs = op.hs_sq
     assert abs(float(np.trace(gram).real) + tail ** 2 - hs) < 1e-12
     # and on the graded nodes, the t2 integral in closed form
     aa, bb = np.abs(gd.A) ** 2, np.abs(gd.B) ** 2
@@ -307,7 +316,7 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
 def test_column_gram_matches_stacked_products(params, d, q):
     spec = hardy.TruncationSpec(d, q)
-    gram, _ = hardy.column_gram(params, spec)
+    gram, _ = dense_column_gram(params, spec)
     assert np.array_equal(gram, gram.T)
     assert np.max(np.abs(gram - stacked_product_gram(params, spec))) <= 1e-14
 
@@ -324,19 +333,24 @@ def test_column_gram_operator_matches_stacked_products(params, kind, d, q):
     assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2)
     trace = float(np.trace(gram))
     assert abs(op.trace - trace) <= 1e-14 * trace
-    assert hardy.column_gram(params, spec, kind)[1] == op.tail
-    hs = hardy.hs_norm_squared(params, spec, kind)
-    assert op.hs_sq == hs and op.tail_radicand == hs - op.trace
+    # HS^2 in closed form in t2 on the same half-circle nodes
+    quad = hardy.circle_quadrature(q)
+    data = hardy.symbol_boundary_data(params, quad.nodes, kind)
+    ff, aa, bb = (np.abs(v) ** 2 for v in (data.F, data.A, data.B))
+    hs = float(np.sum(quad.weights / ((1.0 - ff) * np.sqrt(
+        (1.0 - aa - bb) ** 2 - 4.0 * aa * bb)))) / math.pi
+    assert abs(op.hs_sq - hs) <= 1e-14 * hs
+    assert op.tail_radicand == op.hs_sq - op.trace
 
 
 def test_column_gram_diagonal_matches_column_norms(params, small_spec):
-    gram, _ = hardy.column_gram(params, small_spec)
+    gram, _ = dense_column_gram(params, small_spec)
     idx, cols = _column_quadrature_norms(params, small_spec)
     assert np.max(np.abs(np.diag(gram).real - cols)) < 1e-13
 
 
 def test_column_gram_infinite_tail_for_identity():
-    gram, tail = hardy.column_gram(None, hardy.TruncationSpec(2, 32),
+    gram, tail = dense_column_gram(None, hardy.TruncationSpec(2, 32),
                                    "identity")
     assert math.isinf(tail)
     # columns e_{a} o identity are orthonormal

@@ -13,6 +13,7 @@ from cuspdecay.errors import (
     ConfigurationError,
     InvalidInputError,
 )
+from conftest import traced_peak
 
 # exact chain value at 0: 1 - 1/(1 - (2/pi) log(sqrt(2) - 1))
 CHI_AT_ZERO = 0.3594259851465734
@@ -210,6 +211,36 @@ def test_disk_samples_deterministic_and_clustered():
     assert np.mean(np.abs(a) > 0.99) > 0.2
     with pytest.raises(ConfigurationError):
         maps.disk_samples(0, seed=1)
+
+
+def _whole_array_disk_samples(count, seed):
+    """disk_samples' draws as whole arrays, in its order: ring radii,
+    bulk radii, angles."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    k_max = int(math.floor(-math.log2(1.0 - maps.SAMPLE_RADIUS_CAP)))
+    n_bulk = int(count * maps.SAMPLE_BULK_FRACTION)
+    k = rng.integers(1, k_max + 1, size=count - n_bulk)
+    r_ring = 1.0 - 0.5 ** k
+    r_bulk = np.sqrt(rng.random(n_bulk)) * maps.SAMPLE_RADIUS_CAP
+    r = np.concatenate([r_ring, r_bulk])
+    ang = rng.random(count) * 2.0 * np.pi
+    return r * np.exp(1j * ang)
+
+
+@pytest.mark.parametrize("count", [1, 7, maps.SAMPLE_BLOCK + 1,
+                                   3 * maps.SAMPLE_BLOCK + 17])
+def test_disk_samples_match_whole_array_formula(count):
+    for seed in (9, 17):
+        got = maps.disk_samples(count, seed)
+        assert got.tobytes() == _whole_array_disk_samples(count, seed).tobytes()
+
+
+def test_disk_samples_memory_per_sample():
+    # the radius and output arrays are 24 B per sample, and the blocks
+    # a fixed size
+    small = traced_peak(maps.disk_samples, 200_000, 17)
+    large = traced_peak(maps.disk_samples, 400_000, 17)
+    assert large - small < 200_000 * 26
 
 
 def test_estimate_k_frozen():

@@ -3,6 +3,7 @@ fits, the splitting experiment, one-variable contrast runs."""
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cuspdecay.errors import (
     RangeError,
 )
 from conftest import (
+    dense_column_gram,
     pair_stack_split_grams,
     split_pair_points,
     stacked_product_gram,
@@ -202,7 +204,7 @@ def test_gram_route_brackets_svd_route(params):
     om = hardy.assemble_matrix(params, spec)
     s_svd = spectrum.SingularSpectrum(
         np.linalg.svd(om.entries, compute_uv=False), om.tail_hs)
-    gram, tail = hardy.column_gram(params, spec)
+    gram, tail = dense_column_gram(params, spec)
     s_gram = spectrum.gram_values(gram, tail)
     defect = math.sqrt(max(
         float(np.trace(gram).real) - float(np.sum(np.abs(om.entries) ** 2)),
@@ -217,8 +219,8 @@ def test_gram_route_brackets_svd_route(params):
 
 def test_compression_monotonicity(params):
     # principal blocks of the Gram: s-numbers only grow with the degree
-    g4, _ = hardy.column_gram(params, hardy.TruncationSpec(4, 256))
-    g6, _ = hardy.column_gram(params, hardy.TruncationSpec(6, 256))
+    g4, _ = dense_column_gram(params, hardy.TruncationSpec(4, 256))
+    g6, _ = dense_column_gram(params, hardy.TruncationSpec(6, 256))
     assert np.max(np.abs(g6[:25, :25] - g4)) < 5e-13
     sv4 = spectrum.gram_values(g4, 0.0).values
     sv6 = spectrum.gram_values(g6, 0.0).values
@@ -277,10 +279,47 @@ def test_ritz_spectrum_matches_dense_oracle(params, d, q, fits):
     assert abs(fit.r_squared - want.r_squared) <= 1e-8 * want.r_squared
 
 
-def _dense_operator(gram, tail):
+@pytest.mark.parametrize("d, q", [(8, 128), (16, 256)])
+def test_constant_one_factor_matches_written_out_gram(params, d, q):
+    # g = 1: column (a1, a2) is F^a1 A^a2 with F = chi and
+    # A = chi + c phi(chi); its Gram R^T R is written out here from the
+    # boundary values and compared with the operator that keeps R
+    p = dataclasses.replace(params, g_kind="constant_one")
+    spec = hardy.TruncationSpec(d, q)
+    op = hardy.column_gram_operator(p, spec)
+    assert op.factor is not None and op.moments is None
+    quad = hardy.circle_quadrature(q)
+    f = maps.cusp_on_circle(quad.nodes)
+    a = f + p.c * maps.phi_values(f, p.theta)
+    idx = hardy.index_set(d)
+    v = (np.sqrt(quad.weights / math.pi)[:, None]
+         * f[:, None] ** idx[:, 0] * a[:, None] ** idx[:, 1])
+    r = np.concatenate([v.real, v.imag])
+    gram = r.T @ r
+    assert op.order == gram.shape[0] == (d + 1) ** 2
+    x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
+    err = np.max(np.abs(op.matmat(x) - gram @ x))
+    assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2)
     trace = float(np.trace(gram))
-    return hardy.ColumnGram(gram.shape[0], trace, trace + tail ** 2,
-                            tail ** 2, dense=gram)
+    assert abs(op.trace - trace) <= 1e-14 * trace
+    lam = np.linalg.eigvalsh(gram)[::-1]
+    got = spectrum.composition_spectrum(p, spec)
+    k = got.ritz_block
+    theta = got.values[:k] ** 2
+    tol = 64 * EPS * lam[0]
+    assert np.all(np.abs(theta - np.clip(lam[:k], 0.0, None)) <= tol)
+    assert np.all(theta <= lam[:k] + tol)
+    assert got.hs_sq == op.hs_sq and got.tail_radicand == op.tail_radicand
+
+
+def _dense_operator(gram, tail):
+    """A stand-in for hardy.ColumnGram that holds the matrix itself, so
+    the input may be any symmetric matrix, indefinite ones included."""
+    trace = float(np.trace(gram))
+    return types.SimpleNamespace(
+        order=gram.shape[0], trace=trace, tail=tail,
+        hs_sq=trace + tail ** 2, tail_radicand=tail ** 2,
+        matmat=lambda x: gram @ x)
 
 
 def test_ritz_intervals_contain_exact_values():

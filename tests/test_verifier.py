@@ -3,13 +3,13 @@ report plumbing, budget validation."""
 
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
+from conftest import traced_peak
 
 
 def test_report_plumbing():
@@ -77,6 +77,34 @@ def test_geometry_suite_witnesses_every_item(monkeypatch):
         assert got[item] == [
             {"item": item, "z": verifier._c2s(z[i]),
              "chi": verifier._c2s(chi[i])} for i in first]
+
+
+def _unclamped_chi0(z):
+    """chi0_values without its real-axis clamp: on the axis, Im chi0
+    is left as the rounding of the Moebius and square-root steps."""
+    z = np.asarray(z, dtype=complex)
+    lower = z.imag < 0.0
+    zz = np.where(lower, np.conj(z), z)
+    m = (zz - 1j) / (1j * zz - 1.0)
+    m = np.where(m.imag <= 0.0, m.real + 0.0j, m)
+    s = np.sqrt(m)
+    c0 = (s - 1j) / (1.0 - 1j * s)
+    return np.where(lower, np.conj(c0), c0)[()]
+
+
+def test_geometry_suite_witnesses_real_axis(monkeypatch):
+    # the real_axis item reads the chain's own output: with stage 0
+    # unclamped, the axis points whose chi picks up an imaginary part
+    # are its witnesses, and no other item fires
+    monkeypatch.setattr(maps, "chi0_values", _unclamped_chi0)
+    rep = verifier.check_cusp_geometry(10_000)
+    axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
+    chi = maps.cusp_values(axis)
+    first = np.nonzero(chi.imag != 0.0)[0][:10]
+    assert first.size == 10
+    assert rep.violations == [
+        {"item": "real_axis", "z": verifier._c2s(axis[i]),
+         "chi": verifier._c2s(chi[i])} for i in first]
 
 
 def test_covering_suite_witnesses_uncovered(params, monkeypatch):
@@ -189,23 +217,11 @@ def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
     assert verifier.check_calibration(loose, count).to_json() == want.to_json()
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes traced by tracemalloc (numpy buffers included) above
-    the level at the call."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_calibration_memory_per_sample(params):
     # the (samples x 16) arrays cost ~570 B per sample; the streamed
     # suite keeps only the sample itself and fixed-size blocks
-    small = _traced_peak(verifier.check_calibration, params, 200_000)
-    large = _traced_peak(verifier.check_calibration, params, 400_000)
+    small = traced_peak(verifier.check_calibration, params, 200_000)
+    large = traced_peak(verifier.check_calibration, params, 400_000)
     assert large - small < 200_000 * 100
 
 
@@ -236,7 +252,7 @@ def test_covers_memory_per_point(params):
     # the (points x disks) distance array took about 94 x 24 B per point
     fam = verifier.CoveringFamily.for_size(params, 1000)
     w = _points_near_disks(fam, 200_000, 4)
-    assert _traced_peak(fam.covers, w) < 200_000 * 100
+    assert traced_peak(fam.covers, w) < 200_000 * 100
 
 
 def test_covering_family_geometry(params):
