@@ -25,6 +25,10 @@ unknown keys are errors (drift detection).  Keys:
     trials                randomized-instance count           [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>
 
+The diagonal symbol ignores c; at degree 48 only 3 of its 7 schedule
+points clear 10 x tail, so `spectrum --symbol diagonal` writes its csv
+and exits 1 at every seed.  Run it with --degree 64 (fits n = 1..4).
+
 Flags override the file; CUSPDECAY_OUT overrides the configured output
 directory (an explicit --out still wins).  Every artifact embeds the
 12-hex config hash (all keys but out and precision) and the seed, and

@@ -446,15 +446,20 @@ def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
     return SingularSpectrum(s, tail, float(np.finfo(float).eps * s[0]))
 
 
-def scaled_sup_bound(scale: float, grid: int = 1 << 15) -> float:
+SUP_BOUND_GRID = 1 << 15
+PLATEAU_DPS = 60
+
+
+def scaled_sup_bound(scale: float) -> float:
     """Certified upper bound on sup |chi(scale * z)| over the closed
-    disk: grid maximum on the circle plus a derivative margin from the
-    Schwarz-Pick bound |chi'| <= 1/(1 - scale^2)."""
+    disk: maximum over SUP_BOUND_GRID midpoints on the circle plus a
+    derivative margin from the Schwarz-Pick bound
+    |chi'| <= 1/(1 - scale^2)."""
     if not 0.0 < scale < 1.0:
         raise ConfigurationError("scale must lie in (0, 1)")
-    t = 2.0 * math.pi * (np.arange(grid) + 0.5) / grid
+    t = hardy.midpoint_nodes(SUP_BOUND_GRID)
     vals = np.abs(maps.cusp_values(scale * np.exp(1j * t)))
-    margin = scale / (1.0 - scale * scale) * (math.pi / grid)
+    margin = scale / (1.0 - scale * scale) * (math.pi / SUP_BOUND_GRID)
     bound = float(vals.max()) + margin + 1e-12
     if bound >= 1.0:
         raise EstimationError(
@@ -462,39 +467,37 @@ def scaled_sup_bound(scale: float, grid: int = 1 << 15) -> float:
     return bound
 
 
-def one_dim_plateau(scale: float = 0.5, block_size: int = 160,
-                    precision_dps: int = 60) -> SingularSpectrum:
+def one_dim_plateau(scale: float = 0.5,
+                    block_size: int = 160) -> SingularSpectrum:
     """Spectrum of the shrunken one-variable operator f -> f(chi(r z)).
 
     Its singular values fall like sup|chi_r|^n, to about 5e-43 by rank
-    64, far below double precision; the block is therefore built from
-    arbitrary-precision Taylor coefficients (iterated series products,
-    exact in the kept rows) and decomposed with the arbitrary-precision
-    SVD.  chi commutes with conjugation, so its Taylor coefficients are
-    real: the block is an mpf matrix and the SVD is mp.svd_r.  The tail combines Cauchy estimates for the discarded rows
-    (coefficients of a function analytic on |z| < 1/scale) with the
-    certified sup bound for the discarded columns.  At scale 0.5 and
-    the default block 160 it is 6.6e-44: 22 decades below
-    a_32 = 1.55e-21, but only a factor 7.3 below a_64 = 4.77e-43, so
-    the rank-64 interval is 14 percent wide; ranks 128 and beyond lie
-    under the tail."""
+    64, far below double precision, so the block is built and
+    decomposed at PLATEAU_DPS digits.  Column alpha + 1 holds the
+    Taylor coefficients of chi(r z)^(alpha+1): column alpha times those
+    of chi(r z) (maps.cusp_taylor_mp), one mp.fdot per entry, exact in
+    the kept rows since the product is lower-triangular in the degree.
+    They are real, so the block is mpf and the SVD is mp.svd_r.  The
+    tail combines Cauchy estimates for the discarded rows (coefficients
+    of a function analytic on |z| < 1/scale) with the certified sup
+    bound for the discarded columns.  At scale 0.5 and the default
+    block 160 it is 6.6e-44: 22 decades below a_32 = 1.55e-21, but only
+    a factor 7.3 below a_64 = 4.77e-43, so the rank-64 interval is 14
+    percent wide; ranks 128 and beyond lie under the tail."""
     if not 0.0 < scale <= 0.9:
         raise ConfigurationError("plateau experiment expects scale in (0, 0.9]")
     if block_size < 2:
         raise ConfigurationError("block_size must be at least 2")
     sup = scaled_sup_bound(scale)
-    with mp.workdps(precision_dps):
-        coeffs = maps.cusp_taylor_mp(block_size, dps=precision_dps)
+    with mp.workdps(PLATEAU_DPS):
+        coeffs = maps.cusp_taylor_mp(block_size, dps=PLATEAU_DPS)
         r = mp.mpf(scale)
         shrunk = [coeffs[k] * r ** k for k in range(block_size)]
-        col = [mp.mpf(0)] * block_size
-        col[0] = mp.mpf(1)
-        block = mp.matrix(block_size, block_size)
-        block[0, 0] = mp.mpf(1)
-        for alpha in range(1, block_size):
-            col = maps._mp_ser_mul(col, shrunk, block_size)
-            for b in range(block_size):
-                block[b, alpha] = col[b]
+        cols = [[mp.one] + [mp.zero] * (block_size - 1)]
+        for _ in range(1, block_size):
+            cols.append([mp.fdot(cols[-1][:b + 1], shrunk[b::-1])
+                         for b in range(block_size)])
+        block = mp.matrix(cols).T
         try:
             sv = mp.svd_r(block, compute_uv=False)
         except Exception as exc:

@@ -218,6 +218,13 @@ def check_calibration(params, sample_count: int,
 # covering family
 
 
+def _covering_end(n: int, theta: float, shrink: float) -> int:
+    """N_n = floor(log 2n / (theta log 1/shrink)) + 1, the last scale
+    index of the covering for size n, in double arithmetic."""
+    return int(math.floor(
+        math.log(2.0 * n) / (theta * math.log(1.0 / shrink)))) + 1
+
+
 @dataclass(frozen=True)
 class CoveringFamily:
     """Dyadic disk family D(1 - shrink^j, shrink^j / 4) for j in
@@ -236,10 +243,9 @@ class CoveringFamily:
 
     @classmethod
     def for_size(cls, params, n: int) -> "CoveringFamily":
-        end = int(math.floor(
-            math.log(2.0 * n) / (params.theta * math.log(1.0 / params.sigma))
-        )) + 1
-        return cls(start_index=params.j0, end_index=end, shrink=params.sigma)
+        return cls(start_index=params.j0,
+                   end_index=_covering_end(n, params.theta, params.sigma),
+                   shrink=params.sigma)
 
     def centers(self) -> np.ndarray:
         j = np.arange(self.start_index, self.end_index + 1)
@@ -422,8 +428,7 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
     rep = VerificationReport("codim_count", seed, len(n_list))
     ratios = {}
     for n in n_list:
-        end = int(math.floor(
-            math.log(2.0 * n) / (theta * math.log(1.0 / shrink)))) + 1
+        end = _covering_end(n, theta, shrink)
         with mp.workdps(50):
             end_mp = int(mp.floor(
                 mp.log(2 * n) / (mp.mpf(theta) * mp.log(1 / mp.mpf(shrink))))) + 1

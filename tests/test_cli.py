@@ -250,6 +250,20 @@ def test_spectrum_paper_small_degree_fails_honestly(tmp_path, frozen_cfg,
     assert os.path.exists(os.path.join(out, "spectrum_paper.csv"))
 
 
+def test_spectrum_diagonal_default_degree_fails_honestly(tmp_path, frozen_cfg,
+                                                        capsys):
+    # the diagonal symbol ignores c, so this holds at every seed: at the
+    # default degree 48 only n = 1..3 clear the 10 x tail floor and the
+    # fit refuses (degree 64 fits n = 1..4)
+    out = str(tmp_path / "art")
+    rc = cli.main(["spectrum", "--config", frozen_cfg, "--out", out,
+                   "--symbol", "diagonal"])
+    assert rc == 1
+    assert "only 3 of 7 points exceed the floor" in capsys.readouterr().err
+    assert os.path.exists(os.path.join(out, "spectrum_diagonal.csv"))
+    assert not os.path.exists(os.path.join(out, "decay_diagonal.json"))
+
+
 def test_spectrum_paper_verb_records_noise_floor(tmp_path, frozen_cfg):
     # degree 48: the eigensolver floor sqrt(eps * lambda_max) ~ 1.8e-8
     # sits under the 10 x tail floor, which selects the fitted points

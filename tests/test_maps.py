@@ -85,10 +85,14 @@ def test_lens_geometry_on_samples():
 
 
 def test_cusp_mp_agrees_with_double():
-    z = maps.disk_samples(50, seed=6)[:25]
+    # z = +-i map to the lens corners 1/2 +- i/2; z = -i is the pole of
+    # stage 0's Moebius factor, reached only through reflection to i
+    z = np.append(maps.disk_samples(50, seed=6)[:25], [1j, -1j])
     for zz, chi in zip(z, maps.cusp_values(z)):
         ref = complex(maps.cusp_mp(complex(zz)))
         assert abs(chi - ref) < 1e-13
+    for zz, corner in ((1j, 0.5 + 0.5j), (-1j, 0.5 - 0.5j)):
+        assert abs(complex(maps.cusp_mp(zz)) - corner) < 1e-15
 
 
 def test_cusp_on_circle_matches_chain():
@@ -296,6 +300,38 @@ def test_cusp_taylor_sums_to_chain():
     for z in (0.23, -0.2 + 0.1j):
         val = sum(co[k] * z ** k for k in range(40))
         assert abs(val - maps.cusp_values(z)) < 1e-12
+
+
+# a_k of chi at 0, 75 digits, from truncated power-series arithmetic
+# through every chain stage (Mobius, sqrt as exp(log / 2), log,
+# reciprocal) at 70 digits: a method independent of the Cauchy sum
+_SERIES_COEFFS = {
+    1: "0.36943135726688966647879273155513664925455559902893939819255351"
+       "216772972147",
+    2: "-0.0283424919563892528029967871115825349116639383901885831293297"
+       "264807196870648",
+    10: "-0.00201884004589411668868831231385857491892085826007006480257035"
+        "944889502183992",
+    50: "-0.00000434728589029810554056977265993485662717504231099988073872"
+        "179197045315158815",
+    159: "0.0000330018790221743426696705661440114715587449378129278415630"
+         "326655118121696221",
+}
+
+
+def test_cusp_taylor_matches_series_arithmetic():
+    co = maps.cusp_taylor_mp(160, dps=60)
+    with mp.workdps(80):
+        for k, text in _SERIES_COEFFS.items():
+            assert abs(co[k] - mp.mpf(text)) < mp.mpf("1e-70")
+
+
+def test_cusp_taylor_node_count_covers_every_term():
+    # 20 digits alone would need 162 nodes; coefficients past the node
+    # count would alias and be amplified by rho^-k
+    co = maps.cusp_taylor_mp(300, dps=10)
+    assert len(co) == 300
+    assert all(abs(a) <= 1 for a in co)
 
 
 def test_distortion_ratio_below_k_hat(params):

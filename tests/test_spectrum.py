@@ -451,18 +451,19 @@ def test_one_dim_tail_matches_mp_oracle():
     assert abs(got - oracle) <= 1e-11 * oracle
 
 
-def test_scaled_sup_bound():
+def test_scaled_sup_bound(monkeypatch):
     assert abs(spectrum.scaled_sup_bound(0.5) - 0.53659864414306024) < 1e-12
     with pytest.raises(ConfigurationError):
         spectrum.scaled_sup_bound(0.0)
     with pytest.raises(ConfigurationError):
         spectrum.scaled_sup_bound(1.0)
+    monkeypatch.setattr(spectrum, "SUP_BOUND_GRID", 4)
     with pytest.raises(EstimationError):
-        spectrum.scaled_sup_bound(0.9, grid=4)  # margin swamps the gap
+        spectrum.scaled_sup_bound(0.9)  # margin swamps the gap
 
 
 def test_one_dim_plateau_small_block():
-    s = spectrum.one_dim_plateau(0.5, block_size=24, precision_dps=30)
+    s = spectrum.one_dim_plateau(0.5, block_size=24)
     assert len(s) == 24
     assert 1e-7 < s.tail_bound < 1e-6
     lo4 = spectrum.approximation_numbers(s, 4)[0]
