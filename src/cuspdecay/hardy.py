@@ -145,11 +145,11 @@ def symbol_boundary_data(params, t1,
         return SeparableBoundaryData("diagonal", t1, chi,
                                      chi, np.zeros_like(chi), True)
     if kind == "identity":
-        f = np.exp(1j * t1)
+        f = maps.expi(t1)
         return SeparableBoundaryData("identity", t1, f,
                                      np.zeros_like(f), np.ones_like(f), False)
     if kind == "scaling":
-        f = SCALING_RADIUS * np.exp(1j * t1)
+        f = SCALING_RADIUS * maps.expi(t1)
         return SeparableBoundaryData("scaling", t1, f, np.zeros_like(f),
                                      np.full_like(f, SCALING_RADIUS), False)
     raise ConfigurationError("unknown symbol kind %r" % (kind,))
@@ -297,7 +297,7 @@ def assemble_matrix(params, spec: TruncationSpec,
     p_max = d if w is None else 2 * d
     pows = (np.vander(x, p_max + 1, increasing=True)[:, :, None]
             * np.vander(y, d + 1, increasing=True)[:, None, :])
-    modes = np.exp(1j * np.outer(quad.nodes, np.arange(d + 1)))
+    modes = maps.expi(np.outer(quad.nodes, np.arange(d + 1)))
     ct = quad.factor(pows.reshape(x.size, -1)).T @ quad.factor(modes)
     ct = ct.reshape(p_max + 1, d + 1, d + 1)
     if w is None:
@@ -530,7 +530,7 @@ def window_integral_i(h: float, params,
     if not np.any(mask):
         return WindowValue(h, 0.0, True)
     t2 = midpoint_nodes(WINDOW_T2_POINTS)
-    w2 = data.A[mask, None] + data.B[mask, None] * np.exp(1j * t2)[None, :]
+    w2 = data.A[mask, None] + data.B[mask, None] * maps.expi(t2)[None, :]
     inner = np.mean(1.0 / (1.0 - np.abs(w2)), axis=1)
     outer = inner / (1.0 - np.abs(data.F[mask]))
     val = float(np.sum(quad.weights[mask] * outer)) / math.pi

@@ -19,6 +19,13 @@ Conventions used throughout:
   close z is to the cusp.  Both feed the shared tail _chain_tail
   (stages 2 and 3).  cusp_mp is the arbitrary-precision oracle, and
   cusp_taylor_mp takes chi's Taylor coefficients at 0 from it;
+* the double chain takes every log as log|w| + i arg w
+  (_principal_log) and every e^{ix} as cos x + i sin x (expi), from
+  real ufuncs, and the damping power w^(-theta) as exp(-theta log w)
+  with that log.  numpy's complex log and power call libm's clog and
+  cpow one element at a time, about ten times slower; expi gives the
+  same bits as numpy's complex exponential, and the log agrees with
+  clog to within 2e-15;
 * the chain commutes with conjugation.  We enforce that exactly by
   evaluating only in the closed upper half-plane and reflecting, so
   real inputs give real outputs bit-for-bit.
@@ -56,6 +63,29 @@ CIRCLE_LOG_GAP_SPLIT = 1e-6
 # chain evaluation, double precision
 
 
+def _principal_log(w) -> np.ndarray:
+    """log|w| + i arg w for complex w, from real ufuncs, written into the
+    real and imaginary views of one complex output.  Agrees with the
+    complex np.log to within ~2e-15 at ten times its speed."""
+    w = np.asarray(w, dtype=complex)
+    out = np.empty(w.shape, dtype=complex)
+    np.log(np.abs(w), out=out.real)
+    np.arctan2(w.imag, w.real, out=out.imag)
+    return out
+
+
+def expi(x) -> np.ndarray:
+    """e^{ix} = cos x + i sin x for real x, the real part filled from
+    cos and the imaginary part from sin.  Bit for bit numpy's complex
+    exponential of 0 + ix; forming 1j * x first gives the same bits
+    for every x but -0.0, whose sign that product drops."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def chi0_values(z) -> np.ndarray:
     """First chain stage: conformal map of the disk onto the right
     half-disk, fixing the four boundary points 1 -> 0, -1 -> 1,
@@ -91,7 +121,7 @@ def cusp_values(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
-    chi = _chain_tail(np.log(np.where(at_one, 0.5, chi0_values(z))))
+    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
     return np.where(at_one, 1.0 + 0.0j, chi)[()]
 
 
@@ -120,8 +150,8 @@ def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
     xi = np.exp(log_xi)
     den = (1.0 - 1j) + 1j * xi
     eta = (1.0 + 1j) * xi / den
-    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - np.log(den)
-          - 2.0 * np.log(1.0 + np.sqrt(1.0 - eta)))
+    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
+          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
     chi = _chain_tail(c1)
     chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
     return np.where(lower, np.conj(chi), chi)[()]
@@ -153,7 +183,7 @@ def cusp_on_circle(t) -> np.ndarray:
     ta = np.abs(t)
     out = np.ones(t.shape, dtype=complex)
     far = ta >= CIRCLE_LOG_GAP_SPLIT
-    out[far] = cusp_values(np.exp(1j * ta[far]))
+    out[far] = cusp_values(expi(ta[far]))
     near = ~far & (ta > 0.0)
     out[near] = cusp_from_log_gap(np.log(2.0 * np.sin(ta[near] / 2.0)),
                                   (ta[near] - math.pi) / 2.0)
@@ -208,8 +238,8 @@ def phi_values(z, theta: float) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
     w = np.where(at_one, 0.5, 1.0 - z)
-    out = np.exp(-(w ** (-theta)))
-    return np.where(at_one, 0.0j, out)
+    out = np.exp(-np.exp(-theta * _principal_log(w)))
+    return np.where(at_one, 0.0j, out)[()]
 
 
 def phi_mp(z, theta, dps: int = 40):
@@ -320,7 +350,7 @@ def disk_samples(count: int, seed: int) -> np.ndarray:
     out = np.empty(count, dtype=complex)
     for lo in range(0, count, SAMPLE_BLOCK):
         ang = rng.random(min(SAMPLE_BLOCK, count - lo)) * 2.0 * np.pi
-        out[lo:lo + ang.size] = r[lo:lo + ang.size] * np.exp(1j * ang)
+        out[lo:lo + ang.size] = r[lo:lo + ang.size] * expi(ang)
     return out
 
 

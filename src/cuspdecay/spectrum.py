@@ -395,7 +395,7 @@ def split_gram(params, spec: hardy.TruncationSpec,
     r1 = quad.factor((p1[:, :, None] * p1[:, None, :].conj())
                      .reshape(nodes, -1))
     w2 = (data.A[:, None]
-          + data.B[:, None] * np.exp(1j * hardy.midpoint_nodes(m2)))
+          + data.B[:, None] * maps.expi(hardy.midpoint_nodes(m2)))
     mx = np.maximum(np.abs(data.F)[:, None], np.abs(w2))
     # 0 inner (mx <= inner), 1 middle, 2 outer (mx > outer)
     region = np.digitize(mx, (split.inner_radius, split.outer_radius),
@@ -458,7 +458,7 @@ def scaled_sup_bound(scale: float) -> float:
     if not 0.0 < scale < 1.0:
         raise ConfigurationError("scale must lie in (0, 1)")
     t = hardy.midpoint_nodes(SUP_BOUND_GRID)
-    vals = np.abs(maps.cusp_values(scale * np.exp(1j * t)))
+    vals = np.abs(maps.cusp_values(scale * maps.expi(t)))
     margin = scale / (1.0 - scale * scale) * (math.pi / SUP_BOUND_GRID)
     bound = float(vals.max()) + margin + 1e-12
     if bound >= 1.0:

@@ -201,7 +201,7 @@ def check_calibration(params, sample_count: int,
         damp = params.c * np.abs(phi)
         gap = 1.0 - np.abs(chi)
         reach_margin = gap - 2.0 * damp
-        u = np.exp(1j * (np.angle(chi) - np.angle(phi)))
+        u = maps.expi(np.angle(chi) - np.angle(phi))
         half_margin = (1.0 - np.abs(chi + params.c * phi * u)) - gap / 2.0
         rep.record("reach", reach_margin <= 0.0,
                    lambda i: {"z": z[i], "margin": reach_margin[i]})
@@ -325,13 +325,10 @@ def _diag_derivative(coef: np.ndarray, k: int, b: complex) -> complex:
     falling = np.ones(d2 - k)
     for i in range(k):
         falling *= np.arange(k - i, d2 - i)
-    # after dropping k: power a1 + a2 - k for a2 >= k
-    powers = b ** np.arange(d1 + d2 - k - 1, dtype=float)
-    total = 0j
-    for a1 in range(d1):
-        row = coef[a1, k:] * falling
-        total += np.sum(row * powers[a1:a1 + d2 - k])
-    return complex(total)
+    # after dropping k: power a1 + a2 - k for a2 >= k, a Hankel index
+    powers = np.vander([b], d1 + d2 - k - 1, increasing=True)[0]
+    hankel = np.add.outer(np.arange(d1), np.arange(d2 - k))
+    return complex(np.sum(coef[:, k:] * falling * powers[hankel]))
 
 
 def check_derivative_bound(trial_count: int,

@@ -187,6 +187,67 @@ def test_phi_values_bound_and_limit():
         assert abs(complex(maps.phi_mp(complex(zz), 0.5)) - ph) < 1e-16
 
 
+def test_cusp_values_near_the_circle_matches_mp():
+    # on the arc t in (pi/2, pi] and its mirror |chi0| -> 1, so log|chi0|
+    # is tiny: the real part of the principal log is taken as log|w|
+    # there, which is where it parts most from libm's clog
+    eps = 2.0 ** -52
+    for t in (1.6, 2.0, 2.5, 3.1, math.pi, -1.7, -2.6):
+        for r in (1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9, 1.0 - 1e-12,
+                  1.0 - 1e-15, 1.0):
+            z = r * cmath.exp(1j * t)
+            assert abs(abs(maps.chi0_values(z)) - 1.0) < 5e-3
+            got = maps.cusp_values(z)
+            ref = complex(maps.cusp_mp(z))
+            assert abs(got - ref) <= 4.0 * eps, (t, r, abs(got - ref))
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_phi_values_matches_mp_relative(theta):
+    # phi = exp(-u), u = exp(-theta log w), w = 1 - z: an error of eps
+    # in log w and in each rounding is a relative error of about
+    # u (1 + theta |log w|) eps in phi, which grows toward the cusp
+    eps = 2.0 ** -52
+    near_cusp = [1.0 - cmath.exp(complex(lg, ph))
+                 for lg in (-2.0, -4.0, -6.0, -8.0)
+                 for ph in (0.0, 0.7, -1.2, 1.5)]
+    unit_gap = [1.0 - r * cmath.exp(1j * ph)
+                for r in (1.0 - 1e-9, 1.0, 1.0 + 1e-9)
+                for ph in (0.0, 0.3, -0.5, 1.0, -1.0)]
+    for z in near_cusp + [z for z in unit_gap if abs(z) <= 1.0]:
+        w = 1.0 - z
+        u = abs(w) ** -theta
+        got = maps.phi_values(z, theta)
+        ref = complex(maps.phi_mp(z, theta, dps=60))
+        bound = 2.0 * eps * (1.0 + u * (1.0 + theta * abs(cmath.log(w))))
+        assert abs(got - ref) <= bound * abs(ref), (z, abs(got / ref - 1.0))
+
+
+def test_expi_matches_complex_exp_bit_for_bit():
+    rng = np.random.default_rng(14)
+    x = np.concatenate([
+        [0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, -math.pi / 2.0,
+         1e3, -1e3, 1e-300, -1e-300],
+        rng.random(100_000) * 2.0 * math.pi,
+        rng.uniform(-1e3, 1e3, 100_000)])
+    pure = np.zeros(x.shape, dtype=complex)
+    pure.imag = x  # 0 + ix, with the sign of -0.0 kept
+    assert maps.expi(x).tobytes() == np.exp(pure).tobytes()
+    # 1j * x drops the sign of -0.0, and only there do the two differ
+    plain = x.view(np.uint64) != np.array(-0.0).view(np.uint64)
+    assert maps.expi(x)[plain].tobytes() == np.exp(1j * x[plain]).tobytes()
+    one = maps.expi(-0.0)
+    assert one == 1.0 and math.copysign(1.0, one.imag) < 0.0
+
+
+def test_scalar_inputs_return_complex_scalars():
+    assert type(maps.cusp_values(0.3 + 0.2j)) is np.complex128
+    assert type(maps.cusp_from_log_gap(-5.0, 0.3)) is np.complex128
+    assert type(maps.cusp_on_circle(0.4)) is np.complex128
+    assert type(maps.phi_values(0.3 + 0.2j, 0.5)) is np.complex128
+    assert type(maps.phi_values(1.0, 0.5)) is np.complex128
+
+
 def test_symbol_params_validation():
     with pytest.raises(ConfigurationError):
         maps.SymbolParams(theta=0.0, c=0.01, k_hat=2.0)

@@ -297,6 +297,26 @@ def test_covering_suite_frozen_counts(params):
         verifier.check_covering(100, 100, params=params)
 
 
+def test_diag_derivative_matches_polynomial_calculus():
+    # numpy's polynomial module differentiates in z2 and evaluates at
+    # (b, b); the sums differ in order, so allow 64 eps of the sum of
+    # the terms' moduli
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(21)
+    for d1, d2, k in ((1, 1, 0), (4, 7, 2), (11, 11, 6), (3, 5, 4),
+                      (6, 2, 1), (9, 3, 0)):
+        coef = rng.standard_normal((d1, d2)) \
+            + 1j * rng.standard_normal((d1, d2))
+        b = 0.99 * np.exp(2j * math.pi * rng.random())
+        der = P.polyder(coef, m=k, axis=1)
+        ref = P.polyval2d(b, b, der)
+        scale = P.polyval2d(abs(b), abs(b), np.abs(der))
+        got = verifier._diag_derivative(coef, k, b)
+        assert type(got) is complex
+        assert abs(got - ref) <= 64.0 * 2.0 ** -52 * scale, (d1, d2, k)
+    assert verifier._diag_derivative(np.ones((3, 2)), 2, 0.5) == 0j
+
+
 def test_derivative_bound_suite():
     rep = verifier.check_derivative_bound(1000)
     assert rep.passed and rep.violations == []
