@@ -44,7 +44,7 @@ negative except by rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -102,19 +102,18 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class SeparableBoundaryData:
-    """Sampled torus data (F, A, B) of a separable symbol.
+    """Sampled torus data (F, A, B) of a separable symbol and the
+    column structure its kind fixes (see _expansion):
 
-    f_equals_a marks the symbols with F identical to A on the nodes,
-    which lets the assembly and the column Gram collapse F^a1 A^(a2-j)
-    into the single power F^(a1+a2-j).
+      "binomial"  F = A (paper with g = z2, diagonal)
+      "shift"     A = 0 (identity, scaling)
+      "product"   B = 0 and F != A (paper with g = 1)
     """
 
-    kind: str
-    t1: np.ndarray
     F: np.ndarray
     A: np.ndarray
     B: np.ndarray
-    f_equals_a: bool
+    structure: str
 
 
 SCALING_RADIUS = 0.5
@@ -135,23 +134,21 @@ def symbol_boundary_data(params, t1,
             raise ConfigurationError("paper symbol needs calibrated params")
         chi = maps.cusp_on_circle(t1)
         b = params.c * maps.phi_values(chi, params.theta)
-        a = chi
         if params.g_kind == "constant_one":
-            a, b = a + b, np.zeros_like(b)
-        return SeparableBoundaryData("paper", t1, chi, a, b,
-                                     bool(np.array_equal(chi, a)))
+            return SeparableBoundaryData(chi, chi + b, np.zeros_like(b),
+                                         "product")
+        return SeparableBoundaryData(chi, chi, b, "binomial")
     if kind == "diagonal":
         chi = maps.cusp_on_circle(t1)
-        return SeparableBoundaryData("diagonal", t1, chi,
-                                     chi, np.zeros_like(chi), True)
+        return SeparableBoundaryData(chi, chi, np.zeros_like(chi), "binomial")
     if kind == "identity":
         f = maps.expi(t1)
-        return SeparableBoundaryData("identity", t1, f,
-                                     np.zeros_like(f), np.ones_like(f), False)
+        return SeparableBoundaryData(f, np.zeros_like(f), np.ones_like(f),
+                                     "shift")
     if kind == "scaling":
         f = SCALING_RADIUS * maps.expi(t1)
-        return SeparableBoundaryData("scaling", t1, f, np.zeros_like(f),
-                                     np.full_like(f, SCALING_RADIUS), False)
+        return SeparableBoundaryData(f, np.zeros_like(f),
+                                     np.full_like(f, SCALING_RADIUS), "shift")
     raise ConfigurationError("unknown symbol kind %r" % (kind,))
 
 
@@ -256,19 +253,15 @@ def _expansion(data: SeparableBoundaryData, d: int):
 
         sum_j W[a2, j] X^(a1 + a2 - j) Y^j e^{i j t2},   a2, j <= d.
 
-    F = A (paper, diagonal): X = F, Y = B and W[a2, j] = C(a2, j), the
-    binomial expansion of (F + B e^{i t2})^a2.  A = 0 (identity,
-    scaling): X = F, Y = B and W = I.  B = 0 with F != A (paper with
-    g = 1) has image F^a1 A^a2, which has no such form: it is returned
-    as (F, A, None).  Any other separable symbol is rejected."""
-    if data.f_equals_a:
+    "binomial" (F = A): X = F, Y = B and W[a2, j] = C(a2, j), the
+    binomial expansion of (F + B e^{i t2})^a2.  "shift" (A = 0): X = F,
+    Y = B and W = I.  "product" (B = 0, F != A) has image F^a1 A^a2,
+    which has no such form: it is returned as (F, A, None)."""
+    if data.structure == "binomial":
         return data.F, data.B, _binomials(d)
-    if np.all(data.A == 0):
+    if data.structure == "shift":
         return data.F, data.B, np.eye(d + 1)
-    if np.all(data.B == 0):
-        return data.F, data.A, None
-    raise ConfigurationError(
-        "separable symbols need F = A, A = 0 or B = 0")
+    return data.F, data.A, None
 
 
 def assemble_matrix(params, spec: TruncationSpec,
@@ -545,7 +538,7 @@ def save_matrix(om: OperatorMatrix, path: str, params=None) -> None:
     """Binary dump: entries + index list + assembly metadata."""
     meta = {}
     if params is not None:
-        meta = {"params_" + k: v for k, v in params.to_dict().items()}
+        meta = {"params_" + k: v for k, v in asdict(params).items()}
     np.savez_compressed(
         path, entries=om.entries, indices=om.indices,
         max_degree=om.max_degree, quad_points=om.quad_points,

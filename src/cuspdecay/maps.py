@@ -289,20 +289,6 @@ class SymbolParams:
         if self.g_kind not in _G_KINDS:
             raise ConfigurationError("unknown g_kind %r" % (self.g_kind,))
 
-    @property
-    def delta(self) -> float:
-        return math.cos(math.pi * self.theta / 2.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "c": self.c,
-            "k_hat": self.k_hat,
-            "sigma": self.sigma,
-            "j0": self.j0,
-            "g_kind": self.g_kind,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "SymbolParams":
         return cls(

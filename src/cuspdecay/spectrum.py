@@ -94,15 +94,6 @@ class DecayFit:
     n_range: tuple
     usable_n: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "rate": self.rate,
-            "r_squared": self.r_squared,
-            "n_range": list(self.n_range),
-            "usable_n": list(self.usable_n),
-        }
-
 
 @dataclass(frozen=True)
 class BetaReport:
@@ -126,13 +117,6 @@ class BetaReport:
                 "range is not in the decaying regime"
                 % (self.beta_minus, self.beta_plus)
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule_exponent": self.schedule_exponent,
-            "beta_minus": self.beta_minus,
-            "beta_plus": self.beta_plus,
-        }
 
 
 def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:

@@ -13,7 +13,6 @@ WITNESS_CAP witnesses per item, grouped by item in sample order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +28,9 @@ GEOMETRY_TOLERANCE = 1e-10
 CALIBRATION_BLOCK = 1 << 15
 # witnesses kept per violated item; more would only repeat the story
 WITNESS_CAP = 10
+# family sizes run_all sweeps with the covering and counting suites
+COVERING_SIZES = (10, 100, 1000)
+CODIM_SIZES = (10, 100, 1000, 10_000)
 
 
 def _c2s(z) -> list:
@@ -66,19 +68,6 @@ class VerificationReport:
             entry = {key: _c2s(value) if np.iscomplexobj(value) else value
                      for key, value in fields(i).items()}
             self.witness({"item": item, **entry})
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "samples": self.samples,
-            "passed": self.passed,
-            "violations": self.violations,
-            "constants": self.constants,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -463,36 +452,19 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
 # orchestration
 
 
-@dataclass(frozen=True)
-class VerifierConfig:
-    """Sample budgets for a full verification sweep."""
-
-    sample_count: int = 100_000
-    calibration_count: int = 1_000_000
-    trial_count: int = 1000
-    covering_sizes: tuple = (10, 100, 1000)
-    codim_sizes: tuple = (10, 100, 1000, 10_000)
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.sample_count < 1 or self.calibration_count < 1 \
-                or self.trial_count < 1:
-            raise ConfigurationError("sample budgets must be positive")
-
-
-def run_all(config: VerifierConfig, params) -> list:
-    """Run every suite with the config's budgets; deterministic given
-    (config, params).  Returns the reports in a fixed order; the sweep
-    passed iff all(r.passed for r in reports)."""
-    seed = config.seed
+def run_all(params, sample_count: int, calibration_count: int,
+            trial_count: int, seed: int = DEFAULT_SEED) -> list:
+    """Run every suite with these budgets, each suite enforcing its own
+    minimum; deterministic given the arguments.  Returns the reports in
+    a fixed order; the sweep passed iff all(r.passed for r in reports)."""
     reports = [
-        check_cusp_geometry(config.sample_count, seed),
-        check_calibration(params, config.calibration_count, seed),
+        check_cusp_geometry(sample_count, seed),
+        check_calibration(params, calibration_count, seed),
     ]
-    for n in config.covering_sizes:
-        reports.append(check_covering(n, config.sample_count, params, seed))
-    reports.append(check_derivative_bound(config.trial_count, seed))
-    reports.append(check_schwarz_bound(config.trial_count, seed))
-    reports.append(check_codim_count(config.codim_sizes, params.theta,
+    for n in COVERING_SIZES:
+        reports.append(check_covering(n, sample_count, params, seed))
+    reports.append(check_derivative_bound(trial_count, seed))
+    reports.append(check_schwarz_bound(trial_count, seed))
+    reports.append(check_codim_count(CODIM_SIZES, params.theta,
                                      params.sigma, seed))
     return reports

@@ -264,6 +264,20 @@ def test_spectrum_diagonal_default_degree_fails_honestly(tmp_path, frozen_cfg,
     assert not os.path.exists(os.path.join(out, "decay_diagonal.json"))
 
 
+def test_spectrum_constant_one_default_degree_fails_honestly(tmp_path,
+                                                           capsys):
+    # g = 1 at the default degree 48: only n = 1..3 clear the 10 x tail
+    # floor and the fit refuses; degree 64 fits n = 1..4 with r^2 0.961
+    cfgfile = tmp_path / "c1.cfg"
+    cfgfile.write_text(FROZEN + "g_kind = constant_one\n")
+    out = str(tmp_path / "art")
+    rc = cli.main(["spectrum", "--config", str(cfgfile), "--out", out])
+    assert rc == 1
+    assert "only 3 of 7 points exceed the floor" in capsys.readouterr().err
+    assert os.path.exists(os.path.join(out, "spectrum_paper.csv"))
+    assert not os.path.exists(os.path.join(out, "decay_paper.json"))
+
+
 def test_spectrum_paper_verb_records_noise_floor(tmp_path, frozen_cfg):
     # degree 48: the eigensolver floor sqrt(eps * lambda_max) ~ 1.8e-8
     # sits under the 10 x tail floor, which selects the fitted points
@@ -344,6 +358,14 @@ def test_verify_verb_reruns_identically(tmp_path, frozen_cfg):
     assert open(os.path.join(other, "verify.json"), "rb").read() == first
 
 
+@pytest.mark.parametrize("key", ["samples", "calibration_samples", "trials"])
+def test_load_config_rejects_zero_budget(tmp_path, key):
+    cfgfile = tmp_path / "z.cfg"
+    cfgfile.write_text("%s = 0\n" % key)
+    with pytest.raises(ConfigurationError, match="positive"):
+        cli.load_config(str(cfgfile), {})
+
+
 def test_verify_rejects_zero_budget(tmp_path, capsys):
     cfgfile = tmp_path / "z.cfg"
     cfgfile.write_text("samples = 0\n")
@@ -376,3 +398,50 @@ def test_unknown_verb_exits_via_argparse():
         cli.main(["frobnicate"])
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_artifact_contract(tmp_path, frozen_cfg):
+    # the keys that the benchmark's output checks and the report verb
+    # read from each artifact
+    out = str(tmp_path / "art")
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out]) == 0
+    decay = json.load(open(os.path.join(out, "decay_paper.json")))
+    assert set(decay) >= {"config", "seed", "symbol", "degree", "quad",
+                          "tail_bound", "noise_floor", "ritz_block",
+                          "dropped_trace", "hs_sq", "tail_radicand",
+                          "fit", "beta"}
+    assert set(decay["fit"]) == {"intercept", "rate", "r_squared",
+                                 "n_range", "usable_n"}
+    assert isinstance(decay["fit"]["n_range"], list)
+    assert isinstance(decay["fit"]["usable_n"], list)
+    assert set(decay["beta"]) == {"schedule_exponent", "beta_minus",
+                                  "beta_plus"}
+
+    budgets = tmp_path / "b.cfg"
+    budgets.write_text("samples = 10000\ncalibration_samples = 10000\n"
+                       "trials = 5\n")
+    assert cli.main(["calibrate", "--config", str(budgets),
+                     "--out", out]) == 0
+    params = json.load(open(os.path.join(out, "params.json")))
+    names = {"theta", "c", "k_hat", "sigma", "j0", "g_kind"}
+    assert set(params["params"]) == names
+    assert set(params["margins"]) == {"reach_min"}
+
+    budgets.write_text(FROZEN + "samples = 10000\n"
+                       "calibration_samples = 10000\ntrials = 5\n")
+    assert cli.main(["verify", "--config", str(budgets), "--out", out]) == 0
+    verify = json.load(open(os.path.join(out, "verify.json")))
+    assert set(verify) >= {"config", "seed", "passed", "reports"}
+    for report in verify["reports"]:
+        assert set(report) == {"suite", "seed", "samples", "passed",
+                               "violations", "constants"}
+        assert report["passed"] is True
+
+    assert cli.main(["matrix", "--config", frozen_cfg, "--out", out,
+                     "--degree", "2", "--quad", "32"]) == 0
+    npz = np.load(os.path.join(out, "matrix_paper_d2_q32.npz"),
+                  allow_pickle=False)
+    assert {k for k in npz.files if k.startswith("params_")} \
+        == {"params_" + name for name in names}
+    assert str(npz["params_g_kind"]) == "identity_in_z2"
+    assert int(npz["params_j0"]) == 21

@@ -57,7 +57,7 @@ def test_kernel_reproduces_point_evaluation():
 def test_boundary_data_kinds(params):
     t = hardy.midpoint_nodes(32)
     d = hardy.symbol_boundary_data(params, t, "paper")
-    assert d.f_equals_a and d.kind == "paper"
+    assert d.structure == "binomial"
     chi = maps.cusp_on_circle(t)
     assert np.max(np.abs(d.F - chi)) == 0.0
     assert np.max(np.abs(d.A - chi)) == 0.0
@@ -65,13 +65,15 @@ def test_boundary_data_kinds(params):
     assert np.max(np.abs(d.B - expect_b)) == 0.0
 
     dd = hardy.symbol_boundary_data(params, t, "diagonal")
-    assert np.all(dd.B == 0.0) and dd.f_equals_a
+    assert np.all(dd.B == 0.0) and dd.structure == "binomial"
 
     di = hardy.symbol_boundary_data(None, t, "identity")
     assert np.all(di.A == 0.0) and np.all(di.B == 1.0)
+    assert di.structure == "shift"
 
     ds = hardy.symbol_boundary_data(None, t, "scaling")
     assert np.max(np.abs(ds.F - 0.5 * np.exp(1j * t))) < 1e-15
+    assert np.all(ds.A == 0.0) and ds.structure == "shift"
     with pytest.raises(ConfigurationError):
         hardy.symbol_boundary_data(params, t, "nope")
     with pytest.raises(ConfigurationError):
@@ -83,7 +85,7 @@ def test_boundary_data_constant_g(params):
                            k_hat=params.k_hat, g_kind="constant_one")
     t = hardy.midpoint_nodes(16)
     d = hardy.symbol_boundary_data(p2, t, "paper")
-    assert np.all(d.B == 0.0) and not d.f_equals_a
+    assert np.all(d.B == 0.0) and d.structure == "product"
     chi = maps.cusp_on_circle(t)
     expect = chi + p2.c * maps.phi_values(chi, p2.theta)
     assert np.max(np.abs(d.A - expect)) < 1e-15
@@ -244,7 +246,7 @@ def _column_quadrature_norms(params, spec, kind="paper"):
     idx = hardy.index_set(d)
     aa = np.abs(data.A) ** 2
     bb = np.abs(data.B) ** 2
-    t2_int = np.zeros((data.t1.size, d + 1))
+    t2_int = np.zeros((quad.nodes.size, d + 1))
     for a2 in range(d + 1):
         for j in range(a2 + 1):
             t2_int[:, a2] += math.comb(a2, j) ** 2 * aa ** (a2 - j) * bb ** j

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -262,8 +263,7 @@ def test_symbol_params_validation():
 
 
 def test_symbol_params_roundtrip(params):
-    assert maps.SymbolParams.from_dict(params.to_dict()) == params
-    assert abs(params.delta - math.cos(math.pi / 4.0)) < 1e-15
+    assert maps.SymbolParams.from_dict(asdict(params)) == params
 
 
 def test_disk_samples_deterministic_and_clustered():

@@ -2,6 +2,7 @@
 fits, the splitting experiment, one-variable contrast runs."""
 
 import dataclasses
+import json
 import math
 import types
 
@@ -147,7 +148,7 @@ def test_fit_decay_recovers_synthetic_line():
     assert fit.r_squared > 1.0 - 1e-12
     assert fit.n_range == (1, 40)
     assert fit.usable_n == tuple(range(1, 41))
-    d = fit.to_dict()
+    d = json.loads(json.dumps(dataclasses.asdict(fit)))
     assert d["rate"] == fit.rate and d["usable_n"] == list(range(1, 41))
 
 

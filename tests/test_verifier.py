@@ -3,6 +3,7 @@ report plumbing, budget validation."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,19 +13,23 @@ from cuspdecay.errors import ConfigurationError
 from conftest import traced_peak
 
 
+def _json(rep) -> str:
+    """A report as the verify verb writes it into verify.json."""
+    return json.dumps(dict(asdict(rep), passed=rep.passed), sort_keys=True)
+
+
 def test_report_plumbing():
     rep = verifier.VerificationReport("demo", 17, 10)
     assert rep.passed
     rep.constants["x"] = 1.5
-    d = rep.to_dict()
+    d = json.loads(_json(rep))
     assert d["suite"] == "demo" and d["seed"] == 17 and d["samples"] == 10
     assert d["passed"] is True and d["constants"] == {"x": 1.5}
-    first = rep.to_json()
-    assert first == rep.to_json()  # deterministic
-    assert json.loads(first)["passed"] is True
+    first = _json(rep)
+    assert first == _json(rep)  # deterministic
     rep.violations.append({"item": "boom"})
     assert not rep.passed
-    assert json.loads(rep.to_json())["passed"] is False
+    assert json.loads(_json(rep))["passed"] is False
 
 
 def test_geometry_suite_reduced_budget():
@@ -209,12 +214,12 @@ def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
     # both items fail in every block, the last partial one included
     for idx in (reach, half):
         assert np.all(np.isin(np.arange(4), idx // block))
-    assert got.to_json() == want.to_json()
+    assert _json(got) == _json(want)
     assert [v["item"] for v in got.violations] == ["reach"] * 10 + ["half_gap"] * 10
     # with short blocks the first ten witnesses of each item span several
     monkeypatch.setattr(verifier, "CALIBRATION_BLOCK", 64)
     assert reach[9] >= 2 * 64 and half[9] >= 2 * 64
-    assert verifier.check_calibration(loose, count).to_json() == want.to_json()
+    assert _json(verifier.check_calibration(loose, count)) == _json(want)
 
 
 def test_calibration_memory_per_sample(params):
@@ -372,24 +377,16 @@ def test_codim_limit_formula():
     assert rep.constants["series_limit"] == s / (1.0 - s)
 
 
-def test_verifier_config_validation():
-    verifier.VerifierConfig()
-    with pytest.raises(ConfigurationError):
-        verifier.VerifierConfig(sample_count=0)
-    with pytest.raises(ConfigurationError):
-        verifier.VerifierConfig(trial_count=0)
-
-
-def test_run_all_reduced_budgets(params):
-    cfg = verifier.VerifierConfig(
-        sample_count=10_000, calibration_count=10_000, trial_count=50,
-        covering_sizes=(100,), codim_sizes=(10, 100))
-    reports = verifier.run_all(cfg, params=params)
+def test_run_all_reduced_budgets(params, monkeypatch):
+    monkeypatch.setattr(verifier, "COVERING_SIZES", (100,))
+    monkeypatch.setattr(verifier, "CODIM_SIZES", (10, 100))
+    budgets = (10_000, 10_000, 50)
+    reports = verifier.run_all(params, *budgets)
     assert [r.suite for r in reports] == [
         "cusp_geometry", "calibration", "covering_n100",
         "derivative_bound", "schwarz_bound", "codim_count"]
     assert all(r.passed for r in reports)
     assert all(r.seed == 17 for r in reports)
     # deterministic end to end
-    again = verifier.run_all(cfg, params=params)
-    assert [r.to_json() for r in again] == [r.to_json() for r in reports]
+    again = verifier.run_all(params, *budgets)
+    assert [_json(r) for r in again] == [_json(r) for r in reports]
