@@ -6,7 +6,7 @@ Layout:
 
 * maps      -- cusp map chain, damping factor, symbol parameters, calibration
 * hardy     -- coefficient-space assembly of the operator matrix
-* spectrum  -- singular values, decay-rate fits, split Gram experiments
+* spectrum  -- singular values, decay-rate fits, one-variable runs
 * verifier  -- numerically checkable statements behind the construction
 * cli       -- configuration, orchestration, artifact emission
 """

@@ -35,9 +35,13 @@ The paper symbol with g_kind = constant_one does the same at degree 48
 Flags override the file; CUSPDECAY_OUT overrides the configured output
 directory (an explicit --out still wins).  Every artifact embeds the
 12-hex config hash (all keys but out and precision) and the seed, and
-re-running a double-precision config reproduces each file byte for
-byte, into any output directory.  Exit codes: 0 success,
-1 property/estimation failure, 2 configuration or parse error.
+re-running a double-precision config at the same BLAS thread count
+reproduces each file byte for byte, into any output directory.  A
+different thread count sums the dense products in another order and
+moves the spectrum's trailing digits (at seed 17, OPENBLAS_NUM_THREADS=1
+against 2 threads changes spectrum_paper.csv from its fourth line on).
+Exit codes: 0 success, 1 property/estimation failure, 2 configuration
+or parse error.
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near

@@ -50,12 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    InconsistencyError,
-    InvalidInputError,
-)
+from .errors import ConfigurationError, DomainError, InconsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +73,9 @@ def index_set(max_degree: int) -> np.ndarray:
 @dataclass(frozen=True)
 class TruncationSpec:
     """Degree/quadrature pair.  Q must be a power of two and at least
-    4(D+1), keeping the kept Fourier bins clear of the alias fold."""
+    4(D+1).  Both are sizing conventions, not exactness conditions:
+    every transform is a quadrature sum over the Q-point grid, as
+    accurate as that grid resolves the boundary data."""
 
     max_degree: int
     quad_points: int
@@ -91,7 +88,7 @@ class TruncationSpec:
             raise ConfigurationError("quad_points must be a power of two")
         if q < 4 * (d + 1):
             raise ConfigurationError(
-                "quad_points %d below anti-aliasing floor 4*(D+1) = %d"
+                "quad_points %d below the floor 4*(D+1) = %d"
                 % (q, 4 * (d + 1))
             )
 
@@ -465,69 +462,6 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
     return ColumnGram(idx.shape[0], trace,
                       *_truncation_tail(data, quad, trace),
                       moments=moments, expansion=w)
-
-
-# ---------------------------------------------------------------------------
-# the window integrals
-
-
-@dataclass(frozen=True)
-class WindowValue:
-    h: float
-    value: float
-    empty: bool
-
-
-def _window_floor(h: float) -> float:
-    # the set {|chi(e^it) - 1| <= h} is an interval around 0 of
-    # half-length ~ exp(-pi/(2h) + 2.2); go a few decades below it
-    return max(math.exp(-math.pi / (2.0 * h) * 1.5 - 30.0), 1e-300)
-
-
-def window_integral_i0(h: float,
-                       quad: CircleQuadrature | None = None) -> WindowValue:
-    """I0(h) = int_{|chi(e^it)-1| <= h} dt / (1 - |chi(e^it)|)^2,
-    plain dt over the full circle (both signs of t)."""
-    if not 0.0 < h <= 1.0:
-        raise InvalidInputError("window size must lie in (0, 1]")
-    if quad is None:
-        quad = circle_quadrature(2, _window_floor(h))
-    chi = maps.cusp_on_circle(quad.nodes)
-    mask = np.abs(chi - 1.0) <= h
-    if not np.any(mask):
-        return WindowValue(h, 0.0, True)
-    integrand = 1.0 / (1.0 - np.abs(chi[mask])) ** 2
-    return WindowValue(h, 2.0 * float(np.sum(quad.weights[mask] * integrand)),
-                       False)
-
-
-WINDOW_T2_POINTS = 256
-
-
-def window_integral_i(h: float, params,
-                      quad: CircleQuadrature | None = None) -> WindowValue:
-    """Two-variable window integral, normalized Haar measure:
-
-      I(h) = (2pi)^{-2} int_{|chi(e^{it1})-1| <= h}
-                 dt1 dt2 / ((1-|w1|)(1-|w2|)),
-
-    so that I(h) <= (2/(2pi)) I0(h) by the calibration margin
-    1-|w2| >= (1-|w1|)/2.  The t2 integral is a smooth periodic
-    average, done on a uniform grid of WINDOW_T2_POINTS points."""
-    if not 0.0 < h <= 1.0:
-        raise InvalidInputError("window size must lie in (0, 1]")
-    if quad is None:
-        quad = circle_quadrature(2, _window_floor(h))
-    data = symbol_boundary_data(params, quad.nodes, "paper")
-    mask = np.abs(data.F - 1.0) <= h
-    if not np.any(mask):
-        return WindowValue(h, 0.0, True)
-    t2 = midpoint_nodes(WINDOW_T2_POINTS)
-    w2 = data.A[mask, None] + data.B[mask, None] * maps.expi(t2)[None, :]
-    inner = np.mean(1.0 / (1.0 - np.abs(w2)), axis=1)
-    outer = inner / (1.0 - np.abs(data.F[mask]))
-    val = float(np.sum(quad.weights[mask] * outer)) / math.pi
-    return WindowValue(h, val, False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Singular spectra of the truncated composition operators, decay-rate
-fits, and the three-way splitting experiment.
+fits, and the one-variable contrast and plateau runs.
 
 Every spectrum here is reported as an honest interval: the computed
 values are s-numbers of a truncation, which can only undershoot the
@@ -287,116 +287,6 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
         n_range=(admissible[0], admissible[-1]),
         usable_n=tuple(usable),
     )
-
-
-# ---------------------------------------------------------------------------
-# the three-way splitting experiment
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Cuts for restricting the pullback measure by max-modulus of the
-    image point: the closed central bidisk up to inner_radius, the
-    half-open shell up to outer_radius, and the open outer layer.
-
-    inner_radius = 1 - sigma^j0 / (2 k_hat) is where the covering-scale
-    budget guarantees the middle shell is still controlled;
-    outer_radius = 1 - 1/n shrinks the outer layer as the target rank
-    grows.  The cuts must be strictly ordered, which for the calibrated
-    parameters needs n >= 84."""
-
-    n: int
-    inner_radius: float
-    outer_radius: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError("n must be positive")
-        if not 0.0 < self.inner_radius < self.outer_radius < 1.0:
-            raise ConfigurationError(
-                "need 0 < inner %r < outer %r < 1; raise n"
-                % (self.inner_radius, self.outer_radius))
-
-    @classmethod
-    def for_rank(cls, params, n: int) -> "SplitSpec":
-        inner = 1.0 - params.sigma ** params.j0 / (2.0 * params.k_hat)
-        return cls(n=n, inner_radius=inner, outer_radius=1.0 - 1.0 / n)
-
-
-@dataclass(frozen=True)
-class SplitGrams:
-    """Real Gram matrices, in the index_set layout, of the monomial
-    embedding restricted to the three regions, plus the unpartitioned
-    column Gram of hardy.column_gram_operator on the same t1 nodes with
-    exact t2 moments.  Entrywise gram_inner + gram_middle + gram_outer =
-    gram_full up to roundoff (see split_gram)."""
-
-    split: SplitSpec
-    gram_inner: np.ndarray
-    gram_middle: np.ndarray
-    gram_outer: np.ndarray
-    gram_full: np.ndarray
-
-    def masses(self) -> tuple:
-        # alpha = 0 diagonal entry is the plain measure of each region
-        return (float(self.gram_inner[0, 0]),
-                float(self.gram_middle[0, 0]),
-                float(self.gram_outer[0, 0]))
-
-    def outer_norm_bound(self) -> float:
-        """Upper bound for the norm of the outer-region restriction:
-        ||T|| = sqrt(||G||_2) <= sqrt(||G||_F)."""
-        return math.sqrt(float(np.linalg.norm(self.gram_outer)))
-
-
-def split_gram(params, spec: hardy.TruncationSpec,
-               split: SplitSpec) -> SplitGrams:
-    """Assemble the three region Grams over the kept index set.
-
-    A dyadic circle_quadrature in the first boundary variable (reaching
-    far enough below the cusp for the outer region at this n), a
-    uniform midpoint grid of m2 = Q points in the second.  At each t1
-    node the t2 sum comes first, as the t2 Gram of the powers of w2 over
-    region k, M_k(t1)[a2, b2] = (1/m2) sum_{t2 in R_k(t1)} conj(w2^a2)
-    w2^b2; the symbol and the regions are conjugation-symmetric, so
-    G_k[(a1, a2), (b1, b2)] is the half-circle mean of
-    conj(F^a1) F^b1 M_k(t1)[a2, b2], one factor product per a2.
-
-    The unpartitioned Gram is hardy.column_gram_operator applied to the
-    identity on the same t1 quadrature, which integrates t2 exactly.  A
-    column is a trigonometric polynomial of degree <= D in t2, so an
-    entry's t2 integrand has
-    degree <= 2D < m2 (Q >= 4(D+1)), which the midpoint grid also
-    integrates exactly: the partition identity compares two different
-    computations of the same numbers.  gram_full is the operator's
-    output as computed, symmetric only up to roundoff."""
-    t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
-    quad = hardy.circle_quadrature(2, t_floor)
-    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
-    d, m2, nodes = spec.max_degree, spec.quad_points, quad.nodes.size
-    p1 = np.vander(data.F, d + 1, increasing=True)
-    # factor(X).T @ factor(Y) means conj(X) Y: X = F^a1 conj(F^b1)
-    r1 = quad.factor((p1[:, :, None] * p1[:, None, :].conj())
-                     .reshape(nodes, -1))
-    w2 = (data.A[:, None]
-          + data.B[:, None] * maps.expi(hardy.midpoint_nodes(m2)))
-    mx = np.maximum(np.abs(data.F)[:, None], np.abs(w2))
-    # 0 inner (mx <= inner), 1 middle, 2 outer (mx > outer)
-    region = np.digitize(mx, (split.inner_radius, split.outer_radius),
-                         right=True)
-    p2 = np.vander(w2.ravel(), d + 1, increasing=True).reshape(nodes, m2, -1)
-    a1, a2 = hardy.index_set(d).T
-    grams = []
-    for k in range(3):
-        w = (region == k) / m2  # t2 weights of region k
-        g = np.empty((d + 1,) * 4)  # [a1, a2, b1, b2]
-        for a in range(d + 1):
-            # row a2 = a of M_k(t1) at every node, then its t1 mean
-            m = np.matmul((p2[:, :, a].conj() * w)[:, None, :], p2)[:, 0]
-            g[:, a] = (r1.T @ quad.factor(m)).reshape(d + 1, d + 1, -1)
-        grams.append(g[a1, a2][:, a1, a2])
-    op = hardy.column_gram_operator(params, spec, "paper", quad=quad)
-    return SplitGrams(split, *grams, gram_full=op.matmat(np.eye(op.order)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspdecay import hardy
+from cuspdecay import hardy, maps
 from cuspdecay.maps import SymbolParams
 
 
@@ -67,38 +67,52 @@ def stacked_product_gram(params, spec, kind="paper"):
     return gram
 
 
+def split_cuts(params, n):
+    """(inner, outer) max-modulus cuts of the three-way split at rank n:
+    the closed central bidisk up to inner = 1 - sigma^j0 / (2 k_hat),
+    where the covering-scale budget still controls the middle shell,
+    the half-open shell up to outer = 1 - 1/n, and the open outer
+    layer.  For the calibrated parameters the cuts are strictly ordered
+    only from n = 84 on."""
+    inner = 1.0 - params.sigma ** params.j0 / (2.0 * params.k_hat)
+    outer = 1.0 - 1.0 / n
+    assert 0.0 < inner < outer < 1.0, "cuts out of order at n = %d" % n
+    return inner, outer
+
+
+def split_quadrature(n):
+    """The purely dyadic t1 quadrature of the split at rank n, floored
+    far enough below the cusp for the outer layer at this n."""
+    t_floor = max(math.exp(-(math.pi / 2.0) * n * 1.25 - 30.0), 1e-300)
+    return hardy.circle_quadrature(2, t_floor)
+
+
 # (t1 node, t2 point) pairs per block of pair_stack_split_grams, which
 # bounds the stacked rows to PAIR_CHUNK x (D+1)^2 complex entries
 PAIR_CHUNK = 1 << 13
 
 
-def split_pair_points(params, spec, split):
-    """(w1, w2, sqrt(w/(pi m2))) at every (t1, t2) pair of split_gram's
-    grids: its dyadic t1 quadrature and the midpoint t2 grid."""
-    t_floor = max(math.exp(-(math.pi / 2.0) * split.n * 1.25 - 30.0), 1e-300)
-    quad = hardy.circle_quadrature(2, t_floor)
+def pair_stack_split_grams(params, spec, n):
+    """Real Gram matrices, in the index_set layout, of the monomial
+    embedding restricted to the three regions of split_cuts(params, n),
+    by the product rule over (t1, t2) pairs: on split_quadrature(n) in
+    t1 and the midpoint grid of m2 = Q points in t2, each pair's row
+    sqrt(w/(pi m2)) w1^a1 w2^a2 over the index_set columns goes to the
+    Gram R^T R, R = [Re V; Im V], of the region its max(|w1|, |w2|)
+    falls in.  A column's t2 integrand has degree <= 2D < m2, so the
+    grid integrates t2 exactly and the three Grams sum to the column
+    Gram of hardy.column_gram_operator on the same t1 quadrature, which
+    shares no Gram code with this product rule.  Returns (inner,
+    middle, outer)."""
+    d, m2 = spec.max_degree, spec.quad_points
+    quad = split_quadrature(n)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
-    m2 = spec.quad_points
     t2 = hardy.midpoint_nodes(m2)
     w1 = np.repeat(data.F, m2)
     w2 = (data.A[:, None] + data.B[:, None] * np.exp(1j * t2)[None, :]).ravel()
     sqw = np.sqrt(np.repeat(quad.weights, m2) / math.pi / m2)
-    return w1, w2, sqw
-
-
-def pair_stack_split_grams(params, spec, split):
-    """Region Gram oracle for spectrum.split_gram, by the product rule
-    over (t1, t2) pairs: on split_gram's dyadic t1 quadrature and the
-    midpoint t2 grid, each pair's row sqrt(w/(pi m2)) w1^a1 w2^a2 over
-    the index_set columns goes to the Gram R^T R, R = [Re V; Im V], of
-    the region its max-modulus falls in.  It shares only the nodes, the
-    boundary data and the index layout with split_gram, none of its
-    per-node t2 Grams.  Returns (inner, middle, outer)."""
-    d = spec.max_degree
-    w1, w2, sqw = split_pair_points(params, spec, split)
     mx = np.maximum(np.abs(w1), np.abs(w2))
-    region = np.digitize(mx, (split.inner_radius, split.outer_radius),
-                         right=True)
+    region = np.digitize(mx, split_cuts(params, n), right=True)
     idx = hardy.index_set(d)
     grams = np.zeros((3, idx.shape[0], idx.shape[0]))
     for lo in range(0, mx.size, PAIR_CHUNK):
@@ -112,3 +126,30 @@ def pair_stack_split_grams(params, spec, split):
                 r = np.concatenate([v[sel].real, v[sel].imag])
                 grams[k] += r.T @ r
     return tuple(grams)
+
+
+def window_integrals(h, params, quad=None):
+    """(I0, I) over the Carleson window {t1 : |chi(e^{it1}) - 1| <= h}:
+
+      I0(h) = int dt / (1 - |chi(e^{it})|)^2, plain dt over the full
+              circle (both signs of t),
+      I(h)  = (2pi)^{-2} int dt1 dt2 / ((1 - |w1|)(1 - |w2|)),
+
+    the latter in normalized Haar measure, so that I <= (2/(2pi)) I0 by
+    the calibration margin 1 - |w2| >= (1 - |w1|)/2.  The t1 integrals
+    run on quad, by default the dyadic circle_quadrature(2, floor) with
+    the floor a few decades below the window's half-length
+    ~ exp(-pi/(2h) + 2.2); the t2 integral is a smooth periodic average
+    over 256 midpoints."""
+    if quad is None:
+        floor = max(math.exp(-math.pi / (2.0 * h) * 1.5 - 30.0), 1e-300)
+        quad = hardy.circle_quadrature(2, floor)
+    data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
+    mask = np.abs(data.F - 1.0) <= h
+    assert np.any(mask), "no quadrature node inside the window"
+    w, gap1 = quad.weights[mask], 1.0 - np.abs(data.F[mask])
+    i0 = 2.0 * float(np.sum(w * (1.0 / gap1 ** 2)))
+    t2 = hardy.midpoint_nodes(256)
+    w2 = data.A[mask, None] + data.B[mask, None] * maps.expi(t2)[None, :]
+    inner = np.mean(1.0 / (1.0 - np.abs(w2)), axis=1)
+    return i0, float(np.sum(w * (inner / gap1))) / math.pi

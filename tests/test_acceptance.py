@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from cuspdecay import hardy, maps, spectrum, verifier
+from conftest import pair_stack_split_grams, split_quadrature, window_integrals
 
 
 @pytest.fixture(scope="module")
@@ -78,11 +79,9 @@ def test_03_hs_stability_and_window_decay(params):
     inv_h = np.array([5.0 * k for k in range(1, 9)])
     log_i0, log_i = [], []
     for ih in inv_h:
-        v0 = hardy.window_integral_i0(1.0 / ih)
-        vi = hardy.window_integral_i(1.0 / ih, params)
-        assert not v0.empty and not vi.empty
-        log_i0.append(math.log(v0.value))
-        log_i.append(math.log(vi.value))
+        i0, i = window_integrals(1.0 / ih, params)
+        log_i0.append(math.log(i0))
+        log_i.append(math.log(i))
     s0, r0 = _linefit(inv_h, np.array(log_i0))
     s1, r1 = _linefit(inv_h, np.array(log_i))
     print("slopes %.6f %.6f r2 %.6f %.6f" % (s0, s1, r0, r1))
@@ -130,24 +129,29 @@ def test_07_derivative_and_schwarz_suites():
 
 
 def test_08_splitting_exactness(params):
+    # the region Grams of the (t1, t2)-pair product rule sum to the
+    # column Gram operator on the same t1 quadrature, which integrates
+    # t2 exactly: two computations that share no Gram code
     spec = hardy.TruncationSpec(12, 64)
     rng = np.random.default_rng(8)
     log_norms = []
     for n in (90, 140, 190):
-        sg = spectrum.split_gram(params, spec,
-                                 spectrum.SplitSpec.for_rank(params, n))
-        total = sg.gram_inner + sg.gram_middle + sg.gram_outer
-        gap = float(np.max(np.abs(total - sg.gram_full)))
+        regions = pair_stack_split_grams(params, spec, n)
+        op = hardy.column_gram_operator(params, spec, "paper",
+                                        quad=split_quadrature(n))
+        full = op.matmat(np.eye(op.order))
+        gap = float(np.max(np.abs(sum(regions) - full)))
         assert gap <= 1e-14
-        log_norms.append(math.log(sg.outer_norm_bound()))
+        # ||T_outer|| = sqrt(||G_outer||_2) <= sqrt(||G_outer||_F)
+        log_norms.append(0.5 * math.log(float(np.linalg.norm(regions[2]))))
         if n == 90:
-            size = sg.gram_full.shape[0]
+            size = full.shape[0]
             for _ in range(100):
                 c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
                 c /= np.linalg.norm(c)
-                parts = sum(float(np.real(c.conj() @ g @ c)) for g in
-                            (sg.gram_inner, sg.gram_middle, sg.gram_outer))
-                whole = float(np.real(c.conj() @ sg.gram_full @ c))
+                parts = sum(float(np.real(c.conj() @ g @ c))
+                            for g in regions)
+                whole = float(np.real(c.conj() @ full @ c))
                 assert abs(parts - whole) <= 1e-12
     slope, r_sq = _linefit(np.array([90.0, 140.0, 190.0]),
                            np.array(log_norms))

@@ -1,9 +1,12 @@
 """Command-line front door: config loading, point parsing, verb
-round-trips, artifact layout, exit codes."""
+round-trips, artifact layout, exit codes, and no library name that
+only the tests use."""
 
+import ast
 import json
 import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -445,3 +448,30 @@ def test_artifact_contract(tmp_path, frozen_cfg):
         == {"params_" + name for name in names}
     assert str(npz["params_g_kind"]) == "identity_in_z2"
     assert int(npz["params_j0"]) == 21
+
+
+def test_every_library_name_is_used_in_the_library():
+    # the package holds only what its own verbs run: each top-level def,
+    # class and assigned name of src/cuspdecay is loaded somewhere in
+    # src/cuspdecay, as a name or as an attribute (dunders exempt)
+    package = pathlib.Path(cli.__file__).parent
+    defined, loaded = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                if isinstance(node, ast.Name):
+                    loaded.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    loaded.add(node.attr)
+    unused = {n for n in defined - loaded
+              if not (n.startswith("__") and n.endswith("__"))}
+    assert sorted(unused) == []

@@ -1,5 +1,6 @@
 """Coefficient-space assembly, Hilbert-Schmidt integrals, the
-half-circle quadrature, window integrals, serialization."""
+half-circle quadrature, Carleson window integrals (conftest's
+window_integrals), serialization."""
 
 import math
 
@@ -7,12 +8,8 @@ import numpy as np
 import pytest
 
 from cuspdecay import hardy, maps
-from cuspdecay.errors import (
-    ConfigurationError,
-    DomainError,
-    InvalidInputError,
-)
-from conftest import dense_column_gram, stacked_product_gram
+from cuspdecay.errors import ConfigurationError, DomainError
+from conftest import dense_column_gram, stacked_product_gram, window_integrals
 
 
 def test_index_set_layout():
@@ -33,7 +30,7 @@ def test_truncation_spec_validation():
     with pytest.raises(ConfigurationError):
         hardy.TruncationSpec(4, 100)  # not a power of two
     with pytest.raises(ConfigurationError):
-        hardy.TruncationSpec(16, 32)  # below the alias floor
+        hardy.TruncationSpec(16, 32)  # below 4(D+1)
 
 
 def test_kernel_reproduces_point_evaluation():
@@ -394,50 +391,31 @@ def test_hybrid_mesh():
 
 
 def test_window_integrals_frozen(params):
-    i0_5 = hardy.window_integral_i0(1.0 / 5.0)
-    i0_40 = hardy.window_integral_i0(1.0 / 40.0)
-    assert not i0_5.empty
-    assert abs(i0_5.value - 0.60685273051704791) < 1e-12
-    assert abs(i0_40.value - 3.3551195012117396e-23) < 1e-35
-    i_5 = hardy.window_integral_i(1.0 / 5.0, params)
-    i_40 = hardy.window_integral_i(1.0 / 40.0, params)
-    assert abs(i_5.value - 0.096583644509401045) < 1e-12
-    assert abs(i_40.value - 5.339838560390786e-24) < 1e-36
+    i0_5, i_5 = window_integrals(1.0 / 5.0, params)
+    i0_40, i_40 = window_integrals(1.0 / 40.0, params)
+    assert abs(i0_5 - 0.60685273051704791) < 1e-12
+    assert abs(i0_40 - 3.3551195012117396e-23) < 1e-35
+    assert abs(i_5 - 0.096583644509401045) < 1e-12
+    assert abs(i_40 - 5.339838560390786e-24) < 1e-36
 
 
 def test_window_integral_monotone_and_comparable(params):
-    vals = [hardy.window_integral_i0(h).value for h in (0.2, 0.1, 0.05)]
+    vals = [window_integrals(h, params)[0] for h in (0.2, 0.1, 0.05)]
     assert vals[0] > vals[1] > vals[2] > 0.0
     # I <= I0 / pi by the calibrated half-gap; observed ratio ~ 1/(2 pi)
     for h in (0.2, 0.05):
-        i0 = hardy.window_integral_i0(h).value
-        ii = hardy.window_integral_i(h, params).value
+        i0, ii = window_integrals(h, params)
         assert ii <= i0 / math.pi
         assert abs(math.pi * ii / i0 - 0.5) < 0.01
 
 
-def test_window_integral_floor_invariance():
+def test_window_integral_floor_invariance(params):
     # pushing the mesh floor 36 decades deeper adds only panels whose
     # entire mass is ~ 1e-20 relative: the reported value is converged
     deep = hardy.circle_quadrature(2, 1e-60)
-    a = hardy.window_integral_i0(0.1)
-    b = hardy.window_integral_i0(0.1, quad=deep)
-    assert abs(a.value - b.value) <= 1e-12 * a.value
-
-
-def test_window_integral_validation(params):
-    with pytest.raises(InvalidInputError):
-        hardy.window_integral_i0(0.0)
-    with pytest.raises(InvalidInputError):
-        hardy.window_integral_i(2.0, params)
-
-
-def test_window_empty_when_floor_excludes(params):
-    # a mesh that stays far from the cusp sees no window points
-    quad = hardy.CircleQuadrature(nodes=np.array([2.0, 3.0]),
-                                  weights=np.array([0.5, 0.5]))
-    out = hardy.window_integral_i0(1e-3, quad=quad)
-    assert out.empty and out.value == 0.0
+    a = window_integrals(0.1, params)[0]
+    b = window_integrals(0.1, params, quad=deep)[0]
+    assert abs(a - b) <= 1e-12 * a
 
 
 def test_save_load_roundtrip(params, tmp_path):

@@ -1,5 +1,5 @@
 """Spectrum pipeline: oracle equivalence, honest intervals, decay
-fits, the splitting experiment, one-variable contrast runs."""
+fits, one-variable contrast runs."""
 
 import dataclasses
 import json
@@ -22,7 +22,7 @@ from cuspdecay.errors import (
 from conftest import (
     dense_column_gram,
     pair_stack_split_grams,
-    split_pair_points,
+    split_quadrature,
     stacked_product_gram,
 )
 
@@ -350,66 +350,30 @@ def test_ritz_rejects_negative_dropped_trace():
         spectrum._ritz_spectrum(_dense_operator(gram, 0.0))
 
 
-def test_split_spec_validation(params):
-    sp = spectrum.SplitSpec.for_rank(params, 90)
-    assert sp.n == 90
-    assert 0.0 < sp.inner_radius < sp.outer_radius < 1.0
-    with pytest.raises(ConfigurationError):
-        spectrum.SplitSpec.for_rank(params, 50)
-    with pytest.raises(ConfigurationError):
-        spectrum.SplitSpec(n=0, inner_radius=0.5, outer_radius=0.9)
-    with pytest.raises(ConfigurationError):
-        spectrum.SplitSpec(n=10, inner_radius=0.9, outer_radius=0.5)
-
-
 def test_split_gram_partition_and_masses(params):
     spec = hardy.TruncationSpec(12, 64)
-    sg = spectrum.split_gram(params, spec, spectrum.SplitSpec.for_rank(params, 90))
-    total = sg.gram_inner + sg.gram_middle + sg.gram_outer
-    assert np.max(np.abs(total - sg.gram_full)) < 1e-14
-    mi, mm, mo = sg.masses()
+    regions = pair_stack_split_grams(params, spec, 90)
+    op = hardy.column_gram_operator(params, spec, "paper",
+                                    quad=split_quadrature(90))
+    full = op.matmat(np.eye(op.order))
+    assert np.max(np.abs(sum(regions) - full)) < 1e-14
+    # the alpha = 0 entries are the plain region measures
+    mi, mm, mo = (float(g[0, 0]) for g in regions)
     assert abs(mi - 0.99999999999999811) < 1e-13
     assert 0.0 < mm < 1e-50
     assert 0.0 < mo < 1e-55
-    assert abs(mi + mm + mo - float(sg.gram_full[0, 0].real)) < 1e-15
-    logn = math.log(sg.outer_norm_bound())
+    assert abs(mi + mm + mo - float(full[0, 0])) < 1e-15
+    # ||T_outer|| = sqrt(||G_outer||_2) <= sqrt(||G_outer||_F)
+    logn = 0.5 * math.log(float(np.linalg.norm(regions[2])))
     assert abs(logn - -67.312854350230154) < 1e-6
     # quadratic forms split to rounding on random polynomials
     rng = np.random.default_rng(5)
-    size = sg.gram_full.shape[0]
+    size = full.shape[0]
     for _ in range(20):
         c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        parts = sum(float(np.real(c.conj() @ g @ c)) for g in
-                    (sg.gram_inner, sg.gram_middle, sg.gram_outer))
-        whole = float(np.real(c.conj() @ sg.gram_full @ c))
+        parts = sum(float(np.real(c.conj() @ g @ c)) for g in regions)
+        whole = float(np.real(c.conj() @ full @ c))
         assert abs(parts - whole) <= 1e-12 * max(abs(whole), 1.0)
-
-
-@pytest.mark.parametrize("n, d, q, c", [
-    *(pytest.param(n, d, q, None, id="%d-%d-%d" % (n, d, q))
-      for n in (90, 190) for d, q in ((4, 32), (12, 64))),
-    pytest.param(90, 4, 32, 0.1, id="90-4-32-c0.1")])
-def test_split_gram_regions_match_pair_stack_oracle(params, n, d, q, c):
-    # the partition identity sees only the sum of the three Grams; this
-    # catches a point counted in the wrong region
-    spec = hardy.TruncationSpec(d, q)
-    split = spectrum.SplitSpec.for_rank(params, n)
-    if c is not None:
-        # at this c, |F| alone and |w2| alone each put some grid points
-        # in another region than max(|F|, |w2|), so the case pins the cut
-        params = dataclasses.replace(params, c=c)
-        w1, w2, _ = split_pair_points(params, spec, split)
-        cuts = (split.inner_radius, split.outer_radius)
-        both = np.digitize(np.maximum(abs(w1), abs(w2)), cuts, right=True)
-        for alone in (w1, w2):
-            moved = np.digitize(abs(alone), cuts, right=True) != both
-            assert np.count_nonzero(moved) > 0
-    sg = spectrum.split_gram(params, spec, split)
-    oracle = pair_stack_split_grams(params, spec, split)
-    for got, want in zip((sg.gram_inner, sg.gram_middle, sg.gram_outer),
-                         oracle):
-        assert np.max(want) > 0.0
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_one_dim_contrast_frozen():
