@@ -1,5 +1,6 @@
 """Batch front door: flat-file configuration, experiment orchestration,
-and plot-ready artifact emission.
+and plot-ready artifact emission: every artifact is written here, the
+other modules return numbers only.
 
 Verbs
     map-eval    chain traces for explicit points  -> map_eval.csv
@@ -33,13 +34,14 @@ The paper symbol with g_kind = constant_one does the same at degree 48
 64 fits n = 1..4 with r^2 = 0.961, under the paper headline's 0.98.
 
 Flags override the file; CUSPDECAY_OUT overrides the configured output
-directory (an explicit --out still wins).  Every artifact embeds the
-12-hex config hash (all keys but out and precision) and the seed, and
-re-running a double-precision config at the same BLAS thread count
-reproduces each file byte for byte, into any output directory.  A
-different thread count sums the dense products in another order and
-moves the spectrum's trailing digits (at seed 17, OPENBLAS_NUM_THREADS=1
-against 2 threads changes spectrum_paper.csv from its fourth line on).
+directory (an explicit --out still wins).  Every CSV and JSON artifact,
+report.json included, embeds the 12-hex config hash (all keys but out
+and precision) and the seed, and re-running a double-precision config
+at the same BLAS thread count reproduces each file byte for byte, into
+any output directory.  A different thread count sums the dense
+products in another order and moves the spectrum's trailing digits
+(at seed 17, OPENBLAS_NUM_THREADS=1 against 2 threads changes
+spectrum_paper.csv from its fourth line on).
 Exit codes: 0 success, 1 property/estimation failure, 2 configuration
 or parse error.
 
@@ -125,6 +127,10 @@ class RunConfig:
     def stamp(self) -> str:
         return "config %s seed %d" % (self.hash(), self.seed)
 
+    @property
+    def k_samples(self) -> int:  # calibration's budget for k_hat
+        return max(self.samples, 10_000)
+
 
 _CONVERT = {
     "theta": float, "g_kind": str, "c": float, "k_hat": float,
@@ -196,20 +202,36 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
     if cfg.c is not None:
         return maps.SymbolParams(theta=cfg.theta, c=cfg.c, k_hat=cfg.k_hat,
                                  g_kind=cfg.g_kind)
-    return maps.build_params(cfg.theta, cfg.g_kind,
-                             k_samples=max(cfg.samples, 10_000),
+    return maps.build_params(cfg.theta, cfg.g_kind, k_samples=cfg.k_samples,
                              seed=cfg.seed)[0]
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+# ---------------------------------------------------------------------------
+# artifact writers: every CSV and JSON byte goes through these two
 
 
 def _out_path(cfg: RunConfig, name: str) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     return os.path.join(cfg.out, name)
+
+
+def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
+    """<out>/<name>: payload stamped with the config hash and seed."""
+    path = _out_path(cfg, name)
+    with open(path, "w") as fh:
+        json.dump(dict(payload, config=cfg.hash(), seed=cfg.seed), fh,
+                  sort_keys=True, indent=2)
+        fh.write("\n")
+    print("wrote %s" % path)
+
+
+def _write_csv(cfg: RunConfig, name: str, head_lines, rows) -> None:
+    """<out>/<name>: head lines (stamp, column names), then the rows."""
+    path = _out_path(cfg, name)
+    with open(path, "w") as fh:
+        fh.writelines(line + "\n" for part in (head_lines, rows)
+                      for line in part)
+    print("wrote %s" % path)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +323,13 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
     chi0 = maps.chi0_values(z)  # no cancellation in this stage
     rows = (_rows_extended if cfg.precision == "extended"
             else _rows_double)(z, chi0, params)
-    path = _out_path(cfg, "map_eval.csv")
-    with open(path, "w") as fh:
-        fh.write("# %s precision %s\n" % (cfg.stamp(), cfg.precision))
-        fh.write("z_re,z_im,chi0_re,chi0_im,chi_re,chi_im,"
-                 "phi_re,phi_im,w1_re,w1_im,w2_re,w2_im\n")
-        for cells in rows:
-            fh.write(",".join(cells) + "\n")
-    print("wrote %s (%d points)" % (path, len(points)))
+    _write_csv(
+        cfg, "map_eval.csv",
+        ["# %s precision %s" % (cfg.stamp(), cfg.precision),
+         "z_re,z_im,chi0_re,chi0_im,chi_re,chi_im,"
+         "phi_re,phi_im,w1_re,w1_im,w2_re,w2_im"],
+        (",".join(cells) for cells in rows))
+    print("evaluated %d points" % len(points))
     return 0
 
 
@@ -320,19 +341,16 @@ def cmd_calibrate(cfg: RunConfig, args) -> int:
     # the margin is that of the validation sample, which g_kind does
     # not enter
     params, margin = maps.build_params(
-        cfg.theta, cfg.g_kind, k_samples=max(cfg.samples, 10_000),
+        cfg.theta, cfg.g_kind, k_samples=cfg.k_samples,
         validation_count=cfg.calibration_samples, seed=cfg.seed)
-    path = _out_path(cfg, "params.json")
-    _write_json(path, {
-        "config": cfg.hash(),
-        "seed": cfg.seed,
+    _write_json(cfg, "params.json", {
         "params": asdict(params),
         "margins": {"reach_min": margin},
-        "budgets": {"k_samples": max(cfg.samples, 10_000),
+        "budgets": {"k_samples": cfg.k_samples,
                     "validation_count": cfg.calibration_samples},
     })
-    print("wrote %s (c = %.6e, k_hat = %.6f, margin = %.3e)"
-          % (path, params.c, params.k_hat, margin))
+    print("c = %.6e, k_hat = %.6f, margin = %.3e"
+          % (params.c, params.k_hat, margin))
     return 0
 
 
@@ -355,11 +373,18 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
     om = hardy.assemble_matrix(params, spec, kind)
     base = "matrix_%s_d%d_q%d" % (kind, cfg.degree, cfg.quad)
     npz = _out_path(cfg, base + ".npz")
-    csv = _out_path(cfg, base + ".csv")
-    hardy.save_matrix(om, npz, params=params)
-    hardy.matrix_csv(om, csv, params_hash=cfg.stamp())
+    np.savez_compressed(npz, **asdict(om), **{
+        "params_" + k: v for k, v in asdict(params).items()})
+    # the entries are real, so every imaginary part is written as 0;
+    # one format call per row keeps large blocks fast
+    row_format = ",".join(["%.17g,0"] * om.entries.shape[1])
     print("wrote %s" % npz)
-    print("wrote %s" % csv)
+    _write_csv(
+        cfg, base + ".csv",
+        ["# D=%d Q=%d kind=%s params_hash=%s"
+         % (om.max_degree, om.quad_points, om.kind, cfg.stamp()),
+         "# row=beta col=alpha, complex entries as re,im pairs"],
+        (row_format % tuple(row.tolist()) for row in om.entries))
     print("hs_norm_squared %.17g tail_hs %.17g" % (om.hs_sq, om.tail_hs))
     return 0
 
@@ -368,36 +393,30 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 # spectrum
 
 
+SCHEDULE_EXPONENT = 2  # the paper's schedule n -> n^2
+
+
 def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
     params = resolve_params(cfg)
     spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
     spct = spectrum.composition_spectrum(params, spec, kind)
-    csv = _out_path(cfg, "spectrum_%s.csv" % kind)
-    spectrum.save_spectrum_csv(spct, csv, schedule_exponent=2,
-                               comment=cfg.stamp())
+    # a_{n^2} while n^2 is computed; resolved: lower above the noise
+    ranks = [(n, n ** SCHEDULE_EXPONENT) for n in range(1, len(spct) + 1)]
+    rows = [(n, *spectrum.approximation_numbers(spct, r))
+            for n, r in ranks if r <= len(spct)]
+    _write_csv(cfg, "spectrum_%s.csv" % kind,
+               ["# " + cfg.stamp(), "n,lower,upper,resolved"],
+               ("%d,%.17g,%.17g,%d" % (n, lo, hi, lo > spct.noise_floor)
+                for n, lo, hi in rows))
     # beyond n ~ sqrt(D+1) the schedule leaves the first degree block
     # and the computed values sit under the truncation tail
-    n_max = math.isqrt(cfg.degree + 1)
-    fit = spectrum.fit_decay(spct, 2, range(1, n_max + 1))
-    beta = spectrum.beta_estimate(spct, 2, range(1, n_max + 1))
-    path = _out_path(cfg, "decay_%s.json" % kind)
-    _write_json(path, {
-        "config": cfg.hash(),
-        "seed": cfg.seed,
-        "symbol": kind,
-        "degree": cfg.degree,
-        "quad": cfg.quad,
-        "tail_bound": spct.tail_bound,
-        "noise_floor": spct.noise_floor,
-        "ritz_block": spct.ritz_block,
-        "dropped_trace": spct.dropped_trace,
-        "hs_sq": spct.hs_sq,
-        "tail_radicand": spct.tail_radicand,
-        "fit": asdict(fit),
-        "beta": asdict(beta),
-    })
-    print("wrote %s" % csv)
-    print("wrote %s" % path)
+    n_range = range(1, math.isqrt(cfg.degree + 1) + 1)
+    fit = spectrum.fit_decay(spct, SCHEDULE_EXPONENT, n_range)
+    beta = spectrum.beta_estimate(spct, SCHEDULE_EXPONENT, n_range)
+    payload = {k: v for k, v in asdict(spct).items() if k != "values"}
+    _write_json(cfg, "decay_%s.json" % kind, dict(
+        payload, symbol=kind, degree=cfg.degree, quad=cfg.quad,
+        fit=asdict(fit), beta=asdict(beta)))
     print("tau %.6f r_squared %.6f beta_plus %.6f"
           % (fit.rate, fit.r_squared, beta.beta_plus))
     return 0
@@ -406,7 +425,7 @@ def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
 _TREND_RANKS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
-def _trend_rows(spct) -> list:
+def _write_trend(cfg: RunConfig, name: str, spct, extra: dict) -> int:
     rows = []
     for n in _TREND_RANKS:
         if n > len(spct):
@@ -415,26 +434,14 @@ def _trend_rows(spct) -> list:
         rows.append({"n": n, "lower": low, "upper": high,
                      "root_lower": low ** (1.0 / n),
                      "root_upper": high ** (1.0 / n)})
-    return rows
-
-
-def _write_trend(cfg: RunConfig, name: str, spct, extra: dict) -> int:
-    rows = _trend_rows(spct)
-    csv = _out_path(cfg, name + ".csv")
-    with open(csv, "w") as fh:
-        fh.write("# %s\n" % cfg.stamp())
-        fh.write("n,lower,upper,root_lower,root_upper\n")
-        for r in rows:
-            fh.write("%d,%.17g,%.17g,%.17g,%.17g\n"
-                     % (r["n"], r["lower"], r["upper"],
-                        r["root_lower"], r["root_upper"]))
-    payload = {"config": cfg.hash(), "seed": cfg.seed,
-               "tail_bound": spct.tail_bound, "trend": rows}
-    payload.update(extra)
-    path = _out_path(cfg, name + ".json")
-    _write_json(path, payload)
-    print("wrote %s" % csv)
-    print("wrote %s" % path)
+    _write_csv(
+        cfg, name + ".csv",
+        ["# " + cfg.stamp(), "n,lower,upper,root_lower,root_upper"],
+        ("%d,%.17g,%.17g,%.17g,%.17g" % (r["n"], r["lower"], r["upper"],
+                                         r["root_lower"], r["root_upper"])
+         for r in rows))
+    _write_json(cfg, name + ".json",
+                dict(extra, tail_bound=spct.tail_bound, trend=rows))
     for r in rows:
         print("n %3d root_interval [%.6f, %.6f]"
               % (r["n"], r["root_lower"], r["root_upper"]))
@@ -468,14 +475,10 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     reports = verifier.run_all(params, cfg.samples, cfg.calibration_samples,
                                cfg.trials, cfg.seed)
     passed = all(r.passed for r in reports)
-    path = _out_path(cfg, "verify.json")
-    _write_json(path, {
-        "config": cfg.hash(),
-        "seed": cfg.seed,
+    _write_json(cfg, "verify.json", {
         "passed": passed,
         "reports": [dict(asdict(r), passed=r.passed) for r in reports],
     })
-    print("wrote %s" % path)
     for r in reports:
         print("%-20s %s" % (r.suite, "pass" if r.passed else
                             "FAIL (%d violations)" % len(r.violations)))
@@ -510,6 +513,10 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
                      % payload["dropped_trace"])
         lines.append("- tail radicand HS^2 - tr G = %.3e (HS^2 = %.6g)"
                      % (payload["tail_radicand"], payload["hs_sq"]))
+        if payload["tail_radicand"] <= 0.0:
+            lines.append("- the column tail was clamped to 0 by rounding%s"
+                         % ("; the fit floor is the noise floor alone"
+                            if payload["tail_bound"] == 0.0 else ""))
     elif name in ("one_dim.json", "plateau.json"):
         for r in payload["trend"]:
             lines.append("- n = %d: a_n^(1/n) in [%.6f, %.6f]"
@@ -532,8 +539,7 @@ def cmd_report(cfg: RunConfig, args) -> int:
     if not found:
         print("error: no artifacts under %s" % cfg.out, file=sys.stderr)
         return 1
-    _write_json(_out_path(cfg, "report.json"),
-                {"config": cfg.hash(), "artifacts": found})
+    _write_json(cfg, "report.json", {"artifacts": found})
     lines = ["# Run report", "", "Aggregated from %d artifacts." % len(found),
              ""]
     for name in _ARTIFACTS:
@@ -542,7 +548,6 @@ def cmd_report(cfg: RunConfig, args) -> int:
     md = _out_path(cfg, "report.md")
     with open(md, "w") as fh:
         fh.write("\n".join(lines).rstrip() + "\n")
-    print("wrote %s" % _out_path(cfg, "report.json"))
     print("wrote %s" % md)
     return 0
 

@@ -44,7 +44,7 @@ negative except by rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -232,7 +232,7 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise InconsistencyError("matrix has non-finite entries")
-        if not (self.tail_hs >= 0.0 or math.isinf(self.tail_hs)):
+        if not self.tail_hs >= 0.0:  # rejects NaN, admits +inf
             raise InconsistencyError("tail_hs must be non-negative")
 
 
@@ -463,30 +463,3 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
                       *_truncation_tail(data, quad, trace),
                       moments=moments, expansion=w)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_matrix(om: OperatorMatrix, path: str, params=None) -> None:
-    """Binary dump: entries + index list + assembly metadata."""
-    meta = {}
-    if params is not None:
-        meta = {"params_" + k: v for k, v in asdict(params).items()}
-    np.savez_compressed(
-        path, entries=om.entries, indices=om.indices,
-        max_degree=om.max_degree, quad_points=om.quad_points,
-        kind=om.kind, tail_hs=om.tail_hs, hs_sq=om.hs_sq, **meta)
-
-
-def matrix_csv(om: OperatorMatrix, path: str, params_hash: str = "") -> None:
-    """Plain-text dump: comment header, then one row per beta with
-    re,im pairs across alpha (row-major).  The entries are real, so
-    every im is written as 0; each row is formatted in one call."""
-    row_format = ",".join(["%.17g,0"] * om.entries.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write("# D=%d Q=%d kind=%s params_hash=%s\n"
-                 % (om.max_degree, om.quad_points, om.kind, params_hash))
-        fh.write("# row=beta col=alpha, complex entries as re,im pairs\n")
-        for row in om.entries:
-            fh.write(row_format % tuple(row.tolist()))

@@ -386,25 +386,3 @@ def one_dim_plateau(scale: float = 0.5,
     tail = math.exp(0.5 * float(np.logaddexp(log_rows, log_cols)))
     return SingularSpectrum(vals, tail)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def save_spectrum_csv(spectrum: SingularSpectrum, path: str,
-                      schedule_exponent: int = 1, comment: str = "") -> None:
-    """Rows (n, lower, upper, resolved) for the schedule n -> n^exponent,
-    one row per n with n^exponent inside the computed range; resolved
-    is 1 when lower is above the spectrum's noise floor, else 0."""
-    if schedule_exponent < 1:
-        raise InvalidInputError("schedule exponent must be >= 1")
-    with open(path, "w") as fh:
-        if comment:
-            fh.write("# %s\n" % comment)
-        fh.write("n,lower,upper,resolved\n")
-        n = 1
-        while n ** schedule_exponent <= len(spectrum):
-            low, high = approximation_numbers(spectrum, n ** schedule_exponent)
-            fh.write("%d,%.17g,%.17g,%d\n"
-                     % (n, low, high, low > spectrum.noise_floor))
-            n += 1

@@ -1,8 +1,11 @@
 """Command-line front door: config loading, point parsing, verb
-round-trips, artifact layout, exit codes, and no library name that
-only the tests use."""
+round-trips, artifact layout and formats, exit codes, no library name
+that only the tests use, artifact I/O in cli alone, and the signatures
+the benchmark's hooks bind."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -11,7 +14,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from cuspdecay import cli
+from cuspdecay import cli, hardy, maps, spectrum
 from cuspdecay.errors import ConfigurationError, InvalidInputError
 
 FROZEN = "theta = 0.5\nc = 1.456697e-3\nk_hat = 2.519054\n"
@@ -240,6 +243,65 @@ def test_matrix_verb_roundtrip(tmp_path, frozen_cfg, capsys):
                      "--symbol", "one-dim"]) == 2
 
 
+def _assembled(frozen_cfg, degree, quad):
+    cfg = cli.load_config(frozen_cfg, {"degree": degree, "quad": quad})
+    return cfg, hardy.assemble_matrix(cli.resolve_params(cfg),
+                                      hardy.TruncationSpec(degree, quad))
+
+
+def test_matrix_npz_roundtrip(tmp_path, frozen_cfg):
+    # every OperatorMatrix field reads back equal, the entries bitwise
+    out = str(tmp_path / "art")
+    assert cli.main(["matrix", "--config", frozen_cfg, "--out", out,
+                     "--degree", "3", "--quad", "64"]) == 0
+    _, om = _assembled(frozen_cfg, 3, 64)
+    back = np.load(os.path.join(out, "matrix_paper_d3_q64.npz"),
+                   allow_pickle=False)
+    for key, value in dataclasses.asdict(om).items():
+        assert np.array_equal(back[key], value), key
+    assert back["entries"].dtype == om.entries.dtype
+    assert back["entries"].tobytes() == om.entries.tobytes()
+    assert str(back["kind"]) == "paper"
+
+
+def test_matrix_csv(tmp_path, frozen_cfg):
+    # two comment rows, then one row per beta of re,im pairs across
+    # alpha: each re is the entry to the last bit, each im is 0
+    out = str(tmp_path / "art")
+    assert cli.main(["matrix", "--config", frozen_cfg, "--out", out,
+                     "--degree", "2", "--quad", "32"]) == 0
+    cfg, om = _assembled(frozen_cfg, 2, 32)
+    lines = open(os.path.join(out, "matrix_paper_d2_q32.csv")).read() \
+        .splitlines()
+    assert lines[0] == "# D=2 Q=32 kind=paper params_hash=" + cfg.stamp()
+    assert lines[1] == "# row=beta col=alpha, complex entries as re,im pairs"
+    assert len(lines) == 2 + 9
+    for line, row in zip(lines[2:], om.entries):
+        cells = line.split(",")
+        assert len(cells) == 2 * 9
+        assert cells[1::2] == ["0"] * 9
+        assert [float(c) for c in cells[0::2]] == row.tolist()
+
+
+def test_spectrum_csv(tmp_path, frozen_cfg):
+    # stamp, header, one row per n with n^2 <= (D+1)^2; upper = lower +
+    # tail, and resolved = 0 exactly when lower is at or under the noise
+    # floor
+    out = str(tmp_path / "art")
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out]) == 0
+    cfg = cli.load_config(frozen_cfg, {})
+    decay = json.load(open(os.path.join(out, "decay_paper.json")))
+    lines = open(os.path.join(out, "spectrum_paper.csv")).read().splitlines()
+    assert lines[0] == "# " + cfg.stamp()
+    assert lines[1] == "n,lower,upper,resolved"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 50))
+    for n, lower, upper, resolved in rows:
+        assert float(upper) == float(lower) + decay["tail_bound"]
+        assert resolved == str(int(float(lower) > decay["noise_floor"]))
+    assert rows[7][3] == "0" and rows[8][3] == "0"
+
+
 def test_spectrum_paper_small_degree_fails_honestly(tmp_path, frozen_cfg,
                                                     capsys):
     # at degree 16 the truncation floor eats all but 2 schedule points:
@@ -394,6 +456,40 @@ def test_report_verb(tmp_path, frozen_cfg, capsys):
     assert "- cusp_geometry: pass" in md
     payload = json.load(open(os.path.join(out, "report.json")))
     assert set(payload["artifacts"]) == {"one_dim.json", "verify.json"}
+    assert payload["seed"] == 17
+    assert payload["config"] == cli.load_config(frozen_cfg, {}).hash()
+
+
+def _decay_payload(tail_bound, tail_radicand):
+    return {"config": "0" * 12, "seed": 17, "symbol": "paper",
+            "degree": 96, "quad": 1024, "tail_bound": tail_bound,
+            "noise_floor": 1e-8, "ritz_block": 194, "dropped_trace": -8.9e-16,
+            "hs_sq": 2.3, "tail_radicand": tail_radicand,
+            "fit": {"rate": 2.7, "r_squared": 0.99},
+            "beta": {"beta_minus": 0.1, "beta_plus": 0.2,
+                     "schedule_exponent": 2}}
+
+
+def test_report_flags_clamped_tail(tmp_path, frozen_cfg):
+    # a radicand HS^2 - tr G at or under 0 is rounding, and the tail that
+    # clamps it to 0 drops the 10 x tail term from the fit floor
+    out = tmp_path / "art"
+    out.mkdir()
+    clamp = "- the column tail was clamped to 0 by rounding"
+    for radicand, tail, line in (
+            (-4.4e-16, 0.0,
+             clamp + "; the fit floor is the noise floor alone\n"),
+            (-4.4e-16, 1e-9, clamp + "\n"),
+            (3.2e-10, 1.8e-5, None)):
+        (out / "decay_paper.json").write_text(
+            json.dumps(_decay_payload(tail, radicand)))
+        assert cli.main(["report", "--config", frozen_cfg,
+                         "--out", str(out)]) == 0
+        md = (out / "report.md").read_text()
+        if line is None:
+            assert "clamped" not in md
+        else:
+            assert line in md
 
 
 def test_unknown_verb_exits_via_argparse():
@@ -475,3 +571,36 @@ def test_every_library_name_is_used_in_the_library():
     unused = {n for n in defined - loaded
               if not (n.startswith("__") and n.endswith("__"))}
     assert sorted(unused) == []
+
+
+_FILE_WRITERS = {"open", "np.save", "np.savez", "np.savez_compressed",
+                 "json.dump"}
+
+
+def test_artifact_io_only_in_cli():
+    # the numeric layers return numbers; cli writes every artifact
+    package = pathlib.Path(cli.__file__).parent
+    calls = []
+    for name in ("maps", "hardy", "spectrum", "verifier"):
+        tree = ast.parse((package / (name + ".py")).read_text())
+        calls += ["%s:%d %s" % (name, node.lineno, ast.unparse(node.func))
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) in _FILE_WRITERS]
+    assert calls == []
+
+
+def test_benchmark_hook_signatures():
+    # the benchmark's tracer binds its counters to these parameter names,
+    # and its worker calls the library with these arguments
+    def names(func):
+        return list(inspect.signature(func).parameters)
+
+    assert names(maps.cusp_on_circle)[0] == "t"
+    assert names(maps.cusp_values)[0] == "z"
+    assert "t1" in names(hardy.symbol_boundary_data)
+    assert names(spectrum.fit_decay)[:3] == ["spectrum", "schedule_exponent",
+                                             "n_range"]
+    assert names(spectrum.approximation_numbers)[:2] == ["spectrum", "n"]
+    assert names(spectrum.one_dim_plateau)[:2] == ["scale", "block_size"]
+    assert names(cli.load_config)[:2] == ["path", "overrides"]

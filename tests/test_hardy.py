@@ -1,6 +1,7 @@
 """Coefficient-space assembly, Hilbert-Schmidt integrals, the
 half-circle quadrature, Carleson window integrals (conftest's
-window_integrals), serialization."""
+window_integrals).  The matrix files are tested through the matrix verb
+in test_cli."""
 
 import math
 
@@ -8,7 +9,11 @@ import numpy as np
 import pytest
 
 from cuspdecay import hardy, maps
-from cuspdecay.errors import ConfigurationError, DomainError
+from cuspdecay.errors import (
+    ConfigurationError,
+    DomainError,
+    InconsistencyError,
+)
 from conftest import dense_column_gram, stacked_product_gram, window_integrals
 
 
@@ -418,28 +423,16 @@ def test_window_integral_floor_invariance(params):
     assert abs(a - b) <= 1e-12 * a
 
 
-def test_save_load_roundtrip(params, tmp_path):
-    spec = hardy.TruncationSpec(3, 64)
-    om = hardy.assemble_matrix(params, spec)
-    path = str(tmp_path / "m.npz")
-    hardy.save_matrix(om, path, params=params)
-    back = np.load(path, allow_pickle=False)
-    assert np.array_equal(back["entries"], om.entries)
-    assert np.array_equal(back["indices"], om.indices)
-    assert int(back["max_degree"]) == om.max_degree
-    assert int(back["quad_points"]) == om.quad_points
-    assert str(back["kind"]) == om.kind
-    assert float(back["tail_hs"]) == om.tail_hs
-    assert float(back["hs_sq"]) == om.hs_sq
+def test_operator_matrix_tail_must_be_nonnegative():
+    # +inf is the tail of a symbol that is not Hilbert-Schmidt; -inf and
+    # NaN are not tails at all
+    def make(tail_hs):
+        return hardy.OperatorMatrix(
+            entries=np.eye(1), indices=hardy.index_set(0), max_degree=0,
+            quad_points=4, kind="identity", tail_hs=tail_hs, hs_sq=1.0)
 
-
-def test_matrix_csv(params, tmp_path):
-    spec = hardy.TruncationSpec(2, 32)
-    om = hardy.assemble_matrix(params, spec)
-    path = str(tmp_path / "m.csv")
-    hardy.matrix_csv(om, path, params_hash="deadbeef")
-    lines = open(path).read().splitlines()
-    assert lines[0].startswith("# D=2 Q=32 kind=paper params_hash=deadbeef")
-    assert len(lines) == 2 + 9  # two comment rows + one row per beta
-    first = [float(x) for x in lines[2].split(",")]
-    assert len(first) == 2 * 9
+    for bad in (-math.inf, math.nan, -1e-300):
+        with pytest.raises(InconsistencyError):
+            make(bad)
+    for good in (0.0, math.inf):
+        assert make(good).tail_hs == good

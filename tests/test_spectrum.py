@@ -443,24 +443,3 @@ def test_one_dim_plateau_small_block():
     with pytest.raises(ConfigurationError):
         spectrum.one_dim_plateau(0.5, block_size=1)
 
-
-def test_save_spectrum_csv(tmp_path):
-    s = spectrum.SingularSpectrum(np.array([0.9, 0.8, 0.7, 0.6, 0.5]), 0.01)
-    path = str(tmp_path / "spec.csv")
-    spectrum.save_spectrum_csv(s, path, schedule_exponent=2, comment="probe")
-    lines = open(path).read().splitlines()
-    assert lines[0] == "# probe"
-    assert lines[1] == "n,lower,upper,resolved"
-    assert len(lines) == 4  # n = 1 and n = 2 fit; n = 3 needs rank 9
-    n1 = lines[2].split(",")
-    assert n1[0] == "1" and float(n1[1]) == 0.9 and float(n1[2]) == 0.91
-    n2 = lines[3].split(",")
-    assert n2[0] == "2" and float(n2[1]) == 0.6
-    assert n1[3] == "1" and n2[3] == "1"  # noise floor 0
-    # a row at or below the noise floor is marked unresolved
-    floored = spectrum.SingularSpectrum(s.values, 0.01, 0.6)
-    spectrum.save_spectrum_csv(floored, path, schedule_exponent=2)
-    rows = open(path).read().splitlines()[1:]
-    assert [r.split(",")[3] for r in rows] == ["1", "0"]
-    with pytest.raises(InvalidInputError):
-        spectrum.save_spectrum_csv(s, path, schedule_exponent=0)
