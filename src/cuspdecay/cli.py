@@ -21,8 +21,11 @@ unknown keys are errors (drift detection).  Keys:
     seed                  master RNG seed                     [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
-    samples               per-suite sample budget             [100000]
-    calibration_samples   calibration sample budget           [1000000]
+    samples               per-suite budget; also K's sample,  [100000]
+                          at least 10000
+    calibration_samples   calibrate verb and calibration      [1000000]
+                          suite; calibration on demand checks
+                          c on a fixed 200000 (seed + 1)
     trials                randomized-instance count           [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>
 
@@ -74,6 +77,10 @@ from .errors import (
 
 OUT_ENV = "CUSPDECAY_OUT"
 DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
+# reach check of calibration on demand (no c and k_hat in the config):
+# c depends on theta and K alone, so this budget guards and moves no
+# number; a fifth of calibrate's 1e6 keeps every verb's setup short
+ON_DEMAND_VALIDATION = 200_000
 
 _SYMBOLS = ("paper", "diagonal", "one-dim")
 
@@ -202,8 +209,8 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
     if cfg.c is not None:
         return maps.SymbolParams(theta=cfg.theta, c=cfg.c, k_hat=cfg.k_hat,
                                  g_kind=cfg.g_kind)
-    return maps.build_params(cfg.theta, cfg.g_kind, k_samples=cfg.k_samples,
-                             seed=cfg.seed)[0]
+    return maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples,
+                             ON_DEMAND_VALIDATION, cfg.seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +347,8 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
 def cmd_calibrate(cfg: RunConfig, args) -> int:
     # the margin is that of the validation sample, which g_kind does
     # not enter
-    params, margin = maps.build_params(
-        cfg.theta, cfg.g_kind, k_samples=cfg.k_samples,
-        validation_count=cfg.calibration_samples, seed=cfg.seed)
+    params, margin = maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples,
+                                       cfg.calibration_samples, cfg.seed)
     _write_json(cfg, "params.json", {
         "params": asdict(params),
         "margins": {"reach_min": margin},

@@ -280,8 +280,8 @@ class SymbolParams:
             raise ConfigurationError("theta must lie in (0, 1)")
         if not 0.0 < self.c < 1.0:
             raise ConfigurationError("c must lie in (0, 1)")
-        if self.k_hat < 1.0:
-            raise ConfigurationError("k_hat must be >= 1")
+        if not 1.0 <= self.k_hat < math.inf:
+            raise ConfigurationError("k_hat must be finite and >= 1")
         if not 0.0 < self.sigma < 1.0:
             raise ConfigurationError("sigma must lie in (0, 1)")
         if 2.0 * self.sigma ** self.j0 > 0.125 + 1e-15:
@@ -340,70 +340,52 @@ def disk_samples(count: int, seed: int) -> np.ndarray:
     return out
 
 
-def distortion_ratio(z) -> np.ndarray:
-    """|1 - chi(z)| / (1 - |chi(z)|), the quantity whose supremum
-    defines the comparability constant of the lens."""
-    chi = cusp_values(z)
-    return np.abs(1.0 - chi) / (1.0 - np.abs(chi))
-
-
-def estimate_k(sample_count: int = 100_000, seed: int = 11) -> float:
+def estimate_k(sample_count: int, seed: int) -> float:
     """Estimate the smallest K with |1 - chi| <= K (1 - |chi|) on the
     disk: sampled supremum times a 5 percent safety factor, floored at 1.
     """
     if sample_count < 10_000:
         raise ConfigurationError("need at least 1e4 samples for a stable estimate")
-    z = disk_samples(sample_count, seed)
-    ratio = distortion_ratio(z)
+    chi = cusp_values(disk_samples(sample_count, seed))
+    ratio = np.abs(1.0 - chi) / (1.0 - np.abs(chi))
     ratio = ratio[np.isfinite(ratio)]
     if ratio.size == 0:
         raise EstimationError("no finite distortion ratios in the sample")
     return max(1.0, 1.05 * float(ratio.max()))
 
 
-def perturbation_reach(z, params: SymbolParams) -> np.ndarray:
-    """|chi(z)| + 2 c |phi(chi(z))|: must stay below 1 for the
-    perturbed second coordinate to remain in the disk with margin."""
-    chi = cusp_values(z)
-    return np.abs(chi) + 2.0 * params.c * np.abs(phi_values(chi, params.theta))
-
-
 CALIBRATION_GRID_SIZE = 481
 
 
-def calibrate_c(theta: float, k_hat: float,
-                validation_count: int = 1_000_000,
-                seed: int = 13) -> tuple:
-    """Choose the perturbation size c; returns (c, margin).
+def build_params(theta: float, g_kind: str, k_samples: int,
+                 validation_count: int, seed: int) -> tuple:
+    """Calibrate the symbol; returns (params, margin).
 
-    On a geometric grid of CALIBRATION_GRID_SIZE values X in [1e-8, 1],
-    find the largest eta such that 2*exp(-delta X^-theta) < X / k_hat
-    for every grid X < eta, set c = eta / (4 k_hat), then validate
-    |chi| + 2c|phi(chi)| < 1 on a boundary-clustered sample; margin is
-    the smallest 1 - (|chi| + 2c|phi(chi)|) there.  Any violation
-    raises CalibrationError with the witness point.
+    K = estimate_k(k_samples, seed).  On a geometric grid of
+    CALIBRATION_GRID_SIZE values X in [1e-8, 1], find the largest eta
+    such that 2*exp(-delta X^-theta) < X / K for every grid X < eta,
+    and set c = eta / (4 K).  margin is _validate_c's at seed + 1.
     """
-    if not 0.0 < theta < 1.0:
-        raise ConfigurationError("theta must lie in (0, 1)")
-    if k_hat < 1.0:
-        raise ConfigurationError("k_hat must be >= 1")
+    k_hat = estimate_k(k_samples, seed)
     delta = math.cos(math.pi * theta / 2.0)
     grid = np.geomspace(1e-8, 1.0, CALIBRATION_GRID_SIZE)
-    bad = grid[2.0 * np.exp(-delta * grid ** (-theta)) >= grid / k_hat]
+    # theta past 1 overflows the bound to inf; SymbolParams rejects it
+    with np.errstate(over="ignore"):
+        bad = grid[2.0 * np.exp(-delta * grid ** (-theta)) >= grid / k_hat]
     eta = float(bad.min()) if bad.size else 1.0
-    c = eta / (4.0 * k_hat)
-    c = min(max(c, 1e-12), 1.0 - 1e-9)
-    return c, _validate_c(theta, c, k_hat, validation_count, seed)
+    params = SymbolParams(theta=theta, c=eta / (4.0 * k_hat), k_hat=k_hat,
+                          g_kind=g_kind)
+    return params, _validate_c(params, validation_count, seed + 1)
 
 
-def _validate_c(theta: float, c: float, k_hat: float,
-                validation_count: int, seed: int) -> float:
+def _validate_c(params: SymbolParams, validation_count: int,
+                seed: int) -> float:
     """Return the minimal margin 1 - (|chi| + 2c|phi(chi)|) over a fresh
     sample; raise CalibrationError if any sample point violates it."""
-    params = SymbolParams(theta=theta, c=c, k_hat=k_hat)
     z = disk_samples(validation_count, seed)
-    reach = perturbation_reach(z, params)
-    margin = 1.0 - reach
+    chi = cusp_values(z)
+    margin = 1.0 - (np.abs(chi)
+                    + 2.0 * params.c * np.abs(phi_values(chi, params.theta)))
     worst = int(np.argmin(margin))
     if margin[worst] <= 0.0:
         raise CalibrationError(
@@ -412,18 +394,6 @@ def _validate_c(theta: float, c: float, k_hat: float,
             witness=complex(z[worst]),
         )
     return float(margin[worst])
-
-
-def build_params(theta: float = 0.5, g_kind: str = "identity_in_z2",
-                 k_samples: int = 100_000, validation_count: int = 200_000,
-                 seed: int = 11) -> tuple:
-    """Full default pipeline: estimate the lens constant at seed,
-    calibrate the perturbation at seed + 1, freeze the bundle.  Returns
-    (params, margin), margin as in calibrate_c."""
-    k_hat = estimate_k(sample_count=k_samples, seed=seed)
-    c, margin = calibrate_c(theta, k_hat, validation_count=validation_count,
-                            seed=seed + 1)
-    return SymbolParams(theta=theta, c=c, k_hat=k_hat, g_kind=g_kind), margin
 
 
 # ---------------------------------------------------------------------------

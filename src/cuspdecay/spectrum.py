@@ -125,13 +125,13 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     Rounding moves every eigenvalue by up to ~eps * ||G||, so s-numbers
     below sqrt(eps * lambda_max) are noise regardless of sign; negative
     eigenvalues are clipped to 0 and that level is recorded as the
-    spectrum's noise_floor, which fit_decay enforces.  A Gram that is
-    not exactly Hermitian is replaced by its Hermitian part first."""
+    spectrum's noise_floor, which fit_decay enforces.  The Gram is
+    replaced by its Hermitian part first; an exactly Hermitian Gram is
+    its own Hermitian part, bit for bit."""
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise InvalidInputError("gram matrix must be square")
-    if not np.array_equal(gram, gram.conj().T):
-        gram = 0.5 * (gram + gram.conj().T)
+    gram = 0.5 * (gram + gram.conj().T)
     try:
         ev = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:

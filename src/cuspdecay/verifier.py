@@ -138,15 +138,17 @@ def check_cusp_geometry(sample_count: int,
 
     ratio = np.abs(1.0 - chi_all) / (1.0 - np.abs(chi_all))
     ratio = ratio[np.isfinite(ratio)]
-    k_default = maps.estimate_k()
+    # not the run's K: calibrated on demand, that one comes from
+    # disk_samples(max(samples, 10000), seed), the very disk points
+    # checked here, where 1.05 x their sampled sup cannot fail
+    k_default = maps.estimate_k(100_000, 11)
     rep.record("distortion", np.abs(1.0 - chi_all)
                > k_default * (1.0 - np.abs(chi_all)) + tolerance, at)
     rep.constants["distortion_sup"] = float(ratio.max())
     rep.constants["k_hat"] = k_default
 
-    grid = max(sample_count, 10_000)
-    lo1, hi1 = _bracket_on_log_grid(grid)
-    lo2, hi2 = _bracket_on_log_grid(2 * grid)
+    lo1, hi1 = _bracket_on_log_grid(sample_count)
+    lo2, hi2 = _bracket_on_log_grid(2 * sample_count)
     drift = max(abs(lo2 - lo1) / abs(lo2), abs(hi2 - hi1) / abs(hi2))
     rep.constants["gap_log_bracket"] = [lo1, hi1]
     rep.constants["gap_log_bracket_doubled"] = [lo2, hi2]

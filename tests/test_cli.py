@@ -439,6 +439,18 @@ def test_verify_rejects_zero_budget(tmp_path, capsys):
     assert "positive" in capsys.readouterr().err
 
 
+def test_verify_rejects_nan_k_hat(tmp_path, capsys):
+    # a nan K would keep no point in any covering suite, which would
+    # then pass vacuously
+    cfgfile = tmp_path / "k.cfg"
+    cfgfile.write_text("c = 0.0014566968931649326\nk_hat = nan\n"
+                       "samples = 10000\ncalibration_samples = 10000\n"
+                       "trials = 5\n")
+    assert cli.main(["verify", "--config", str(cfgfile),
+                     "--out", str(tmp_path / "art")]) == 2
+    assert "k_hat" in capsys.readouterr().err
+
+
 def test_report_verb(tmp_path, frozen_cfg, capsys):
     out = str(tmp_path / "art")
     assert cli.main(["report", "--config", frozen_cfg, "--out", out]) == 1

@@ -254,8 +254,9 @@ def test_symbol_params_validation():
         maps.SymbolParams(theta=0.0, c=0.01, k_hat=2.0)
     with pytest.raises(ConfigurationError):
         maps.SymbolParams(theta=0.5, c=1.5, k_hat=2.0)
-    with pytest.raises(ConfigurationError):
-        maps.SymbolParams(theta=0.5, c=0.01, k_hat=0.5)
+    for k_hat in (0.5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="k_hat"):
+            maps.SymbolParams(theta=0.5, c=0.01, k_hat=k_hat)
     with pytest.raises(ConfigurationError):
         maps.SymbolParams(theta=0.5, c=0.01, k_hat=2.0, sigma=0.99, j0=1)
     with pytest.raises(ConfigurationError):
@@ -309,49 +310,52 @@ def test_disk_samples_memory_per_sample():
 
 
 def test_estimate_k_frozen():
-    # sampled sup * 1.05 with the default seed; true sup is 1 + sqrt(2)
-    k = maps.estimate_k()
+    # sampled sup * 1.05 on the geometry suite's sample; true sup is
+    # 1 + sqrt(2)
+    k = maps.estimate_k(100_000, 11)
     assert abs(k - 2.5190540230250233) < 1e-12
     assert k > 1.0 + math.sqrt(2.0)
     with pytest.raises(ConfigurationError):
-        maps.estimate_k(sample_count=100)
+        maps.estimate_k(100, 11)
 
 
-def test_calibrate_c_frozen():
-    k_hat = 2.5190540230250233
-    c, margin = maps.calibrate_c(0.5, k_hat, validation_count=50_000)
-    assert abs(c - 0.0014566968931649326) < 1e-15
-    # the margin is the validation sample's, as a separate pass finds it
-    reach = maps.perturbation_reach(
-        maps.disk_samples(50_000, 13),
-        maps.SymbolParams(theta=0.5, c=c, k_hat=k_hat))
+def test_build_params_c_and_margin_frozen():
+    got, margin = maps.build_params(0.5, "identity_in_z2", 100_000, 50_000,
+                                    11)
+    assert abs(got.c - 0.0014566968931649326) < 1e-15
+    # the margin is the validation sample's at seed + 1, as a separate
+    # pass finds it
+    chi = maps.cusp_values(maps.disk_samples(50_000, 12))
+    reach = np.abs(chi) + 2.0 * got.c * np.abs(maps.phi_values(chi, 0.5))
     assert margin == float(np.min(1.0 - reach))
 
 
-def test_calibrate_c_rejects_bad_inputs():
-    with pytest.raises(ConfigurationError):
-        maps.calibrate_c(1.2, 2.5)
-    with pytest.raises(ConfigurationError):
-        maps.calibrate_c(0.5, 0.2)
+def test_build_params_rejects_bad_theta():
+    with pytest.raises(ConfigurationError, match="theta"):
+        maps.build_params(1.2, "identity_in_z2", 10_000, 10_000, 11)
 
 
 def test_validate_c_catches_escape():
     # an absurdly large perturbation must trip the witness check
     with pytest.raises(CalibrationError) as exc:
-        maps._validate_c(0.5, 0.9, 2.52, 20_000, seed=13)
+        maps._validate_c(maps.SymbolParams(theta=0.5, c=0.9, k_hat=2.52),
+                         20_000, seed=13)
     assert exc.value.witness is not None
 
 
 def test_build_params_reproduces_frozen(params):
-    got, _ = maps.build_params(validation_count=50_000)
+    got, _ = maps.build_params(0.5, "constant_one", 100_000, 50_000, 11)
     assert abs(got.c - 1.456697e-3) < 1e-9
     assert abs(got.k_hat - 2.519054) < 1e-6
     assert got.theta == params.theta
+    # the run's g_kind reaches the one object build_params returns
+    assert got.g_kind == "constant_one"
 
 
 def test_perturbation_reach_margin(params):
-    z = maps.disk_samples(20_000, seed=10)
-    reach = maps.perturbation_reach(z, params)
+    chi = maps.cusp_values(maps.disk_samples(20_000, seed=10))
+    reach = np.abs(chi) + 2.0 * params.c * np.abs(
+        maps.phi_values(chi, params.theta))
     assert np.max(reach) < 1.0
 
 
@@ -396,7 +400,7 @@ def test_cusp_taylor_node_count_covers_every_term():
 
 
 def test_distortion_ratio_below_k_hat(params):
-    z = maps.disk_samples(20_000, seed=15)
-    ratio = maps.distortion_ratio(z)
+    chi = maps.cusp_values(maps.disk_samples(20_000, seed=15))
+    ratio = np.abs(1.0 - chi) / (1.0 - np.abs(chi))
     ratio = ratio[np.isfinite(ratio)]
     assert np.max(ratio) <= params.k_hat

@@ -68,7 +68,7 @@ def test_gram_values_validation_and_clipping():
         spectrum.gram_values(np.zeros((2, 3)), 0.0)
 
 
-def test_gram_values_symmetrizes_only_non_hermitian():
+def test_gram_values_takes_hermitian_part_bit_for_bit():
     # the eigenvalues are those of the Hermitian part, bit for bit, as
     # when every input was symmetrized
     rng = np.random.default_rng(11)

@@ -72,7 +72,7 @@ def test_geometry_suite_witnesses_every_item(monkeypatch):
         "near_one": np.abs(chi - 1.0) > 0.0,
         "real_part": (chi.real < 1.0) | (chi.real > 0.0),
         "imag_vs_gap": np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 - 1.0,
-        "distortion": np.abs(1.0 - chi) > maps.estimate_k() * gap - 1.0,
+        "distortion": np.abs(1.0 - chi) > maps.estimate_k(100_000, 11) * gap - 1.0,
     }
     got = _grouped_first_ten(rep, list(masks))
     for item, mask in masks.items():
