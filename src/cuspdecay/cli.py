@@ -110,13 +110,11 @@ class RunConfig:
         hardy.TruncationSpec(self.degree, self.quad)
         if (self.c is None) != (self.k_hat is None):
             raise ConfigurationError("c and k_hat must be overridden together")
-        if self.c is not None:
+        if self.c is None:  # calibrated later
+            maps.check_symbol_choice(self.theta, self.g_kind)
+        else:
             maps.SymbolParams(theta=self.theta, c=self.c, k_hat=self.k_hat,
                               g_kind=self.g_kind)
-        elif not 0.0 < self.theta < 1.0:
-            raise ConfigurationError("theta must lie in (0, 1)")
-        elif self.g_kind not in maps._G_KINDS:
-            raise ConfigurationError("unknown g_kind %r" % (self.g_kind,))
         parse_symbol(self.symbol)
         if min(self.samples, self.calibration_samples, self.trials) < 1:
             raise ConfigurationError("sample budgets must be positive")

@@ -29,6 +29,13 @@ Conventions used throughout:
 * the chain commutes with conjugation.  We enforce that exactly by
   evaluating only in the closed upper half-plane and reflecting, so
   real inputs give real outputs bit-for-bit.
+* every pass over many points streams in blocks of SAMPLE_BLOCK:
+  disk_sample_blocks yields the disk sample a block at a time, and
+  cusp_values, phi_values, cusp_from_log_gap and cusp_on_circle
+  evaluate a longer input slice by slice, so the ~10 complex
+  temporaries of the chain stay in cache.  Blocking never changes a
+  bit: each element is computed as in one whole-array call, and a
+  scalar input still returns a scalar.
 
 The inner Moebius factor (z - i)/(iz - 1) maps the closed disk onto the
 closed upper half-plane.  Floating-point evaluation can land a hair
@@ -112,6 +119,29 @@ def _chain_tail(c1):
     return 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
 
 
+def _in_blocks(kernel, *arrays):
+    """kernel(*arrays) for an elementwise kernel with a complex result,
+    evaluated SAMPLE_BLOCK elements at a time once the broadcast arrays
+    are longer than that, so its temporaries stay block-sized.  Every
+    element is computed as in one call; a scalar input keeps the
+    kernel's scalar return."""
+    arrays = np.broadcast_arrays(*arrays)
+    if arrays[0].size <= SAMPLE_BLOCK:
+        return kernel(*arrays)
+    flat = [a.ravel() for a in arrays]
+    out = np.empty(flat[0].size, dtype=complex)
+    for lo in range(0, out.size, SAMPLE_BLOCK):
+        out[lo:lo + SAMPLE_BLOCK] = kernel(
+            *(a[lo:lo + SAMPLE_BLOCK] for a in flat))
+    return out.reshape(arrays[0].shape)
+
+
+def _cusp_values_block(z):
+    at_one = z == 1.0
+    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
+    return np.where(at_one, 1.0 + 0.0j, chi)[()]
+
+
 def cusp_values(z) -> np.ndarray:
     """Cusp map, vectorized: chi0_values, its log, then the shared tail.
 
@@ -119,10 +149,21 @@ def cusp_values(z) -> np.ndarray:
     D(1 + i/2, 1/2) and D(1 - i/2, 1/2); chi(1) = 1 by continuous
     extension.  Inputs must lie in the closed disk, as for chi0_values.
     """
-    z = np.asarray(z, dtype=complex)
-    at_one = z == 1.0
-    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
-    return np.where(at_one, 1.0 + 0.0j, chi)[()]
+    return _in_blocks(_cusp_values_block, np.asarray(z, dtype=complex))
+
+
+def _cusp_from_log_gap_block(log_gap, phase):
+    # Im z >= 0 means phase <= 0; reflect the rest
+    lower = phase > 0.0
+    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
+    xi = np.exp(log_xi)
+    den = (1.0 - 1j) + 1j * xi
+    eta = (1.0 + 1j) * xi / den
+    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
+          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
+    chi = _chain_tail(c1)
+    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
+    return np.where(lower, np.conj(chi), chi)[()]
 
 
 def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
@@ -142,36 +183,12 @@ def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
     within 2e-15 relative plus the final rounding of chi, 2^-53.
     Callers guarantee |1 - xi| <= 1, so |phase| <= pi/2.
     """
-    log_gap = np.asarray(log_gap, dtype=float)
-    phase = np.asarray(phase, dtype=float)
-    # Im z >= 0 means phase <= 0; reflect the rest
-    lower = phase > 0.0
-    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
-    xi = np.exp(log_xi)
-    den = (1.0 - 1j) + 1j * xi
-    eta = (1.0 + 1j) * xi / den
-    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
-          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
-    chi = _chain_tail(c1)
-    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
-    return np.where(lower, np.conj(chi), chi)[()]
+    return _in_blocks(_cusp_from_log_gap_block,
+                      np.asarray(log_gap, dtype=float),
+                      np.asarray(phase, dtype=float))
 
 
-def cusp_on_circle(t) -> np.ndarray:
-    """Cusp map at e^{it} for arbitrary real t, accurate down to
-    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1.
-
-    Double evaluation of the chain at e^{it} loses all digits of 1 - chi
-    once 1 - e^{it} drops near machine epsilon, so the evaluation is
-    split by distance to the cusp into two zones:
-
-      |t| >= CIRCLE_LOG_GAP_SPLIT   plain chain, cusp_values(e^{it})
-      |t| <  CIRCLE_LOG_GAP_SPLIT   cusp_from_log_gap, using
-                                    1 - e^{it} = 2 sin(t/2) e^{i(t - pi)/2}
-
-    Both are double arithmetic.
-    """
-    t = np.asarray(t, dtype=float)
+def _cusp_on_circle_block(t):
     scalar = t.ndim == 0
     t = np.atleast_1d(t).copy()
     # range-reduce only arguments beyond [-pi, pi]: mod arithmetic at pi
@@ -189,6 +206,23 @@ def cusp_on_circle(t) -> np.ndarray:
                                   (ta[near] - math.pi) / 2.0)
     out = np.where(neg, np.conj(out), out)
     return out[0] if scalar else out
+
+
+def cusp_on_circle(t) -> np.ndarray:
+    """Cusp map at e^{it} for arbitrary real t, accurate down to
+    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1.
+
+    Double evaluation of the chain at e^{it} loses all digits of 1 - chi
+    once 1 - e^{it} drops near machine epsilon, so the evaluation is
+    split by distance to the cusp into two zones:
+
+      |t| >= CIRCLE_LOG_GAP_SPLIT   plain chain, cusp_values(e^{it})
+      |t| <  CIRCLE_LOG_GAP_SPLIT   cusp_from_log_gap, using
+                                    1 - e^{it} = 2 sin(t/2) e^{i(t - pi)/2}
+
+    Both are double arithmetic.
+    """
+    return _in_blocks(_cusp_on_circle_block, np.asarray(t, dtype=float))
 
 
 def cusp_mp(z, dps: int | None = None):
@@ -235,7 +269,11 @@ def phi_values(z, theta: float) -> np.ndarray:
 
     Since Re(1-z) >= 0 on the disk, |phi| <= exp(-delta |1-z|^(-theta))
     with delta = cos(pi*theta/2)."""
-    z = np.asarray(z, dtype=complex)
+    return _in_blocks(lambda w: _phi_block(w, theta),
+                      np.asarray(z, dtype=complex))
+
+
+def _phi_block(z, theta):
     at_one = z == 1.0
     w = np.where(at_one, 0.5, 1.0 - z)
     out = np.exp(-np.exp(-theta * _principal_log(w)))
@@ -257,6 +295,15 @@ def phi_mp(z, theta, dps: int = 40):
 _G_KINDS = ("identity_in_z2", "constant_one")
 
 
+def check_symbol_choice(theta: float, g_kind: str) -> None:
+    """The rules on the two choices a run makes before calibration:
+    theta in (0, 1) and a known g_kind.  SymbolParams applies them too."""
+    if not 0.0 < theta < 1.0:
+        raise ConfigurationError("theta must lie in (0, 1)")
+    if g_kind not in _G_KINDS:
+        raise ConfigurationError("unknown g_kind %r" % (g_kind,))
+
+
 @dataclass(frozen=True)
 class SymbolParams:
     """Frozen parameter bundle for the two-variable symbol
@@ -276,8 +323,7 @@ class SymbolParams:
     g_kind: str = "identity_in_z2"
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigurationError("theta must lie in (0, 1)")
+        check_symbol_choice(self.theta, self.g_kind)
         if not 0.0 < self.c < 1.0:
             raise ConfigurationError("c must lie in (0, 1)")
         if not 1.0 <= self.k_hat < math.inf:
@@ -286,8 +332,6 @@ class SymbolParams:
             raise ConfigurationError("sigma must lie in (0, 1)")
         if 2.0 * self.sigma ** self.j0 > 0.125 + 1e-15:
             raise ConfigurationError("need 2*sigma^j0 <= 1/8")
-        if self.g_kind not in _G_KINDS:
-            raise ConfigurationError("unknown g_kind %r" % (self.g_kind,))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SymbolParams":
@@ -303,11 +347,14 @@ class SymbolParams:
 
 SAMPLE_RADIUS_CAP = 1.0 - 1e-6
 SAMPLE_BULK_FRACTION = 0.2
-SAMPLE_BLOCK = 1 << 16
+# points per slice of every sample and chain pass: small enough that a
+# block's ~10 complex temporaries stay in cache
+SAMPLE_BLOCK = 1 << 13
 
 
-def disk_samples(count: int, seed: int) -> np.ndarray:
-    """Deterministic sample of the open disk, clustered at the boundary.
+def disk_sample_blocks(count: int, seed: int):
+    """Deterministic sample of the open disk, clustered at the boundary,
+    yielded SAMPLE_BLOCK points at a time in sample order.
 
     Radii come from the dyadic grid r = 1 - 2^-k, up to
     SAMPLE_RADIUS_CAP, crossed with uniform angles; every inequality we
@@ -317,41 +364,61 @@ def disk_samples(count: int, seed: int) -> np.ndarray:
     coverage.
 
     The ring radii, the bulk radii and the angles are drawn in that
-    order, SAMPLE_BLOCK at a time into the radius and output arrays, so
-    only those two outlive a block; the generator's stream does not
-    depend on how a draw is split.
+    order, so the radii are drawn before the first block is yielded:
+    between blocks only the ring exponents k (one byte a ring point)
+    and the bulk radii are held.  The generator's stream does not
+    depend on how a draw is split, so the blocks joined are bit for bit
+    the whole-array sample, whatever SAMPLE_BLOCK is.
     """
     if count < 1:
         raise ConfigurationError("count must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     k_max = int(math.floor(-math.log2(1.0 - SAMPLE_RADIUS_CAP)))
     n_ring = count - int(count * SAMPLE_BULK_FRACTION)
-    r = np.empty(count)
+    # drawn as int64, which fixes the stream, and kept as one byte
+    k = np.empty(n_ring, dtype=np.uint8)
     for lo in range(0, n_ring, SAMPLE_BLOCK):
-        k = rng.integers(1, k_max + 1, size=min(SAMPLE_BLOCK, n_ring - lo))
-        r[lo:lo + k.size] = 1.0 - 0.5 ** k
-    for lo in range(n_ring, count, SAMPLE_BLOCK):
-        u = rng.random(min(SAMPLE_BLOCK, count - lo))
-        r[lo:lo + u.size] = np.sqrt(u) * SAMPLE_RADIUS_CAP
+        k[lo:lo + SAMPLE_BLOCK] = rng.integers(
+            1, k_max + 1, size=min(SAMPLE_BLOCK, n_ring - lo))
+    r_bulk = np.empty(count - n_ring)
+    for lo in range(0, r_bulk.size, SAMPLE_BLOCK):
+        u = rng.random(min(SAMPLE_BLOCK, r_bulk.size - lo))
+        r_bulk[lo:lo + u.size] = np.sqrt(u) * SAMPLE_RADIUS_CAP
+    for lo in range(0, count, SAMPLE_BLOCK):  # ring points, then bulk
+        hi = min(lo + SAMPLE_BLOCK, count)
+        r = np.concatenate([1.0 - 0.5 ** k[lo:hi],
+                            r_bulk[max(lo - n_ring, 0):max(hi - n_ring, 0)]])
+        ang = rng.random(hi - lo) * 2.0 * np.pi
+        yield r * expi(ang)
+
+
+def disk_samples(count: int, seed: int) -> np.ndarray:
+    """The whole disk_sample_blocks stream, filled into one array."""
     out = np.empty(count, dtype=complex)
-    for lo in range(0, count, SAMPLE_BLOCK):
-        ang = rng.random(min(SAMPLE_BLOCK, count - lo)) * 2.0 * np.pi
-        out[lo:lo + ang.size] = r[lo:lo + ang.size] * expi(ang)
+    lo = 0
+    for block in disk_sample_blocks(count, seed):
+        out[lo:lo + block.size] = block
+        lo += block.size
     return out
 
 
 def estimate_k(sample_count: int, seed: int) -> float:
     """Estimate the smallest K with |1 - chi| <= K (1 - |chi|) on the
     disk: sampled supremum times a 5 percent safety factor, floored at 1.
+    The sample is streamed block by block, keeping the running sup.
     """
     if sample_count < 10_000:
         raise ConfigurationError("need at least 1e4 samples for a stable estimate")
-    chi = cusp_values(disk_samples(sample_count, seed))
-    ratio = np.abs(1.0 - chi) / (1.0 - np.abs(chi))
-    ratio = ratio[np.isfinite(ratio)]
-    if ratio.size == 0:
+    sup = -math.inf
+    for z in disk_sample_blocks(sample_count, seed):
+        chi = cusp_values(z)
+        ratio = np.abs(1.0 - chi) / (1.0 - np.abs(chi))
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            sup = max(sup, float(ratio.max()))
+    if sup == -math.inf:
         raise EstimationError("no finite distortion ratios in the sample")
-    return max(1.0, 1.05 * float(ratio.max()))
+    return max(1.0, 1.05 * sup)
 
 
 CALIBRATION_GRID_SIZE = 481
@@ -381,19 +448,22 @@ def build_params(theta: float, g_kind: str, k_samples: int,
 def _validate_c(params: SymbolParams, validation_count: int,
                 seed: int) -> float:
     """Return the minimal margin 1 - (|chi| + 2c|phi(chi)|) over a fresh
-    sample; raise CalibrationError if any sample point violates it."""
-    z = disk_samples(validation_count, seed)
-    chi = cusp_values(z)
-    margin = 1.0 - (np.abs(chi)
-                    + 2.0 * params.c * np.abs(phi_values(chi, params.theta)))
-    worst = int(np.argmin(margin))
-    if margin[worst] <= 0.0:
+    sample, streamed block by block; raise CalibrationError, with the
+    first minimizing point in sample order as witness, if the minimum is
+    not positive."""
+    worst, at = math.inf, None
+    for z in disk_sample_blocks(validation_count, seed):
+        chi = cusp_values(z)
+        margin = 1.0 - (np.abs(chi) + 2.0 * params.c
+                        * np.abs(phi_values(chi, params.theta)))
+        i = int(np.argmin(margin))
+        if margin[i] < worst:
+            worst, at = float(margin[i]), complex(z[i])
+    if worst <= 0.0:
         raise CalibrationError(
             "perturbation escapes the disk: margin %.3e at z = %r"
-            % (margin[worst], complex(z[worst])),
-            witness=complex(z[worst]),
-        )
-    return float(margin[worst])
+            % (worst, at), witness=at)
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ from .errors import ConfigurationError
 
 DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
-# calibration points checked per slice; bounds the per-point temporaries
-CALIBRATION_BLOCK = 1 << 15
 # witnesses kept per violated item; more would only repeat the story
 WITNESS_CAP = 10
 # family sizes run_all sweeps with the covering and counting suites
@@ -175,18 +173,16 @@ def check_calibration(params, sample_count: int,
     over the closed disk.  The cusp point attains equality only in the
     z -> 1 limit, which interior sampling never hits.
 
-    The sample is drawn once, then checked in slices of
-    CALIBRATION_BLOCK points, so the per-point temporaries have at most
-    that many entries whatever sample_count is; every element is
-    computed as on the whole array, and the witnesses are the first ten
-    per item in sample order."""
+    The sample is streamed from maps.disk_sample_blocks and checked one
+    block of maps.SAMPLE_BLOCK points at a time, keeping the running
+    minima, so no array has sample_count entries; every element is
+    computed bit for bit as on the whole array, and the witnesses are
+    the first ten per item in sample order."""
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
     rep = VerificationReport("calibration", seed, sample_count)
-    z_all = maps.disk_samples(sample_count, seed)
     reach_min = half_min = math.inf
-    for start in range(0, sample_count, CALIBRATION_BLOCK):
-        z = z_all[start:start + CALIBRATION_BLOCK]
+    for z in maps.disk_sample_blocks(sample_count, seed):
         chi = maps.cusp_values(z)
         phi = maps.phi_values(chi, params.theta)
         damp = params.c * np.abs(phi)

@@ -249,6 +249,52 @@ def test_scalar_inputs_return_complex_scalars():
     assert type(maps.phi_values(1.0, 0.5)) is np.complex128
 
 
+_B = maps.SAMPLE_BLOCK
+_BLOCK_SIZES = [1, _B - 1, _B, _B + 1, 3 * _B + 17]
+
+
+def _chain_inputs(count):
+    """Inputs of each public chain function, count points each: disk
+    samples, log-gap pairs, and circle arguments that include t = 0,
+    both sides of CIRCLE_LOG_GAP_SPLIT and both signs."""
+    rng = np.random.default_rng(count)
+    z = maps.disk_samples(count, 5)
+    log_gap = rng.uniform(-60.0, -1.4, count)
+    phase = rng.uniform(-1.5, 1.5, count)
+    split = maps.CIRCLE_LOG_GAP_SPLIT
+    t = rng.uniform(-4.0, 4.0, count)
+    t[::3] = rng.uniform(-2.0, 2.0, t[::3].size) * split
+    t[:8] = [0.0, split, -split, np.nextafter(split, 0.0),
+             -np.nextafter(split, 0.0), np.nextafter(split, 1.0),
+             1e-300, math.pi][:count]
+    return {"cusp_values": (z,), "phi_values": (z, 0.5),
+            "cusp_from_log_gap": (log_gap, phase), "cusp_on_circle": (t,)}
+
+
+@pytest.mark.parametrize("count", _BLOCK_SIZES)
+def test_chain_blocks_match_one_shot(count, monkeypatch):
+    # slicing at SAMPLE_BLOCK changes no bit of any chain function
+    inputs = _chain_inputs(count)
+    blocked = {name: getattr(maps, name)(*args)
+               for name, args in inputs.items()}
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 40)
+    for name, args in inputs.items():
+        one_shot = getattr(maps, name)(*args)
+        assert blocked[name].shape == one_shot.shape == (count,)
+        assert blocked[name].tobytes() == one_shot.tobytes(), name
+
+
+def test_chain_blocks_keep_shape_and_broadcast(monkeypatch):
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
+    z = maps.disk_samples(3 * 64 + 5, 9).reshape(1, -1)
+    phase = np.linspace(-1.5, 1.5, 200)
+    got = (maps.cusp_values(z), maps.cusp_from_log_gap(-9.0, phase))
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 40)
+    want = (maps.cusp_values(z), maps.cusp_from_log_gap(-9.0, phase))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_symbol_params_validation():
     with pytest.raises(ConfigurationError):
         maps.SymbolParams(theta=0.0, c=0.01, k_hat=2.0)
@@ -293,12 +339,26 @@ def _whole_array_disk_samples(count, seed):
     return r * np.exp(1j * ang)
 
 
+# counts just past one and three blocks, of SAMPLE_BLOCK and of 2^16
 @pytest.mark.parametrize("count", [1, 7, maps.SAMPLE_BLOCK + 1,
-                                   3 * maps.SAMPLE_BLOCK + 17])
+                                   3 * maps.SAMPLE_BLOCK + 17, (1 << 16) + 1,
+                                   3 * (1 << 16) + 17])
 def test_disk_samples_match_whole_array_formula(count):
     for seed in (9, 17):
         got = maps.disk_samples(count, seed)
         assert got.tobytes() == _whole_array_disk_samples(count, seed).tobytes()
+
+
+@pytest.mark.parametrize("block", [64, 1000, maps.SAMPLE_BLOCK])
+def test_disk_sample_blocks_match_whole_array_formula(block, monkeypatch):
+    # every block but the last is full, and one straddles the ring/bulk
+    # boundary unless that falls on a block edge
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
+    count = 3 * block + 17
+    blocks = list(maps.disk_sample_blocks(count, 17))
+    assert [b.size for b in blocks] == [block] * 3 + [17]
+    want = _whole_array_disk_samples(count, 17)
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def test_disk_samples_memory_per_sample():
@@ -307,6 +367,22 @@ def test_disk_samples_memory_per_sample():
     small = traced_peak(maps.disk_samples, 200_000, 17)
     large = traced_peak(maps.disk_samples, 400_000, 17)
     assert large - small < 200_000 * 26
+
+
+def test_estimate_k_memory_per_sample():
+    # the streamed sample holds 1 B per ring point and 8 B per bulk
+    # point between blocks
+    small = traced_peak(maps.estimate_k, 200_000, 17)
+    large = traced_peak(maps.estimate_k, 400_000, 17)
+    assert large - small <= 200_000 * 4
+
+
+def test_build_params_memory_per_sample():
+    small = traced_peak(maps.build_params, 0.5, "identity_in_z2", 200_000,
+                        200_000, 11)
+    large = traced_peak(maps.build_params, 0.5, "identity_in_z2", 400_000,
+                        400_000, 11)
+    assert large - small <= 200_000 * 4
 
 
 def test_estimate_k_frozen():
@@ -335,12 +411,19 @@ def test_build_params_rejects_bad_theta():
         maps.build_params(1.2, "identity_in_z2", 10_000, 10_000, 11)
 
 
-def test_validate_c_catches_escape():
-    # an absurdly large perturbation must trip the witness check
+def test_validate_c_catches_escape(monkeypatch):
+    # an absurdly large perturbation must trip the witness check, and
+    # the streamed pass names the whole sample's first worst point
+    loose = maps.SymbolParams(theta=0.5, c=0.9, k_hat=2.52)
+    z = maps.disk_samples(20_000, 13)
+    chi = maps.cusp_values(z)
+    margin = 1.0 - (np.abs(chi) + 2.0 * loose.c
+                    * np.abs(maps.phi_values(chi, loose.theta)))
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
     with pytest.raises(CalibrationError) as exc:
-        maps._validate_c(maps.SymbolParams(theta=0.5, c=0.9, k_hat=2.52),
-                         20_000, seed=13)
-    assert exc.value.witness is not None
+        maps._validate_c(loose, 20_000, seed=13)
+    assert int(np.argmin(margin)) >= 64
+    assert exc.value.witness == complex(z[np.argmin(margin)])
 
 
 def test_build_params_reproduces_frozen(params):

@@ -201,7 +201,7 @@ def _broadcast_calibration(params, sample_count, seed=17):
 
 
 def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
-    block = verifier.CALIBRATION_BLOCK
+    block = maps.SAMPLE_BLOCK
     count = 3 * block + 1234  # the last block is a partial one
     got = verifier.check_calibration(params, count)
     want, _, _ = _broadcast_calibration(params, count)
@@ -217,17 +217,18 @@ def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
     assert _json(got) == _json(want)
     assert [v["item"] for v in got.violations] == ["reach"] * 10 + ["half_gap"] * 10
     # with short blocks the first ten witnesses of each item span several
-    monkeypatch.setattr(verifier, "CALIBRATION_BLOCK", 64)
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
     assert reach[9] >= 2 * 64 and half[9] >= 2 * 64
     assert _json(verifier.check_calibration(loose, count)) == _json(want)
 
 
 def test_calibration_memory_per_sample(params):
     # the (samples x 16) arrays cost ~570 B per sample; the streamed
-    # suite keeps only the sample itself and fixed-size blocks
+    # suite keeps only the sample's ring exponents (1 B a ring point)
+    # and bulk radii (8 B a bulk point) between fixed-size blocks
     small = traced_peak(verifier.check_calibration, params, 200_000)
     large = traced_peak(verifier.check_calibration, params, 400_000)
-    assert large - small < 200_000 * 100
+    assert large - small <= 200_000 * 4
 
 
 def _points_near_disks(fam, count, seed):
