@@ -191,6 +191,7 @@ def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
 def _cusp_on_circle_block(t):
     scalar = t.ndim == 0
     t = np.atleast_1d(t).copy()
+    t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test
     # range-reduce only arguments beyond [-pi, pi]: mod arithmetic at pi
     # scale flushes |t| < eps*pi to zero, losing the cusp distance entirely
     big = np.abs(t) > math.pi
@@ -198,7 +199,7 @@ def _cusp_on_circle_block(t):
         t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
     neg = t < 0.0
     ta = np.abs(t)
-    out = np.ones(t.shape, dtype=complex)
+    out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
     far = ta >= CIRCLE_LOG_GAP_SPLIT
     out[far] = cusp_values(expi(ta[far]))
     near = ~far & (ta > 0.0)
@@ -210,7 +211,8 @@ def _cusp_on_circle_block(t):
 
 def cusp_on_circle(t) -> np.ndarray:
     """Cusp map at e^{it} for arbitrary real t, accurate down to
-    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1.
+    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1, and a NaN or infinite
+    t to nan + nan i.
 
     Double evaluation of the chain at e^{it} loses all digits of 1 - chi
     once 1 - e^{it} drops near machine epsilon, so the evaluation is
@@ -386,20 +388,10 @@ def disk_sample_blocks(count: int, seed: int):
         r_bulk[lo:lo + u.size] = np.sqrt(u) * SAMPLE_RADIUS_CAP
     for lo in range(0, count, SAMPLE_BLOCK):  # ring points, then bulk
         hi = min(lo + SAMPLE_BLOCK, count)
-        r = np.concatenate([1.0 - 0.5 ** k[lo:hi],
+        r = np.concatenate([1.0 - np.ldexp(1.0, -k[lo:hi].astype(np.intc)),
                             r_bulk[max(lo - n_ring, 0):max(hi - n_ring, 0)]])
         ang = rng.random(hi - lo) * 2.0 * np.pi
         yield r * expi(ang)
-
-
-def disk_samples(count: int, seed: int) -> np.ndarray:
-    """The whole disk_sample_blocks stream, filled into one array."""
-    out = np.empty(count, dtype=complex)
-    lo = 0
-    for block in disk_sample_blocks(count, seed):
-        out[lo:lo + block.size] = block
-        lo += block.size
-    return out
 
 
 def estimate_k(sample_count: int, seed: int) -> float:

@@ -9,6 +9,14 @@ the suite passed.  A violation always carries enough of a witness to
 replay the single failing evaluation by hand.  Every violation enters
 through VerificationReport.witness or .record, which keep the first
 WITNESS_CAP witnesses per item, grouped by item in sample order.
+
+Every sample suite streams: the geometry, calibration and covering
+suites check maps.SAMPLE_BLOCK points at a time and keep only running
+extrema, counts and each item's first witnesses.  The arrays left with
+one entry per sample are real ones: the covering suite's log gaps,
+drawn ahead of its phases, and the geometry suite's bracket grid of t.
+Each element is computed bit for bit as on the whole sample, and the
+report is the same.
 """
 
 from __future__ import annotations
@@ -59,13 +67,19 @@ class VerificationReport:
             self.violations.insert(at, entry)
 
     def record(self, item: str, mask: np.ndarray, fields) -> None:
-        """Witness the first WITNESS_CAP points where mask holds; fields(i)
-        maps each witness key to point i's value, a complex one stored
-        as [re, im]."""
-        for i in np.flatnonzero(mask)[:WITNESS_CAP]:
-            entry = {key: _c2s(value) if np.iscomplexobj(value) else value
-                     for key, value in fields(i).items()}
-            self.witness({"item": item, **entry})
+        """Witness the first WITNESS_CAP points where mask holds."""
+        for entry in _witnesses(item, mask, fields, WITNESS_CAP):
+            self.witness(entry)
+
+
+def _witnesses(item: str, mask: np.ndarray, fields, room: int) -> list:
+    """Witness entries for the first room points where mask holds;
+    fields(i) maps each witness key to point i's value, a complex one
+    stored as [re, im]."""
+    return [{"item": item,
+             **{key: _c2s(value) if np.iscomplexobj(value) else value
+                for key, value in fields(i).items()}}
+            for i in np.flatnonzero(mask)[:room]]
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +88,15 @@ class VerificationReport:
 
 def _bracket_on_log_grid(count: int) -> tuple:
     """min and max of (1 - Re chi(e^it)) * log(1/t) over a geometric
-    grid of t in [1e-8, pi/4]."""
+    grid of t in [1e-8, pi/4], taken over slices of maps.SAMPLE_BLOCK
+    grid points."""
     t = np.geomspace(1e-8, math.pi / 4.0, count)
-    vals = (1.0 - maps.cusp_on_circle(t).real) * np.log(1.0 / t)
-    return float(vals.min()), float(vals.max())
+    lo, hi = math.inf, -math.inf
+    for start in range(0, count, maps.SAMPLE_BLOCK):
+        part = t[start:start + maps.SAMPLE_BLOCK]
+        vals = (1.0 - maps.cusp_on_circle(part).real) * np.log(1.0 / part)
+        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
+    return lo, hi
 
 
 def check_cusp_geometry(sample_count: int,
@@ -96,13 +115,52 @@ def check_cusp_geometry(sample_count: int,
 
     Estimated check: the bracket of (1 - Re chi(e^it)) log(1/t) on a
     geometric grid, flagged if doubling the grid moves either end by
-    5 percent or more."""
+    5 percent or more.
+
+    The disk sample streams from maps.disk_sample_blocks and the
+    near-cusp batch (at most 5000 points) is one more block.  Each
+    item's first witnesses are gathered across the blocks and filed in
+    the order the checks are listed above, the real axis just before
+    the distortion."""
     if sample_count < 10_000:
         raise ConfigurationError("geometry suite needs at least 1e4 samples")
     rep = VerificationReport("cusp_geometry", seed, sample_count)
     tolerance = GEOMETRY_TOLERANCE
-    z = maps.disk_samples(sample_count, seed)
-    chi = maps.cusp_values(z)
+    # not the run's K: calibrated on demand, that one comes from
+    # disk_sample_blocks(max(samples, 10000), seed), the very disk points
+    # checked here, where 1.05 x their sampled sup cannot fail
+    k_default = maps.estimate_k(100_000, 11)
+    # each item's first witnesses so far, in filing order
+    found = {item: [] for item in ("lens_outer", "lens_upper", "lens_lower",
+                                   "near_one", "real_part", "imag_vs_gap",
+                                   "real_axis", "distortion")}
+    ratio_sup = -math.inf
+
+    def check(z, chi):
+        # z is the witness only; near the cusp it may round to 1
+        nonlocal ratio_sup
+        dist, gap = np.abs(1.0 - chi), 1.0 - np.abs(chi)
+        for item, mask in (
+                ("lens_outer", np.abs(chi - 0.5) > 0.5 + tolerance),
+                ("lens_upper", np.abs(chi - (1.0 + 0.5j)) < 0.5 - tolerance),
+                ("lens_lower", np.abs(chi - (1.0 - 0.5j)) < 0.5 - tolerance),
+                ("near_one", np.abs(chi - 1.0) > 1.0 + tolerance),
+                ("real_part",
+                 (chi.real < -tolerance) | (chi.real > 1.0 + tolerance)),
+                ("imag_vs_gap",
+                 np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tolerance),
+                ("distortion", dist > k_default * gap + tolerance)):
+            have = found[item]
+            have += _witnesses(item, mask,
+                               lambda i: {"z": z[i], "chi": chi[i]},
+                               WITNESS_CAP - len(have))
+        ratio = dist / gap
+        ratio = ratio[np.isfinite(ratio)]
+        if ratio.size:
+            ratio_sup = max(ratio_sup, float(ratio.max()))
+
+    for z in maps.disk_sample_blocks(sample_count, seed):
+        check(z, maps.cusp_values(z))
     # near-cusp stress points, far beyond where forming 1 - z survives
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     n_gap = min(5000, sample_count // 10)
@@ -110,39 +168,18 @@ def check_cusp_geometry(sample_count: int,
     ph_gap = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, n_gap)
     keep = log_gap < np.log(2.0 * np.cos(ph_gap))  # |1 - xi| <= 1
     log_gap, ph_gap = log_gap[keep], ph_gap[keep]
-    chi_gap = maps.cusp_from_log_gap(log_gap, ph_gap)
-    chi_all = np.concatenate([chi, chi_gap])
-    # witness only; may round to 1
-    src = np.concatenate([z, 1.0 - np.exp(log_gap + 1j * ph_gap)])
-
-    def at(i):
-        return {"z": src[i], "chi": chi_all[i]}
-
-    rep.record("lens_outer", np.abs(chi_all - 0.5) > 0.5 + tolerance, at)
-    rep.record("lens_upper",
-               np.abs(chi_all - (1.0 + 0.5j)) < 0.5 - tolerance, at)
-    rep.record("lens_lower",
-               np.abs(chi_all - (1.0 - 0.5j)) < 0.5 - tolerance, at)
-    rep.record("near_one", np.abs(chi_all - 1.0) > 1.0 + tolerance, at)
-    rep.record("real_part", (chi_all.real < -tolerance)
-               | (chi_all.real > 1.0 + tolerance), at)
-    rep.record("imag_vs_gap", np.abs(chi_all.imag)
-               > 2.0 * (1.0 - chi_all.real) ** 2 + tolerance, at)
+    check(1.0 - np.exp(log_gap + 1j * ph_gap),
+          maps.cusp_from_log_gap(log_gap, ph_gap))
 
     axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
     chi_axis = maps.cusp_values(axis)
-    rep.record("real_axis", chi_axis.imag != 0.0,
-               lambda i: {"z": axis[i], "chi": chi_axis[i]})
-
-    ratio = np.abs(1.0 - chi_all) / (1.0 - np.abs(chi_all))
-    ratio = ratio[np.isfinite(ratio)]
-    # not the run's K: calibrated on demand, that one comes from
-    # disk_samples(max(samples, 10000), seed), the very disk points
-    # checked here, where 1.05 x their sampled sup cannot fail
-    k_default = maps.estimate_k(100_000, 11)
-    rep.record("distortion", np.abs(1.0 - chi_all)
-               > k_default * (1.0 - np.abs(chi_all)) + tolerance, at)
-    rep.constants["distortion_sup"] = float(ratio.max())
+    found["real_axis"] = _witnesses(
+        "real_axis", chi_axis.imag != 0.0,
+        lambda i: {"z": axis[i], "chi": chi_axis[i]}, WITNESS_CAP)
+    for entries in found.values():
+        for entry in entries:
+            rep.witness(entry)
+    rep.constants["distortion_sup"] = ratio_sup
     rep.constants["k_hat"] = k_default
 
     lo1, hi1 = _bracket_on_log_grid(sample_count)
@@ -167,11 +204,13 @@ def check_calibration(params, sample_count: int,
       |chi| + 2 c |phi(chi)| < 1
       1 - |w2| >= (1 - |chi|) / 2   for w2 = chi + c phi(chi) u,
 
-    the second for every |u| <= 1, so for every value of g(z2).  Its
-    margin is taken at u* = exp(i (arg chi - arg phi)), where c phi u*
-    points along chi: by the triangle inequality that is the minimum
-    over the closed disk.  The cusp point attains equality only in the
-    z -> 1 limit, which interior sampling never hits.
+    the second for every |u| <= 1, so for every value of g(z2).  The
+    largest |w2| over the closed disk is |chi| + c |phi|, attained at
+    u* = exp(i (arg chi - arg phi)), where c phi u* points along chi,
+    so the second margin is (1 - |chi|) / 2 - c |phi| in closed form:
+    half the first margin, bit for bit, since halving is exact.  u* is
+    formed only for a witness.  The cusp point attains equality only
+    in the z -> 1 limit, which interior sampling never hits.
 
     The sample is streamed from maps.disk_sample_blocks and checked one
     block of maps.SAMPLE_BLOCK points at a time, keeping the running
@@ -181,23 +220,22 @@ def check_calibration(params, sample_count: int,
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
     rep = VerificationReport("calibration", seed, sample_count)
-    reach_min = half_min = math.inf
+    reach_min = math.inf
     for z in maps.disk_sample_blocks(sample_count, seed):
         chi = maps.cusp_values(z)
         phi = maps.phi_values(chi, params.theta)
-        damp = params.c * np.abs(phi)
-        gap = 1.0 - np.abs(chi)
-        reach_margin = gap - 2.0 * damp
-        u = maps.expi(np.angle(chi) - np.angle(phi))
-        half_margin = (1.0 - np.abs(chi + params.c * phi * u)) - gap / 2.0
+        reach_margin = (1.0 - np.abs(chi)) - 2.0 * (params.c * np.abs(phi))
+        half_margin = reach_margin / 2.0
         rep.record("reach", reach_margin <= 0.0,
                    lambda i: {"z": z[i], "margin": reach_margin[i]})
         rep.record("half_gap", half_margin < 0.0,
-                   lambda i: {"z": z[i], "u": u[i], "margin": half_margin[i]})
+                   lambda i: {"z": z[i],
+                              "u": maps.expi(np.angle(chi[i])
+                                             - np.angle(phi[i])),
+                              "margin": half_margin[i]})
         reach_min = min(reach_min, float(reach_margin.min()))
-        half_min = min(half_min, float(half_margin.min()))
     rep.constants["reach_margin_min"] = reach_min
-    rep.constants["half_gap_margin_min"] = half_min
+    rep.constants["half_gap_margin_min"] = reach_min / 2.0
     return rep
 
 
@@ -269,29 +307,35 @@ def check_covering(n: int, sample_count: int, params,
         raise ConfigurationError("covering suite needs at least 1000 samples")
     rep = VerificationReport("covering_n%d" % n, seed, sample_count)
     family = CoveringFamily.for_size(params, n)
+    centers, radii = family.centers(), family.radii()
+    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
     rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
     log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, sample_count)
-    phase = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, sample_count)
-    inside = log_gap < np.log(2.0 * np.cos(phase))  # |1 - xi| <= 1
-    log_gap, phase = log_gap[inside], phase[inside]
-    chi = maps.cusp_from_log_gap(log_gap, phase)
-    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
-    kept = (np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)
-    log_gap, phase, chi_kept = log_gap[kept], phase[kept], chi[kept]
-    centers, radii = family.centers(), family.radii()
+    kept = 0
 
     def uncovered(i):
-        dist = np.abs(chi_kept[i] - centers)
+        dist = np.abs(chi[i] - centers)
         j = np.argmin(dist / radii)
-        return {"log_gap": log_gap[i], "phase": phase[i], "chi": chi_kept[i],
+        return {"log_gap": lg[i], "phase": ph[i], "chi": chi[i],
                 "nearest_disk": {"j": int(j + family.start_index),
                                  "center": float(centers[j]),
                                  "radius": float(radii[j]),
                                  "distance": float(dist[j])}}
 
-    rep.record("uncovered", ~family.covers(chi_kept), uncovered)
-    rep.constants["kept"] = int(chi_kept.size)
-    rep.constants["vacuous"] = bool(chi_kept.size == 0)
+    for lo in range(0, sample_count, maps.SAMPLE_BLOCK):
+        lg = log_gap[lo:lo + maps.SAMPLE_BLOCK]
+        # the phases follow all of log_gap in the stream, drawn a block
+        # at a time
+        ph = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, lg.size)
+        inside = lg < np.log(2.0 * np.cos(ph))  # |1 - xi| <= 1
+        lg, ph = lg[inside], ph[inside]
+        chi = maps.cusp_from_log_gap(lg, ph)
+        deep = (np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)
+        lg, ph, chi = lg[deep], ph[deep], chi[deep]
+        rep.record("uncovered", ~family.covers(chi), uncovered)
+        kept += chi.size
+    rep.constants["kept"] = kept
+    rep.constants["vacuous"] = kept == 0
     rep.constants["family"] = {"start_index": family.start_index,
                                "end_index": family.end_index,
                                "shrink": family.shrink}

@@ -20,9 +20,17 @@ def small_spec():
     return hardy.TruncationSpec(16, 256)
 
 
+def disk_samples(count, seed):
+    """The whole maps.disk_sample_blocks stream as one array."""
+    return np.concatenate(list(maps.disk_sample_blocks(count, seed)))
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes traced by tracemalloc (numpy buffers included) above
-    the level at the call."""
+    the level at the call.  One untraced warm-up call first, so that
+    allocations a process makes once (caches, lazy imports) do not
+    count."""
+    fn(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -10,7 +10,7 @@ import pytest
 
 from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
-from conftest import traced_peak
+from conftest import disk_samples, traced_peak
 
 
 def _json(rep) -> str:
@@ -57,31 +57,61 @@ def _grouped_first_ten(rep, items):
     return got
 
 
-def test_geometry_suite_witnesses_every_item(monkeypatch):
-    # a negative tolerance turns every inequality but the exact real
-    # axis one into a violation nearly everywhere
-    monkeypatch.setattr(verifier, "GEOMETRY_TOLERANCE", -1.0)
-    rep = verifier.check_cusp_geometry(10_000)
-    z = maps.disk_samples(10_000, 17)
-    chi = maps.cusp_values(z)
+def _geometry_point_witnesses(tol, count=10_000, seed=17):
+    """The geometry suite's witnesses at tolerance tol, the real axis
+    aside, from whole-array masks over the disk sample followed by the
+    near-cusp batch, grouped by item in the suite's order: the oracle
+    for the streamed suite.  Also returns each item's hit indices."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    n_gap = min(5000, count // 10)
+    log_gap = rng.uniform(-280.0, -3.0, n_gap)
+    phase = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, n_gap)
+    keep = log_gap < np.log(2.0 * np.cos(phase))
+    log_gap, phase = log_gap[keep], phase[keep]
+    disk = disk_samples(count, seed)
+    z = np.concatenate([disk, 1.0 - np.exp(log_gap + 1j * phase)])
+    chi = np.concatenate([maps.cusp_values(disk),
+                          maps.cusp_from_log_gap(log_gap, phase)])
     gap = 1.0 - np.abs(chi)
-    masks = {
-        "lens_outer": np.abs(chi - 0.5) > -0.5,
-        "lens_upper": np.abs(chi - (1.0 + 0.5j)) < 1.5,
-        "lens_lower": np.abs(chi - (1.0 - 0.5j)) < 1.5,
-        "near_one": np.abs(chi - 1.0) > 0.0,
-        "real_part": (chi.real < 1.0) | (chi.real > 0.0),
-        "imag_vs_gap": np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 - 1.0,
-        "distortion": np.abs(1.0 - chi) > maps.estimate_k(100_000, 11) * gap - 1.0,
-    }
-    got = _grouped_first_ten(rep, list(masks))
-    for item, mask in masks.items():
-        # ten hits among the disk samples, which come first in the suite
-        first = np.nonzero(mask)[0][:10]
-        assert first.size == 10
-        assert got[item] == [
-            {"item": item, "z": verifier._c2s(z[i]),
-             "chi": verifier._c2s(chi[i])} for i in first]
+    hits = {item: np.nonzero(mask)[0] for item, mask in (
+        ("lens_outer", np.abs(chi - 0.5) > 0.5 + tol),
+        ("lens_upper", np.abs(chi - (1.0 + 0.5j)) < 0.5 - tol),
+        ("lens_lower", np.abs(chi - (1.0 - 0.5j)) < 0.5 - tol),
+        ("near_one", np.abs(chi - 1.0) > 1.0 + tol),
+        ("real_part", (chi.real < -tol) | (chi.real > 1.0 + tol)),
+        ("imag_vs_gap", np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tol),
+        ("distortion",
+         np.abs(1.0 - chi) > maps.estimate_k(100_000, 11) * gap + tol))}
+    want = [{"item": item, "z": verifier._c2s(z[i]),
+             "chi": verifier._c2s(chi[i])}
+            for item, idx in hits.items() for i in idx[:10]]
+    return want, hits
+
+
+def test_geometry_suite_witnesses_every_item(monkeypatch):
+    # a negative tolerance turns the inequalities but the exact real
+    # axis one into violations: at -1 nearly everywhere, at -0.03 on
+    # scattered points, so that with 64-point blocks an item's
+    # witnesses span blocks and its first can sit blocks after another
+    # item's
+    hits_at = {}
+    for tol, block in ((-1.0, maps.SAMPLE_BLOCK), (-1.0, 64), (-0.03, 64)):
+        monkeypatch.setattr(verifier, "GEOMETRY_TOLERANCE", tol)
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
+        rep = verifier.check_cusp_geometry(10_000)
+        want, hits_at[tol] = _geometry_point_witnesses(tol)
+        _grouped_first_ten(rep, list(hits_at[tol]))
+        assert rep.violations == want
+    # at -1, ten hits per item among the disk samples, which come first
+    assert all(idx.size >= 10 and idx[9] < 10_000
+               for idx in hits_at[-1.0].values())
+    # at -0.03, imag_vs_gap's first hit is six blocks in and its last
+    # witnesses come from the near-cusp batch, where all of
+    # distortion's lie
+    hits = hits_at[-0.03]
+    assert hits["lens_upper"][0] == 0 and hits["imag_vs_gap"][0] >= 6 * 64
+    assert hits["imag_vs_gap"][9] >= 10_000
+    assert hits["distortion"][0] >= 10_000
 
 
 def _unclamped_chi0(z):
@@ -100,23 +130,41 @@ def _unclamped_chi0(z):
 def test_geometry_suite_witnesses_real_axis(monkeypatch):
     # the real_axis item reads the chain's own output: with stage 0
     # unclamped, the axis points whose chi picks up an imaginary part
-    # are its witnesses, and no other item fires
+    # are its witnesses, and at the suite's tolerance no other item
+    # fires.  At -1 every item fires from the first block on, and the
+    # real axis, checked after the sample, still files its witnesses
+    # between imag_vs_gap's and distortion's
     monkeypatch.setattr(maps, "chi0_values", _unclamped_chi0)
-    rep = verifier.check_cusp_geometry(10_000)
     axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
     chi = maps.cusp_values(axis)
     first = np.nonzero(chi.imag != 0.0)[0][:10]
     assert first.size == 10
-    assert rep.violations == [
-        {"item": "real_axis", "z": verifier._c2s(axis[i]),
-         "chi": verifier._c2s(chi[i])} for i in first]
+    on_axis = [{"item": "real_axis", "z": verifier._c2s(axis[i]),
+                "chi": verifier._c2s(chi[i])} for i in first]
+    for tol, block in ((verifier.GEOMETRY_TOLERANCE, maps.SAMPLE_BLOCK),
+                       (verifier.GEOMETRY_TOLERANCE, 64), (-1.0, 64)):
+        monkeypatch.setattr(verifier, "GEOMETRY_TOLERANCE", tol)
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
+        rep = verifier.check_cusp_geometry(10_000)
+        if tol < 0.0:
+            points, _ = _geometry_point_witnesses(tol)
+            at = [v["item"] for v in points].index("distortion")
+            assert rep.violations == points[:at] + on_axis + points[at:]
+        else:
+            assert rep.violations == on_axis
 
 
 def test_covering_suite_witnesses_uncovered(params, monkeypatch):
     monkeypatch.setattr(verifier.CoveringFamily, "covers",
                         lambda self, w: np.zeros(np.shape(w), bool))
     n, count = 100, 1000
-    rep = verifier.check_covering(n, count, params=params)
+    # with 8-point blocks the ten witnesses span four blocks
+    reports = []
+    for block in (maps.SAMPLE_BLOCK, 64, 8):
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
+        reports.append(verifier.check_covering(n, count, params=params))
+    rep = reports[0]
+    assert all(_json(r) == _json(rep) for r in reports)
     # check_covering's draw, then its hypothesis region
     rng = np.random.default_rng(np.random.SeedSequence((17, n)))
     log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, count)
@@ -155,7 +203,7 @@ def test_calibration_suite_reduced_budget(params):
     # 4096-point unimodular grid does worse, and the grid comes within
     # 1e-10.  |chi + c phi u|^2 = |chi|^2 + |c phi|^2 + 2 Re(b u) with
     # b = conj(chi) c phi, so each point needs only max_u Re(b u).
-    z = maps.disk_samples(50_000, 17)
+    z = disk_samples(50_000, 17)
     chi = maps.cusp_values(z)
     cphi = params.c * maps.phi_values(chi, params.theta)
     b = np.conj(chi) * cphi
@@ -175,16 +223,17 @@ def test_calibration_suite_reduced_budget(params):
 
 def _broadcast_calibration(params, sample_count, seed=17):
     """The calibration suite over the whole sample at once, the
-    half-gap margin in closed form at u* = exp(i (arg chi - arg phi)):
-    the oracle for the block-streamed suite."""
+    half-gap margin in closed form, (1 - |chi|) / 2 - c |phi|, its
+    value at the worst u* = exp(i (arg chi - arg phi)): the oracle for
+    the block-streamed suite."""
     rep = verifier.VerificationReport("calibration", seed, sample_count)
-    z = maps.disk_samples(sample_count, seed)
+    z = disk_samples(sample_count, seed)
     chi = maps.cusp_values(z)
     phi = maps.phi_values(chi, params.theta)
     gap = 1.0 - np.abs(chi)
     reach_margin = gap - 2.0 * (params.c * np.abs(phi))
     u = np.exp(1j * (np.angle(chi) - np.angle(phi)))
-    half_margin = (1.0 - np.abs(chi + params.c * phi * u)) - gap / 2.0
+    half_margin = gap / 2.0 - params.c * np.abs(phi)
     bad = np.nonzero(reach_margin <= 0.0)[0]
     bad2 = np.nonzero(half_margin < 0.0)[0]
     for i in bad[:10]:
@@ -229,6 +278,23 @@ def test_calibration_memory_per_sample(params):
     small = traced_peak(verifier.check_calibration, params, 200_000)
     large = traced_peak(verifier.check_calibration, params, 400_000)
     assert large - small <= 200_000 * 4
+
+
+def test_geometry_memory_per_sample():
+    # the whole-array suite grew 136 B per sample; the streamed one
+    # holds the doubled bracket's t grid, whose np.geomspace takes
+    # 16 B a point at twice the sample
+    small = traced_peak(verifier.check_cusp_geometry, 100_000)
+    large = traced_peak(verifier.check_cusp_geometry, 200_000)
+    assert large - small <= 100_000 * 40
+
+
+def test_covering_memory_per_sample(params):
+    # the whole-array suite grew 67.5 B per sample; the streamed one
+    # holds the 8 B log gaps, drawn ahead of the phases
+    small = traced_peak(verifier.check_covering, 1000, 100_000, params)
+    large = traced_peak(verifier.check_covering, 1000, 200_000, params)
+    assert large - small <= 100_000 * 40
 
 
 def _points_near_disks(fam, count, seed):
