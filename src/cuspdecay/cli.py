@@ -50,7 +50,9 @@ or parse error.
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near
-the cusp); dense linear algebra always runs in double.
+the cusp); dense linear algebra always runs in double.  mpmath is
+imported only by extended map-eval and the scaled:<r> plateau, so
+every other verb runs without loading it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from mpmath import mp
 
 from . import hardy, maps, spectrum, verifier
 from .errors import (
@@ -118,6 +119,8 @@ class RunConfig:
         parse_symbol(self.symbol)
         if min(self.samples, self.calibration_samples, self.trials) < 1:
             raise ConfigurationError("sample budgets must be positive")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise ConfigurationError("seed must be >= 0, not %d" % self.seed)
         return self
 
     def hash(self) -> str:
@@ -309,6 +312,8 @@ def _rows_double(z, chi0, params) -> list:
 
 
 def _rows_extended(z, chi0, params) -> list:
+    from mpmath import mp
+
     rows = []
     for zz, c0 in zip(z, chi0):
         chi = maps.cusp_mp(complex(zz))

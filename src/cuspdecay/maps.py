@@ -18,7 +18,9 @@ Conventions used throughout:
   and returns log chi0 directly, which keeps 1 - chi accurate however
   close z is to the cusp.  Both feed the shared tail _chain_tail
   (stages 2 and 3).  cusp_mp is the arbitrary-precision oracle, and
-  cusp_taylor_mp takes chi's Taylor coefficients at 0 from it;
+  cusp_taylor_mp takes chi's Taylor coefficients at 0 from it.  The
+  mpmath functions (cusp_mp, phi_mp, cusp_taylor_mp) import mpmath
+  when called, so a run in double arithmetic never loads it;
 * the double chain takes every log as log|w| + i arg w
   (_principal_log) and every e^{ix} as cos x + i sin x (expi), from
   real ufuncs, and the damping power w^(-theta) as exp(-theta log w)
@@ -30,7 +32,8 @@ Conventions used throughout:
   evaluating only in the closed upper half-plane and reflecting, so
   real inputs give real outputs bit-for-bit.
 * every pass over many points streams in blocks of SAMPLE_BLOCK:
-  disk_sample_blocks yields the disk sample a block at a time, and
+  disk_sample_blocks yields the disk sample a block at a time, from
+  two generators on one stream, and holds nothing between blocks;
   cusp_values, phi_values, cusp_from_log_gap and cusp_on_circle
   evaluate a longer input slice by slice, so the ~10 complex
   temporaries of the chain stay in cache.  Blocking never changes a
@@ -48,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .errors import (
@@ -233,6 +235,8 @@ def cusp_mp(z, dps: int | None = None):
     mpmath-convertible complex.  Working precision defaults to 30
     digits plus the digits cancelled in 1 - z, which keeps the result
     accurate to ~30 digits arbitrarily close to the cusp."""
+    import mpmath as mp
+
     zc = mp.mpc(z)
     if dps is None:
         gap = abs(mp.mpc(1) - zc)
@@ -283,6 +287,8 @@ def _phi_block(z, theta):
 
 
 def phi_mp(z, theta, dps: int = 40):
+    import mpmath as mp
+
     with mp.workdps(dps):
         zc = mp.mpc(z)
         if zc == 1:
@@ -365,33 +371,36 @@ def disk_sample_blocks(count: int, seed: int):
     SAMPLE_BULK_FRACTION portion is uniform in area to keep interior
     coverage.
 
-    The ring radii, the bulk radii and the angles are drawn in that
-    order, so the radii are drawn before the first block is yielded:
-    between blocks only the ring exponents k (one byte a ring point)
-    and the bulk radii are held.  The generator's stream does not
-    depend on how a draw is split, so the blocks joined are bit for bit
-    the whole-array sample, whatever SAMPLE_BLOCK is.
+    One stream, seeded by SeedSequence(seed), holds the ring exponents
+    k, then the bulk radii, then the angles.  Two generators read it
+    from that seed, so no array outlives its block.  The radii
+    generator draws each block's exponents and bulk radii as the block
+    is yielded.  The angle generator first draws the exponents a block
+    at a time and discards them (their draws are rejection-sampled and
+    cannot be skipped), then skips the bulk radii with
+    bit_generator.advance, one 64-bit draw per double, and then draws
+    each block's angles.  The stream does not depend on how a draw is
+    split, so the blocks joined are bit for bit the whole-array sample,
+    whatever SAMPLE_BLOCK is.
     """
     if count < 1:
         raise ConfigurationError("count must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     k_max = int(math.floor(-math.log2(1.0 - SAMPLE_RADIUS_CAP)))
     n_ring = count - int(count * SAMPLE_BULK_FRACTION)
-    # drawn as int64, which fixes the stream, and kept as one byte
-    k = np.empty(n_ring, dtype=np.uint8)
+    radii = np.random.default_rng(np.random.SeedSequence(seed))
+    angles = np.random.default_rng(np.random.SeedSequence(seed))
     for lo in range(0, n_ring, SAMPLE_BLOCK):
-        k[lo:lo + SAMPLE_BLOCK] = rng.integers(
-            1, k_max + 1, size=min(SAMPLE_BLOCK, n_ring - lo))
-    r_bulk = np.empty(count - n_ring)
-    for lo in range(0, r_bulk.size, SAMPLE_BLOCK):
-        u = rng.random(min(SAMPLE_BLOCK, r_bulk.size - lo))
-        r_bulk[lo:lo + u.size] = np.sqrt(u) * SAMPLE_RADIUS_CAP
+        angles.integers(1, k_max + 1, size=min(SAMPLE_BLOCK, n_ring - lo))
+    angles.bit_generator.advance(count - n_ring)
     for lo in range(0, count, SAMPLE_BLOCK):  # ring points, then bulk
         hi = min(lo + SAMPLE_BLOCK, count)
-        r = np.concatenate([1.0 - np.ldexp(1.0, -k[lo:hi].astype(np.intc)),
-                            r_bulk[max(lo - n_ring, 0):max(hi - n_ring, 0)]])
-        ang = rng.random(hi - lo) * 2.0 * np.pi
-        yield r * expi(ang)
+        split = min(max(lo, n_ring), hi)  # ring points below, bulk above
+        # drawn as int64, which fixes the stream
+        k = radii.integers(1, k_max + 1, size=split - lo)
+        u = radii.random(hi - split)
+        r = np.concatenate([1.0 - np.ldexp(1.0, -k.astype(np.intc)),
+                            np.sqrt(u) * SAMPLE_RADIUS_CAP])
+        yield r * expi(angles.random(hi - lo) * 2.0 * np.pi)
 
 
 def estimate_k(sample_count: int, seed: int) -> float:
@@ -479,6 +488,8 @@ def cusp_taylor_mp(n_terms: int, dps: int = 40):
     the sum by up to rho^-n_terms, which n_terms log10(1/rho) guard
     digits absorb.  chi commutes with conjugation, so the a_k are real
     and only the upper half of the circle is evaluated."""
+    import mpmath as mp
+
     per_node = -math.log10(TAYLOR_RADIUS)  # digits rho^N loses per node
     nodes = math.floor((dps + 10) / per_node) + 1
     nodes = max(nodes + nodes % 2, n_terms + n_terms % 2)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from . import hardy, maps
 from .errors import (
@@ -156,10 +155,17 @@ def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
     n = gram.order
     k = min(2 * math.isqrt(n), n)
     while True:
-        omega = np.random.default_rng(RITZ_SEED).standard_normal((n, k))
-        q, _ = np.linalg.qr(gram.matmat(omega))
-        q, _ = np.linalg.qr(gram.matmat(q))  # one power step
+        # no n x k block outlives its use: the start block goes once
+        # G Omega is formed, and each basis before the next QR
+        rng = np.random.default_rng(RITZ_SEED)
+        y = gram.matmat(rng.standard_normal((n, k)))
+        q = np.linalg.qr(y)[0]
+        y = gram.matmat(q)
+        del q
+        q = np.linalg.qr(y)[0]  # one power step
+        del y
         b = q.T @ gram.matmat(q)
+        del q
         top = gram_values(b, gram.tail)
         if k == n or top.values[-1] <= top.noise_floor:
             break
@@ -362,6 +368,8 @@ def one_dim_plateau(scale: float = 0.5,
         raise ConfigurationError("plateau experiment expects scale in (0, 0.9]")
     if block_size < 2:
         raise ConfigurationError("block_size must be at least 2")
+    from mpmath import mp
+
     sup = scaled_sup_bound(scale)
     with mp.workdps(PLATEAU_DPS):
         coeffs = maps.cusp_taylor_mp(block_size, dps=PLATEAU_DPS)

@@ -11,21 +11,26 @@ through VerificationReport.witness or .record, which keep the first
 WITNESS_CAP witnesses per item, grouped by item in sample order.
 
 Every sample suite streams: the geometry, calibration and covering
-suites check maps.SAMPLE_BLOCK points at a time and keep only running
-extrema, counts and each item's first witnesses.  The arrays left with
-one entry per sample are real ones: the covering suite's log gaps,
-drawn ahead of its phases, and the geometry suite's bracket grid of t.
-Each element is computed bit for bit as on the whole sample, and the
-report is the same.
+suites draw and check maps.SAMPLE_BLOCK points at a time and keep only
+running extrema, counts and each item's first witnesses, so no array
+with one entry per sample is left, and a suite's memory does not grow
+with its budget.  The disk sample comes a block at a time from
+maps.disk_sample_blocks, the covering suite's log gaps and phases from
+two generators on one stream, and the geometry suite's bracket grid of
+t a slice at a time.  Each element is computed bit for bit as on the
+whole sample, and the report is the same.  The suites run in double
+arithmetic, and the counting suite's 50-digit floors use the standard
+library's decimal, so verification never loads mpmath.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
-from mpmath import mp
 
 from . import maps
 from .errors import ConfigurationError
@@ -86,15 +91,32 @@ def _witnesses(item: str, mask: np.ndarray, fields, room: int) -> list:
 # cusp geometry
 
 
+def _bracket_grid_slices(count: int):
+    """np.geomspace(1e-8, pi/4, count), count >= 2, yielded
+    maps.SAMPLE_BLOCK points at a time.  Each slice is formed by
+    geomspace's own formula, 10 ** (i * step + log10(1e-8)) with
+    step = (log10(pi/4) - log10(1e-8)) / (count - 1), and the two ends
+    are set to the endpoints as geomspace sets them, so every point has
+    geomspace's bits."""
+    start, stop = 1e-8, math.pi / 4.0
+    log_start = np.log10(start)
+    step = (np.log10(stop) - log_start) / (count - 1)
+    for lo in range(0, count, maps.SAMPLE_BLOCK):
+        i = np.arange(lo, min(lo + maps.SAMPLE_BLOCK, count), dtype=float)
+        t = np.power(10.0, i * step + log_start)
+        if lo == 0:
+            t[0] = start
+        if lo + t.size == count:
+            t[-1] = stop
+        yield t
+
+
 def _bracket_on_log_grid(count: int) -> tuple:
     """min and max of (1 - Re chi(e^it)) * log(1/t) over a geometric
-    grid of t in [1e-8, pi/4], taken over slices of maps.SAMPLE_BLOCK
-    grid points."""
-    t = np.geomspace(1e-8, math.pi / 4.0, count)
+    grid of t in [1e-8, pi/4], taken over its slices."""
     lo, hi = math.inf, -math.inf
-    for start in range(0, count, maps.SAMPLE_BLOCK):
-        part = t[start:start + maps.SAMPLE_BLOCK]
-        vals = (1.0 - maps.cusp_on_circle(part).real) * np.log(1.0 / part)
+    for t in _bracket_grid_slices(count):
+        vals = (1.0 - maps.cusp_on_circle(t).real) * np.log(1.0 / t)
         lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
     return lo, hi
 
@@ -309,8 +331,11 @@ def check_covering(n: int, sample_count: int, params,
     family = CoveringFamily.for_size(params, n)
     centers, radii = family.centers(), family.radii()
     depth = 1.0 - params.sigma ** params.j0 / params.k_hat
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, sample_count)
+    # one stream holds all sample_count log gaps, then the phases; the
+    # phase generator skips the gaps, one 64-bit draw per double
+    gaps = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    phases = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    phases.bit_generator.advance(sample_count)
     kept = 0
 
     def uncovered(i):
@@ -323,10 +348,9 @@ def check_covering(n: int, sample_count: int, params,
                                  "distance": float(dist[j])}}
 
     for lo in range(0, sample_count, maps.SAMPLE_BLOCK):
-        lg = log_gap[lo:lo + maps.SAMPLE_BLOCK]
-        # the phases follow all of log_gap in the stream, drawn a block
-        # at a time
-        ph = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, lg.size)
+        size = min(maps.SAMPLE_BLOCK, sample_count - lo)
+        lg = gaps.uniform(-(1.7 * n + 40.0), -6.0, size)
+        ph = phases.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, size)
         inside = lg < np.log(2.0 * np.cos(ph))  # |1 - xi| <= 1
         lg, ph = lg[inside], ph[inside]
         chi = maps.cusp_from_log_gap(lg, ph)
@@ -439,6 +463,18 @@ def check_schwarz_bound(trial_count: int,
 # codimension counting
 
 
+_GUARD_DIGITS = 10
+_FIFTY_DIGITS = decimal.Context(prec=50)
+
+
+def _floor_50(x: Decimal) -> int:
+    """floor of x rounded to 50 digits.  x carries _GUARD_DIGITS more,
+    so a quantity that is exactly an integer, as n shrink^(j theta) is
+    for some n when j theta is whole, floors to that integer and not to
+    the one below, however its last guard digit fell."""
+    return math.floor(_FIFTY_DIGITS.plus(x))
+
+
 def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
                       seed: int = DEFAULT_SEED) -> VerificationReport:
     """Size of the coefficient-constraint system behind the rank
@@ -446,8 +482,9 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
     must stay below q * n^2 for one constant q across all n, and
     count / n^2 approaches the geometric series limit
     shrink^theta / (1 - shrink^theta).  Every floor is cross-checked
-    against 50-digit arithmetic, so a double-rounding boundary case
-    would surface as a violation."""
+    against 50-digit decimal arithmetic (ln(shrink) once, one exp per
+    j, see _floor_50), so a double-rounding boundary case would surface
+    as a violation."""
     n_list = sorted({int(n) for n in n_list})
     if not n_list or n_list[0] < 1:
         raise ConfigurationError("need a non-empty list of sizes n >= 1")
@@ -455,26 +492,29 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
         raise ConfigurationError("theta and shrink must lie in (0, 1)")
     rep = VerificationReport("codim_count", seed, len(n_list))
     ratios = {}
-    for n in n_list:
-        end = _covering_end(n, theta, shrink)
-        with mp.workdps(50):
-            end_mp = int(mp.floor(
-                mp.log(2 * n) / (mp.mpf(theta) * mp.log(1 / mp.mpf(shrink))))) + 1
-            if end != end_mp:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50 + _GUARD_DIGITS
+        # Decimal(float) is exact, and ln and exp are correctly rounded
+        log_shrink, theta_d = Decimal(shrink).ln(), Decimal(theta)
+        for n in n_list:
+            end = _covering_end(n, theta, shrink)
+            end_exact = _floor_50(
+                Decimal(2 * n).ln() / (theta_d * -log_shrink)) + 1
+            if end != end_exact:
                 rep.witness(
                     {"item": "range_formula", "n": n,
-                     "double": end, "exact": end_mp})
-                end = end_mp
+                     "double": end, "exact": end_exact})
+                end = end_exact
             total = 0
             for j in range(1, end + 1):
                 m_double = int(math.floor(n * shrink ** (j * theta))) + 1
-                m_exact = int(mp.floor(n * mp.mpf(shrink) ** (j * mp.mpf(theta)))) + 1
+                m_exact = _floor_50(n * (j * theta_d * log_shrink).exp()) + 1
                 if m_double != m_exact:
                     rep.witness(
                         {"item": "block_size_formula", "n": n, "j": j,
                          "double": m_double, "exact": m_exact})
                 total += m_exact
-        ratios[n] = float(total) / n  # count / n^2 with count = n * total
+            ratios[n] = float(total) / n  # count / n^2 with count = n * total
     limit = shrink ** theta / (1.0 - shrink ** theta)
     q = max(ratios.values())
     n_top = n_list[-1]

@@ -10,6 +10,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +122,8 @@ def test_runconfig_hash_and_stamp():
 
 
 def test_runconfig_validation():
+    with pytest.raises(ConfigurationError, match="seed"):
+        cli.RunConfig(seed=-1).validate()
     with pytest.raises(ConfigurationError):
         cli.RunConfig(precision="quad").validate()
     with pytest.raises(ConfigurationError):
@@ -437,6 +441,48 @@ def test_verify_rejects_zero_budget(tmp_path, capsys):
     assert cli.main(["verify", "--config", str(cfgfile),
                      "--out", str(tmp_path / "art")]) == 2
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["calibrate", "verify", "spectrum"])
+def test_negative_seed_is_a_configuration_error(tmp_path, capsys, verb):
+    # np.random.SeedSequence takes no negative seed; the config says so
+    # at load time, before any sample is drawn
+    assert cli.main([verb, "--seed", "-1",
+                     "--out", str(tmp_path / "art")]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
+_MPMATH_PROBE = """
+import sys
+from cuspdecay import cli
+cfg, out, ext = sys.argv[1:]
+assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+assert cli.main(["spectrum", "--config", cfg, "--out", out,
+                 "--seed", "18"]) == 0
+assert "mpmath" not in sys.modules, "verify or spectrum loaded mpmath"
+assert cli.main(["map-eval", "--config", ext, "--out", out,
+                 "--point", "0.23"]) == 0
+assert "mpmath" in sys.modules
+"""
+
+
+def test_verify_and_spectrum_never_load_mpmath(tmp_path):
+    # a fresh interpreter, since the test modules import mpmath; verify
+    # calibrates on demand, so build_params runs too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 10000\ncalibration_samples = 10000\n"
+                   "trials = 5\n")
+    ext = tmp_path / "ext.cfg"
+    ext.write_text(FROZEN + "precision = extended\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.OUT_ENV, None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MPMATH_PROBE, str(cfg), str(tmp_path / "art"),
+         str(ext)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "art" / "map_eval.csv").exists()
 
 
 def test_verify_rejects_nan_k_hat(tmp_path, capsys):

@@ -351,34 +351,53 @@ def _whole_array_disk_samples(count, seed):
     return r * np.exp(1j * ang)
 
 
-# counts just past one and three blocks, of SAMPLE_BLOCK and of 2^16
+def _n_ring(count):
+    return count - int(count * maps.SAMPLE_BULK_FRACTION)
+
+
+def _count_with_ring_edge(block, blocks):
+    """The least count whose ring points fill exactly that many blocks."""
+    count = blocks * block
+    while _n_ring(count) < blocks * block:
+        count += 1
+    assert _n_ring(count) == blocks * block
+    return count
+
+
+# counts just past one and three blocks, of SAMPLE_BLOCK and of 2^16;
+# the ring/bulk boundary falls mid-block but for the last, where it is
+# the edge of the second block
 @pytest.mark.parametrize("count", [1, 7, maps.SAMPLE_BLOCK + 1,
                                    3 * maps.SAMPLE_BLOCK + 17, (1 << 16) + 1,
-                                   3 * (1 << 16) + 17])
+                                   3 * (1 << 16) + 17,
+                                   _count_with_ring_edge(maps.SAMPLE_BLOCK, 2)])
 def test_disk_samples_match_whole_array_formula(count):
     for seed in (9, 17):
         got = disk_samples(count, seed)
         assert got.tobytes() == _whole_array_disk_samples(count, seed).tobytes()
 
 
-@pytest.mark.parametrize("block", [64, 1000, maps.SAMPLE_BLOCK])
+@pytest.mark.parametrize("block", [63, 64, 1000, maps.SAMPLE_BLOCK])
 def test_disk_sample_blocks_match_whole_array_formula(block, monkeypatch):
-    # every block but the last is full, and one straddles the ring/bulk
-    # boundary unless that falls on a block edge
+    # every block but the last is full; the ring/bulk boundary falls
+    # mid-block, then on the edge of the second block.  An odd block
+    # ends the ring draws on half of a 64-bit word.
     monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
-    count = 3 * block + 17
-    blocks = list(maps.disk_sample_blocks(count, 17))
-    assert [b.size for b in blocks] == [block] * 3 + [17]
-    want = _whole_array_disk_samples(count, 17)
-    assert np.concatenate(blocks).tobytes() == want.tobytes()
+    mid, edge = 3 * block + 17, _count_with_ring_edge(block, 2)
+    assert _n_ring(mid) % block
+    for count in (mid, edge):
+        blocks = list(maps.disk_sample_blocks(count, 17))
+        assert [b.size for b in blocks] == \
+            [block] * (count // block) + [count % block] * (count % block > 0)
+        want = _whole_array_disk_samples(count, 17)
+        assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def test_estimate_k_memory_per_sample():
-    # the streamed sample holds 1 B per ring point and 8 B per bulk
-    # point between blocks
+    # the streamed sample holds nothing between blocks
     small = traced_peak(maps.estimate_k, 200_000, 17)
     large = traced_peak(maps.estimate_k, 400_000, 17)
-    assert large - small <= 200_000 * 4
+    assert large - small <= 200_000 * 1
 
 
 def test_build_params_memory_per_sample():
@@ -386,7 +405,7 @@ def test_build_params_memory_per_sample():
                         200_000, 11)
     large = traced_peak(maps.build_params, 0.5, "identity_in_z2", 400_000,
                         400_000, 11)
-    assert large - small <= 200_000 * 4
+    assert large - small <= 200_000 * 1
 
 
 def test_estimate_k_frozen():

@@ -7,6 +7,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
@@ -273,28 +274,38 @@ def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
 
 def test_calibration_memory_per_sample(params):
     # the (samples x 16) arrays cost ~570 B per sample; the streamed
-    # suite keeps only the sample's ring exponents (1 B a ring point)
-    # and bulk radii (8 B a bulk point) between fixed-size blocks
+    # suite holds nothing between fixed-size blocks, so its peak does
+    # not grow with the sample
     small = traced_peak(verifier.check_calibration, params, 200_000)
     large = traced_peak(verifier.check_calibration, params, 400_000)
-    assert large - small <= 200_000 * 4
+    assert large - small <= 200_000 * 1
 
 
 def test_geometry_memory_per_sample():
     # the whole-array suite grew 136 B per sample; the streamed one
-    # holds the doubled bracket's t grid, whose np.geomspace takes
-    # 16 B a point at twice the sample
+    # forms the bracket's t grid a slice at a time, so its peak does
+    # not grow with the sample
     small = traced_peak(verifier.check_cusp_geometry, 100_000)
     large = traced_peak(verifier.check_cusp_geometry, 200_000)
-    assert large - small <= 100_000 * 40
+    assert large - small <= 100_000 * 4
 
 
 def test_covering_memory_per_sample(params):
     # the whole-array suite grew 67.5 B per sample; the streamed one
-    # holds the 8 B log gaps, drawn ahead of the phases
+    # draws its log gaps and phases a block at a time
     small = traced_peak(verifier.check_covering, 1000, 100_000, params)
     large = traced_peak(verifier.check_covering, 1000, 200_000, params)
-    assert large - small <= 100_000 * 40
+    assert large - small <= 100_000 * 4
+
+
+@pytest.mark.parametrize("count", [2, 3, maps.SAMPLE_BLOCK - 1,
+                                   maps.SAMPLE_BLOCK, maps.SAMPLE_BLOCK + 1,
+                                   100_000, 200_000])
+def test_bracket_grid_slices_match_geomspace(count):
+    slices = list(verifier._bracket_grid_slices(count))
+    assert all(0 < t.size <= maps.SAMPLE_BLOCK for t in slices)
+    want = np.geomspace(1e-8, math.pi / 4.0, count)
+    assert np.concatenate(slices).tobytes() == want.tobytes()
 
 
 def _points_near_disks(fam, count, seed):
@@ -436,6 +447,44 @@ def test_codim_count_suite():
         verifier.check_codim_count([10], theta=1.5)
     with pytest.raises(ConfigurationError):
         verifier.check_codim_count([0, 10])
+
+
+def _codim_oracle(n, theta, shrink):
+    """(N_n, [block sizes for j = 1..N_n]) in 50-digit mpmath."""
+    with mp.workdps(50):
+        theta_mp, shrink_mp = mp.mpf(theta), mp.mpf(shrink)
+        end = int(mp.floor(mp.log(2 * n) / (theta_mp * mp.log(1 / shrink_mp))))
+        sizes = [int(mp.floor(n * shrink_mp ** (j * theta_mp))) + 1
+                 for j in range(1, end + 2)]
+    return end + 1, sizes
+
+
+@pytest.mark.parametrize("shrink", [0.5, 0.875])
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+def test_codim_floors_match_mpmath_oracle(theta, shrink, monkeypatch):
+    # at theta = 0.5 and shrink = 0.5, n shrink^(j theta) is a whole
+    # number for even j whenever 2^(j/2) divides n (n = 8, 32, 1000,
+    # 8192), and 2n is a whole power of shrink^-theta at n = 2 and 8
+    sizes = [1, 2, 3, 8, 10, 32, 100, 1000, 8192, 10_000]
+    monkeypatch.setattr(verifier, "WITNESS_CAP", 10 ** 6)
+    rep = verifier.check_codim_count(sizes, theta, shrink)
+    want = {"range_formula": [], "block_size_formula": []}
+    for n in sizes:
+        end, blocks = _codim_oracle(n, theta, shrink)
+        double = verifier._covering_end(n, theta, shrink)
+        if double != end:
+            want["range_formula"].append(
+                {"item": "range_formula", "n": n, "double": double,
+                 "exact": end})
+        for j, m in enumerate(blocks, start=1):
+            double = int(math.floor(n * shrink ** (j * theta))) + 1
+            if double != m:
+                want["block_size_formula"].append(
+                    {"item": "block_size_formula", "n": n, "j": j,
+                     "double": double, "exact": m})
+        assert rep.constants["ratios"][str(n)] == float(sum(blocks)) / n
+    for item, entries in want.items():
+        assert [v for v in rep.violations if v["item"] == item] == entries
 
 
 def test_codim_limit_formula():
