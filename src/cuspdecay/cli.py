@@ -16,16 +16,16 @@ unknown keys are errors (drift detection).  Keys:
     theta                 damping exponent in (0, 1)          [0.5]
     g_kind                identity_in_z2 | constant_one
     c, k_hat              frozen calibration pair; both or neither;
-                          omitted -> calibrate on demand
+                          omitted -> calibrate on demand; a pair
+                          whose c fails maps.reach_fraction < 1 is
+                          a configuration error
     degree, quad          truncation: max degree, quadrature  [48, 1024]
     seed                  master RNG seed                     [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
     samples               per-suite budget; also K's sample,  [100000]
                           at least 10000
-    calibration_samples   calibrate verb and calibration      [1000000]
-                          suite; calibration on demand checks
-                          c on a fixed 200000 (seed + 1)
+    calibration_samples   calibration suite of verify         [1000000]
     trials                randomized-instance count           [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>
 
@@ -78,10 +78,6 @@ from .errors import (
 
 OUT_ENV = "CUSPDECAY_OUT"
 DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
-# reach check of calibration on demand (no c and k_hat in the config):
-# c depends on theta and K alone, so this budget guards and moves no
-# number; a fifth of calibrate's 1e6 keeps every verb's setup short
-ON_DEMAND_VALIDATION = 200_000
 
 _SYMBOLS = ("paper", "diagonal", "one-dim")
 
@@ -114,8 +110,13 @@ class RunConfig:
         if self.c is None:  # calibrated later
             maps.check_symbol_choice(self.theta, self.g_kind)
         else:
-            maps.SymbolParams(theta=self.theta, c=self.c, k_hat=self.k_hat,
-                              g_kind=self.g_kind)
+            q = maps.reach_fraction(maps.SymbolParams(
+                theta=self.theta, c=self.c, k_hat=self.k_hat,
+                g_kind=self.g_kind))
+            if not q < 1.0:
+                raise ConfigurationError(
+                    "c = %r is too large: the reach certificate needs "
+                    "q < 1, got q = %.3e" % (self.c, q))
         parse_symbol(self.symbol)
         if min(self.samples, self.calibration_samples, self.trials) < 1:
             raise ConfigurationError("sample budgets must be positive")
@@ -210,8 +211,7 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
     if cfg.c is not None:
         return maps.SymbolParams(theta=cfg.theta, c=cfg.c, k_hat=cfg.k_hat,
                                  g_kind=cfg.g_kind)
-    return maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples,
-                             ON_DEMAND_VALIDATION, cfg.seed)[0]
+    return maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +348,15 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    # the margin is that of the validation sample, which g_kind does
-    # not enter
-    params, margin = maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples,
-                                       cfg.calibration_samples, cfg.seed)
+    params = maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples, cfg.seed)
+    q = maps.reach_fraction(params)
     _write_json(cfg, "params.json", {
         "params": asdict(params),
-        "margins": {"reach_min": margin},
-        "budgets": {"k_samples": cfg.k_samples,
-                    "validation_count": cfg.calibration_samples},
+        "margins": {"reach_fraction": q},
+        "budgets": {"k_samples": cfg.k_samples},
     })
-    print("c = %.6e, k_hat = %.6f, margin = %.3e"
-          % (params.c, params.k_hat, margin))
+    print("c = %.6e, k_hat = %.6f, reach fraction = %.3e"
+          % (params.c, params.k_hat, q))
     return 0
 
 
@@ -534,7 +531,8 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
         p = payload["params"]
         lines.append("- theta = %r, c = %r, k_hat = %r"
                      % (p["theta"], p["c"], p["k_hat"]))
-        lines.append("- reach margin %.6e" % payload["margins"]["reach_min"])
+        lines.append("- reach margin 2c|phi(chi)| <= q (1 - |chi|), q = %.6e"
+                     % payload["margins"]["reach_fraction"])
     lines.append("")
 
 

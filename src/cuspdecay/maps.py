@@ -38,7 +38,11 @@ Conventions used throughout:
   evaluate a longer input slice by slice, so the ~10 complex
   temporaries of the chain stay in cache.  Blocking never changes a
   bit: each element is computed as in one whole-array call, and a
-  scalar input still returns a scalar.
+  scalar input still returns a scalar;
+* calibration samples the disk only for estimate_k, whose K enters the
+  c rule.  The lens constant LENS_K = 1 + sqrt(2) is exact, and
+  reach_fraction certifies the reach and half-gap inequalities of a
+  given c in closed form, so no sample checks c.
 
 The inner Moebius factor (z - i)/(iz - 1) maps the closed disk onto the
 closed upper half-plane.  Floating-point evaluation can land a hair
@@ -407,6 +411,8 @@ def estimate_k(sample_count: int, seed: int) -> float:
     """Estimate the smallest K with |1 - chi| <= K (1 - |chi|) on the
     disk: sampled supremum times a 5 percent safety factor, floored at 1.
     The sample is streamed block by block, keeping the running sup.
+    The exact value is LENS_K; calibration's c rule still takes this
+    estimate, so c keeps the value it has always had.
     """
     if sample_count < 10_000:
         raise ConfigurationError("need at least 1e4 samples for a stable estimate")
@@ -422,17 +428,67 @@ def estimate_k(sample_count: int, seed: int) -> float:
     return max(1.0, 1.05 * sup)
 
 
+LENS_K = 1.0 + math.sqrt(2.0)
+"""The lens constant: the least K with |1 - chi| <= K (1 - |chi|) on
+the disk, approached at the lens corner chi(i) = (1 + i)/2.
+
+u = log|1 - chi| - log(1 - |chi|) is subharmonic on the disk.  The
+first term is harmonic, since chi never takes the value 1 inside; the
+second is -log(1 - x), convex and increasing, applied to the
+subharmonic |chi|.  u is bounded above, since every lens point w has
+|w|^2 <= Re w and |Im w| <= 2 (1 - Re w)^2, which give
+|1 - w| <= 2 sqrt(5) (1 - |w|).  So the sup of u over the disk is its
+limsup at the circle, whose image is the two lens arcs (the cusp
+point, one boundary point, does not count).  By conjugation symmetry
+the upper arcs suffice:
+
+* outer arc, w = 1/2 + e^{ia}/2 with a in [pi/2, pi]: |w| = cos(a/2)
+  and |1 - w| = sin(a/2), so the ratio is cot(a/4), largest at the
+  corner a = pi/2: cot(pi/8) = 1 + sqrt(2);
+* inner arc, w = 1 + i/2 - e^{is}/2 with s in [0, pi/2):
+  |1 - w|^2 = (1 - sin s)/2 and |w|^2 = 3/2 - cos s - (sin s)/2, and
+  the ratio falls from 1 + sqrt(2) at the corner s = 0 to 1 at the
+  cusp (checked on 2e6 grid points of s).
+"""
+
 CALIBRATION_GRID_SIZE = 481
 
 
+def _damping_peak(theta: float) -> tuple:
+    """(X*, m) with m = max over X > 0 of exp(-delta X^-theta) / X,
+    delta = cos(pi theta / 2).  The log of the ratio, -delta X^-theta
+    - log X, has one critical point, X* = (delta theta)^(1/theta) < 1,
+    and tends to -inf at both ends, so m = (e delta theta)^(-1/theta).
+    m overflows to inf for theta below about 0.006."""
+    delta = math.cos(math.pi * theta / 2.0)
+    with np.errstate(over="ignore"):
+        peak = float(np.float64(math.e * delta * theta) ** (-1.0 / theta))
+    return (delta * theta) ** (1.0 / theta), peak
+
+
+def reach_fraction(params: SymbolParams) -> float:
+    """q = 2 c LENS_K (e delta theta)^(-1/theta), delta = cos(pi theta/2),
+    with 2c|phi(chi)| <= q (1 - |chi|) on the whole disk.
+
+    |phi(w)| <= exp(-delta |1 - w|^-theta) (see phi_values), which is at
+    most _damping_peak's m times |1 - w|, and |1 - chi| <= LENS_K
+    (1 - |chi|).  So q < 1 proves the reach inequality
+    |chi| + 2c|phi(chi)| < 1 and the half-gap inequality
+    1 - |chi + c phi(chi) u| >= (1 - |chi|)/2 for |u| <= 1 at every
+    point of the disk, with no sample."""
+    return 2.0 * params.c * LENS_K * _damping_peak(params.theta)[1]
+
+
 def build_params(theta: float, g_kind: str, k_samples: int,
-                 validation_count: int, seed: int) -> tuple:
-    """Calibrate the symbol; returns (params, margin).
+                 seed: int) -> SymbolParams:
+    """Calibrate the symbol.
 
     K = estimate_k(k_samples, seed).  On a geometric grid of
     CALIBRATION_GRID_SIZE values X in [1e-8, 1], find the largest eta
     such that 2*exp(-delta X^-theta) < X / K for every grid X < eta,
-    and set c = eta / (4 K).  margin is _validate_c's at seed + 1.
+    and set c = eta / (4 K).  Raises CalibrationError, with the peak
+    point X* of the damping bound as witness, unless
+    reach_fraction < 1 certifies c.
     """
     k_hat = estimate_k(k_samples, seed)
     delta = math.cos(math.pi * theta / 2.0)
@@ -443,28 +499,20 @@ def build_params(theta: float, g_kind: str, k_samples: int,
     eta = float(bad.min()) if bad.size else 1.0
     params = SymbolParams(theta=theta, c=eta / (4.0 * k_hat), k_hat=k_hat,
                           g_kind=g_kind)
-    return params, _validate_c(params, validation_count, seed + 1)
+    _certify_reach(params)
+    return params
 
 
-def _validate_c(params: SymbolParams, validation_count: int,
-                seed: int) -> float:
-    """Return the minimal margin 1 - (|chi| + 2c|phi(chi)|) over a fresh
-    sample, streamed block by block; raise CalibrationError, with the
-    first minimizing point in sample order as witness, if the minimum is
-    not positive."""
-    worst, at = math.inf, None
-    for z in disk_sample_blocks(validation_count, seed):
-        chi = cusp_values(z)
-        margin = 1.0 - (np.abs(chi) + 2.0 * params.c
-                        * np.abs(phi_values(chi, params.theta)))
-        i = int(np.argmin(margin))
-        if margin[i] < worst:
-            worst, at = float(margin[i]), complex(z[i])
-    if worst <= 0.0:
+def _certify_reach(params: SymbolParams) -> None:
+    """Raise CalibrationError unless reach_fraction(params) < 1; the
+    witness is X*, the |1 - chi| at which the damping bound peaks."""
+    q = reach_fraction(params)
+    if not q < 1.0:
+        x_star = _damping_peak(params.theta)[0]
         raise CalibrationError(
-            "perturbation escapes the disk: margin %.3e at z = %r"
-            % (worst, at), witness=at)
-    return worst
+            "reach not certified: 2c|phi| <= q (1 - |chi|) with q = %.3e "
+            ">= 1, the damping bound peaking at |1 - chi| = %.3e"
+            % (q, x_star), witness=x_star)
 
 
 # ---------------------------------------------------------------------------

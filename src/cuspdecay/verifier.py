@@ -132,8 +132,9 @@ def check_cusp_geometry(sample_count: int,
       * |chi - 1| <= 1
       * Re chi in [0, 1] and |Im chi| <= 2 (1 - Re chi)^2
       * real axis maps to real values, exactly
-      * |1 - chi| <= k_hat_default * (1 - |chi|), the comparability
-        the covering argument uses (the sampled sup is reported)
+      * |1 - chi| <= maps.LENS_K * (1 - |chi|), the comparability the
+        covering argument uses, at its exact constant 1 + sqrt(2)
+        (the sampled sup is reported)
 
     Estimated check: the bracket of (1 - Re chi(e^it)) log(1/t) on a
     geometric grid, flagged if doubling the grid moves either end by
@@ -148,10 +149,6 @@ def check_cusp_geometry(sample_count: int,
         raise ConfigurationError("geometry suite needs at least 1e4 samples")
     rep = VerificationReport("cusp_geometry", seed, sample_count)
     tolerance = GEOMETRY_TOLERANCE
-    # not the run's K: calibrated on demand, that one comes from
-    # disk_sample_blocks(max(samples, 10000), seed), the very disk points
-    # checked here, where 1.05 x their sampled sup cannot fail
-    k_default = maps.estimate_k(100_000, 11)
     # each item's first witnesses so far, in filing order
     found = {item: [] for item in ("lens_outer", "lens_upper", "lens_lower",
                                    "near_one", "real_part", "imag_vs_gap",
@@ -171,7 +168,7 @@ def check_cusp_geometry(sample_count: int,
                  (chi.real < -tolerance) | (chi.real > 1.0 + tolerance)),
                 ("imag_vs_gap",
                  np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tolerance),
-                ("distortion", dist > k_default * gap + tolerance)):
+                ("distortion", dist > maps.LENS_K * gap + tolerance)):
             have = found[item]
             have += _witnesses(item, mask,
                                lambda i: {"z": z[i], "chi": chi[i]},
@@ -202,7 +199,7 @@ def check_cusp_geometry(sample_count: int,
         for entry in entries:
             rep.witness(entry)
     rep.constants["distortion_sup"] = ratio_sup
-    rep.constants["k_hat"] = k_default
+    rep.constants["k_hat"] = maps.LENS_K
 
     lo1, hi1 = _bracket_on_log_grid(sample_count)
     lo2, hi2 = _bracket_on_log_grid(2 * sample_count)
@@ -233,6 +230,8 @@ def check_calibration(params, sample_count: int,
     half the first margin, bit for bit, since halving is exact.  u* is
     formed only for a witness.  The cusp point attains equality only
     in the z -> 1 limit, which interior sampling never hits.
+    maps.reach_fraction < 1 proves both inequalities for the exact
+    map; this suite checks them on the double chain's values.
 
     The sample is streamed from maps.disk_sample_blocks and checked one
     block of maps.SAMPLE_BLOCK points at a time, keeping the running

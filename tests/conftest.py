@@ -11,7 +11,7 @@ from cuspdecay.maps import SymbolParams
 @pytest.fixture(scope="session")
 def params():
     # frozen output of maps.build_params(0.5, "identity_in_z2", 100_000,
-    # 50_000, 11); test_maps checks the pipeline still reproduces these
+    # 11); test_maps checks the pipeline still reproduces these
     return SymbolParams(theta=0.5, c=1.456697e-3, k_hat=2.519054)
 
 

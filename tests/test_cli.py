@@ -223,9 +223,9 @@ def test_calibrate_verb(tmp_path, capsys):
     payload = json.load(open(os.path.join(out, "params.json")))
     assert payload["params"]["c"] > 0.0
     assert payload["params"]["theta"] == 0.5
-    assert 0.0 < payload["margins"]["reach_min"] < 1.0
+    assert 0.0 < payload["margins"]["reach_fraction"] < 1.0
     assert len(payload["config"]) == 12
-    assert payload["budgets"]["validation_count"] == 20000
+    assert payload["budgets"] == {"k_samples": 10000}
     assert "wrote" in capsys.readouterr().out
 
 
@@ -453,6 +453,21 @@ def test_negative_seed_is_a_configuration_error(tmp_path, capsys, verb):
     assert not (tmp_path / "art").exists()
 
 
+@pytest.mark.parametrize("verb", ["matrix", "spectrum", "verify", "map-eval"])
+def test_frozen_pair_past_the_reach_certificate(tmp_path, capsys, verb):
+    # c = 0.9 sends the second coordinate out of the disk (q = 4.7), so
+    # the pair dies at load time, before any artifact is written
+    cfgfile = tmp_path / "loose.cfg"
+    cfgfile.write_text("c = 0.9\nk_hat = 2.52\ndegree = 8\nquad = 64\n"
+                       "samples = 10000\ncalibration_samples = 10000\n"
+                       "trials = 5\n")
+    point = ["--point", "0.23"] if verb == "map-eval" else []
+    assert cli.main([verb, "--config", str(cfgfile),
+                     "--out", str(tmp_path / "art")] + point) == 2
+    assert "q = 4.70" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
 _MPMATH_PROBE = """
 import sys
 from cuspdecay import cli
@@ -582,7 +597,7 @@ def test_artifact_contract(tmp_path, frozen_cfg):
     params = json.load(open(os.path.join(out, "params.json")))
     names = {"theta", "c", "k_hat", "sigma", "j0", "g_kind"}
     assert set(params["params"]) == names
-    assert set(params["margins"]) == {"reach_min"}
+    assert set(params["margins"]) == {"reach_fraction"}
 
     budgets.write_text(FROZEN + "samples = 10000\n"
                        "calibration_samples = 10000\ntrials = 5\n")

@@ -402,15 +402,14 @@ def test_estimate_k_memory_per_sample():
 
 def test_build_params_memory_per_sample():
     small = traced_peak(maps.build_params, 0.5, "identity_in_z2", 200_000,
-                        200_000, 11)
+                        11)
     large = traced_peak(maps.build_params, 0.5, "identity_in_z2", 400_000,
-                        400_000, 11)
+                        11)
     assert large - small <= 200_000 * 1
 
 
 def test_estimate_k_frozen():
-    # sampled sup * 1.05 on the geometry suite's sample; true sup is
-    # 1 + sqrt(2)
+    # sampled sup * 1.05; the true sup is 1 + sqrt(2)
     k = maps.estimate_k(100_000, 11)
     assert abs(k - 2.5190540230250233) < 1e-12
     assert k > 1.0 + math.sqrt(2.0)
@@ -418,39 +417,77 @@ def test_estimate_k_frozen():
         maps.estimate_k(100, 11)
 
 
-def test_build_params_c_and_margin_frozen():
-    got, margin = maps.build_params(0.5, "identity_in_z2", 100_000, 50_000,
-                                    11)
+def test_build_params_c_frozen():
+    got = maps.build_params(0.5, "identity_in_z2", 100_000, 11)
     assert abs(got.c - 0.0014566968931649326) < 1e-15
-    # the margin is the validation sample's at seed + 1, as a separate
-    # pass finds it
-    chi = maps.cusp_values(disk_samples(50_000, 12))
-    reach = np.abs(chi) + 2.0 * got.c * np.abs(maps.phi_values(chi, 0.5))
-    assert margin == float(np.min(1.0 - reach))
 
 
 def test_build_params_rejects_bad_theta():
     with pytest.raises(ConfigurationError, match="theta"):
-        maps.build_params(1.2, "identity_in_z2", 10_000, 10_000, 11)
+        maps.build_params(1.2, "identity_in_z2", 10_000, 11)
 
 
-def test_validate_c_catches_escape(monkeypatch):
-    # an absurdly large perturbation must trip the witness check, and
-    # the streamed pass names the whole sample's first worst point
-    loose = maps.SymbolParams(theta=0.5, c=0.9, k_hat=2.52)
-    z = disk_samples(20_000, 13)
-    chi = maps.cusp_values(z)
-    margin = 1.0 - (np.abs(chi) + 2.0 * loose.c
-                    * np.abs(maps.phi_values(chi, loose.theta)))
-    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
+def _ratio_mp(z):
+    """|1 - chi| / (1 - |chi|) at z from the cusp_mp oracle."""
+    with mp.workdps(40):
+        chi = maps.cusp_mp(z, dps=40)
+        return abs(1 - chi) / (1 - abs(chi))
+
+
+def test_lens_k_is_the_corner_ratio():
+    # the sup of the distortion ratio, reached at the corner chi(i)
+    assert abs(maps.LENS_K - float(_ratio_mp(mp.expjpi(0.5)))) < 1e-12
+    # and no circle point exceeds it: a dense grid from the cusp zone
+    # (log-gap evaluation) through the corner t = pi/2 to t = pi
+    t = np.concatenate([np.geomspace(1e-300, 1e-3, 20_000),
+                        np.linspace(1e-3, math.pi, 400_001), [math.pi / 2]])
+    chi = maps.cusp_on_circle(t)
+    ratio = np.abs(1.0 - chi) / (1.0 - np.abs(chi))
+    assert np.all(ratio <= maps.LENS_K + 1e-12)
+    # the ratio has a square-root corner, so the rounding of pi/2
+    # (6e-17) costs it about 3e-8
+    assert ratio[-1] > maps.LENS_K - 1e-7
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_damping_peak_matches_dense_grid(theta):
+    # max over X of exp(-delta X^-theta) / X in closed form, against a
+    # log grid wide enough to hold X* = (delta theta)^(1/theta) at
+    # every theta (1.1e-10 at theta = 0.1)
+    delta = math.cos(math.pi * theta / 2.0)
+    x = np.geomspace(1e-14, 2.0, 1_000_001)
+    ratio = np.exp(-delta * x ** (-theta)) / x
+    grid_max = float(np.max(ratio))
+    x_star, peak = maps._damping_peak(theta)
+    # grid points are 3.3e-5 apart in log X
+    assert abs(math.log(x[np.argmax(ratio)] / x_star)) < 1e-4
+    assert abs(peak - grid_max) <= 1e-9 * grid_max
+    assert peak >= grid_max * (1.0 - 1e-15)
+
+
+def test_reach_certificate_rejects_large_c():
+    loose = maps.SymbolParams(theta=0.5, c=0.6, k_hat=2.519054)
+    assert maps.reach_fraction(loose) > 1.0
     with pytest.raises(CalibrationError) as exc:
-        maps._validate_c(loose, 20_000, seed=13)
-    assert int(np.argmin(margin)) >= 64
-    assert exc.value.witness == complex(z[np.argmin(margin)])
+        maps._certify_reach(loose)
+    # X* = (delta theta)^(1/theta) = (sqrt(2)/4)^2
+    assert abs(exc.value.witness - 0.125) < 1e-15
+
+
+def test_reach_certificate_holds_pointwise(params):
+    # 2c|phi| <= q (1 - |chi|) on the sample, with q well below 1; at
+    # theta = 1/2, (e delta theta)^(-1/theta) = (e sqrt(2) / 4)^-2 = 8/e^2
+    q = maps.reach_fraction(params)
+    exact = 16.0 * params.c * (1.0 + math.sqrt(2.0)) / math.e ** 2
+    assert abs(q - exact) <= 1e-14 * exact and q < 0.01
+    chi = maps.cusp_values(disk_samples(200_000, 12))
+    gap = 1.0 - np.abs(chi)
+    margin = gap - 2.0 * params.c * np.abs(maps.phi_values(chi, params.theta))
+    assert np.all(margin >= (1.0 - q) * gap)
 
 
 def test_build_params_reproduces_frozen(params):
-    got, _ = maps.build_params(0.5, "constant_one", 100_000, 50_000, 11)
+    got = maps.build_params(0.5, "constant_one", 100_000, 11)
     assert abs(got.c - 1.456697e-3) < 1e-9
     assert abs(got.k_hat - 2.519054) < 1e-6
     assert got.theta == params.theta

@@ -41,7 +41,7 @@ def test_geometry_suite_reduced_budget():
     assert abs(lo - 0.09740776362905418) < 1e-15
     assert abs(hi - 1.3462467442945374) < 1e-13
     assert rep.constants["gap_log_bracket_drift"] == 0.0
-    assert abs(rep.constants["k_hat"] - 2.5190540230250233) < 1e-15
+    assert abs(rep.constants["k_hat"] - (1 + math.sqrt(2))) < 1e-15
     assert rep.constants["distortion_sup"] <= rep.constants["k_hat"]
     with pytest.raises(ConfigurationError):
         verifier.check_cusp_geometry(2_000)
@@ -82,7 +82,7 @@ def _geometry_point_witnesses(tol, count=10_000, seed=17):
         ("real_part", (chi.real < -tol) | (chi.real > 1.0 + tol)),
         ("imag_vs_gap", np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tol),
         ("distortion",
-         np.abs(1.0 - chi) > maps.estimate_k(100_000, 11) * gap + tol))}
+         np.abs(1.0 - chi) > (1 + math.sqrt(2)) * gap + tol))}
     want = [{"item": item, "z": verifier._c2s(z[i]),
              "chi": verifier._c2s(chi[i])}
             for item, idx in hits.items() for i in idx[:10]]
@@ -107,12 +107,13 @@ def test_geometry_suite_witnesses_every_item(monkeypatch):
     assert all(idx.size >= 10 and idx[9] < 10_000
                for idx in hits_at[-1.0].values())
     # at -0.03, imag_vs_gap's first hit is six blocks in and its last
-    # witnesses come from the near-cusp batch, where all of
-    # distortion's lie
+    # witnesses come from the near-cusp batch; distortion's first is
+    # twelve blocks in, and from its fourth on they come from that batch
     hits = hits_at[-0.03]
     assert hits["lens_upper"][0] == 0 and hits["imag_vs_gap"][0] >= 6 * 64
     assert hits["imag_vs_gap"][9] >= 10_000
-    assert hits["distortion"][0] >= 10_000
+    assert hits["distortion"][0] >= 12 * 64
+    assert hits["distortion"][2] < 10_000 <= hits["distortion"][3]
 
 
 def _unclamped_chi0(z):
