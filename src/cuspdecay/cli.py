@@ -23,8 +23,8 @@ unknown keys are errors (drift detection).  Keys:
     seed                  master RNG seed                     [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
-    samples               per-suite budget; also K's sample,  [100000]
-                          at least 10000
+    samples               geometry suite's budget; also K's   [100000]
+                          sample, at least 10000
     calibration_samples   calibration suite of verify         [1000000]
     trials                randomized-instance count           [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>

@@ -345,17 +345,6 @@ class SymbolParams:
         if 2.0 * self.sigma ** self.j0 > 0.125 + 1e-15:
             raise ConfigurationError("need 2*sigma^j0 <= 1/8")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SymbolParams":
-        return cls(
-            theta=float(d["theta"]),
-            c=float(d["c"]),
-            k_hat=float(d["k_hat"]),
-            sigma=float(d.get("sigma", 0.875)),
-            j0=int(d.get("j0", 21)),
-            g_kind=str(d.get("g_kind", "identity_in_z2")),
-        )
-
 
 SAMPLE_RADIUS_CAP = 1.0 - 1e-6
 SAMPLE_BULK_FRACTION = 0.2
@@ -451,6 +440,16 @@ the upper arcs suffice:
   cusp (checked on 2e6 grid points of s).
 """
 
+REACH_SPLIT = 0.1
+NEAR_CUSP_RATIO = (math.sqrt(1.0 + 4.0 * REACH_SPLIT ** 2)
+                   / (1.0 - 2.0 * REACH_SPLIT ** 3 / (1.0 - REACH_SPLIT)))
+"""rho(X_s) = sqrt(1 + 4 X_s^2) / (1 - 2 X_s^3 / (1 - X_s)) at
+X_s = REACH_SPLIT, about 1.0221: |1 - w| <= rho(X_s) (1 - |w|) at every
+lens point w with |1 - w| <= X_s <= 1/2.  Write w = 1 - x + iy; then
+x <= |1 - w| <= x sqrt(1 + 4 x^2), as |y| <= 2 x^2 on the lens, and
+1 - |w| >= 1 - sqrt((1 - x)^2 + 4 x^4) >= x - 2 x^4 / (1 - x), so the
+ratio is at most rho(x), which increases with x."""
+
 CALIBRATION_GRID_SIZE = 481
 
 
@@ -467,16 +466,25 @@ def _damping_peak(theta: float) -> tuple:
 
 
 def reach_fraction(params: SymbolParams) -> float:
-    """q = 2 c LENS_K (e delta theta)^(-1/theta), delta = cos(pi theta/2),
-    with 2c|phi(chi)| <= q (1 - |chi|) on the whole disk.
+    """q with 2c|phi(chi)| <= q (1 - |chi|) on the whole disk.
 
-    |phi(w)| <= exp(-delta |1 - w|^-theta) (see phi_values), which is at
-    most _damping_peak's m times |1 - w|, and |1 - chi| <= LENS_K
-    (1 - |chi|).  So q < 1 proves the reach inequality
+    |phi(w)| <= exp(-delta X^-theta), X = |1 - w|, delta =
+    cos(pi theta / 2) (see phi_values), which is at most _damping_peak's
+    m times X, and X <= LENS_K (1 - |w|), or NEAR_CUSP_RATIO (1 - |w|)
+    where X <= X_s = REACH_SPLIT.  Over X > X_s the damping bound over X
+    peaks at m_far: m if X* >= X_s, else exp(-delta X_s^-theta) / X_s.
+    So q = 2c max(NEAR_CUSP_RATIO m, LENS_K m_far), formed as
+    2c LENS_K (e delta theta)^(-1/theta) when X* >= X_s (theta = 0.5,
+    0.7, 0.9).  q < 1 proves the reach inequality
     |chi| + 2c|phi(chi)| < 1 and the half-gap inequality
     1 - |chi + c phi(chi) u| >= (1 - |chi|)/2 for |u| <= 1 at every
     point of the disk, with no sample."""
-    return 2.0 * params.c * LENS_K * _damping_peak(params.theta)[1]
+    x_star, peak = _damping_peak(params.theta)
+    if x_star >= REACH_SPLIT:
+        return 2.0 * params.c * LENS_K * peak
+    delta = math.cos(math.pi * params.theta / 2.0)
+    far = math.exp(-delta * REACH_SPLIT ** -params.theta) / REACH_SPLIT
+    return 2.0 * params.c * max(NEAR_CUSP_RATIO * peak, LENS_K * far)
 
 
 def build_params(theta: float, g_kind: str, k_samples: int,

@@ -1,26 +1,23 @@
-"""Finite-sample verification suites for the geometric, calibration,
-covering, derivative, and counting inequalities the construction rests
-on.
+"""Verification suites for the geometric, calibration, covering,
+derivative, and counting inequalities the construction rests on.
 
-Each suite samples deterministically from a seed, evaluates its
-inequality exactly (polynomial norms are coefficient norms, never
-quadrature), and returns a report whose violations list is empty iff
-the suite passed.  A violation always carries enough of a witness to
-replay the single failing evaluation by hand.  Every violation enters
-through VerificationReport.witness or .record, which keep the first
-WITNESS_CAP witnesses per item, grouped by item in sample order.
+The sample suites draw deterministically from a seed and evaluate
+their inequality exactly (polynomial norms are coefficient norms, never
+quadrature); the covering suite proves its claim for the whole lens in
+exact rationals and samples nothing.  Each returns a report whose
+violations list is empty iff the suite passed.  A violation always
+carries enough of a witness to replay the single failing evaluation by
+hand.  Every violation enters through VerificationReport.witness or
+.record, which keep the first WITNESS_CAP witnesses per item, grouped
+by item in sample order.
 
-Every sample suite streams: the geometry, calibration and covering
-suites draw and check maps.SAMPLE_BLOCK points at a time and keep only
-running extrema, counts and each item's first witnesses, so no array
-with one entry per sample is left, and a suite's memory does not grow
-with its budget.  The disk sample comes a block at a time from
-maps.disk_sample_blocks, the covering suite's log gaps and phases from
-two generators on one stream, and the geometry suite's bracket grid of
-t a slice at a time.  Each element is computed bit for bit as on the
-whole sample, and the report is the same.  The suites run in double
-arithmetic, and the counting suite's 50-digit floors use the standard
-library's decimal, so verification never loads mpmath.
+The geometry and calibration suites stream: they draw and check
+maps.SAMPLE_BLOCK points at a time from maps.disk_sample_blocks (the
+bracket grid of t a slice at a time) and keep only running extrema,
+counts and each item's first witnesses, so their memory does not grow
+with the budget, and every element and report is bit for bit the
+whole-sample one.  Verification never loads mpmath: the counting
+suite's 50-digit floors use the standard library's decimal.
 """
 
 from __future__ import annotations
@@ -29,6 +26,7 @@ import decimal
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
@@ -261,7 +259,7 @@ def check_calibration(params, sample_count: int,
 
 
 # ---------------------------------------------------------------------------
-# covering family
+# covering certificate
 
 
 def _covering_end(n: int, theta: float, shrink: float) -> int:
@@ -271,97 +269,83 @@ def _covering_end(n: int, theta: float, shrink: float) -> int:
         math.log(2.0 * n) / (theta * math.log(1.0 / shrink)))) + 1
 
 
-@dataclass(frozen=True)
-class CoveringFamily:
-    """Dyadic disk family D(1 - shrink^j, shrink^j / 4) for j in
-    [start_index, end_index]; every disk stays inside the unit disk
-    since center + radius = 1 - (3/4) shrink^j."""
-
-    start_index: int
-    end_index: int
-    shrink: float
-
-    def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ConfigurationError("shrink factor must lie in (0, 1)")
-        if self.start_index < 1 or self.end_index < self.start_index:
-            raise ConfigurationError("need 1 <= start_index <= end_index")
-
-    @classmethod
-    def for_size(cls, params, n: int) -> "CoveringFamily":
-        return cls(start_index=params.j0,
-                   end_index=_covering_end(n, params.theta, params.sigma),
-                   shrink=params.sigma)
-
-    def centers(self) -> np.ndarray:
-        j = np.arange(self.start_index, self.end_index + 1)
-        return 1.0 - self.shrink ** j
-
-    def radii(self) -> np.ndarray:
-        j = np.arange(self.start_index, self.end_index + 1)
-        return self.shrink ** j / 4.0
-
-    def covers(self, w) -> np.ndarray:
-        """True where w lies in at least one open disk of the family."""
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        hit = np.zeros(w.shape, dtype=bool)
-        for center, radius in zip(self.centers(), self.radii()):
-            hit |= np.abs(w - center) < radius
-        return hit
-
-
-def check_covering(n: int, sample_count: int, params,
+def check_covering(n: int, params,
                    seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Sampled covering test: every image point chi(z) that is both
-    deep enough (|chi| > 1 - sigma^j0 / k_hat) and not within 1/n of
-    the cusp tip must fall in one of the covering disks.
+    """Certificate, in exact rationals, that every image point w = chi(z)
+    that is deep (|w| > depth = 1 - sigma^j0 / k_hat) and not within 1/n
+    of the cusp tip lies in an open disk D(1 - s^j, s^j / 4) of the
+    covering family, s = sigma, j0 <= j <= N = _covering_end(n, theta,
+    s), which check_codim_count cross-checks against 50 digits.
 
-    Points are drawn in the (log gap, phase) plane, since the relevant
-    z are exponentially close to 1 (gaps down to e^{-1.7n}); for n = 10
-    the comparability inequality makes the two conditions incompatible
-    — |chi - 1| stays below k (1 - |chi|) < 0.06 < 1/10 — so the
-    hypothesis region is empty and the suite passes vacuously, which
-    the kept-count constant makes visible."""
+    Write a lens point as w = 1 - x + iy; every lens point has
+    |y| <= 2 x^2 (see maps.LENS_K).  Let x0 = s^j0, x_c = (9/8) x0 and
+    x_N = s^N.  Each item below is one comparison of Fractions of the
+    float parameters, which are exact; it proves its statement when it
+    holds.
+
+      strip  every lens point with x in [x_N, x0] is covered, when
+             4 x0^2 < H^2.  Scaled by s^-j, disks j and j + 1 have
+             centres 1 and s and radii 1/4 and s/4.  With d = 1 - s
+             and a = (d^2 + 1/16 - s^2/16) / (2d), the two circles
+             cross between the centres if a <= d, and otherwise disk j
+             is the higher on the whole interval; either way the union
+             is at least s^j H high over x in [s^(j+1), s^j], with
+             H^2 = 1/16 - min(a, d)^2.  The lens there is at most
+             2 s^(2j) <= 2 x0 s^j high, so one comparison covers every
+             j >= j0.
+      cap    disk j0 covers the lens over [x0, x_c], when
+             4 x_c^4 < (3/4) (x0/4)^2: there the disk is at least
+             sqrt(3/4) x0/4 high and the lens at most 2 x_c^2.
+      depth  no hypothesis point has x >= x_c, when
+             max((1 - x_c)^2 + 4 x_c^4, 1/2) <= depth^2.  On
+             [x_c, 1/2], |w|^2 <= (1 - x)^2 + 4 x^4, which is convex
+             in x, and for x > 1/2, |w|^2 <= Re w < 1/2.
+      tip    no hypothesis point has x < x_N, when
+             x_N^2 + 4 x_N^4 <= 1/n^2, since |1 - w|^2 <= x^2 + 4 x^4.
+
+    The hypothesis region is vacuous, and the suite passes on depth
+    alone, when x_c^2 + 4 x_c^4 <= 1/n^2, as at n = 10 for the
+    calibrated parameters.  Otherwise strip, cap and tip must hold too.
+    Each failing comparison is witnessed by one box: its item, its
+    x-interval and the two sides as floats.  Every comparison's slack,
+    bound minus value, is reported.  Nothing is sampled, so the report
+    counts 0 samples; seed only labels it."""
     if n < 2:
         raise ConfigurationError("covering test needs n >= 2")
-    if sample_count < 1000:
-        raise ConfigurationError("covering suite needs at least 1000 samples")
-    rep = VerificationReport("covering_n%d" % n, seed, sample_count)
-    family = CoveringFamily.for_size(params, n)
-    centers, radii = family.centers(), family.radii()
-    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
-    # one stream holds all sample_count log gaps, then the phases; the
-    # phase generator skips the gaps, one 64-bit draw per double
-    gaps = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    phases = np.random.default_rng(np.random.SeedSequence((seed, n)))
-    phases.bit_generator.advance(sample_count)
-    kept = 0
-
-    def uncovered(i):
-        dist = np.abs(chi[i] - centers)
-        j = np.argmin(dist / radii)
-        return {"log_gap": lg[i], "phase": ph[i], "chi": chi[i],
-                "nearest_disk": {"j": int(j + family.start_index),
-                                 "center": float(centers[j]),
-                                 "radius": float(radii[j]),
-                                 "distance": float(dist[j])}}
-
-    for lo in range(0, sample_count, maps.SAMPLE_BLOCK):
-        size = min(maps.SAMPLE_BLOCK, sample_count - lo)
-        lg = gaps.uniform(-(1.7 * n + 40.0), -6.0, size)
-        ph = phases.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, size)
-        inside = lg < np.log(2.0 * np.cos(ph))  # |1 - xi| <= 1
-        lg, ph = lg[inside], ph[inside]
-        chi = maps.cusp_from_log_gap(lg, ph)
-        deep = (np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)
-        lg, ph, chi = lg[deep], ph[deep], chi[deep]
-        rep.record("uncovered", ~family.covers(chi), uncovered)
-        kept += chi.size
-    rep.constants["kept"] = kept
-    rep.constants["vacuous"] = kept == 0
-    rep.constants["family"] = {"start_index": family.start_index,
-                               "end_index": family.end_index,
-                               "shrink": family.shrink}
+    start, end = params.j0, _covering_end(n, params.theta, params.sigma)
+    if end < start:
+        raise ConfigurationError(
+            "covering family for n = %d is empty: N_n = %d < j0 = %d"
+            % (n, end, start))
+    rep = VerificationReport("covering_n%d" % n, seed, 0)
+    s = Fraction(params.sigma)
+    x0, x_end = s ** start, s ** end
+    x_cap = Fraction(9, 8) * x0
+    depth = 1 - x0 / Fraction(params.k_hat)
+    d = 1 - s
+    a = (d * d + (1 - s * s) / 16) / (2 * d)
+    inv_n_sq = Fraction(1, n * n)
+    # item, x-interval, value, bound, whether value < bound is strict
+    comparisons = (
+        ("strip", (x_end, x0), 4 * x0 ** 2,
+         Fraction(1, 16) - min(a, d) ** 2, True),
+        ("cap", (x0, x_cap), 4 * x_cap ** 4,
+         Fraction(3, 4) * (x0 / 4) ** 2, True),
+        ("depth", (x_cap, 1),
+         max((1 - x_cap) ** 2 + 4 * x_cap ** 4, Fraction(1, 2)),
+         depth ** 2, False),
+        ("tip", (0, x_end), x_end ** 2 + 4 * x_end ** 4, inv_n_sq, False))
+    vacuous = x_cap ** 2 + 4 * x_cap ** 4 <= inv_n_sq
+    for item, box, value, bound, strict in comparisons:
+        holds = value < bound if strict else value <= bound
+        if not holds and (item == "depth" or not vacuous):
+            rep.witness({"item": item, "x": [float(v) for v in box],
+                         "value": float(value), "bound": float(bound)})
+    rep.constants["slack"] = {item: float(bound - value)
+                              for item, _, value, bound, _ in comparisons}
+    rep.constants["vacuous"] = vacuous
+    rep.constants["family"] = {"start_index": start, "end_index": end,
+                               "shrink": params.sigma}
     return rep
 
 
@@ -543,7 +527,7 @@ def run_all(params, sample_count: int, calibration_count: int,
         check_calibration(params, calibration_count, seed),
     ]
     for n in COVERING_SIZES:
-        reports.append(check_covering(n, sample_count, params, seed))
+        reports.append(check_covering(n, params, seed))
     reports.append(check_derivative_bound(trial_count, seed))
     reports.append(check_schwarz_bound(trial_count, seed))
     reports.append(check_codim_count(CODIM_SIZES, params.theta,

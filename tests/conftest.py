@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cuspdecay import hardy, maps
+from cuspdecay import hardy, maps, verifier
 from cuspdecay.maps import SymbolParams
 
 
@@ -23,6 +23,38 @@ def small_spec():
 def disk_samples(count, seed):
     """The whole maps.disk_sample_blocks stream as one array."""
     return np.concatenate(list(maps.disk_sample_blocks(count, seed)))
+
+
+# kept points per block of sampled_covering's disk test, which bounds
+# its (points x disks) distance array
+COVER_CHUNK = 1 << 12
+
+
+def sampled_covering(params, n, count=100_000, seed=17):
+    """(kept, uncovered): the sampled covering check, the cross-check of
+    verifier.check_covering's certificate.  count log gaps in
+    [-(1.7 n + 40), -6] and as many phases in (-pi/2, pi/2), one seeded
+    stream, give the cusp images chi(1 - xi) with |1 - xi| <= 1.  kept
+    counts those deep (|chi| > 1 - sigma^j0 / k_hat) and farther than
+    1/n from the cusp, and uncovered those of them outside every open
+    disk D(1 - sigma^j, sigma^j / 4), j0 <= j <= N_n, tested against
+    all disks at once."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, n)))
+    log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, count)
+    phase = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, count)
+    inside = log_gap < np.log(2.0 * np.cos(phase))
+    chi = maps.cusp_from_log_gap(log_gap[inside], phase[inside])
+    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
+    chi = chi[(np.abs(chi) > depth) & (np.abs(chi - 1.0) > 1.0 / n)]
+    j = np.arange(params.j0, verifier._covering_end(
+        n, params.theta, params.sigma) + 1)
+    centres, radii = 1.0 - params.sigma ** j, params.sigma ** j / 4.0
+    uncovered = 0
+    for lo in range(0, chi.size, COVER_CHUNK):
+        w = chi[lo:lo + COVER_CHUNK, None]
+        uncovered += np.count_nonzero(
+            ~np.any(np.abs(w - centres) < radii, axis=1))
+    return chi.size, uncovered
 
 
 def traced_peak(fn, *args) -> int:

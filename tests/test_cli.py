@@ -501,8 +501,8 @@ def test_verify_and_spectrum_never_load_mpmath(tmp_path):
 
 
 def test_verify_rejects_nan_k_hat(tmp_path, capsys):
-    # a nan K would keep no point in any covering suite, which would
-    # then pass vacuously
+    # a nan K leaves the covering certificate no depth 1 - sigma^j0 / K
+    # to compare with, so the pair is refused before any suite runs
     cfgfile = tmp_path / "k.cfg"
     cfgfile.write_text("c = 0.0014566968931649326\nk_hat = nan\n"
                        "samples = 10000\ncalibration_samples = 10000\n"
@@ -621,8 +621,9 @@ def test_artifact_contract(tmp_path, frozen_cfg):
 
 def test_every_library_name_is_used_in_the_library():
     # the package holds only what its own verbs run: each top-level def,
-    # class and assigned name of src/cuspdecay is loaded somewhere in
-    # src/cuspdecay, as a name or as an attribute (dunders exempt)
+    # class, method and assigned name of src/cuspdecay is loaded
+    # somewhere in src/cuspdecay, as a name or as an attribute (dunders
+    # exempt)
     package = pathlib.Path(cli.__file__).parent
     defined, loaded = set(), set()
     for path in sorted(package.glob("*.py")):
@@ -630,6 +631,9 @@ def test_every_library_name_is_used_in_the_library():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(item.name for item in node.body
+                               if isinstance(item, ast.FunctionDef))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])

@@ -2,7 +2,7 @@
 
 import cmath
 import math
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,10 +321,6 @@ def test_symbol_params_validation():
         maps.SymbolParams(theta=0.5, c=0.01, k_hat=2.0, g_kind="nope")
 
 
-def test_symbol_params_roundtrip(params):
-    assert maps.SymbolParams.from_dict(asdict(params)) == params
-
-
 def test_disk_samples_deterministic_and_clustered():
     a = disk_samples(3000, seed=9)
     b = disk_samples(3000, seed=9)
@@ -472,6 +468,39 @@ def test_reach_certificate_rejects_large_c():
         maps._certify_reach(loose)
     # X* = (delta theta)^(1/theta) = (sqrt(2)/4)^2
     assert abs(exc.value.witness - 0.125) < 1e-15
+
+
+def test_near_cusp_ratio_bounds_the_lens():
+    # |1 - w| / (1 - |w|) at lens points w = 1 - x + iy with
+    # |1 - w| <= REACH_SPLIT, out to the arcs of D(1 +- i/2, 1/2);
+    # both distances are formed without cancellation near the cusp
+    x = np.geomspace(1e-9, maps.REACH_SPLIT, 2001)[:, None]
+    width = x ** 2 / (0.5 + np.sqrt(0.25 - x ** 2))
+    y = width * np.linspace(-1.0, 1.0, 401)[None, :]
+    dist = np.hypot(x, y)
+    gap = (2.0 * x - x ** 2 - y ** 2) / (1.0 + np.hypot(1.0 - x, y))
+    ratio = (dist / gap)[dist <= maps.REACH_SPLIT]
+    assert ratio.size > 0.9 * dist.size
+    assert ratio.max() <= maps.NEAR_CUSP_RATIO
+    assert abs(maps.NEAR_CUSP_RATIO - 1.0221) < 1e-4
+
+
+def test_reach_certificate_near_the_cusp(params):
+    # theta = 0.08 peaks the damping bound at |1 - chi| = 1.8e-14, where
+    # the lens ratio is near 1, not LENS_K
+    assert maps._damping_peak(0.08)[0] < maps.REACH_SPLIT
+    got = maps.build_params(0.08, "identity_in_z2", 100_000, 17)
+    assert maps.reach_fraction(got) < 0.5
+    # theta = 0.07 keeps the c of the rule's grid floor, 1e-8 / (4 K),
+    # far too large for a peak at 2.9e-17
+    with pytest.raises(CalibrationError):
+        maps.build_params(0.07, "identity_in_z2", 100_000, 17)
+    # where the peak lies past REACH_SPLIT, q is 2c LENS_K m bit for bit
+    for theta in (0.5, 0.7, 0.9):
+        x_star, peak = maps._damping_peak(theta)
+        assert x_star >= maps.REACH_SPLIT
+        assert maps.reach_fraction(replace(params, theta=theta)) \
+            == 2.0 * params.c * maps.LENS_K * peak
 
 
 def test_reach_certificate_holds_pointwise(params):

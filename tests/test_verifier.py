@@ -3,7 +3,7 @@ report plumbing, budget validation."""
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from mpmath import mp
 
 from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
-from conftest import disk_samples, traced_peak
+from conftest import disk_samples, sampled_covering, traced_peak
 
 
 def _json(rep) -> str:
@@ -156,43 +156,24 @@ def test_geometry_suite_witnesses_real_axis(monkeypatch):
             assert rep.violations == on_axis
 
 
-def test_covering_suite_witnesses_uncovered(params, monkeypatch):
-    monkeypatch.setattr(verifier.CoveringFamily, "covers",
-                        lambda self, w: np.zeros(np.shape(w), bool))
-    n, count = 100, 1000
-    # with 8-point blocks the ten witnesses span four blocks
-    reports = []
-    for block in (maps.SAMPLE_BLOCK, 64, 8):
-        monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
-        reports.append(verifier.check_covering(n, count, params=params))
-    rep = reports[0]
-    assert all(_json(r) == _json(rep) for r in reports)
-    # check_covering's draw, then its hypothesis region
-    rng = np.random.default_rng(np.random.SeedSequence((17, n)))
-    log_gap = rng.uniform(-(1.7 * n + 40.0), -6.0, count)
-    phase = rng.uniform(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, count)
-    inside = log_gap < np.log(2.0 * np.cos(phase))
-    log_gap, phase = log_gap[inside], phase[inside]
-    chi = maps.cusp_from_log_gap(log_gap, phase)
-    depth = 1.0 - params.sigma ** params.j0 / params.k_hat
-    kept = np.nonzero((np.abs(chi) > depth)
-                      & (np.abs(chi - 1.0) > 1.0 / n))[0]
-    assert kept.size == rep.constants["kept"] > 10
-    witnesses = _grouped_first_ten(rep, ["uncovered"])["uncovered"]
-    assert len(witnesses) == 10
-    fam = verifier.CoveringFamily.for_size(params, n)
-    for i, w in zip(kept[:10], witnesses):
-        assert (w["log_gap"], w["phase"]) == (log_gap[i], phase[i])
-        assert w["chi"] == verifier._c2s(chi[i])
-        # nearest disk in units of its radius, by brute force
-        scaled = [abs(chi[i] - c) / r
-                  for c, r in zip(fam.centers(), fam.radii())]
-        j = min(range(len(scaled)), key=scaled.__getitem__)
-        disk = dict(w["nearest_disk"])
-        dist = abs(chi[i] - fam.centers()[j])
-        assert abs(disk.pop("distance") - dist) <= 1e-15 * dist
-        assert disk == {"j": j + fam.start_index, "center": fam.centers()[j],
-                        "radius": fam.radii()[j]}
+def test_covering_suite_witnesses_uncovered(params):
+    # sigma = 1/2: scaled, consecutive disks meet at a = 19/64 from the
+    # larger centre, past its radius 1/4, so the union leaves gaps
+    # between them that the sample finds and the strip item witnesses
+    coarse = replace(params, sigma=0.5, j0=4)
+    for n, end in ((100, 16), (1000, 22)):
+        rep = verifier.check_covering(n, coarse)
+        assert rep.violations == [
+            {"item": "strip", "x": [0.5 ** end, 0.0625],
+             "value": 4.0 / 16 ** 2, "bound": 1.0 / 16 - (19 / 64) ** 2}]
+        assert rep.constants["slack"]["strip"] == -0.041259765625
+        kept, uncovered = sampled_covering(coarse, n)
+        assert 0 < uncovered < kept
+    # at n = 10 the hypothesis region is empty, so the gaps do not count
+    rep = verifier.check_covering(10, coarse)
+    assert rep.passed and rep.constants["vacuous"]
+    assert rep.constants["slack"]["strip"] < 0.0
+    assert sampled_covering(coarse, 10) == (0, 0)
 
 
 def test_calibration_suite_reduced_budget(params):
@@ -291,14 +272,6 @@ def test_geometry_memory_per_sample():
     assert large - small <= 100_000 * 4
 
 
-def test_covering_memory_per_sample(params):
-    # the whole-array suite grew 67.5 B per sample; the streamed one
-    # draws its log gaps and phases a block at a time
-    small = traced_peak(verifier.check_covering, 1000, 100_000, params)
-    large = traced_peak(verifier.check_covering, 1000, 200_000, params)
-    assert large - small <= 100_000 * 4
-
-
 @pytest.mark.parametrize("count", [2, 3, maps.SAMPLE_BLOCK - 1,
                                    maps.SAMPLE_BLOCK, maps.SAMPLE_BLOCK + 1,
                                    100_000, 200_000])
@@ -309,76 +282,57 @@ def test_bracket_grid_slices_match_geomspace(count):
     assert np.concatenate(slices).tobytes() == want.tobytes()
 
 
-def _points_near_disks(fam, count, seed):
-    """Half cusp images drawn as check_covering draws them, half around
-    randomly chosen disks of the family, out to 1.3 radii."""
-    rng = np.random.default_rng(seed)
-    half = count // 2
-    log_gap = rng.uniform(-1740.0, -6.0, half)
-    phase = rng.uniform(-1.5, 1.5, half)
-    j = rng.integers(0, fam.centers().size, count - half)
-    ring = fam.centers()[j] + fam.radii()[j] * rng.uniform(0.0, 1.3, j.size) \
-        * np.exp(2j * math.pi * rng.random(j.size))
-    return np.concatenate([maps.cusp_from_log_gap(log_gap, phase), ring])
-
-
-def test_covers_matches_broadcast(params):
-    fam = verifier.CoveringFamily.for_size(params, 1000)
-    w = _points_near_disks(fam, 50_000, 3)
-    dist = np.abs(w[:, None] - fam.centers()[None, :])
-    want = np.any(dist < fam.radii()[None, :], axis=1)
-    got = fam.covers(w)
-    assert 0 < np.count_nonzero(want) < w.size
-    assert got.dtype == bool and np.array_equal(got, want)
-
-
-def test_covers_memory_per_point(params):
-    # the (points x disks) distance array took about 94 x 24 B per point
-    fam = verifier.CoveringFamily.for_size(params, 1000)
-    w = _points_near_disks(fam, 200_000, 4)
-    assert traced_peak(fam.covers, w) < 200_000 * 100
-
-
-def test_covering_family_geometry(params):
-    fam = verifier.CoveringFamily(start_index=3, end_index=5, shrink=0.5)
-    assert np.allclose(fam.centers(), [1 - 0.125, 1 - 0.0625, 1 - 0.03125])
-    assert np.allclose(fam.radii(), [0.125 / 4, 0.0625 / 4, 0.03125 / 4])
-    # disks stay inside the unit disk
-    assert np.all(fam.centers() + fam.radii() < 1.0)
-    assert bool(fam.covers(1 - 0.125)[0])
-    assert not bool(fam.covers(0.0)[0])
-    with pytest.raises(ConfigurationError):
-        verifier.CoveringFamily(start_index=0, end_index=5, shrink=0.5)
-    with pytest.raises(ConfigurationError):
-        verifier.CoveringFamily(start_index=5, end_index=3, shrink=0.5)
-    with pytest.raises(ConfigurationError):
-        verifier.CoveringFamily(start_index=1, end_index=2, shrink=1.5)
-
-
 def test_covering_family_for_size(params):
-    ends = {n: verifier.CoveringFamily.for_size(params, n).end_index
-            for n in (10, 100, 1000)}
-    assert ends == {10: 45, 100: 80, 1000: 114}
-    fam = verifier.CoveringFamily.for_size(params, 100)
-    assert fam.start_index == params.j0
-    assert fam.shrink == params.sigma
+    family = {n: verifier.check_covering(n, params).constants["family"]
+              for n in (10, 100, 1000)}
+    assert {n: f["end_index"] for n, f in family.items()} == {
+        10: 45, 100: 80, 1000: 114}
+    assert all(f["start_index"] == params.j0 and f["shrink"] == params.sigma
+               for f in family.values())
 
 
 def test_covering_suite_frozen_counts(params):
-    kept = {}
+    sampled = {}
     for n in (10, 100, 1000):
-        rep = verifier.check_covering(n, 100_000, params=params)
+        rep = verifier.check_covering(n, params)
         assert rep.passed and rep.violations == []
-        kept[n] = rep.constants["kept"]
+        assert rep.samples == 0 and rep.suite == "covering_n%d" % n
         assert rep.constants["vacuous"] == (n == 10)
-        assert rep.constants["family"]["start_index"] == params.j0
+        assert all(v > 0.0 for v in rep.constants["slack"].values())
+        sampled[n] = sampled_covering(params, n)
     # n = 10: comparability forces |chi - 1| < 1/10 on the whole deep
     # region, so the hypothesis set is empty by design
-    assert kept == {10: 0, 100: 45045, 1000: 86610}
+    assert sampled == {10: (0, 0), 100: (45045, 0), 1000: (86610, 0)}
     with pytest.raises(ConfigurationError):
-        verifier.check_covering(1, 100_000, params=params)
-    with pytest.raises(ConfigurationError):
-        verifier.check_covering(100, 100, params=params)
+        verifier.check_covering(1, params)
+    # N_2 = 3 < j0 = 4: no family to cover with
+    with pytest.raises(ConfigurationError, match="empty"):
+        verifier.check_covering(2, replace(params, theta=0.9, sigma=0.5,
+                                           j0=4))
+
+
+def _build_default(params):
+    return maps.build_params(0.5, "identity_in_z2", 100_000, 17)
+
+
+@pytest.mark.parametrize("case", [
+    _build_default,
+    lambda p: p,
+    lambda p: replace(p, sigma=0.7, j0=10),
+    lambda p: replace(p, sigma=0.9, j0=27),
+    lambda p: replace(p, k_hat=1.0),
+    lambda p: replace(p, sigma=0.5, j0=4),
+], ids=["defaults", "conftest", "sigma0.7", "sigma0.9", "k1", "sigma0.5"])
+def test_covering_certificate_agrees_with_sample(params, case):
+    # the certificate passes exactly where 1e5 samples find no
+    # uncovered point, and calls the region empty exactly where they
+    # keep none
+    family = case(params)
+    for n in verifier.COVERING_SIZES:
+        rep = verifier.check_covering(n, family)
+        kept, uncovered = sampled_covering(family, n)
+        assert rep.passed == (uncovered == 0)
+        assert rep.constants["vacuous"] == (kept == 0)
 
 
 def test_diag_derivative_matches_polynomial_calculus():
