@@ -23,9 +23,11 @@ unknown keys are errors (drift detection).  Keys:
     seed                  master RNG seed                     [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
-    samples               geometry suite's budget; also K's   [100000]
-                          sample, at least 10000
-    calibration_samples   calibration suite of verify         [1000000]
+    samples               grid points of the geometry suite,  [100000]
+                          which checks the lens on the circle;
+                          also K's sample; at least 10000
+    calibration_samples   calibration suite of verify, at     [1000000]
+                          least 10000
     trials                randomized-instance count           [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>
 
@@ -120,6 +122,9 @@ class RunConfig:
         parse_symbol(self.symbol)
         if min(self.samples, self.calibration_samples, self.trials) < 1:
             raise ConfigurationError("sample budgets must be positive")
+        if min(self.samples, self.calibration_samples) < 10_000:
+            raise ConfigurationError(
+                "samples and calibration_samples must be at least 10000")
         if self.seed < 0:  # SeedSequence takes no negative entropy
             raise ConfigurationError("seed must be >= 0, not %d" % self.seed)
         return self
@@ -135,10 +140,6 @@ class RunConfig:
 
     def stamp(self) -> str:
         return "config %s seed %d" % (self.hash(), self.seed)
-
-    @property
-    def k_samples(self) -> int:  # calibration's budget for k_hat
-        return max(self.samples, 10_000)
 
 
 _CONVERT = {
@@ -211,7 +212,7 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
     if cfg.c is not None:
         return maps.SymbolParams(theta=cfg.theta, c=cfg.c, k_hat=cfg.k_hat,
                                  g_kind=cfg.g_kind)
-    return maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples, cfg.seed)
+    return maps.build_params(cfg.theta, cfg.g_kind, cfg.samples, cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +349,12 @@ def cmd_map_eval(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
-    params = maps.build_params(cfg.theta, cfg.g_kind, cfg.k_samples, cfg.seed)
+    params = maps.build_params(cfg.theta, cfg.g_kind, cfg.samples, cfg.seed)
     q = maps.reach_fraction(params)
     _write_json(cfg, "params.json", {
         "params": asdict(params),
         "margins": {"reach_fraction": q},
-        "budgets": {"k_samples": cfg.k_samples},
+        "budgets": {"k_samples": cfg.samples},
     })
     print("c = %.6e, k_hat = %.6f, reach fraction = %.3e"
           % (params.c, params.k_hat, q))

@@ -1,23 +1,27 @@
 """Verification suites for the geometric, calibration, covering,
 derivative, and counting inequalities the construction rests on.
 
-The sample suites draw deterministically from a seed and evaluate
-their inequality exactly (polynomial norms are coefficient norms, never
-quadrature); the covering suite proves its claim for the whole lens in
-exact rationals and samples nothing.  Each returns a report whose
+The calibration and randomized suites draw deterministically from a
+seed and evaluate their inequality exactly (polynomial norms are
+coefficient norms, never quadrature).  The geometry suite checks the
+lens on the unit circle, where the maximum principle settles it for
+the whole disk (the proof is check_cusp_geometry's docstring), and the
+covering suite proves its claim for the whole lens in exact rationals;
+neither draws a random number.  Each returns a report whose
 violations list is empty iff the suite passed.  A violation always
 carries enough of a witness to replay the single failing evaluation by
 hand.  Every violation enters through VerificationReport.witness or
 .record, which keep the first WITNESS_CAP witnesses per item, grouped
-by item in sample order.
+by item in the order items first fail.
 
-The geometry and calibration suites stream: they draw and check
-maps.SAMPLE_BLOCK points at a time from maps.disk_sample_blocks (the
-bracket grid of t a slice at a time) and keep only running extrema,
-counts and each item's first witnesses, so their memory does not grow
-with the budget, and every element and report is bit for bit the
-whole-sample one.  Verification never loads mpmath: the counting
-suite's 50-digit floors use the standard library's decimal.
+The geometry and calibration suites stream: they check
+maps.SAMPLE_BLOCK points at a time (the calibration sample from
+maps.disk_sample_blocks, the geometry suite's grid of t a slice at a
+time) and keep only running extrema, counts and each item's first
+witnesses, so their memory does not grow with the budget, and every
+element and report is bit for bit the whole-array one.  Verification
+never loads mpmath: the counting suite's 50-digit floors use the
+standard library's decimal.
 """
 
 from __future__ import annotations
@@ -70,19 +74,13 @@ class VerificationReport:
             self.violations.insert(at, entry)
 
     def record(self, item: str, mask: np.ndarray, fields) -> None:
-        """Witness the first WITNESS_CAP points where mask holds."""
-        for entry in _witnesses(item, mask, fields, WITNESS_CAP):
-            self.witness(entry)
-
-
-def _witnesses(item: str, mask: np.ndarray, fields, room: int) -> list:
-    """Witness entries for the first room points where mask holds;
-    fields(i) maps each witness key to point i's value, a complex one
-    stored as [re, im]."""
-    return [{"item": item,
-             **{key: _c2s(value) if np.iscomplexobj(value) else value
-                for key, value in fields(i).items()}}
-            for i in np.flatnonzero(mask)[:room]]
+        """Witness the first WITNESS_CAP points where mask holds;
+        fields(i) maps each witness key to point i's value, a complex
+        one stored as [re, im]."""
+        for i in np.flatnonzero(mask)[:WITNESS_CAP]:
+            self.witness({"item": item,
+                          **{key: _c2s(value) if np.iscomplexobj(value)
+                             else value for key, value in fields(i).items()}})
 
 
 # ---------------------------------------------------------------------------
@@ -109,52 +107,62 @@ def _bracket_grid_slices(count: int):
         yield t
 
 
-def _bracket_on_log_grid(count: int) -> tuple:
-    """min and max of (1 - Re chi(e^it)) * log(1/t) over a geometric
-    grid of t in [1e-8, pi/4], taken over its slices."""
-    lo, hi = math.inf, -math.inf
-    for t in _bracket_grid_slices(count):
-        vals = (1.0 - maps.cusp_on_circle(t).real) * np.log(1.0 / t)
-        lo, hi = min(lo, float(vals.min())), max(hi, float(vals.max()))
-    return lo, hi
+def _circle_rest() -> np.ndarray:
+    """The points t > 0 of the half circle off the bracket grid: 2000
+    geometric in [1e-300, 1e-8), then 1000 each in (pi/4, pi/2] and
+    (pi/2, pi], the lens corner t = pi/2 a node."""
+    return np.concatenate([
+        np.geomspace(1e-300, 1e-8, 2000, endpoint=False),
+        np.linspace(math.pi / 4.0, math.pi / 2.0, 1001)[1:],
+        np.linspace(math.pi / 2.0, math.pi, 1001)[1:]])
 
 
 def check_cusp_geometry(sample_count: int,
                         seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Pointwise lens geometry of the cusp map.
+    """Lens geometry of the cusp map, checked on the unit circle.
 
-    Exact checks (GEOMETRY_TOLERANCE, 1e-10) on boundary-clustered interior
-    samples plus a deterministic near-cusp batch:
+    Exact checks (GEOMETRY_TOLERANCE, 1e-10) of the double chain's
+    values chi(e^it) = maps.cusp_on_circle(t) at points t > 0:
 
       * image inside D(1/2, 1/2) and outside D(1 +- i/2, 1/2)   (lens)
       * |chi - 1| <= 1
       * Re chi in [0, 1] and |Im chi| <= 2 (1 - Re chi)^2
-      * real axis maps to real values, exactly
       * |1 - chi| <= maps.LENS_K * (1 - |chi|), the comparability the
         covering argument uses, at its exact constant 1 + sqrt(2)
-        (the sampled sup is reported)
+        (the sup over the points is reported)
 
-    Estimated check: the bracket of (1 - Re chi(e^it)) log(1/t) on a
-    geometric grid, flagged if doubling the grid moves either end by
-    5 percent or more.
+    Each holds on the whole disk once it holds on the circle:
 
-    The disk sample streams from maps.disk_sample_blocks and the
-    near-cusp batch (at most 5000 points) is one more block.  Each
-    item's first witnesses are gathered across the blocks and filed in
-    the order the checks are listed above, the real axis just before
-    the distortion."""
+      * |chi - 1/2| and |chi - 1| are subharmonic, so their sup over
+        the disk is taken on the circle;
+      * chi omits 1 +- i/2, so log|chi - (1 +- i/2)| is harmonic and
+        its inf is taken on the circle;
+      * Re chi is harmonic, so both its extrema are;
+      * chi is bounded, so the one boundary point where it is not
+        continuous, the cusp z = 1, does not count;
+      * imag_vs_gap follows from the three lens items, and distortion
+        is the proof of maps.LENS_K; both are in that docstring;
+      * cusp_on_circle reflects exactly, chi(e^-it) = conj chi(e^it),
+        so t > 0 suffices: lens_lower at t is its mirror lens_upper at
+        -t, and every other item is invariant under conjugation.
+
+    The points are the grid of _bracket_grid_slices(sample_count),
+    t in [1e-8, pi/4], streamed a slice at a time, then _circle_rest:
+    t in [1e-300, 1e-8), where 1 - e^it goes down to 1e-300, and
+    (pi/4, pi].  On the grid the bracket of (1 - Re chi) log(1/t) is
+    reported, and gap_log_rise witnesses a step where that value rises
+    by more than the tolerance; where none does, the bracket is the
+    values at the grid's two ends.  real_axis checks that the chain
+    maps 4001 points of the real diameter to real values, exactly.
+    Nothing is drawn, so seed only labels the report.  Each item's
+    witnesses file together, the items in the order they first fail."""
     if sample_count < 10_000:
         raise ConfigurationError("geometry suite needs at least 1e4 samples")
     rep = VerificationReport("cusp_geometry", seed, sample_count)
     tolerance = GEOMETRY_TOLERANCE
-    # each item's first witnesses so far, in filing order
-    found = {item: [] for item in ("lens_outer", "lens_upper", "lens_lower",
-                                   "near_one", "real_part", "imag_vs_gap",
-                                   "real_axis", "distortion")}
     ratio_sup = -math.inf
 
-    def check(z, chi):
-        # z is the witness only; near the cusp it may round to 1
+    def check(t, chi):
         nonlocal ratio_sup
         dist, gap = np.abs(1.0 - chi), 1.0 - np.abs(chi)
         for item, mask in (
@@ -167,46 +175,32 @@ def check_cusp_geometry(sample_count: int,
                 ("imag_vs_gap",
                  np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tolerance),
                 ("distortion", dist > maps.LENS_K * gap + tolerance)):
-            have = found[item]
-            have += _witnesses(item, mask,
-                               lambda i: {"z": z[i], "chi": chi[i]},
-                               WITNESS_CAP - len(have))
-        ratio = dist / gap
-        ratio = ratio[np.isfinite(ratio)]
-        if ratio.size:
-            ratio_sup = max(ratio_sup, float(ratio.max()))
+            rep.record(item, mask, lambda i: {"t": t[i], "chi": chi[i]})
+        ratio_sup = max(ratio_sup, float(np.max(dist / gap)))
 
-    for z in maps.disk_sample_blocks(sample_count, seed):
-        check(z, maps.cusp_values(z))
-    # near-cusp stress points, far beyond where forming 1 - z survives
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    n_gap = min(5000, sample_count // 10)
-    log_gap = rng.uniform(-280.0, -3.0, n_gap)
-    ph_gap = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, n_gap)
-    keep = log_gap < np.log(2.0 * np.cos(ph_gap))  # |1 - xi| <= 1
-    log_gap, ph_gap = log_gap[keep], ph_gap[keep]
-    check(1.0 - np.exp(log_gap + 1j * ph_gap),
-          maps.cusp_from_log_gap(log_gap, ph_gap))
+    lo, hi = math.inf, -math.inf
+    last_t, last_value = math.nan, math.inf  # the step before the grid
+    for t in _bracket_grid_slices(sample_count):
+        chi = maps.cusp_on_circle(t)
+        check(t, chi)
+        value = (1.0 - chi.real) * np.log(1.0 / t)
+        rep.record("gap_log_rise",
+                   np.diff(value, prepend=last_value) > tolerance,
+                   lambda i: {"t": [t[i - 1] if i else last_t, t[i]],
+                              "value": [value[i - 1] if i else last_value,
+                                        value[i]]})
+        lo, hi = min(lo, float(value.min())), max(hi, float(value.max()))
+        last_t, last_value = t[-1], value[-1]
+    t = _circle_rest()
+    check(t, maps.cusp_on_circle(t))
 
     axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
     chi_axis = maps.cusp_values(axis)
-    found["real_axis"] = _witnesses(
-        "real_axis", chi_axis.imag != 0.0,
-        lambda i: {"z": axis[i], "chi": chi_axis[i]}, WITNESS_CAP)
-    for entries in found.values():
-        for entry in entries:
-            rep.witness(entry)
+    rep.record("real_axis", chi_axis.imag != 0.0,
+               lambda i: {"z": axis[i], "chi": chi_axis[i]})
     rep.constants["distortion_sup"] = ratio_sup
     rep.constants["k_hat"] = maps.LENS_K
-
-    lo1, hi1 = _bracket_on_log_grid(sample_count)
-    lo2, hi2 = _bracket_on_log_grid(2 * sample_count)
-    drift = max(abs(lo2 - lo1) / abs(lo2), abs(hi2 - hi1) / abs(hi2))
-    rep.constants["gap_log_bracket"] = [lo1, hi1]
-    rep.constants["gap_log_bracket_doubled"] = [lo2, hi2]
-    rep.constants["gap_log_bracket_drift"] = drift
-    if drift >= 0.05:
-        rep.witness({"item": "gap_log_bracket_unstable", "drift": drift})
+    rep.constants["gap_log_bracket"] = [lo, hi]
     return rep
 
 

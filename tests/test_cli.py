@@ -433,14 +433,26 @@ def test_load_config_rejects_zero_budget(tmp_path, key):
     cfgfile.write_text("%s = 0\n" % key)
     with pytest.raises(ConfigurationError, match="positive"):
         cli.load_config(str(cfgfile), {})
+    if key != "trials":  # the sample suites' and K's floor
+        cfgfile.write_text("%s = 9999\n" % key)
+        with pytest.raises(ConfigurationError, match="at least 10000"):
+            cli.load_config(str(cfgfile), {})
 
 
-def test_verify_rejects_zero_budget(tmp_path, capsys):
+def test_verify_rejects_zero_budget(tmp_path, capsys, monkeypatch):
+    # a budget under the floor dies at load, before calibration runs
+    def no_calibration(*args):
+        raise AssertionError("calibrated before rejecting the budget")
+
+    monkeypatch.setattr(maps, "build_params", no_calibration)
     cfgfile = tmp_path / "z.cfg"
-    cfgfile.write_text("samples = 0\n")
-    assert cli.main(["verify", "--config", str(cfgfile),
-                     "--out", str(tmp_path / "art")]) == 2
-    assert "positive" in capsys.readouterr().err
+    for budget, message in (("samples = 0", "positive"),
+                            ("samples = 9999", "at least 10000"),
+                            ("calibration_samples = 9999", "at least 10000")):
+        cfgfile.write_text(budget + "\n")
+        assert cli.main(["verify", "--config", str(cfgfile),
+                         "--out", str(tmp_path / "art")]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["calibrate", "verify", "spectrum"])

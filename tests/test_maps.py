@@ -75,8 +75,17 @@ def test_real_axis_stays_real():
 
 
 def test_lens_geometry_on_samples():
-    z = disk_samples(5000, seed=5)
-    chi = maps.cusp_values(z)
+    # the double chain inside the disk, where verify checks only the
+    # circle: the boundary-clustered sample, then near-cusp points
+    # z = 1 - exp(l + i p) far beyond where 1 - z survives, kept where
+    # |1 - z| <= 1, through cusp_from_log_gap
+    rng = np.random.default_rng(np.random.SeedSequence((17, 1)))
+    log_gap = rng.uniform(-280.0, -3.0, 5000)
+    phase = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 5000)
+    keep = log_gap < np.log(2.0 * np.cos(phase))
+    chi = np.concatenate([maps.cusp_values(disk_samples(5000, seed=5)),
+                          maps.cusp_from_log_gap(log_gap[keep],
+                                                 phase[keep])])
     assert np.max(np.abs(chi - 0.5)) <= 0.5 + 1e-12
     assert np.min(np.abs(chi - (1.0 + 0.5j))) >= 0.5 - 1e-12
     assert np.min(np.abs(chi - (1.0 - 0.5j))) >= 0.5 - 1e-12
@@ -132,8 +141,8 @@ def _err_1_minus_chi(got, ref):
     return err, 2e-15 * abs(1.0 - ref) + 2.0 ** -53
 
 
-# log|xi| from |xi| ~ 1/4 down past exp underflow (log|xi| < -745), as
-# deep as check_covering(1000) samples
+# log|xi| from |xi| ~ 1/4 down past exp underflow (log|xi| < -745) to
+# -1740, where |xi| is far below the smallest double
 @pytest.mark.parametrize("log_gap", [-1.4, -3.0, -8.0, -20.0, -45.0, -55.0,
                                      -280.0, -745.0, -800.0, -1740.0])
 def test_log_gap_kernel_matches_mp(log_gap):
@@ -149,7 +158,7 @@ def test_log_gap_kernel_matches_mp(log_gap):
         assert err <= bound, (phase, err)
 
 
-def test_cusp_near_one_matches_mp():
+def test_cusp_from_log_gap_matches_mp():
     # z = 1 - exp(l + i p): kernel vs the arbitrary-precision chain;
     # the reference gap must be formed at high dps or it rounds to 0
     for l, p in ((-55.0, 0.0), (-60.0, 1.2), (-80.0, -1.5)):
@@ -160,7 +169,7 @@ def test_cusp_near_one_matches_mp():
         assert abs(got - ref) < 1e-12 * abs(1.0 - ref)
 
 
-def test_cusp_from_gap_joins_near_one_kernel():
+def test_cusp_from_log_gap_has_no_seam():
     # log|xi| = -50 was the seam between two near-cusp kernels; the one
     # kernel must show no step there
     for l in (-50.0 - 1e-9, -50.0, -50.0 + 1e-9):

@@ -40,8 +40,11 @@ def test_geometry_suite_reduced_budget():
     lo, hi = rep.constants["gap_log_bracket"]
     assert abs(lo - 0.09740776362905418) < 1e-15
     assert abs(hi - 1.3462467442945374) < 1e-13
-    assert rep.constants["gap_log_bracket_drift"] == 0.0
+    # the bracket value falls at every grid step: no gap_log_rise
+    assert not [v for v in rep.violations if v["item"] == "gap_log_rise"]
     assert abs(rep.constants["k_hat"] - (1 + math.sqrt(2))) < 1e-15
+    # the corner t = pi/2 is a node, where the ratio reaches K
+    assert rep.constants["k_hat"] - 1e-7 < rep.constants["distortion_sup"]
     assert rep.constants["distortion_sup"] <= rep.constants["k_hat"]
     with pytest.raises(ConfigurationError):
         verifier.check_cusp_geometry(2_000)
@@ -58,22 +61,27 @@ def _grouped_first_ten(rep, items):
     return got
 
 
-def _geometry_point_witnesses(tol, count=10_000, seed=17):
+_GEOMETRY_ITEMS = ("lens_outer", "lens_upper", "lens_lower", "near_one",
+                   "real_part", "imag_vs_gap", "distortion", "gap_log_rise")
+
+
+def _geometry_point_witnesses(tol, block, count=10_000):
     """The geometry suite's witnesses at tolerance tol, the real axis
-    aside, from whole-array masks over the disk sample followed by the
-    near-cusp batch, grouped by item in the suite's order: the oracle
-    for the streamed suite.  Also returns each item's hit indices."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    n_gap = min(5000, count // 10)
-    log_gap = rng.uniform(-280.0, -3.0, n_gap)
-    phase = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, n_gap)
-    keep = log_gap < np.log(2.0 * np.cos(phase))
-    log_gap, phase = log_gap[keep], phase[keep]
-    disk = disk_samples(count, seed)
-    z = np.concatenate([disk, 1.0 - np.exp(log_gap + 1j * phase)])
-    chi = np.concatenate([maps.cusp_values(disk),
-                          maps.cusp_from_log_gap(log_gap, phase)])
+    aside, from whole-array masks over its circle points: the bracket
+    grid, then the rest of the half circle.  The suite checks the grid
+    block by block, the seven point items and then gap_log_rise in
+    each, and the rest as one more block, and files each item's
+    witnesses together, the items in the order they first fail: the
+    oracle for the streamed suite.  Also returns each item's hit
+    indices, a rise's being the index of the step's second point."""
+    grid = np.geomspace(1e-8, math.pi / 4.0, count)
+    t = np.concatenate([grid,
+                        np.geomspace(1e-300, 1e-8, 2000, endpoint=False),
+                        np.linspace(math.pi / 4.0, math.pi / 2.0, 1001)[1:],
+                        np.linspace(math.pi / 2.0, math.pi, 1001)[1:]])
+    chi = maps.cusp_on_circle(t)
     gap = 1.0 - np.abs(chi)
+    value = (1.0 - chi[:count].real) * np.log(1.0 / grid)
     hits = {item: np.nonzero(mask)[0] for item, mask in (
         ("lens_outer", np.abs(chi - 0.5) > 0.5 + tol),
         ("lens_upper", np.abs(chi - (1.0 + 0.5j)) < 0.5 - tol),
@@ -83,37 +91,65 @@ def _geometry_point_witnesses(tol, count=10_000, seed=17):
         ("imag_vs_gap", np.abs(chi.imag) > 2.0 * (1.0 - chi.real) ** 2 + tol),
         ("distortion",
          np.abs(1.0 - chi) > (1 + math.sqrt(2)) * gap + tol))}
-    want = [{"item": item, "z": verifier._c2s(z[i]),
-             "chi": verifier._c2s(chi[i])}
-            for item, idx in hits.items() for i in idx[:10]]
-    return want, hits
+    hits["gap_log_rise"] = 1 + np.nonzero(np.diff(value) > tol)[0]
+    witnesses = {item: [{"item": item, "t": t[i],
+                         "chi": verifier._c2s(chi[i])} for i in idx[:10]]
+                 for item, idx in hits.items()}
+    witnesses["gap_log_rise"] = [
+        {"item": "gap_log_rise", "t": [grid[i - 1], grid[i]],
+         "value": [value[i - 1], value[i]]}
+        for i in hits["gap_log_rise"][:10]]
+
+    def first_fail(item):
+        i = hits[item][0]
+        return (i // block if i < count else math.inf,
+                _GEOMETRY_ITEMS.index(item))
+
+    order = sorted((item for item in hits if hits[item].size), key=first_fail)
+    return [w for item in order for w in witnesses[item]], hits
 
 
 def test_geometry_suite_witnesses_every_item(monkeypatch):
     # a negative tolerance turns the inequalities but the exact real
     # axis one into violations: at -1 nearly everywhere, at -0.03 on
-    # scattered points, so that with 64-point blocks an item's
-    # witnesses span blocks and its first can sit blocks after another
-    # item's
+    # stretches of the circle, so that with 64-point blocks an item's
+    # first witness can sit blocks after another item's, and the items
+    # file out of their check order
     hits_at = {}
-    for tol, block in ((-1.0, maps.SAMPLE_BLOCK), (-1.0, 64), (-0.03, 64)):
+    for tol, block in ((-1.0, maps.SAMPLE_BLOCK), (-1.0, 64),
+                       (-0.03, maps.SAMPLE_BLOCK), (-0.03, 64)):
         monkeypatch.setattr(verifier, "GEOMETRY_TOLERANCE", tol)
         monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
         rep = verifier.check_cusp_geometry(10_000)
-        want, hits_at[tol] = _geometry_point_witnesses(tol)
-        _grouped_first_ten(rep, list(hits_at[tol]))
+        want, hits_at[tol] = _geometry_point_witnesses(tol, block)
+        got = _grouped_first_ten(rep, [v["item"] for v in want])
+        assert all(len(got[item]) == 10 for item in _GEOMETRY_ITEMS)
         assert rep.violations == want
-    # at -1, ten hits per item among the disk samples, which come first
-    assert all(idx.size >= 10 and idx[9] < 10_000
-               for idx in hits_at[-1.0].values())
-    # at -0.03, imag_vs_gap's first hit is six blocks in and its last
-    # witnesses come from the near-cusp batch; distortion's first is
-    # twelve blocks in, and from its fourth on they come from that batch
+    # at -1, every item fires from the grid's first point or step on
+    assert all(idx[0] <= 1 for idx in hits_at[-1.0].values())
+    # at -0.03, real_part and distortion first fail in the deep
+    # stretch after the grid, lens_outer blocks into the grid
     hits = hits_at[-0.03]
-    assert hits["lens_upper"][0] == 0 and hits["imag_vs_gap"][0] >= 6 * 64
-    assert hits["imag_vs_gap"][9] >= 10_000
-    assert hits["distortion"][0] >= 12 * 64
-    assert hits["distortion"][2] < 10_000 <= hits["distortion"][3]
+    assert hits["real_part"][0] >= 10_000 and hits["distortion"][0] >= 10_000
+    assert hits["lens_outer"][0] >= 2 * 64 and hits["lens_upper"][0] == 0
+
+
+def test_geometry_suite_witnesses_bracket_rise(monkeypatch):
+    # lowering Re chi at three grid points makes the bracket value rise
+    # there, the first at the first point of the second 64-point block,
+    # whose step starts in the block before
+    grid = np.geomspace(1e-8, math.pi / 4.0, 10_000)
+    raised = grid[[64, 130, 5000]]
+    on_circle = maps.cusp_on_circle
+    monkeypatch.setattr(maps, "cusp_on_circle",
+                        lambda t: on_circle(t) - 0.01 * np.isin(t, raised))
+    tol = verifier.GEOMETRY_TOLERANCE
+    want, hits = _geometry_point_witnesses(tol, 64)
+    assert list(hits["gap_log_rise"]) == [64, 130, 5000]
+    assert [v["item"] for v in want] == ["gap_log_rise"] * 3
+    for block in (maps.SAMPLE_BLOCK, 64):
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
+        assert verifier.check_cusp_geometry(10_000).violations == want
 
 
 def _unclamped_chi0(z):
@@ -134,8 +170,7 @@ def test_geometry_suite_witnesses_real_axis(monkeypatch):
     # unclamped, the axis points whose chi picks up an imaginary part
     # are its witnesses, and at the suite's tolerance no other item
     # fires.  At -1 every item fires from the first block on, and the
-    # real axis, checked after the sample, still files its witnesses
-    # between imag_vs_gap's and distortion's
+    # real axis, checked after the circle, files its witnesses last
     monkeypatch.setattr(maps, "chi0_values", _unclamped_chi0)
     axis = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 4001) + 0j
     chi = maps.cusp_values(axis)
@@ -149,9 +184,8 @@ def test_geometry_suite_witnesses_real_axis(monkeypatch):
         monkeypatch.setattr(maps, "SAMPLE_BLOCK", block)
         rep = verifier.check_cusp_geometry(10_000)
         if tol < 0.0:
-            points, _ = _geometry_point_witnesses(tol)
-            at = [v["item"] for v in points].index("distortion")
-            assert rep.violations == points[:at] + on_axis + points[at:]
+            points, _ = _geometry_point_witnesses(tol, block)
+            assert rep.violations == points + on_axis
         else:
             assert rep.violations == on_axis
 
