@@ -20,15 +20,15 @@ unknown keys are errors (drift detection).  Keys:
                           whose c fails maps.reach_fraction < 1 is
                           a configuration error
     degree, quad          truncation: max degree, quadrature  [48, 1024]
-    seed                  master RNG seed                     [17]
+    seed                  seed of K's sample; labels reports  [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
     samples               grid points of the geometry suite,  [100000]
                           which checks the lens on the circle;
                           also K's sample; at least 10000
-    calibration_samples   calibration suite of verify, at     [1000000]
-                          least 10000
-    trials                randomized-instance count           [1000]
+    calibration_samples   circle grid of the calibration      [1000000]
+                          suite of verify; at least 10000
+    trials                grid of the derivative certificates [1000]
     symbol                paper | diagonal | one-dim | scaled:<r>
 
 The diagonal symbol ignores c; at degree 48 only 3 of its 7 schedule

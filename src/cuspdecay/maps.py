@@ -31,16 +31,14 @@ Conventions used throughout:
 * the chain commutes with conjugation.  We enforce that exactly by
   evaluating only in the closed upper half-plane and reflecting, so
   real inputs give real outputs bit-for-bit.
-* every pass over many points streams in blocks of SAMPLE_BLOCK:
-  disk_sample_blocks yields the disk sample a block at a time, from
-  two generators on one stream, and holds nothing between blocks;
-  cusp_values, phi_values, cusp_from_log_gap and cusp_on_circle
-  evaluate a longer input slice by slice, so the ~10 complex
-  temporaries of the chain stay in cache.  Blocking never changes a
-  bit: each element is computed as in one whole-array call, and a
-  scalar input still returns a scalar;
-* calibration samples the disk only for estimate_k, whose K enters the
-  c rule.  The lens constant LENS_K = 1 + sqrt(2) is exact, and
+* the chain functions are elementwise, and a slice of an input gets
+  the bits the whole array gets, so a caller that streams its points
+  in slices of SAMPLE_BLOCK, as every pass over many points does,
+  gets the whole-array result.  disk_sample_blocks yields the disk
+  sample a block at a time, from two generators on one stream, and
+  holds nothing between blocks;
+* estimate_k is the only user of the disk sample, and its K enters
+  the c rule.  The lens constant LENS_K = 1 + sqrt(2) is exact, and
   reach_fraction certifies the reach and half-gap inequalities of a
   given c in closed form, so no sample checks c.
 
@@ -125,29 +123,6 @@ def _chain_tail(c1):
     return 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
 
 
-def _in_blocks(kernel, *arrays):
-    """kernel(*arrays) for an elementwise kernel with a complex result,
-    evaluated SAMPLE_BLOCK elements at a time once the broadcast arrays
-    are longer than that, so its temporaries stay block-sized.  Every
-    element is computed as in one call; a scalar input keeps the
-    kernel's scalar return."""
-    arrays = np.broadcast_arrays(*arrays)
-    if arrays[0].size <= SAMPLE_BLOCK:
-        return kernel(*arrays)
-    flat = [a.ravel() for a in arrays]
-    out = np.empty(flat[0].size, dtype=complex)
-    for lo in range(0, out.size, SAMPLE_BLOCK):
-        out[lo:lo + SAMPLE_BLOCK] = kernel(
-            *(a[lo:lo + SAMPLE_BLOCK] for a in flat))
-    return out.reshape(arrays[0].shape)
-
-
-def _cusp_values_block(z):
-    at_one = z == 1.0
-    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
-    return np.where(at_one, 1.0 + 0.0j, chi)[()]
-
-
 def cusp_values(z) -> np.ndarray:
     """Cusp map, vectorized: chi0_values, its log, then the shared tail.
 
@@ -155,21 +130,10 @@ def cusp_values(z) -> np.ndarray:
     D(1 + i/2, 1/2) and D(1 - i/2, 1/2); chi(1) = 1 by continuous
     extension.  Inputs must lie in the closed disk, as for chi0_values.
     """
-    return _in_blocks(_cusp_values_block, np.asarray(z, dtype=complex))
-
-
-def _cusp_from_log_gap_block(log_gap, phase):
-    # Im z >= 0 means phase <= 0; reflect the rest
-    lower = phase > 0.0
-    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
-    xi = np.exp(log_xi)
-    den = (1.0 - 1j) + 1j * xi
-    eta = (1.0 + 1j) * xi / den
-    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
-          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
-    chi = _chain_tail(c1)
-    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
-    return np.where(lower, np.conj(chi), chi)[()]
+    z = np.asarray(z, dtype=complex)
+    at_one = z == 1.0
+    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
+    return np.where(at_one, 1.0 + 0.0j, chi)[()]
 
 
 def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
@@ -189,30 +153,19 @@ def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
     within 2e-15 relative plus the final rounding of chi, 2^-53.
     Callers guarantee |1 - xi| <= 1, so |phase| <= pi/2.
     """
-    return _in_blocks(_cusp_from_log_gap_block,
-                      np.asarray(log_gap, dtype=float),
-                      np.asarray(phase, dtype=float))
-
-
-def _cusp_on_circle_block(t):
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t).copy()
-    t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test
-    # range-reduce only arguments beyond [-pi, pi]: mod arithmetic at pi
-    # scale flushes |t| < eps*pi to zero, losing the cusp distance entirely
-    big = np.abs(t) > math.pi
-    if np.any(big):
-        t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
-    neg = t < 0.0
-    ta = np.abs(t)
-    out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
-    far = ta >= CIRCLE_LOG_GAP_SPLIT
-    out[far] = cusp_values(expi(ta[far]))
-    near = ~far & (ta > 0.0)
-    out[near] = cusp_from_log_gap(np.log(2.0 * np.sin(ta[near] / 2.0)),
-                                  (ta[near] - math.pi) / 2.0)
-    out = np.where(neg, np.conj(out), out)
-    return out[0] if scalar else out
+    log_gap = np.asarray(log_gap, dtype=float)
+    phase = np.asarray(phase, dtype=float)
+    # Im z >= 0 means phase <= 0; reflect the rest
+    lower = phase > 0.0
+    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
+    xi = np.exp(log_xi)
+    den = (1.0 - 1j) + 1j * xi
+    eta = (1.0 + 1j) * xi / den
+    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
+          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
+    chi = _chain_tail(c1)
+    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
+    return np.where(lower, np.conj(chi), chi)[()]
 
 
 def cusp_on_circle(t) -> np.ndarray:
@@ -230,7 +183,24 @@ def cusp_on_circle(t) -> np.ndarray:
 
     Both are double arithmetic.
     """
-    return _in_blocks(_cusp_on_circle_block, np.asarray(t, dtype=float))
+    scalar = np.ndim(t) == 0
+    t = np.array(t, dtype=float, ndmin=1)
+    t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test
+    # range-reduce only arguments beyond [-pi, pi]: mod arithmetic at pi
+    # scale flushes |t| < eps*pi to zero, losing the cusp distance entirely
+    big = np.abs(t) > math.pi
+    if np.any(big):
+        t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
+    neg = t < 0.0
+    ta = np.abs(t)
+    out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
+    far = ta >= CIRCLE_LOG_GAP_SPLIT
+    out[far] = cusp_values(expi(ta[far]))
+    near = ~far & (ta > 0.0)
+    out[near] = cusp_from_log_gap(np.log(2.0 * np.sin(ta[near] / 2.0)),
+                                  (ta[near] - math.pi) / 2.0)
+    out = np.where(neg, np.conj(out), out)
+    return out[0] if scalar else out
 
 
 def cusp_mp(z, dps: int | None = None):
@@ -279,11 +249,7 @@ def phi_values(z, theta: float) -> np.ndarray:
 
     Since Re(1-z) >= 0 on the disk, |phi| <= exp(-delta |1-z|^(-theta))
     with delta = cos(pi*theta/2)."""
-    return _in_blocks(lambda w: _phi_block(w, theta),
-                      np.asarray(z, dtype=complex))
-
-
-def _phi_block(z, theta):
+    z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
     w = np.where(at_one, 0.5, 1.0 - z)
     out = np.exp(-np.exp(-theta * _principal_log(w)))

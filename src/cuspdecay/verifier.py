@@ -1,32 +1,33 @@
 """Verification suites for the geometric, calibration, covering,
 derivative, and counting inequalities the construction rests on.
 
-The calibration and randomized suites draw deterministically from a
-seed and evaluate their inequality exactly (polynomial norms are
-coefficient norms, never quadrature).  The geometry suite checks the
-lens on the unit circle, where the maximum principle settles it for
-the whole disk (the proof is check_cusp_geometry's docstring), and the
-covering suite proves its claim for the whole lens in exact rationals;
-neither draws a random number.  Each returns a report whose
-violations list is empty iff the suite passed.  A violation always
-carries enough of a witness to replay the single failing evaluation by
-hand.  Every violation enters through VerificationReport.witness or
-.record, which keep the first WITNESS_CAP witnesses per item, grouped
-by item in the order items first fail.
+No suite draws a random number, so seed only labels the reports.  The
+geometry and calibration suites check their inequalities on the unit
+circle, where the maximum principle settles them for the whole disk
+(the proofs are in check_cusp_geometry's and check_calibration's
+docstrings).  The covering suite proves its claim for the whole lens
+in exact rationals, and the derivative and Schwarz suites evaluate the
+closed-form sup of |h_k| over the unit ball of H^2(D^2) against their
+bounds, on a grid of the one radius it depends on.  Each returns a
+report whose violations list is empty iff the suite passed.  A
+violation always carries enough of a witness to replay the single
+failing evaluation by hand.  Every violation enters through
+VerificationReport.witness or .record, which keep the first
+WITNESS_CAP witnesses per item, grouped by item in the order items
+first fail.
 
-The geometry and calibration suites stream: they check
-maps.SAMPLE_BLOCK points at a time (the calibration sample from
-maps.disk_sample_blocks, the geometry suite's grid of t a slice at a
-time) and keep only running extrema, counts and each item's first
-witnesses, so their memory does not grow with the budget, and every
-element and report is bit for bit the whole-array one.  Verification
-never loads mpmath: the counting suite's 50-digit floors use the
-standard library's decimal.
+Every grid is streamed maps.SAMPLE_BLOCK points at a time
+(_grid_slices), and a suite keeps only running extrema, counts and
+each item's first witnesses, so its memory does not grow with its
+budget, and every element and report is bit for bit the whole-array
+one.  Verification never loads mpmath: the counting suite's 50-digit
+floors use the standard library's decimal.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -87,24 +88,31 @@ class VerificationReport:
 # cusp geometry
 
 
-def _bracket_grid_slices(count: int):
-    """np.geomspace(1e-8, pi/4, count), count >= 2, yielded
-    maps.SAMPLE_BLOCK points at a time.  Each slice is formed by
-    geomspace's own formula, 10 ** (i * step + log10(1e-8)) with
-    step = (log10(pi/4) - log10(1e-8)) / (count - 1), and the two ends
-    are set to the endpoints as geomspace sets them, so every point has
-    geomspace's bits."""
-    start, stop = 1e-8, math.pi / 4.0
-    log_start = np.log10(start)
-    step = (np.log10(stop) - log_start) / (count - 1)
+def _grid_slices(start: float, stop: float, count: int,
+                 geometric: bool = False):
+    """np.linspace(start, stop, count), or np.geomspace if geometric,
+    yielded maps.SAMPLE_BLOCK points at a time.  Each slice is formed by
+    numpy's own formula, i * step + a with step = (b - a) / (count - 1)
+    for the ends a, b (for geomspace their log10, and the point is 10
+    to that power), and the ends are set as numpy sets them, so every
+    point has numpy's bits."""
+    a, b = (np.log10(start), np.log10(stop)) if geometric else (start, stop)
+    step = (b - a) / max(count - 1, 1)
     for lo in range(0, count, maps.SAMPLE_BLOCK):
-        i = np.arange(lo, min(lo + maps.SAMPLE_BLOCK, count), dtype=float)
-        t = np.power(10.0, i * step + log_start)
+        x = np.arange(lo, min(lo + maps.SAMPLE_BLOCK, count),
+                      dtype=float) * step + a
+        if geometric:
+            x = np.power(10.0, x)
         if lo == 0:
-            t[0] = start
-        if lo + t.size == count:
-            t[-1] = stop
-        yield t
+            x[0] = start
+        if count > 1 and lo + x.size == count:
+            x[-1] = stop
+        yield x
+
+
+def _bracket_grid_slices(count: int):
+    """np.geomspace(1e-8, pi/4, count) in slices: the bracket grid."""
+    return _grid_slices(1e-8, math.pi / 4.0, count, geometric=True)
 
 
 def _circle_rest() -> np.ndarray:
@@ -210,7 +218,7 @@ def check_cusp_geometry(sample_count: int,
 
 def check_calibration(params, sample_count: int,
                       seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Strict perturbation-budget inequalities on interior samples:
+    """Strict perturbation-budget inequalities, checked on the circle:
 
       |chi| + 2 c |phi(chi)| < 1
       1 - |w2| >= (1 - |chi|) / 2   for w2 = chi + c phi(chi) u,
@@ -220,35 +228,48 @@ def check_calibration(params, sample_count: int,
     u* = exp(i (arg chi - arg phi)), where c phi u* points along chi,
     so the second margin is (1 - |chi|) / 2 - c |phi| in closed form:
     half the first margin, bit for bit, since halving is exact.  u* is
-    formed only for a witness.  The cusp point attains equality only
-    in the z -> 1 limit, which interior sampling never hits.
-    maps.reach_fraction < 1 proves both inequalities for the exact
-    map; this suite checks them on the double chain's values.
+    formed only for a witness.  maps.reach_fraction < 1 proves both
+    inequalities for the exact map, and the report carries it, q, and
+    X*, the |1 - chi| where the damping bound peaks, beside the margins
+    of the double chain's values chi(e^it) = maps.cusp_on_circle(t).
 
-    The sample is streamed from maps.disk_sample_blocks and checked one
-    block of maps.SAMPLE_BLOCK points at a time, keeping the running
-    minima, so no array has sample_count entries; every element is
-    computed bit for bit as on the whole array, and the witnesses are
-    the first ten per item in sample order."""
+    The circle suffices.  u = |chi| + 2c |phi(chi)| is subharmonic, a
+    sum of moduli of holomorphic maps (phi o chi is, as chi omits 1),
+    and bounded, so its sup over the disk is its limsup at the circle,
+    where the cusp z = 1, one boundary point, does not count.  So u < 1
+    on the rest of the circle gives u <= 1 on the disk, and u < 1
+    inside by the strong maximum principle.  Both margins tend to 0 at
+    the cusp, so their reported minima sit at the point nearest it.
+    chi(e^-it) = conj chi(e^it) exactly, and phi commutes with
+    conjugation, so t > 0 suffices.
+
+    The points are the geometry suite's: the grid of
+    _bracket_grid_slices(sample_count), a slice at a time, then
+    _circle_rest.  Only running minima are kept, and the witnesses are
+    the first ten per item in point order.  Nothing is drawn, so seed
+    only labels the report."""
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
     rep = VerificationReport("calibration", seed, sample_count)
     reach_min = math.inf
-    for z in maps.disk_sample_blocks(sample_count, seed):
-        chi = maps.cusp_values(z)
+    for t in itertools.chain(_bracket_grid_slices(sample_count),
+                             [_circle_rest()]):
+        chi = maps.cusp_on_circle(t)
         phi = maps.phi_values(chi, params.theta)
         reach_margin = (1.0 - np.abs(chi)) - 2.0 * (params.c * np.abs(phi))
         half_margin = reach_margin / 2.0
         rep.record("reach", reach_margin <= 0.0,
-                   lambda i: {"z": z[i], "margin": reach_margin[i]})
+                   lambda i: {"t": t[i], "margin": reach_margin[i]})
         rep.record("half_gap", half_margin < 0.0,
-                   lambda i: {"z": z[i],
+                   lambda i: {"t": t[i],
                               "u": maps.expi(np.angle(chi[i])
                                              - np.angle(phi[i])),
                               "margin": half_margin[i]})
         reach_min = min(reach_min, float(reach_margin.min()))
     rep.constants["reach_margin_min"] = reach_min
     rep.constants["half_gap_margin_min"] = reach_min / 2.0
+    rep.constants["reach_fraction"] = maps.reach_fraction(params)
+    rep.constants["damping_peak_gap"] = maps._damping_peak(params.theta)[0]
     return rep
 
 
@@ -344,96 +365,106 @@ def check_covering(n: int, params,
 
 
 # ---------------------------------------------------------------------------
-# derivative bounds (exact polynomial calculus)
+# derivative bounds (closed-form certificates)
 
 
-def _diag_derivative(coef: np.ndarray, k: int, b: complex) -> complex:
-    """h_k(b) for f with coefficient table coef[a1, a2]: apply the
-    k-th second-variable derivative exactly, then evaluate on the
-    diagonal (b, b) by summing c * (a2)_k * b^(a1 + a2 - k)."""
-    d1, d2 = coef.shape
-    if k >= d2:
-        return 0j
-    falling = np.ones(d2 - k)
-    for i in range(k):
-        falling *= np.arange(k - i, d2 - i)
-    # after dropping k: power a1 + a2 - k for a2 >= k, a Hankel index
-    powers = np.vander([b], d1 + d2 - k - 1, increasing=True)[0]
-    hankel = np.add.outer(np.arange(d1), np.arange(d2 - k))
-    return complex(np.sum(coef[:, k:] * falling * powers[hankel]))
+def _derivative_sup(k: int, r):
+    """k! sqrt(P_k(r^2)) / (1 - r^2)^(k+1), P_k(x) = sum_j C(k, j)^2 x^j:
+    the sup of |h_k(b)| over the unit ball of H^2(D^2) at |b| = r (see
+    check_derivative_bound).  1 - r^2 is formed as (1 - r)(1 + r),
+    which does not cancel near r = 1."""
+    p = np.polynomial.polynomial.polyval(
+        r * r, [math.comb(k, j) ** 2 for j in range(k + 1)])
+    return math.factorial(k) * np.sqrt(p) / ((1.0 - r) * (1.0 + r)) ** (k + 1)
+
+
+def _grid_certificate(rep, item, key, stop, cases, sides):
+    """Witness value > bound, (value, bound) = sides(x, **case), for each
+    case on the grid np.linspace(0, stop, rep.samples) of key, and
+    report the largest value / bound and where it sits."""
+    worst, worst_at = -math.inf, None
+    for case in cases:
+        for x in _grid_slices(0.0, stop, rep.samples):
+            value, bound = sides(x, **case)
+            rep.record(item, value > bound,
+                       lambda i: {**case, key: x[i], "value": value[i],
+                                  "bound": bound[i]})
+            ratio = value / bound
+            i = int(np.argmax(ratio))
+            if ratio[i] > worst:
+                worst, worst_at = float(ratio[i]), {**case, key: float(x[i])}
+    rep.constants["max_ratio"] = worst
+    rep.constants["max_at"] = worst_at
+    return rep
 
 
 def check_derivative_bound(trial_count: int,
                            seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Diagonal second-variable derivative bound
-    |h_k(b)| <= k! 2^{k+1} (1-|b|)^{-(k+1)} ||f||_2 on random
-    coefficient-normalized polynomials, degree <= 10 per variable,
-    k <= 6, boundary-biased b."""
+    """Diagonal second-variable derivative bound, for every f in H^2(D^2):
+
+        |h_k(b)| <= k! 2^{k+1} (1-|b|)^{-(k+1)} ||f||,   h_k(b) = d2^k f(b, b).
+
+    Certificate.  For f = sum c_{a1,a2} z1^a1 z2^a2, h_k(b) is
+    sum_{a2 >= k} c_{a1,a2} (a2)_k b^{a1+a2-k}, (a2)_k = a2!/(a2 - k)!,
+    a bounded functional with representer coefficients
+    (a2)_k conj(b)^{a1+a2-k} (Aronszajn, Trans. AMS 1950).  The sup of
+    |h_k(b)| over ||f|| = 1 is its norm: with x = |b|^2, summing the
+    geometric series in a1 and sum_m C(m+k, k)^2 x^m =
+    P_k(x) / (1 - x)^{2k+1} in m = a2 - k,
+
+        sup^2 = sum_{a1 >= 0, a2 >= k} ((a2)_k)^2 x^{a1+a2-k}
+              = k!^2 P_k(x) / (1 - x)^{2k+2},   P_k(x) = sum_j C(k,j)^2 x^j,
+
+    which is _derivative_sup(k, |b|).  Over the bound it is
+    sqrt(P_k(r^2)) / (2^{k+1} (1+r)^{k+1}) at r = |b|, and
+    P_k(r^2) <= (sum_j C(k,j) r^j)^2 = (1+r)^{2k}, so the ratio is at
+    most 1 / (2^{k+1} (1+r)) <= 2^{-(k+1)}, attained at b = 0 by
+    f = z2^k.  The suite compares both sides for k = 0..6 at
+    trial_count points of |b| in [0, 0.999]: at most 0.5, at k = b = 0."""
     if trial_count < 1:
         raise ConfigurationError("trial_count must be positive")
-    rep = VerificationReport("derivative_bound", seed, trial_count)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    worst = 0.0
-    for _ in range(trial_count):
-        d = int(rng.integers(0, 11))
-        coef = rng.standard_normal((d + 1, d + 1)) \
-            + 1j * rng.standard_normal((d + 1, d + 1))
-        coef /= np.linalg.norm(coef)
-        k = int(rng.integers(0, 7))
-        radius = math.sqrt(rng.random()) * 0.999
-        b = radius * np.exp(2j * math.pi * rng.random())
-        bound = math.factorial(k) * 2.0 ** (k + 1) / (1.0 - abs(b)) ** (k + 1)
-        val = abs(_diag_derivative(coef, k, b))
-        worst = max(worst, val / bound)
-        if val > bound:
-            rep.witness(
-                {"item": "derivative", "degree": d, "k": k, "b": _c2s(b),
-                 "value": val, "bound": bound})
-    rep.constants["max_ratio"] = worst
-    return rep
+
+    def sides(r, k):
+        return (_derivative_sup(k, r),
+                math.factorial(k) * 2.0 ** (k + 1) / (1.0 - r) ** (k + 1))
+
+    return _grid_certificate(
+        VerificationReport("derivative_bound", seed, trial_count),
+        "derivative", "b", 0.999, [{"k": k} for k in range(7)], sides)
 
 
 def check_schwarz_bound(trial_count: int,
                         seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Vanishing-order refinement: for f = (z1 - a)^n q(z1) z2^k p(z2)
-    (which forces h_k to vanish to order n at a) and
-    |b - a| <= (rho/2)(1 - |a|) with rho = 1/2,
+    """Vanishing-order refinement: for every f in H^2(D^2) whose h_k
+    vanishes to order n at a, and |b - a| <= (rho/2)(1 - |a|), rho = 1/2,
 
-        |h_k(b)| <= rho^n k! 4^{k+1} (1-|a|)^{-(k+1)} ||f||_2.
+        |h_k(b)| <= rho^n k! 4^{k+1} (1-|a|)^{-(k+1)} ||f||.
 
-    The test functions are built from explicit vanishing factors; the
-    norm is the exact coefficient norm of the expanded product."""
+    Certificate.  Let R = (1 - |a|)/2.  The disk D(a, R) reaches out to
+    modulus (1 + |a|)/2, and check_derivative_bound's sup grows with
+    |b|, so |h_k| <= M = _derivative_sup(k, (1 + |a|)/2) ||f|| on it.
+    By the Schwarz lemma on D(a, R), |h_k(b)| <= M (|b - a| / R)^n
+    <= rho^n M.  check_derivative_bound puts the sup within 2^{-(k+1)}
+    of k! 2^{k+1} (1 - |z|)^{-(k+1)}, so with 1 - |z| >= R,
+    M <= k! 2^{k+1} (1-|a|)^{-(k+1)} ||f||, and rho^n M is at most
+    2^{-(k+1)} of the bound.  The suite compares rho^n M with the bound
+    for k = 0..4, n = 0..8 at trial_count points of |a| in [0, 0.9]:
+    at most 1/3, at k = n = 0, a = 0 (rho^n, a power of two, scales
+    both sides alike)."""
     if trial_count < 1:
         raise ConfigurationError("trial_count must be positive")
-    rep = VerificationReport("schwarz_bound", seed, trial_count)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    rho = 0.5
-    worst = 0.0
-    for _ in range(trial_count):
-        n = int(rng.integers(0, 9))
-        k = int(rng.integers(0, 5))
-        a = math.sqrt(rng.random()) * 0.9 * np.exp(2j * math.pi * rng.random())
-        q = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        p = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        lead = np.array([1.0 + 0j])
-        for _ in range(n):
-            lead = np.convolve(lead, np.array([-a, 1.0]))
-        c1 = np.convolve(lead, q)
-        c2 = np.concatenate([np.zeros(k, complex), p])
-        coef = np.outer(c1, c2)
-        coef /= np.linalg.norm(coef)
-        r = rng.random() * rho / 2.0 * (1.0 - abs(a))
-        b = a + r * np.exp(2j * math.pi * rng.random())
-        bound = rho ** n * math.factorial(k) * 4.0 ** (k + 1) \
-            / (1.0 - abs(a)) ** (k + 1)
-        val = abs(_diag_derivative(coef, k, b))
-        worst = max(worst, val / bound)
-        if val > bound:
-            rep.witness(
-                {"item": "schwarz", "vanish_order": n, "k": k, "a": _c2s(a),
-                 "b": _c2s(b), "value": val, "bound": bound})
-    rep.constants["max_ratio"] = worst
-    return rep
+
+    def sides(a, k, vanish_order):
+        scale = 0.5 ** vanish_order
+        return (scale * _derivative_sup(k, (1.0 + a) / 2.0),
+                scale * math.factorial(k) * 4.0 ** (k + 1)
+                / (1.0 - a) ** (k + 1))
+
+    return _grid_certificate(
+        VerificationReport("schwarz_bound", seed, trial_count),
+        "schwarz", "a", 0.9,
+        [{"k": k, "vanish_order": n} for k in range(5) for n in range(9)],
+        sides)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +545,9 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
 def run_all(params, sample_count: int, calibration_count: int,
             trial_count: int, seed: int = DEFAULT_SEED) -> list:
     """Run every suite with these budgets, each suite enforcing its own
-    minimum; deterministic given the arguments.  Returns the reports in
-    a fixed order; the sweep passed iff all(r.passed for r in reports)."""
+    minimum; deterministic given the arguments, and seed only labels
+    the reports.  Returns the reports in a fixed order; the sweep
+    passed iff all(r.passed for r in reports)."""
     reports = [
         check_cusp_geometry(sample_count, seed),
         check_calibration(params, calibration_count, seed),

@@ -57,6 +57,61 @@ def sampled_covering(params, n, count=100_000, seed=17):
     return chi.size, uncovered
 
 
+def diag_derivative(coef: np.ndarray, k: int, b: complex) -> complex:
+    """h_k(b) for f with coefficient table coef[a1, a2]: apply the
+    k-th second-variable derivative exactly, then evaluate on the
+    diagonal (b, b) by summing c * (a2)_k * b^(a1 + a2 - k)."""
+    d1, d2 = coef.shape
+    if k >= d2:
+        return 0j
+    falling = np.ones(d2 - k)
+    for i in range(k):
+        falling *= np.arange(k - i, d2 - i)
+    # after dropping k: power a1 + a2 - k for a2 >= k, a Hankel index
+    powers = np.vander([b], d1 + d2 - k - 1, increasing=True)[0]
+    hankel = np.add.outer(np.arange(d1), np.arange(d2 - k))
+    return complex(np.sum(coef[:, k:] * falling * powers[hankel]))
+
+
+def derivative_trials(count, seed):
+    """(coef, k, b) of the derivative suite's former random trials:
+    coefficient-normalized polynomials of degree <= 10 per variable,
+    k <= 6, and b uniform in area on |b| <= 0.999, from
+    SeedSequence((seed, 2))."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    for _ in range(count):
+        d = int(rng.integers(0, 11))
+        coef = rng.standard_normal((d + 1, d + 1)) \
+            + 1j * rng.standard_normal((d + 1, d + 1))
+        coef /= np.linalg.norm(coef)
+        k = int(rng.integers(0, 7))
+        radius = math.sqrt(rng.random()) * 0.999
+        yield coef, k, radius * np.exp(2j * math.pi * rng.random())
+
+
+def schwarz_trials(count, seed):
+    """(coef, k, n, a, b) of the Schwarz suite's former random trials:
+    f = (z1 - a)^n q(z1) z2^k p(z2), coefficient-normalized, with q and
+    p of degree 4, n <= 8, k <= 4, |a| <= 0.9 and
+    |b - a| <= (rho/2)(1 - |a|) for rho = 1/2, from
+    SeedSequence((seed, 3))."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    for _ in range(count):
+        n = int(rng.integers(0, 9))
+        k = int(rng.integers(0, 5))
+        a = math.sqrt(rng.random()) * 0.9 * np.exp(2j * math.pi * rng.random())
+        q = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        p = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        lead = np.array([1.0 + 0j])
+        for _ in range(n):
+            lead = np.convolve(lead, np.array([-a, 1.0]))
+        coef = np.outer(np.convolve(lead, q),
+                        np.concatenate([np.zeros(k, complex), p]))
+        coef /= np.linalg.norm(coef)
+        r = rng.random() / 4.0 * (1.0 - abs(a))
+        yield coef, k, n, a, a + r * np.exp(2j * math.pi * rng.random())
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes traced by tracemalloc (numpy buffers included) above
     the level at the call.  One untraced warm-up call first, so that

@@ -2,8 +2,8 @@
 
 One test per headline property, named and ordered; `pytest -v` prints
 the pass/fail line for each.  Budgets follow the shipped defaults
-(degree 48 / 1024 quadrature points, 1e5-1e6 samples, 1000 randomized
-trials), so the whole module takes about a minute.
+(degree 48 / 1024 quadrature points, 1e5-1e6 grid points, 1000-point
+derivative grids), so the whole module takes about a minute.
 """
 
 import math
@@ -122,8 +122,9 @@ def test_06_covering_suite(params):
 def test_07_derivative_and_schwarz_suites():
     d = verifier.check_derivative_bound(1000)
     s = verifier.check_schwarz_bound(1000)
-    print("derivative max ratio %.6f schwarz max ratio %.6f"
-          % (d.constants["max_ratio"], s.constants["max_ratio"]))
+    print("derivative max ratio %.6f at %s, schwarz max ratio %.6f at %s"
+          % (d.constants["max_ratio"], d.constants["max_at"],
+             s.constants["max_ratio"], s.constants["max_at"]))
     assert d.passed and d.violations == []
     assert s.passed and s.violations == []
     assert d.constants["max_ratio"] < 1.0

@@ -293,27 +293,30 @@ def _chain_inputs(count):
 
 
 @pytest.mark.parametrize("count", _BLOCK_SIZES)
-def test_chain_blocks_match_one_shot(count, monkeypatch):
-    # slicing at SAMPLE_BLOCK changes no bit of any chain function
-    inputs = _chain_inputs(count)
-    blocked = {name: getattr(maps, name)(*args)
-               for name, args in inputs.items()}
-    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 40)
-    for name, args in inputs.items():
-        one_shot = getattr(maps, name)(*args)
-        assert blocked[name].shape == one_shot.shape == (count,)
-        assert blocked[name].tobytes() == one_shot.tobytes(), name
+def test_chain_blocks_match_one_shot(count):
+    # the chain functions are elementwise: a caller that evaluates its
+    # points in slices of SAMPLE_BLOCK, as the streamed suites do, gets
+    # every bit of the whole-array call
+    for name, args in _chain_inputs(count).items():
+        fn = getattr(maps, name)
+        one_shot = fn(*args)
+        blocked = np.concatenate([
+            fn(*(a[lo:lo + _B] if np.ndim(a) else a for a in args))
+            for lo in range(0, count, _B)])
+        assert one_shot.shape == (count,)
+        assert blocked.tobytes() == one_shot.tobytes(), name
 
 
-def test_chain_blocks_keep_shape_and_broadcast(monkeypatch):
-    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
-    z = disk_samples(3 * 64 + 5, 9).reshape(1, -1)
+def test_chain_blocks_keep_shape_and_broadcast():
+    # an input's shape is kept, and a scalar broadcasts against an array
+    z = disk_samples(3 * 64 + 5, 9)
+    got = maps.cusp_values(z.reshape(1, -1))
+    assert got.shape == (1, z.size)
+    assert got.tobytes() == maps.cusp_values(z).tobytes()
     phase = np.linspace(-1.5, 1.5, 200)
-    got = (maps.cusp_values(z), maps.cusp_from_log_gap(-9.0, phase))
-    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 40)
-    want = (maps.cusp_values(z), maps.cusp_from_log_gap(-9.0, phase))
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    got = maps.cusp_from_log_gap(-9.0, phase)
+    want = maps.cusp_from_log_gap(np.full(phase.size, -9.0), phase)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_symbol_params_validation():

@@ -1,5 +1,6 @@
-"""Randomized verification suites: frozen witnesses at reduced budgets,
-report plumbing, budget validation."""
+"""Verification suites: frozen witnesses at reduced budgets, report
+plumbing, budget validation, and the random oracles the certificates
+must dominate."""
 
 import json
 import math
@@ -11,7 +12,8 @@ from mpmath import mp
 
 from cuspdecay import maps, verifier
 from cuspdecay.errors import ConfigurationError
-from conftest import disk_samples, sampled_covering, traced_peak
+from conftest import (derivative_trials, diag_derivative, sampled_covering,
+                      schwarz_trials, traced_peak)
 
 
 def _json(rep) -> str:
@@ -65,6 +67,17 @@ _GEOMETRY_ITEMS = ("lens_outer", "lens_upper", "lens_lower", "near_one",
                    "real_part", "imag_vs_gap", "distortion", "gap_log_rise")
 
 
+def _circle_points(count):
+    """(grid, t): the geometry and calibration suites' bracket grid of
+    count points, and t, that grid followed by the rest of the half
+    circle, as whole arrays."""
+    grid = np.geomspace(1e-8, math.pi / 4.0, count)
+    return grid, np.concatenate([
+        grid, np.geomspace(1e-300, 1e-8, 2000, endpoint=False),
+        np.linspace(math.pi / 4.0, math.pi / 2.0, 1001)[1:],
+        np.linspace(math.pi / 2.0, math.pi, 1001)[1:]])
+
+
 def _geometry_point_witnesses(tol, block, count=10_000):
     """The geometry suite's witnesses at tolerance tol, the real axis
     aside, from whole-array masks over its circle points: the bracket
@@ -74,11 +87,7 @@ def _geometry_point_witnesses(tol, block, count=10_000):
     witnesses together, the items in the order they first fail: the
     oracle for the streamed suite.  Also returns each item's hit
     indices, a rise's being the index of the step's second point."""
-    grid = np.geomspace(1e-8, math.pi / 4.0, count)
-    t = np.concatenate([grid,
-                        np.geomspace(1e-300, 1e-8, 2000, endpoint=False),
-                        np.linspace(math.pi / 4.0, math.pi / 2.0, 1001)[1:],
-                        np.linspace(math.pi / 2.0, math.pi, 1001)[1:]])
+    grid, t = _circle_points(count)
     chi = maps.cusp_on_circle(t)
     gap = 1.0 - np.abs(chi)
     value = (1.0 - chi[:count].real) * np.log(1.0 / grid)
@@ -213,18 +222,23 @@ def test_covering_suite_witnesses_uncovered(params):
 def test_calibration_suite_reduced_budget(params):
     rep = verifier.check_calibration(params, 50_000)
     assert rep.passed and rep.suite == "calibration"
-    assert abs(rep.constants["reach_margin_min"] - 0.1207460355776987) < 1e-14
-    assert abs(rep.constants["half_gap_margin_min"]
-               - 0.06037301778884929) < 1e-14
+    # both margins are least at the point nearest the cusp, t = 1e-300
+    assert abs(rep.constants["reach_margin_min"]
+               - 0.002264256027144983) < 1e-16
+    assert rep.constants["half_gap_margin_min"] \
+        == rep.constants["reach_margin_min"] / 2.0
+    assert rep.constants["reach_fraction"] == maps.reach_fraction(params)
+    assert rep.constants["damping_peak_gap"] == maps._damping_peak(0.5)[0]
     # the margin at the worst u is the min over the disk: no u on a
-    # 4096-point unimodular grid does worse, and the grid comes within
-    # 1e-10.  |chi + c phi u|^2 = |chi|^2 + |c phi|^2 + 2 Re(b u) with
+    # 4096-point unimodular grid does worse, beyond the rounding of the
+    # squared form below (its terms are near 1 by the cusp, where the
+    # min sits), and the grid comes within 1e-10.
+    # |chi + c phi u|^2 = |chi|^2 + |c phi|^2 + 2 Re(b u) with
     # b = conj(chi) c phi, so each point needs only max_u Re(b u).
-    z = disk_samples(50_000, 17)
-    chi = maps.cusp_values(z)
+    chi = maps.cusp_on_circle(_circle_points(50_000)[1])
     cphi = params.c * maps.phi_values(chi, params.theta)
     b = np.conj(chi) * cphi
-    re_bu = np.full(z.size, -np.inf)
+    re_bu = np.full(chi.size, -np.inf)
     for k in range(0, 4096, 64):  # 64 grid points of u at a time
         t = 2.0 * math.pi * np.arange(k, k + 64) / 4096.0
         cos_sin = np.stack([np.cos(t), np.sin(t)])
@@ -233,19 +247,21 @@ def test_calibration_suite_reduced_budget(params):
     w2 = np.sqrt(np.abs(chi) ** 2 + np.abs(cphi) ** 2 + 2.0 * re_bu)
     grid_min = float(np.min((1.0 - w2) - (1.0 - np.abs(chi)) / 2.0))
     half_min = rep.constants["half_gap_margin_min"]
-    assert half_min <= grid_min <= half_min + 1e-10
+    assert half_min - 4 * 2.0 ** -52 <= grid_min <= half_min + 1e-10
     with pytest.raises(ConfigurationError):
-        verifier.check_calibration(params, 100)
+        verifier.check_calibration(params, 9_999)
 
 
 def _broadcast_calibration(params, sample_count, seed=17):
-    """The calibration suite over the whole sample at once, the
-    half-gap margin in closed form, (1 - |chi|) / 2 - c |phi|, its
-    value at the worst u* = exp(i (arg chi - arg phi)): the oracle for
-    the block-streamed suite."""
+    """The calibration suite's witnesses and margins from whole-array
+    masks over its circle points, the half-gap margin in closed form,
+    (1 - |chi|) / 2 - c |phi|, its value at the worst
+    u* = exp(i (arg chi - arg phi)): the oracle for the streamed suite,
+    which files the reach witnesses first where both items fail in its
+    first slice."""
     rep = verifier.VerificationReport("calibration", seed, sample_count)
-    z = disk_samples(sample_count, seed)
-    chi = maps.cusp_values(z)
+    t = _circle_points(sample_count)[1]
+    chi = maps.cusp_on_circle(t)
     phi = maps.phi_values(chi, params.theta)
     gap = 1.0 - np.abs(chi)
     reach_margin = gap - 2.0 * (params.c * np.abs(phi))
@@ -255,36 +271,40 @@ def _broadcast_calibration(params, sample_count, seed=17):
     bad2 = np.nonzero(half_margin < 0.0)[0]
     for i in bad[:10]:
         rep.violations.append(
-            {"item": "reach", "z": verifier._c2s(z[i]),
-             "margin": float(reach_margin[i])})
+            {"item": "reach", "t": t[i], "margin": float(reach_margin[i])})
     for i in bad2[:10]:
         rep.violations.append(
-            {"item": "half_gap", "z": verifier._c2s(z[i]),
-             "u": verifier._c2s(u[i]), "margin": float(half_margin[i])})
+            {"item": "half_gap", "t": t[i], "u": verifier._c2s(u[i]),
+             "margin": float(half_margin[i])})
     rep.constants["reach_margin_min"] = float(reach_margin.min())
     rep.constants["half_gap_margin_min"] = float(half_margin.min())
+    rep.constants["reach_fraction"] = maps.reach_fraction(params)
+    rep.constants["damping_peak_gap"] = maps._damping_peak(params.theta)[0]
     return rep, bad, bad2
 
 
 def test_calibration_blocks_match_broadcast_oracle(params, monkeypatch):
     block = maps.SAMPLE_BLOCK
-    count = 3 * block + 1234  # the last block is a partial one
+    count = 3 * block + 1234  # the grid's last slice is a partial one
     got = verifier.check_calibration(params, count)
     want, _, _ = _broadcast_calibration(params, count)
     assert got.passed and got.violations == []
     assert got.constants == want.constants  # bit for bit
-    # a c far past calibration breaks both inequalities all over the sample
-    loose = maps.SymbolParams(theta=0.5, c=0.6, k_hat=2.519054)
+    # a c far past calibration at theta = 0.1 breaks both inequalities
+    # all over the circle
+    loose = maps.SymbolParams(theta=0.1, c=0.6, k_hat=2.519054)
     got = verifier.check_calibration(loose, count)
     want, reach, half = _broadcast_calibration(loose, count)
-    # both items fail in every block, the last partial one included
+    # both items fail in every slice of the grid, the last partial one
+    # included, and in the rest of the circle
     for idx in (reach, half):
         assert np.all(np.isin(np.arange(4), idx // block))
+        assert idx[-1] >= count
     assert _json(got) == _json(want)
     assert [v["item"] for v in got.violations] == ["reach"] * 10 + ["half_gap"] * 10
-    # with short blocks the first ten witnesses of each item span several
-    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 64)
-    assert reach[9] >= 2 * 64 and half[9] >= 2 * 64
+    # with 4-point slices the first ten witnesses of each item span three
+    monkeypatch.setattr(maps, "SAMPLE_BLOCK", 4)
+    assert reach[9] >= 2 * 4 and half[9] >= 2 * 4
     assert _json(verifier.check_calibration(loose, count)) == _json(want)
 
 
@@ -383,17 +403,74 @@ def test_diag_derivative_matches_polynomial_calculus():
         der = P.polyder(coef, m=k, axis=1)
         ref = P.polyval2d(b, b, der)
         scale = P.polyval2d(abs(b), abs(b), np.abs(der))
-        got = verifier._diag_derivative(coef, k, b)
+        got = diag_derivative(coef, k, b)
         assert type(got) is complex
         assert abs(got - ref) <= 64.0 * 2.0 ** -52 * scale, (d1, d2, k)
-    assert verifier._diag_derivative(np.ones((3, 2)), 2, 0.5) == 0j
+    assert diag_derivative(np.ones((3, 2)), 2, 0.5) == 0j
+
+
+def _derivative_bound(k, r):
+    """The stated bound k! 2^{k+1} (1 - r)^{-(k+1)} at |b| = r."""
+    return math.factorial(k) * 2.0 ** (k + 1) / (1.0 - r) ** (k + 1)
+
+
+def test_representer_reaches_the_closed_form():
+    # the representer of h_k(b), v[a1, a2] = (a2)_k conj(b)^(a1+a2-k),
+    # truncated at degree 60, attains |h_k(b)| = ||v|| at f = v / ||v||,
+    # the closed-form sup
+    a1, a2 = np.mgrid[0:61, 0:61]
+    for k in range(7):
+        falling = np.prod([a2 - i for i in range(k)], axis=0).astype(float)
+        for r in (0.0, 0.1, 0.3, 0.5):
+            b = r * np.exp(0.7j)
+            v = np.where(a2 >= k, falling * np.conj(b) ** np.maximum(
+                a1 + a2 - k, 0), 0.0)
+            v /= np.linalg.norm(v)
+            got = abs(diag_derivative(v, k, b))
+            want = verifier._derivative_sup(k, r)
+            assert abs(got - want) <= 1e-12 * want, (k, r)
+
+
+def test_random_trials_lie_below_the_derivative_certificate():
+    # every former random trial (seed 17) lies at or below the exact sup
+    # at its own (k, |b|), up to 64 eps of the sum of its terms' moduli,
+    # and the trials reproduce the former suite's largest ratio
+    eps, worst = 2.0 ** -52, 0.0
+    for coef, k, b in derivative_trials(1000, 17):
+        value = abs(diag_derivative(coef, k, b))
+        terms = diag_derivative(np.abs(coef), k, abs(b)).real
+        assert value <= verifier._derivative_sup(k, abs(b)) + 64 * eps * terms
+        worst = max(worst, value / _derivative_bound(k, abs(b)))
+    assert abs(worst - 0.3036408492053577) < 1e-14
+
+
+def test_random_trials_lie_below_the_schwarz_certificate():
+    # each product f = (z1 - a)^n q(z1) z2^k p(z2) of the former suite
+    # (seed 17) has h_k vanishing to order n at a, so |h_k(b)| is at
+    # most rho^n times the exact sup at (1 + |a|) / 2
+    eps, worst = 2.0 ** -52, 0.0
+    for coef, k, n, a, b in schwarz_trials(1000, 17):
+        value = abs(diag_derivative(coef, k, b))
+        terms = diag_derivative(np.abs(coef), k, abs(b)).real
+        cert = 0.5 ** n * verifier._derivative_sup(k, (1.0 + abs(a)) / 2.0)
+        assert value <= cert + 64 * eps * terms
+        bound = 0.5 ** n * math.factorial(k) * 4.0 ** (k + 1) \
+            / (1.0 - abs(a)) ** (k + 1)
+        worst = max(worst, value / bound)
+    assert abs(worst - 0.07944318896582407) < 1e-14
 
 
 def test_derivative_bound_suite():
     rep = verifier.check_derivative_bound(1000)
     assert rep.passed and rep.violations == []
-    assert abs(rep.constants["max_ratio"] - 0.3036408492053577) < 1e-14
-    assert rep.constants["max_ratio"] < 1.0
+    assert rep.samples == 1000
+    assert rep.constants["max_ratio"] == 0.5
+    assert rep.constants["max_at"] == {"k": 0, "b": 0.0}
+    # the proof's ratio bound 1 / (2^{k+1} (1 + r)) on the whole grid
+    r = np.linspace(0.0, 0.999, 1000)
+    for k in range(7):
+        ratio = verifier._derivative_sup(k, r) / _derivative_bound(k, r)
+        assert np.all(ratio <= (1 + 1e-14) / (2.0 ** (k + 1) * (1.0 + r)))
     with pytest.raises(ConfigurationError):
         verifier.check_derivative_bound(0)
 
@@ -401,20 +478,39 @@ def test_derivative_bound_suite():
 def test_schwarz_bound_suite():
     rep = verifier.check_schwarz_bound(1000)
     assert rep.passed and rep.violations == []
-    assert abs(rep.constants["max_ratio"] - 0.07944318896582407) < 1e-14
+    assert rep.constants["max_ratio"] == 1.0 / 3.0
+    assert rep.constants["max_at"] == {"k": 0, "vanish_order": 0, "a": 0.0}
     with pytest.raises(ConfigurationError):
         verifier.check_schwarz_bound(-3)
 
 
 def test_derivative_suites_keep_ten_witnesses(monkeypatch):
-    # every trial violates its bound; each suite keeps the first ten
-    monkeypatch.setattr(verifier, "_diag_derivative",
-                        lambda coef, k, b: 1e300)
-    for check in (verifier.check_derivative_bound,
-                  verifier.check_schwarz_bound):
+    # an infinite sup breaks both certificates at every grid point; each
+    # suite keeps the first ten, its first case's first ten grid points,
+    # whatever the slice length
+    monkeypatch.setattr(verifier, "_derivative_sup",
+                        lambda k, r: np.full(np.shape(r), np.inf))
+    for check, key, stop in ((verifier.check_derivative_bound, "b", 0.999),
+                             (verifier.check_schwarz_bound, "a", 0.9)):
         rep = check(1000)
         assert not rep.passed and len(rep.violations) == 10
-        assert rep.violations == check(10).violations  # in trial order
+        grid = np.linspace(0.0, stop, 1000)
+        assert [v[key] for v in rep.violations] == list(grid[:10])
+        assert all(v["k"] == 0 and v.get("vanish_order", 0) == 0
+                   for v in rep.violations)
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", 4)
+        assert check(1000).violations == rep.violations
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 13)
+
+
+@pytest.mark.parametrize("check", [verifier.check_derivative_bound,
+                                   verifier.check_schwarz_bound])
+def test_derivative_grid_memory_per_point(check):
+    # a whole-array grid would grow several arrays of 8 B per point;
+    # the streamed suites form it a slice at a time
+    small = traced_peak(check, 50_000)
+    large = traced_peak(check, 100_000)
+    assert large - small <= 50_000 * 1
 
 
 def test_codim_count_suite():
@@ -495,3 +591,14 @@ def test_run_all_reduced_budgets(params, monkeypatch):
     # deterministic end to end
     again = verifier.run_all(params, *budgets)
     assert [_json(r) for r in again] == [_json(r) for r in reports]
+
+
+def test_run_all_draws_nothing(params, monkeypatch):
+    # no suite draws a random number: the reports at two seeds differ
+    # only in their seed labels
+    monkeypatch.setattr(verifier, "COVERING_SIZES", (10, 100))
+    monkeypatch.setattr(verifier, "CODIM_SIZES", (10, 100))
+    got = {seed: [replace(r, seed=0) for r in
+                  verifier.run_all(params, 10_000, 10_000, 50, seed)]
+           for seed in (17, 18)}
+    assert [_json(r) for r in got[17]] == [_json(r) for r in got[18]]
