@@ -122,8 +122,8 @@ def symbol_boundary_data(params, t1,
 
     kind: "paper" (perturbed diagonal), "diagonal", "identity",
     or "scaling" (z -> (r z1, r z2), r = SCALING_RADIUS; test symbol).
-    The cusp values come from cusp_on_circle, whose two double zones
-    keep graded meshes reaching t ~ 1e-300 accurate.
+    The cusp values come from cusp_on_circle, whose closed form on the
+    lens arcs keeps graded meshes reaching t ~ 1e-300 accurate.
     """
     t1 = np.asarray(t1, dtype=float)
     if kind == "paper":

@@ -13,18 +13,18 @@ Conventions used throughout:
       stage3: reciprocal, then  w -> 1 - w
   whose composition sends the closed disk onto a lens inside
   D(1/2, 1/2) pinched to a cusp at w = 1;
-* the double chain is written once.  Stage 0 has two forms: chi0_values
-  takes z, and cusp_from_log_gap takes z = 1 - xi as (log|xi|, arg xi)
-  and returns log chi0 directly, which keeps 1 - chi accurate however
-  close z is to the cusp.  Both feed the shared tail _chain_tail
-  (stages 2 and 3).  cusp_mp is the arbitrary-precision oracle, and
+* cusp_values evaluates the chain inside the disk.  On the circle,
+  where the stage-0 Moebius value is real, cusp_on_circle evaluates
+  the two lens arcs in closed form from real ufuncs, with no zone
+  split.  cusp_mp is the arbitrary-precision oracle, and
   cusp_taylor_mp takes chi's Taylor coefficients at 0 from it.  The
   mpmath functions (cusp_mp, phi_mp, cusp_taylor_mp) import mpmath
   when called, so a run in double arithmetic never loads it;
 * the double chain takes every log as log|w| + i arg w
   (_principal_log) and every e^{ix} as cos x + i sin x (expi), from
   real ufuncs, and the damping power w^(-theta) as exp(-theta log w)
-  with that log.  numpy's complex log and power call libm's clog and
+  with that log; phi_modulus takes |phi| from the real part of that
+  power alone.  numpy's complex log and power call libm's clog and
   cpow one element at a time, about ten times slower; expi gives the
   same bits as numpy's complex exponential, and the log agrees with
   clog to within 2e-15;
@@ -62,12 +62,9 @@ from .errors import (
 )
 
 _TWO_OVER_PI = 2.0 / math.pi
-_LOG_MINUS_I = complex(0.0, -math.pi / 2.0)
-_LOG_ONE_PLUS_I = complex(math.log(2.0) / 2.0, math.pi / 4.0)
-
-# Below this |t| the plain chain at e^{it} loses the digits of 1 - chi to
-# the cancellation in 1 - e^{it}, so cusp_on_circle uses the log-gap form.
-CIRCLE_LOG_GAP_SPLIT = 1e-6
+_HALF_PI = math.pi / 2.0
+# pi/2 - _HALF_PI: with it pi/2 - t is formed to one rounding
+_HALF_PI_LO = 6.123233995736766e-17
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +115,8 @@ def chi0_values(z) -> np.ndarray:
     return np.where(lower, np.conj(c0), c0)[()]
 
 
-def _chain_tail(c1):
-    """Stages 2 and 3 applied to c1 = log chi0."""
-    return 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
-
-
 def cusp_values(z) -> np.ndarray:
-    """Cusp map, vectorized: chi0_values, its log, then the shared tail.
+    """Cusp map, vectorized: chi0_values, its log, then stages 2 and 3.
 
     chi(z) lies in the lens D(1/2, 1/2) minus the two disks
     D(1 + i/2, 1/2) and D(1 - i/2, 1/2); chi(1) = 1 by continuous
@@ -132,57 +124,48 @@ def cusp_values(z) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
-    chi = _chain_tail(_principal_log(np.where(at_one, 0.5, chi0_values(z))))
+    c1 = _principal_log(np.where(at_one, 0.5, chi0_values(z)))
+    chi = 1.0 - 1.0 / (1.0 - _TWO_OVER_PI * c1)
     return np.where(at_one, 1.0 + 0.0j, chi)[()]
 
 
-def cusp_from_log_gap(log_gap, phase) -> np.ndarray:
-    """Cusp map at z = 1 - xi for xi = exp(log_gap + i*phase), without
-    forming z.  Vectorized.
+def _lens_arcs(t) -> np.ndarray:
+    """chi(e^{it}) for t in (0, pi], in real arithmetic.  There the
+    stage-0 Moebius value (z - i)/(iz - 1) = -tan(pi/4 - t/2) is real,
+    and chi = 1 - 1/(A + iB), so Re chi = 1 - A/(A^2 + B^2) and
+    Im chi = B/(A^2 + B^2), with
 
-    Stage 0 in log form: with eta = (1+i) xi / ((1-i) + i xi),
+      inner arc, t < pi/2: chi0 = -i r, r = (1 - sqrt mu)/(1 + sqrt mu)
+        for mu = tan((pi/2 - t)/2), so B = 1 and A = 1 - (2/pi) log r.
+        As 1 - mu = 2 tau/(1 + tau), tau = tan(t/2), log r is
+        log(2 tau/((1 + tau)(1 + sqrt mu))) - log1p(sqrt mu), which
+        keeps its relative accuracy as t -> 0;
+      outer arc, t >= pi/2: |chi0| = 1, so A = 1 and
+        B = 1 - (4/pi) arctan sqrt(tan((t - pi/2)/2)).
 
-        log chi0 = log(-i) + log(1+i) + log xi - log((1-i) + i xi)
-                   - 2 log(1 + sqrt(1 - eta)),
-
-    where log xi = log_gap + i*phase is exact.  No term cancels, and xi
-    itself enters only the last two terms, which tend to the constants
-    log(1-i) and log 2: where exp(log_gap) underflows to 0 the sum is
-    the asymptote log(xi/4) to full precision.  For |xi| <= 1/4
-    (log_gap <= log(1/4)), at any depth, the error in 1 - chi stays
-    within 2e-15 relative plus the final rounding of chi, 2^-53.
-    Callers guarantee |1 - xi| <= 1, so |phase| <= pi/2.
-    """
-    log_gap = np.asarray(log_gap, dtype=float)
-    phase = np.asarray(phase, dtype=float)
-    # Im z >= 0 means phase <= 0; reflect the rest
-    lower = phase > 0.0
-    log_xi = log_gap + 1j * np.where(lower, -phase, phase)
-    xi = np.exp(log_xi)
-    den = (1.0 - 1j) + 1j * xi
-    eta = (1.0 + 1j) * xi / den
-    c1 = (_LOG_MINUS_I + _LOG_ONE_PLUS_I + log_xi - _principal_log(den)
-          - 2.0 * _principal_log(1.0 + np.sqrt(1.0 - eta)))
-    chi = _chain_tail(c1)
-    chi = np.where(phase == 0.0, chi.real + 0.0j, chi)
-    return np.where(lower, np.conj(chi), chi)[()]
+    pi/2 - t takes pi/2's low part, so the corner keeps every digit."""
+    d = (_HALF_PI - t) + _HALF_PI_LO  # pi/2 - t
+    inner = d > 0.0
+    a, b = np.ones_like(t), np.ones_like(t)
+    tau = np.tan(t[inner] / 2.0)
+    root = np.sqrt(np.tan(d[inner] / 2.0))
+    a[inner] = 1.0 - _TWO_OVER_PI * (
+        np.log(2.0 * tau / ((1.0 + tau) * (1.0 + root))) - np.log1p(root))
+    outer = ~inner
+    b[outer] = 1.0 - 2.0 * _TWO_OVER_PI * np.arctan(
+        np.sqrt(np.tan(-d[outer] / 2.0)))
+    den = a * a + b * b
+    out = np.empty(t.shape, dtype=complex)
+    np.subtract(1.0, a / den, out=out.real)
+    np.divide(b, den, out=out.imag)
+    return out
 
 
 def cusp_on_circle(t) -> np.ndarray:
-    """Cusp map at e^{it} for arbitrary real t, accurate down to
-    |t| ~ 1e-300.  Vectorized; t = 0 maps to 1, and a NaN or infinite
-    t to nan + nan i.
-
-    Double evaluation of the chain at e^{it} loses all digits of 1 - chi
-    once 1 - e^{it} drops near machine epsilon, so the evaluation is
-    split by distance to the cusp into two zones:
-
-      |t| >= CIRCLE_LOG_GAP_SPLIT   plain chain, cusp_values(e^{it})
-      |t| <  CIRCLE_LOG_GAP_SPLIT   cusp_from_log_gap, using
-                                    1 - e^{it} = 2 sin(t/2) e^{i(t - pi)/2}
-
-    Both are double arithmetic.
-    """
+    """Cusp map at e^{it} for arbitrary real t, from the two lens arcs'
+    closed form (_lens_arcs), in which no term cancels: accurate down
+    to |t| ~ 1e-300.  Vectorized; t = 0 maps to 1, a NaN or infinite t
+    to nan + nan i, and negative t to the exact conjugate."""
     scalar = np.ndim(t) == 0
     t = np.array(t, dtype=float, ndmin=1)
     t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test
@@ -191,15 +174,11 @@ def cusp_on_circle(t) -> np.ndarray:
     big = np.abs(t) > math.pi
     if np.any(big):
         t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
-    neg = t < 0.0
     ta = np.abs(t)
     out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
-    far = ta >= CIRCLE_LOG_GAP_SPLIT
-    out[far] = cusp_values(expi(ta[far]))
-    near = ~far & (ta > 0.0)
-    out[near] = cusp_from_log_gap(np.log(2.0 * np.sin(ta[near] / 2.0)),
-                                  (ta[near] - math.pi) / 2.0)
-    out = np.where(neg, np.conj(out), out)
+    on = ta > 0.0
+    out[on] = _lens_arcs(ta[on])
+    np.negative(out.imag, out=out.imag, where=t < 0.0)
     return out[0] if scalar else out
 
 
@@ -254,6 +233,18 @@ def phi_values(z, theta: float) -> np.ndarray:
     w = np.where(at_one, 0.5, 1.0 - z)
     out = np.exp(-np.exp(-theta * _principal_log(w)))
     return np.where(at_one, 0.0j, out)[()]
+
+
+def phi_modulus(z, theta: float) -> np.ndarray:
+    """|phi| = exp(-|1-z|^(-theta) cos(theta arg(1-z))) from real ufuncs,
+    0 at z = 1.  Vectorized; no domain validation.  The cosine is at
+    least delta = cos(pi*theta/2), which gives phi_values' bound."""
+    z = np.asarray(z, dtype=complex)
+    at_one = z == 1.0
+    w = np.where(at_one, 0.5, 1.0 - z)
+    out = np.exp(-np.abs(w) ** -theta
+                 * np.cos(theta * np.arctan2(w.imag, w.real)))
+    return np.where(at_one, 0.0, out)[()]
 
 
 def phi_mp(z, theta, dps: int = 40):
@@ -445,12 +436,19 @@ def reach_fraction(params: SymbolParams) -> float:
     |chi| + 2c|phi(chi)| < 1 and the half-gap inequality
     1 - |chi + c phi(chi) u| >= (1 - |chi|)/2 for |u| <= 1 at every
     point of the disk, with no sample."""
+    return reach_bound(params)[0]
+
+
+def reach_bound(params: SymbolParams) -> tuple:
+    """(q, the lens ratio that sets q: "LENS_K" or "NEAR_CUSP_RATIO")"""
     x_star, peak = _damping_peak(params.theta)
     if x_star >= REACH_SPLIT:
-        return 2.0 * params.c * LENS_K * peak
+        return 2.0 * params.c * LENS_K * peak, "LENS_K"
     delta = math.cos(math.pi * params.theta / 2.0)
     far = math.exp(-delta * REACH_SPLIT ** -params.theta) / REACH_SPLIT
-    return 2.0 * params.c * max(NEAR_CUSP_RATIO * peak, LENS_K * far)
+    near, lens = NEAR_CUSP_RATIO * peak, LENS_K * far
+    return (2.0 * params.c * max(near, lens),
+            "NEAR_CUSP_RATIO" if near > lens else "LENS_K")
 
 
 def build_params(theta: float, g_kind: str, k_samples: int,

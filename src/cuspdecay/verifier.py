@@ -129,7 +129,7 @@ def check_cusp_geometry(sample_count: int,
                         seed: int = DEFAULT_SEED) -> VerificationReport:
     """Lens geometry of the cusp map, checked on the unit circle.
 
-    Exact checks (GEOMETRY_TOLERANCE, 1e-10) of the double chain's
+    Exact checks (GEOMETRY_TOLERANCE, 1e-10) of the closed-form arc
     values chi(e^it) = maps.cusp_on_circle(t) at points t > 0:
 
       * image inside D(1/2, 1/2) and outside D(1 +- i/2, 1/2)   (lens)
@@ -229,9 +229,10 @@ def check_calibration(params, sample_count: int,
     so the second margin is (1 - |chi|) / 2 - c |phi| in closed form:
     half the first margin, bit for bit, since halving is exact.  u* is
     formed only for a witness.  maps.reach_fraction < 1 proves both
-    inequalities for the exact map, and the report carries it, q, and
-    X*, the |1 - chi| where the damping bound peaks, beside the margins
-    of the double chain's values chi(e^it) = maps.cusp_on_circle(t).
+    inequalities for the exact map.  The report carries q, the lens
+    ratio that sets it (maps.reach_bound), its slack 1 - q, and X*, the
+    |1 - chi| where the damping bound peaks, beside the margins at
+    chi(e^it) = maps.cusp_on_circle(t), with maps.phi_modulus's |phi|.
 
     The circle suffices.  u = |chi| + 2c |phi(chi)| is subharmonic, a
     sum of moduli of holomorphic maps (phi o chi is, as chi omits 1),
@@ -255,21 +256,22 @@ def check_calibration(params, sample_count: int,
     for t in itertools.chain(_bracket_grid_slices(sample_count),
                              [_circle_rest()]):
         chi = maps.cusp_on_circle(t)
-        phi = maps.phi_values(chi, params.theta)
-        reach_margin = (1.0 - np.abs(chi)) - 2.0 * (params.c * np.abs(phi))
+        phi_abs = maps.phi_modulus(chi, params.theta)
+        reach_margin = (1.0 - np.abs(chi)) - 2.0 * (params.c * phi_abs)
         half_margin = reach_margin / 2.0
         rep.record("reach", reach_margin <= 0.0,
                    lambda i: {"t": t[i], "margin": reach_margin[i]})
         rep.record("half_gap", half_margin < 0.0,
                    lambda i: {"t": t[i],
-                              "u": maps.expi(np.angle(chi[i])
-                                             - np.angle(phi[i])),
+                              "u": maps.expi(np.angle(chi[i]) - np.angle(
+                                  maps.phi_values(chi[i], params.theta))),
                               "margin": half_margin[i]})
         reach_min = min(reach_min, float(reach_margin.min()))
-    rep.constants["reach_margin_min"] = reach_min
-    rep.constants["half_gap_margin_min"] = reach_min / 2.0
-    rep.constants["reach_fraction"] = maps.reach_fraction(params)
-    rep.constants["damping_peak_gap"] = maps._damping_peak(params.theta)[0]
+    q, bound = maps.reach_bound(params)
+    rep.constants.update(
+        reach_margin_min=reach_min, half_gap_margin_min=reach_min / 2.0,
+        reach_fraction=q, reach_bound=bound, reach_slack=1.0 - q,
+        damping_peak_gap=maps._damping_peak(params.theta)[0])
     return rep
 
 

@@ -14,7 +14,7 @@ from cuspdecay.errors import (
     ConfigurationError,
     InvalidInputError,
 )
-from conftest import disk_samples, traced_peak
+from conftest import cusp_from_log_gap, disk_samples, traced_peak
 
 # exact chain value at 0: 1 - 1/(1 - (2/pi) log(sqrt(2) - 1))
 CHI_AT_ZERO = 0.3594259851465734
@@ -78,14 +78,13 @@ def test_lens_geometry_on_samples():
     # the double chain inside the disk, where verify checks only the
     # circle: the boundary-clustered sample, then near-cusp points
     # z = 1 - exp(l + i p) far beyond where 1 - z survives, kept where
-    # |1 - z| <= 1, through cusp_from_log_gap
+    # |1 - z| <= 1, through the tests' cusp_from_log_gap
     rng = np.random.default_rng(np.random.SeedSequence((17, 1)))
     log_gap = rng.uniform(-280.0, -3.0, 5000)
     phase = rng.uniform(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 5000)
     keep = log_gap < np.log(2.0 * np.cos(phase))
     chi = np.concatenate([maps.cusp_values(disk_samples(5000, seed=5)),
-                          maps.cusp_from_log_gap(log_gap[keep],
-                                                 phase[keep])])
+                          cusp_from_log_gap(log_gap[keep], phase[keep])])
     assert np.max(np.abs(chi - 0.5)) <= 0.5 + 1e-12
     assert np.min(np.abs(chi - (1.0 + 0.5j))) >= 0.5 - 1e-12
     assert np.min(np.abs(chi - (1.0 - 0.5j))) >= 0.5 - 1e-12
@@ -149,7 +148,7 @@ def test_log_gap_kernel_matches_mp(log_gap):
     dps = 40 + int(-log_gap / math.log(10.0))
     for phase in (0.0, 0.3, -0.3, 0.9, -0.9, 1.2, -1.2):
         assert log_gap < math.log(2.0 * math.cos(phase))  # |1 - xi| <= 1
-        got = maps.cusp_from_log_gap(log_gap, phase)
+        got = cusp_from_log_gap(log_gap, phase)
         # the reference gap must be formed at high dps or z rounds to 1
         with mp.workdps(dps):
             z = 1 - mp.exp(mp.mpc(log_gap, phase))
@@ -162,7 +161,7 @@ def test_cusp_from_log_gap_matches_mp():
     # z = 1 - exp(l + i p): kernel vs the arbitrary-precision chain;
     # the reference gap must be formed at high dps or it rounds to 0
     for l, p in ((-55.0, 0.0), (-60.0, 1.2), (-80.0, -1.5)):
-        got = maps.cusp_from_log_gap(l, p)
+        got = cusp_from_log_gap(l, p)
         with mp.workdps(120):
             z = mp.mpf(1) - mp.exp(mp.mpc(l, p))
             ref = complex(maps.cusp_mp(z, dps=120))
@@ -173,29 +172,62 @@ def test_cusp_from_log_gap_has_no_seam():
     # log|xi| = -50 was the seam between two near-cusp kernels; the one
     # kernel must show no step there
     for l in (-50.0 - 1e-9, -50.0, -50.0 + 1e-9):
-        got = maps.cusp_from_log_gap(l, 0.7)
+        got = cusp_from_log_gap(l, 0.7)
         with mp.workdps(100):
             ref = complex(maps.cusp_mp(1 - mp.exp(mp.mpc(l, 0.7)), dps=100))
         err, bound = _err_1_minus_chi(got, ref)
         assert err <= bound, (l, err)
 
 
+# fl(pi/2), below pi/2 by 6.1e-17, and four doubles on each side: the
+# lens corner, where the two arcs meet in a square-root corner of t
+CORNER = math.pi / 2.0 + np.arange(-4, 5) * 2.0 ** -52
+
+
 def test_cusp_on_circle_matches_mp():
-    t = np.geomspace(1e-300, 1e-3, 300)  # crosses the seam at 1e-6
+    # one bound on all of (0, pi]: the cusp zone down to 1e-300, both
+    # arcs, the corner and pi
+    t = np.concatenate([np.geomspace(1e-300, 1e-3, 300),
+                        np.linspace(1e-3, math.pi, 400), CORNER, [7e-278]])
     got = maps.cusp_on_circle(t)
     for tt, g in zip(t, got):
-        dps = 30 + int(-math.log10(tt)) + 1
+        dps = 30 + max(int(-math.log10(tt)), 0) + 1
         with mp.workdps(dps):
             ref = complex(maps.cusp_mp(mp.expj(mp.mpf(tt)), dps=dps))
         err, bound = _err_1_minus_chi(g, ref)
-        if tt >= maps.CIRCLE_LOG_GAP_SPLIT:
-            # the plain chain cancels in 1 - e^{it}; the previous
-            # three-zone evaluator met 5.4e-12 here
-            bound = 1e-11 * abs(1.0 - ref)
         assert err <= bound, (tt, err)
     assert maps.cusp_on_circle(0.0) == 1.0 + 0j
     both = maps.cusp_on_circle(np.concatenate([t, -t]))
     assert np.array_equal(both[t.size:], np.conj(both[:t.size]))
+
+
+def test_cusp_on_circle_lies_on_the_lens_arcs():
+    # pi/2 - t is formed with pi/2's low part
+    with mp.workdps(40):
+        assert maps._HALF_PI_LO == float(mp.pi / 2 - maps._HALF_PI)
+    t = np.concatenate([np.geomspace(1e-300, 1.5, 5000),
+                        np.linspace(1.5, math.pi, 5000), CORNER])
+    t = np.concatenate([t, -t])
+    chi = maps.cusp_on_circle(t)
+    # fl(pi/2) lies below pi/2, on the inner arc
+    inner = np.abs(t) <= math.pi / 2.0
+    centre = 1.0 + 0.5j * np.sign(t[inner])
+    eps = 2.0 ** -52
+    assert np.max(np.abs(np.abs(chi[~inner] - 0.5) - 0.5)) <= 2.0 * eps
+    assert np.max(np.abs(np.abs(chi[inner] - centre) - 0.5)) <= 2.0 * eps
+
+
+def test_interior_chain_agrees_on_the_circle():
+    # cusp_values(e^{it}) cross-checks the closed form.  Beside 1e-11,
+    # the bound carries the chain's own conditioning: the rounding of
+    # 1 - e^{it}, eps/t relative, reaches 1 - chi shrunk by log(4/t),
+    # 1.7e-11 |1 - chi| near t = 1e-6
+    t = np.concatenate([np.geomspace(1e-6, math.pi, 20_001), CORNER])
+    chi = maps.cusp_on_circle(t)
+    err = np.abs(maps.cusp_values(maps.expi(t)) - chi)
+    eps = 2.0 ** -52
+    bound = (1e-11 + 2.0 * eps / (t * np.log(4.0 / t))) * np.abs(1.0 - chi)
+    assert np.all(err <= bound)
 
 
 def test_phi_values_bound_and_limit():
@@ -245,6 +277,32 @@ def test_phi_values_matches_mp_relative(theta):
         assert abs(got - ref) <= bound * abs(ref), (z, abs(got / ref - 1.0))
 
 
+@pytest.mark.parametrize("theta", [0.25, 0.5, 0.75])
+def test_phi_modulus_matches_mp(theta):
+    # |phi| = exp(-v), v = Re (1 - z)^(-theta) <= u = |1 - z|^(-theta):
+    # an error of a few eps relative in v is one of v times that in
+    # |phi|, so beside 1e-15 the bound grows with u toward the cusp
+    eps = 2.0 ** -52
+    z = disk_samples(1000, seed=7)
+    got = maps.phi_modulus(z, theta)
+    u = np.abs(1.0 - z) ** -theta
+    for zz, g, uu in zip(z, got, u):
+        ref = float(abs(maps.phi_mp(complex(zz), theta)))
+        assert abs(g - ref) <= (1e-15 + 4.0 * eps * uu) * ref, (zz, g / ref)
+    assert maps.phi_modulus(1.0, theta) == 0.0
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+def test_phi_modulus_below_damping_bound(theta):
+    # cos(theta arg(1 - z)) >= delta = cos(pi theta / 2) on the disk, at
+    # the sample and on the circle down to the cusp
+    delta = math.cos(math.pi * theta / 2.0)
+    t = np.geomspace(1e-12, math.pi, 20_000) * np.tile([1.0, -1.0], 10_000)
+    z = np.concatenate([disk_samples(20_000, seed=7), maps.expi(t)])
+    w = np.abs(1.0 - z)
+    assert np.all(maps.phi_modulus(z, theta) <= np.exp(-delta * w ** -theta))
+
+
 def test_expi_matches_complex_exp_bit_for_bit():
     rng = np.random.default_rng(14)
     x = np.concatenate([
@@ -263,11 +321,13 @@ def test_expi_matches_complex_exp_bit_for_bit():
 
 
 def test_scalar_inputs_return_complex_scalars():
+    # phi_modulus, a modulus, returns a real scalar
     assert type(maps.cusp_values(0.3 + 0.2j)) is np.complex128
-    assert type(maps.cusp_from_log_gap(-5.0, 0.3)) is np.complex128
     assert type(maps.cusp_on_circle(0.4)) is np.complex128
     assert type(maps.phi_values(0.3 + 0.2j, 0.5)) is np.complex128
     assert type(maps.phi_values(1.0, 0.5)) is np.complex128
+    assert type(maps.phi_modulus(0.3 + 0.2j, 0.5)) is np.float64
+    assert type(maps.phi_modulus(1.0, 0.5)) is np.float64
 
 
 _B = maps.SAMPLE_BLOCK
@@ -276,20 +336,21 @@ _BLOCK_SIZES = [1, _B - 1, _B, _B + 1, 3 * _B + 17]
 
 def _chain_inputs(count):
     """Inputs of each public chain function, count points each: disk
-    samples, log-gap pairs, and circle arguments that include t = 0,
-    both sides of CIRCLE_LOG_GAP_SPLIT and both signs."""
+    samples, and circle arguments of both signs, past pi too, a third
+    of them within 3 ulps of the corner pi/2 and a third down to
+    1e-300, the first ten including t = 0, pi and 1e-300, so that most
+    blocks mix both arcs."""
     rng = np.random.default_rng(count)
     z = disk_samples(count, 5)
-    log_gap = rng.uniform(-60.0, -1.4, count)
-    phase = rng.uniform(-1.5, 1.5, count)
-    split = maps.CIRCLE_LOG_GAP_SPLIT
     t = rng.uniform(-4.0, 4.0, count)
-    t[::3] = rng.uniform(-2.0, 2.0, t[::3].size) * split
-    t[:8] = [0.0, split, -split, np.nextafter(split, 0.0),
-             -np.nextafter(split, 0.0), np.nextafter(split, 1.0),
-             1e-300, math.pi][:count]
+    t[::3] = math.pi / 2.0 + rng.integers(-3, 4, t[::3].size) * 2.0 ** -52
+    t[1::3] = np.exp(rng.uniform(-690.0, 0.0, t[1::3].size))
+    t[::2] *= -1.0
+    t[:10] = [0.0, math.pi / 2.0, -math.pi / 2.0, np.nextafter(math.pi / 2.0, 0),
+              np.nextafter(math.pi / 2.0, 4.0), 1e-300, -1e-300, math.pi,
+              -math.pi, 2.0 * math.pi][:count]
     return {"cusp_values": (z,), "phi_values": (z, 0.5),
-            "cusp_from_log_gap": (log_gap, phase), "cusp_on_circle": (t,)}
+            "phi_modulus": (z, 0.5), "cusp_on_circle": (t,)}
 
 
 @pytest.mark.parametrize("count", _BLOCK_SIZES)
@@ -307,16 +368,16 @@ def test_chain_blocks_match_one_shot(count):
         assert blocked.tobytes() == one_shot.tobytes(), name
 
 
-def test_chain_blocks_keep_shape_and_broadcast():
-    # an input's shape is kept, and a scalar broadcasts against an array
+def test_chain_blocks_keep_shape():
+    # an input's shape is kept
     z = disk_samples(3 * 64 + 5, 9)
     got = maps.cusp_values(z.reshape(1, -1))
     assert got.shape == (1, z.size)
     assert got.tobytes() == maps.cusp_values(z).tobytes()
-    phase = np.linspace(-1.5, 1.5, 200)
-    got = maps.cusp_from_log_gap(-9.0, phase)
-    want = maps.cusp_from_log_gap(np.full(phase.size, -9.0), phase)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    t = np.linspace(-4.0, 4.0, 200)
+    got = maps.cusp_on_circle(t.reshape(2, -1))
+    assert got.shape == (2, 100)
+    assert got.tobytes() == maps.cusp_on_circle(t).tobytes()
 
 
 def test_symbol_params_validation():
@@ -503,6 +564,8 @@ def test_reach_certificate_near_the_cusp(params):
     assert maps._damping_peak(0.08)[0] < maps.REACH_SPLIT
     got = maps.build_params(0.08, "identity_in_z2", 100_000, 17)
     assert maps.reach_fraction(got) < 0.5
+    assert maps.reach_bound(got) == (maps.reach_fraction(got),
+                                     "NEAR_CUSP_RATIO")
     # theta = 0.07 keeps the c of the rule's grid floor, 1e-8 / (4 K),
     # far too large for a peak at 2.9e-17
     with pytest.raises(CalibrationError):
@@ -513,6 +576,7 @@ def test_reach_certificate_near_the_cusp(params):
         assert x_star >= maps.REACH_SPLIT
         assert maps.reach_fraction(replace(params, theta=theta)) \
             == 2.0 * params.c * maps.LENS_K * peak
+        assert maps.reach_bound(replace(params, theta=theta))[1] == "LENS_K"
 
 
 def test_reach_certificate_holds_pointwise(params):

@@ -228,6 +228,10 @@ def test_calibration_suite_reduced_budget(params):
     assert rep.constants["half_gap_margin_min"] \
         == rep.constants["reach_margin_min"] / 2.0
     assert rep.constants["reach_fraction"] == maps.reach_fraction(params)
+    # at theta = 1/2 the damping bound peaks far from the cusp, where
+    # LENS_K sets q
+    assert rep.constants["reach_bound"] == "LENS_K"
+    assert rep.constants["reach_slack"] == 1.0 - maps.reach_fraction(params)
     assert rep.constants["damping_peak_gap"] == maps._damping_peak(0.5)[0]
     # the margin at the worst u is the min over the disk: no u on a
     # 4096-point unimodular grid does worse, beyond the rounding of the
@@ -254,19 +258,20 @@ def test_calibration_suite_reduced_budget(params):
 
 def _broadcast_calibration(params, sample_count, seed=17):
     """The calibration suite's witnesses and margins from whole-array
-    masks over its circle points, the half-gap margin in closed form,
-    (1 - |chi|) / 2 - c |phi|, its value at the worst
-    u* = exp(i (arg chi - arg phi)): the oracle for the streamed suite,
-    which files the reach witnesses first where both items fail in its
-    first slice."""
+    masks over its circle points, |phi| from maps.phi_modulus and the
+    half-gap margin in closed form, (1 - |chi|) / 2 - c |phi|, its value
+    at the worst u* = exp(i (arg chi - arg phi)): the oracle for the
+    streamed suite, which files the reach witnesses first where both
+    items fail in its first slice."""
     rep = verifier.VerificationReport("calibration", seed, sample_count)
     t = _circle_points(sample_count)[1]
     chi = maps.cusp_on_circle(t)
-    phi = maps.phi_values(chi, params.theta)
+    phi = maps.phi_modulus(chi, params.theta)
     gap = 1.0 - np.abs(chi)
-    reach_margin = gap - 2.0 * (params.c * np.abs(phi))
-    u = np.exp(1j * (np.angle(chi) - np.angle(phi)))
-    half_margin = gap / 2.0 - params.c * np.abs(phi)
+    reach_margin = gap - 2.0 * (params.c * phi)
+    u = np.exp(1j * (np.angle(chi)
+                     - np.angle(maps.phi_values(chi, params.theta))))
+    half_margin = gap / 2.0 - params.c * phi
     bad = np.nonzero(reach_margin <= 0.0)[0]
     bad2 = np.nonzero(half_margin < 0.0)[0]
     for i in bad[:10]:
@@ -279,6 +284,8 @@ def _broadcast_calibration(params, sample_count, seed=17):
     rep.constants["reach_margin_min"] = float(reach_margin.min())
     rep.constants["half_gap_margin_min"] = float(half_margin.min())
     rep.constants["reach_fraction"] = maps.reach_fraction(params)
+    rep.constants["reach_bound"] = maps.reach_bound(params)[1]
+    rep.constants["reach_slack"] = 1.0 - maps.reach_fraction(params)
     rep.constants["damping_peak_gap"] = maps._damping_peak(params.theta)[0]
     return rep, bad, bad2
 
