@@ -20,7 +20,7 @@ unknown keys are errors (drift detection).  Keys:
                           whose c fails maps.reach_fraction < 1 is
                           a configuration error
     degree, quad          truncation: max degree, quadrature  [48, 1024]
-    seed                  seed of K's sample; labels reports  [17]
+    seed                  seed of K's disk sample             [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
     samples               grid points of the geometry suite,  [100000]
@@ -71,12 +71,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import hardy, maps, spectrum, verifier
-from .errors import (
-    ConfigurationError,
-    CuspDecayError,
-    DomainError,
-    InvalidInputError,
-)
+from .errors import ConfigurationError, CuspDecayError, InvalidInputError
 
 OUT_ENV = "CUSPDECAY_OUT"
 DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
@@ -480,7 +475,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     params = resolve_params(cfg)
     reports = verifier.run_all(params, cfg.samples, cfg.calibration_samples,
-                               cfg.trials, cfg.seed)
+                               cfg.trials)
     passed = all(r.passed for r in reports)
     _write_json(cfg, "verify.json", {
         "passed": passed,
@@ -611,7 +606,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         return _VERBS[args.verb](cfg, args)
-    except (ConfigurationError, InvalidInputError, DomainError) as exc:
+    except (ConfigurationError, InvalidInputError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except CuspDecayError as exc:

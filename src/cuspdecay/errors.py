@@ -19,12 +19,6 @@ class ConfigurationError(CuspDecayError, ValueError):
     """Parameters violate a documented precondition."""
 
 
-class DomainError(CuspDecayError, ValueError):
-    """Operation applied to an object outside its mathematical domain,
-    e.g. a Hilbert-Schmidt bound requested for a symbol that is not
-    Hilbert-Schmidt."""
-
-
 class EstimationError(CuspDecayError, RuntimeError):
     """A numerical estimation produced no usable samples."""
 

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps
-from .errors import ConfigurationError, DomainError, InconsistencyError
+from .errors import ConfigurationError, InconsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def _hs_quadrature(data: SeparableBoundaryData,
       (1/2pi) int dt2 / (1 - |A + B e^{it2}|^2)
           = 1 / sqrt((1 - |A|^2 - |B|^2)^2 - 4 |A|^2 |B|^2),
 
-    valid iff |A| + |B| < 1.  Raises DomainError when the symbol is not
+    valid iff |A| + |B| < 1.  inf when the symbol is not
     Hilbert-Schmidt on the nodes (identity: |F| = 1)."""
     f2 = np.abs(data.F) ** 2
     a2 = np.abs(data.A) ** 2
@@ -320,9 +320,7 @@ def _hs_quadrature(data: SeparableBoundaryData,
     gap1 = 1.0 - f2
     rad = (1.0 - a2 - b2) ** 2 - 4.0 * a2 * b2
     if np.any(gap1 <= 0.0) or np.any((1.0 - a2 - b2) <= 0.0) or np.any(rad <= 0.0):
-        raise DomainError(
-            "symbol touches the torus on the quadrature nodes; "
-            "Hilbert-Schmidt integral diverges")
+        return math.inf  # the symbol touches the torus on the nodes
     return quad.mean(1.0 / (gap1 * np.sqrt(rad)))
 
 
@@ -333,10 +331,7 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
     and weights, so the radicand is a Parseval remainder that only
     rounding can push below zero; it is returned signed, and the tail
     is the square root of its positive part."""
-    try:
-        hs_sq = _hs_quadrature(data, quad)
-    except DomainError:
-        return math.inf, math.inf
+    hs_sq = _hs_quadrature(data, quad)
     rad = hs_sq - kept
     if rad < -1e-10:
         raise InconsistencyError(

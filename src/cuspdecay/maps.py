@@ -65,6 +65,7 @@ _TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = math.pi / 2.0
 # pi/2 - _HALF_PI: with it pi/2 - t is formed to one rounding
 _HALF_PI_LO = 6.123233995736766e-17
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,10 @@ def _lens_arcs(t) -> np.ndarray:
         for mu = tan((pi/2 - t)/2), so B = 1 and A = 1 - (2/pi) log r.
         As 1 - mu = 2 tau/(1 + tau), tau = tan(t/2), log r is
         log(2 tau/((1 + tau)(1 + sqrt mu))) - log1p(sqrt mu), which
-        keeps its relative accuracy as t -> 0;
+        keeps its relative accuracy as t -> 0.  For a subnormal t, t/2
+        and that quotient would round, so 2 tau is taken as t, which
+        it equals in double for every t below 1e-8, and the log of the
+        quotient as the difference of logs;
       outer arc, t >= pi/2: |chi0| = 1, so A = 1 and
         B = 1 - (4/pi) arctan sqrt(tan((t - pi/2)/2)).
 
@@ -147,10 +151,14 @@ def _lens_arcs(t) -> np.ndarray:
     d = (_HALF_PI - t) + _HALF_PI_LO  # pi/2 - t
     inner = d > 0.0
     a, b = np.ones_like(t), np.ones_like(t)
-    tau = np.tan(t[inner] / 2.0)
+    ti = t[inner]
+    tau = np.tan(ti / 2.0)
     root = np.sqrt(np.tan(d[inner] / 2.0))
-    a[inner] = 1.0 - _TWO_OVER_PI * (
-        np.log(2.0 * tau / ((1.0 + tau) * (1.0 + root))) - np.log1p(root))
+    den = (1.0 + tau) * (1.0 + root)
+    sub = ti < _TINY
+    log_q = np.log(np.where(sub, ti, 2.0 * tau / den))
+    log_q[sub] -= np.log(den[sub])
+    a[inner] = 1.0 - _TWO_OVER_PI * (log_q - np.log1p(root))
     outer = ~inner
     b[outer] = 1.0 - 2.0 * _TWO_OVER_PI * np.arctan(
         np.sqrt(np.tan(-d[outer] / 2.0)))
@@ -164,8 +172,9 @@ def _lens_arcs(t) -> np.ndarray:
 def cusp_on_circle(t) -> np.ndarray:
     """Cusp map at e^{it} for arbitrary real t, from the two lens arcs'
     closed form (_lens_arcs), in which no term cancels: accurate down
-    to |t| ~ 1e-300.  Vectorized; t = 0 maps to 1, a NaN or infinite t
-    to nan + nan i, and negative t to the exact conjugate."""
+    to the smallest subnormal |t|.  Vectorized; t = 0 maps to 1, a NaN
+    or infinite t to nan + nan i, and negative t to the exact
+    conjugate."""
     scalar = np.ndim(t) == 0
     t = np.array(t, dtype=float, ndmin=1)
     t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test

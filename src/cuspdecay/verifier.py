@@ -1,10 +1,10 @@
 """Verification suites for the geometric, calibration, covering,
 derivative, and counting inequalities the construction rests on.
 
-No suite draws a random number, so seed only labels the reports.  The
-geometry and calibration suites check their inequalities on the unit
-circle, where the maximum principle settles them for the whole disk
-(the proofs are in check_cusp_geometry's and check_calibration's
+No suite draws a random number, and none takes a seed.  The geometry
+and calibration suites check their inequalities on the unit circle,
+where the maximum principle settles them for the whole disk (the
+proofs are in check_cusp_geometry's and check_calibration's
 docstrings).  The covering suite proves its claim for the whole lens
 in exact rationals, and the derivative and Schwarz suites evaluate the
 closed-form sup of |h_k| over the unit ball of H^2(D^2) against their
@@ -38,7 +38,6 @@ import numpy as np
 from . import maps
 from .errors import ConfigurationError
 
-DEFAULT_SEED = 17
 GEOMETRY_TOLERANCE = 1e-10
 # witnesses kept per violated item; more would only repeat the story
 WITNESS_CAP = 10
@@ -56,7 +55,6 @@ def _c2s(z) -> list:
 @dataclass
 class VerificationReport:
     suite: str
-    seed: int
     samples: int
     violations: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
@@ -125,8 +123,7 @@ def _circle_rest() -> np.ndarray:
         np.linspace(math.pi / 2.0, math.pi, 1001)[1:]])
 
 
-def check_cusp_geometry(sample_count: int,
-                        seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_cusp_geometry(sample_count: int) -> VerificationReport:
     """Lens geometry of the cusp map, checked on the unit circle.
 
     Exact checks (GEOMETRY_TOLERANCE, 1e-10) of the closed-form arc
@@ -162,11 +159,11 @@ def check_cusp_geometry(sample_count: int,
     by more than the tolerance; where none does, the bracket is the
     values at the grid's two ends.  real_axis checks that the chain
     maps 4001 points of the real diameter to real values, exactly.
-    Nothing is drawn, so seed only labels the report.  Each item's
-    witnesses file together, the items in the order they first fail."""
+    Each item's witnesses file together, the items in the order they
+    first fail."""
     if sample_count < 10_000:
         raise ConfigurationError("geometry suite needs at least 1e4 samples")
-    rep = VerificationReport("cusp_geometry", seed, sample_count)
+    rep = VerificationReport("cusp_geometry", sample_count)
     tolerance = GEOMETRY_TOLERANCE
     ratio_sup = -math.inf
 
@@ -216,8 +213,7 @@ def check_cusp_geometry(sample_count: int,
 # calibration
 
 
-def check_calibration(params, sample_count: int,
-                      seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_calibration(params, sample_count: int) -> VerificationReport:
     """Strict perturbation-budget inequalities, checked on the circle:
 
       |chi| + 2 c |phi(chi)| < 1
@@ -227,11 +223,13 @@ def check_calibration(params, sample_count: int,
     largest |w2| over the closed disk is |chi| + c |phi|, attained at
     u* = exp(i (arg chi - arg phi)), where c phi u* points along chi,
     so the second margin is (1 - |chi|) / 2 - c |phi| in closed form:
-    half the first margin, bit for bit, since halving is exact.  u* is
-    formed only for a witness.  maps.reach_fraction < 1 proves both
-    inequalities for the exact map.  The report carries q, the lens
-    ratio that sets it (maps.reach_bound), its slack 1 - q, and X*, the
-    |1 - chi| where the damping bound peaks, beside the margins at
+    half the first margin, bit for bit, since halving is exact.  It is
+    negative only where the first is, so the suite records the first,
+    reach, alone, and reports half its minimum as half_gap_margin_min.
+    maps.reach_fraction < 1 proves both inequalities for the exact
+    map.  The report carries q, the lens ratio that sets it
+    (maps.reach_bound), its slack 1 - q, and X*, the |1 - chi| where
+    the damping bound peaks, beside the margins at
     chi(e^it) = maps.cusp_on_circle(t), with maps.phi_modulus's |phi|.
 
     The circle suffices.  u = |chi| + 2c |phi(chi)| is subharmonic, a
@@ -246,26 +244,19 @@ def check_calibration(params, sample_count: int,
 
     The points are the geometry suite's: the grid of
     _bracket_grid_slices(sample_count), a slice at a time, then
-    _circle_rest.  Only running minima are kept, and the witnesses are
-    the first ten per item in point order.  Nothing is drawn, so seed
-    only labels the report."""
+    _circle_rest.  Only the running minimum is kept, and the witnesses
+    are the first ten in point order."""
     if sample_count < 10_000:
         raise ConfigurationError("calibration suite needs at least 1e4 samples")
-    rep = VerificationReport("calibration", seed, sample_count)
+    rep = VerificationReport("calibration", sample_count)
     reach_min = math.inf
     for t in itertools.chain(_bracket_grid_slices(sample_count),
                              [_circle_rest()]):
         chi = maps.cusp_on_circle(t)
         phi_abs = maps.phi_modulus(chi, params.theta)
         reach_margin = (1.0 - np.abs(chi)) - 2.0 * (params.c * phi_abs)
-        half_margin = reach_margin / 2.0
         rep.record("reach", reach_margin <= 0.0,
                    lambda i: {"t": t[i], "margin": reach_margin[i]})
-        rep.record("half_gap", half_margin < 0.0,
-                   lambda i: {"t": t[i],
-                              "u": maps.expi(np.angle(chi[i]) - np.angle(
-                                  maps.phi_values(chi[i], params.theta))),
-                              "margin": half_margin[i]})
         reach_min = min(reach_min, float(reach_margin.min()))
     q, bound = maps.reach_bound(params)
     rep.constants.update(
@@ -286,8 +277,7 @@ def _covering_end(n: int, theta: float, shrink: float) -> int:
         math.log(2.0 * n) / (theta * math.log(1.0 / shrink)))) + 1
 
 
-def check_covering(n: int, params,
-                   seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_covering(n: int, params) -> VerificationReport:
     """Certificate, in exact rationals, that every image point w = chi(z)
     that is deep (|w| > depth = 1 - sigma^j0 / k_hat) and not within 1/n
     of the cusp tip lies in an open disk D(1 - s^j, s^j / 4) of the
@@ -326,7 +316,7 @@ def check_covering(n: int, params,
     Each failing comparison is witnessed by one box: its item, its
     x-interval and the two sides as floats.  Every comparison's slack,
     bound minus value, is reported.  Nothing is sampled, so the report
-    counts 0 samples; seed only labels it."""
+    counts 0 samples."""
     if n < 2:
         raise ConfigurationError("covering test needs n >= 2")
     start, end = params.j0, _covering_end(n, params.theta, params.sigma)
@@ -334,7 +324,7 @@ def check_covering(n: int, params,
         raise ConfigurationError(
             "covering family for n = %d is empty: N_n = %d < j0 = %d"
             % (n, end, start))
-    rep = VerificationReport("covering_n%d" % n, seed, 0)
+    rep = VerificationReport("covering_n%d" % n, 0)
     s = Fraction(params.sigma)
     x0, x_end = s ** start, s ** end
     x_cap = Fraction(9, 8) * x0
@@ -400,8 +390,7 @@ def _grid_certificate(rep, item, key, stop, cases, sides):
     return rep
 
 
-def check_derivative_bound(trial_count: int,
-                           seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_derivative_bound(trial_count: int) -> VerificationReport:
     """Diagonal second-variable derivative bound, for every f in H^2(D^2):
 
         |h_k(b)| <= k! 2^{k+1} (1-|b|)^{-(k+1)} ||f||,   h_k(b) = d2^k f(b, b).
@@ -431,12 +420,11 @@ def check_derivative_bound(trial_count: int,
                 math.factorial(k) * 2.0 ** (k + 1) / (1.0 - r) ** (k + 1))
 
     return _grid_certificate(
-        VerificationReport("derivative_bound", seed, trial_count),
+        VerificationReport("derivative_bound", trial_count),
         "derivative", "b", 0.999, [{"k": k} for k in range(7)], sides)
 
 
-def check_schwarz_bound(trial_count: int,
-                        seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_schwarz_bound(trial_count: int) -> VerificationReport:
     """Vanishing-order refinement: for every f in H^2(D^2) whose h_k
     vanishes to order n at a, and |b - a| <= (rho/2)(1 - |a|), rho = 1/2,
 
@@ -463,7 +451,7 @@ def check_schwarz_bound(trial_count: int,
                 / (1.0 - a) ** (k + 1))
 
     return _grid_certificate(
-        VerificationReport("schwarz_bound", seed, trial_count),
+        VerificationReport("schwarz_bound", trial_count),
         "schwarz", "a", 0.9,
         [{"k": k, "vanish_order": n} for k in range(5) for n in range(9)],
         sides)
@@ -485,22 +473,21 @@ def _floor_50(x: Decimal) -> int:
     return math.floor(_FIFTY_DIGITS.plus(x))
 
 
-def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
-                      seed: int = DEFAULT_SEED) -> VerificationReport:
+def check_codim_count(n_list, params) -> VerificationReport:
     """Size of the coefficient-constraint system behind the rank
-    reduction: count(n) = n * sum_{j=1..N_n} ([n shrink^{j theta}] + 1)
-    must stay below q * n^2 for one constant q across all n, and
-    count / n^2 approaches the geometric series limit
+    reduction, at theta = params.theta and shrink = params.sigma:
+    count(n) = n * sum_{j=1..N_n} ([n shrink^{j theta}] + 1) must stay
+    below q * n^2 for one constant q across all n, and count / n^2
+    approaches the geometric series limit
     shrink^theta / (1 - shrink^theta).  Every floor is cross-checked
     against 50-digit decimal arithmetic (ln(shrink) once, one exp per
     j, see _floor_50), so a double-rounding boundary case would surface
     as a violation."""
+    theta, shrink = params.theta, params.sigma
     n_list = sorted({int(n) for n in n_list})
     if not n_list or n_list[0] < 1:
         raise ConfigurationError("need a non-empty list of sizes n >= 1")
-    if not 0.0 < theta < 1.0 or not 0.0 < shrink < 1.0:
-        raise ConfigurationError("theta and shrink must lie in (0, 1)")
-    rep = VerificationReport("codim_count", seed, len(n_list))
+    rep = VerificationReport("codim_count", len(n_list))
     ratios = {}
     with decimal.localcontext() as ctx:
         ctx.prec = 50 + _GUARD_DIGITS
@@ -545,19 +532,17 @@ def check_codim_count(n_list, theta: float = 0.5, shrink: float = 0.875,
 
 
 def run_all(params, sample_count: int, calibration_count: int,
-            trial_count: int, seed: int = DEFAULT_SEED) -> list:
+            trial_count: int) -> list:
     """Run every suite with these budgets, each suite enforcing its own
-    minimum; deterministic given the arguments, and seed only labels
-    the reports.  Returns the reports in a fixed order; the sweep
-    passed iff all(r.passed for r in reports)."""
+    minimum; deterministic given the arguments.  Returns the reports in
+    a fixed order; the sweep passed iff all(r.passed for r in reports)."""
     reports = [
-        check_cusp_geometry(sample_count, seed),
-        check_calibration(params, calibration_count, seed),
+        check_cusp_geometry(sample_count),
+        check_calibration(params, calibration_count),
     ]
     for n in COVERING_SIZES:
-        reports.append(check_covering(n, params, seed))
-    reports.append(check_derivative_bound(trial_count, seed))
-    reports.append(check_schwarz_bound(trial_count, seed))
-    reports.append(check_codim_count(CODIM_SIZES, params.theta,
-                                     params.sigma, seed))
+        reports.append(check_covering(n, params))
+    reports.append(check_derivative_bound(trial_count))
+    reports.append(check_schwarz_bound(trial_count))
+    reports.append(check_codim_count(CODIM_SIZES, params))
     return reports

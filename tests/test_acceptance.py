@@ -164,8 +164,8 @@ def test_08_splitting_exactness(params):
     assert slope < 0.0
 
 
-def test_09_codimension_count():
-    rep = verifier.check_codim_count([10, 100, 1000, 10_000])
+def test_09_codimension_count(params):
+    rep = verifier.check_codim_count([10, 100, 1000, 10_000], params)
     print("q %.4f limit %.6f gap %.3e"
           % (rep.constants["ratio_bound_q"], rep.constants["series_limit"],
              rep.constants["top_relative_gap"]))

@@ -201,6 +201,20 @@ def test_cusp_on_circle_matches_mp():
     assert np.array_equal(both[t.size:], np.conj(both[:t.size]))
 
 
+@pytest.mark.parametrize("t", [5e-324, 1.5e-323, 2.5e-323, 1e-320,
+                               np.finfo(float).tiny])
+def test_cusp_on_circle_subnormal_t_matches_mp(t):
+    # t/2 underflows to 0 at 5e-324 and rounds at 1.5e-323 and 2.5e-323;
+    # the bound is the one of the whole circle, and any RuntimeWarning
+    # fails the test
+    got = maps.cusp_on_circle(np.array([t, -t]))
+    with mp.workdps(400):
+        ref = complex(maps.cusp_mp(mp.expj(mp.mpf(t)), dps=400))
+    err, bound = _err_1_minus_chi(got[0], ref)
+    assert err <= bound, err
+    assert got[1] == np.conj(got[0])
+
+
 def test_cusp_on_circle_lies_on_the_lens_arcs():
     # pi/2 - t is formed with pi/2's low part
     with mp.workdps(40):
