@@ -47,8 +47,11 @@ any output directory.  A different thread count sums the dense
 products in another order and moves the spectrum's trailing digits
 (at seed 17, OPENBLAS_NUM_THREADS=1 against 2 threads changes
 spectrum_paper.csv from its fourth line on).
-Exit codes: 0 success, 1 property/estimation failure, 2 configuration
-or parse error.
+Exit codes: 0 success; 2 for a ConfigurationError (a config, point,
+output directory or artifact read by report outside its documented
+domain); 1 for a failed verify suite or a CuspDecayError (a fit with
+too few points, a kernel that failed).  The output directory is made
+before a verb computes anything, so an unusable one costs no run.
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near
@@ -71,7 +74,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import hardy, maps, spectrum, verifier
-from .errors import ConfigurationError, CuspDecayError, InvalidInputError
+from .errors import ConfigurationError, CuspDecayError
 
 OUT_ENV = "CUSPDECAY_OUT"
 DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
@@ -170,7 +173,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         try:
             with open(path) as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError("cannot read config: %s" % exc) from exc
         for i, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -214,14 +217,17 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
 # artifact writers: every CSV and JSON byte goes through these two
 
 
-def _out_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+def _make_out(out: str) -> None:
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            "cannot use output directory %r: %s" % (out, exc)) from exc
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
     """<out>/<name>: payload stamped with the config hash and seed."""
-    path = _out_path(cfg, name)
+    path = os.path.join(cfg.out, name)
     with open(path, "w") as fh:
         json.dump(dict(payload, config=cfg.hash(), seed=cfg.seed), fh,
                   sort_keys=True, indent=2)
@@ -231,7 +237,7 @@ def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
 
 def _write_csv(cfg: RunConfig, name: str, head_lines, rows) -> None:
     """<out>/<name>: head lines (stamp, column names), then the rows."""
-    path = _out_path(cfg, name)
+    path = os.path.join(cfg.out, name)
     with open(path, "w") as fh:
         fh.writelines(line + "\n" for part in (head_lines, rows)
                       for line in part)
@@ -248,11 +254,11 @@ def parse_point(text: str) -> complex:
     rewritten, so 'inf' and 'nan' keep their meaning."""
     s = re.sub(r"[iI](\)?)$", r"j\1", text.strip().replace(" ", ""))
     if not s:
-        raise InvalidInputError("empty point")
+        raise ConfigurationError("empty point")
     try:
         return complex(s)
     except ValueError:
-        raise InvalidInputError(
+        raise ConfigurationError(
             "cannot parse %r as a complex number" % text) from None
 
 
@@ -268,7 +274,7 @@ def _read_points(args) -> list:
     try:
         with open(args.points) as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError("cannot read points: %s" % exc) from exc
     pts = []
     for i, raw in enumerate(lines, start=1):
@@ -277,8 +283,8 @@ def _read_points(args) -> list:
             continue
         try:
             pts.append(("%s:%d" % (args.points, i), parse_point(text)))
-        except InvalidInputError as exc:
-            raise InvalidInputError(
+        except ConfigurationError as exc:
+            raise ConfigurationError(
                 "%s:%d: %s" % (args.points, i, exc)) from None
     if not pts:
         raise ConfigurationError("no points in %s" % args.points)
@@ -289,9 +295,10 @@ def _check_points(points) -> None:
     """Each point must be finite and in the closed unit disk."""
     for label, z in points:
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise InvalidInputError("%s: point is not finite: %r" % (label, z))
+            raise ConfigurationError(
+                "%s: point is not finite: %r" % (label, z))
         if abs(z) > 1.0 + DISK_SLACK:
-            raise InvalidInputError(
+            raise ConfigurationError(
                 "%s: point outside the closed unit disk: %r" % (label, z))
 
 
@@ -374,7 +381,7 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
     spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
     om = hardy.assemble_matrix(params, spec, kind)
     base = "matrix_%s_d%d_q%d" % (kind, cfg.degree, cfg.quad)
-    npz = _out_path(cfg, base + ".npz")
+    npz = os.path.join(cfg.out, base + ".npz")
     np.savez_compressed(npz, **asdict(om), **{
         "params_" + k: v for k, v in asdict(params).items()})
     # the entries are real, so every imaginary part is written as 0;
@@ -533,22 +540,27 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    found = {}
+    """Every section renders before report.json or report.md is
+    written, so a malformed artifact leaves neither behind."""
+    found, sections = {}, []
     for name in _ARTIFACTS:
         path = os.path.join(cfg.out, name)
-        if os.path.exists(path):
+        if not os.path.exists(path):
+            continue
+        try:
             with open(path) as fh:
                 found[name] = json.load(fh)
+            _md_section(sections, name, found[name])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigurationError("%s: malformed artifact (%s: %s)" % (
+                path, type(exc).__name__, exc)) from exc
     if not found:
         print("error: no artifacts under %s" % cfg.out, file=sys.stderr)
         return 1
     _write_json(cfg, "report.json", {"artifacts": found})
     lines = ["# Run report", "", "Aggregated from %d artifacts." % len(found),
-             ""]
-    for name in _ARTIFACTS:
-        if name in found:
-            _md_section(lines, name, found[name])
-    md = _out_path(cfg, "report.md")
+             ""] + sections
+    md = os.path.join(cfg.out, "report.md")
     with open(md, "w") as fh:
         fh.write("\n".join(lines).rstrip() + "\n")
     print("wrote %s" % md)
@@ -605,8 +617,10 @@ def main(argv=None) -> int:
                  for k in ("seed", "degree", "quad", "symbol", "out")}
     try:
         cfg = load_config(args.config, overrides)
+        if args.verb != "report":  # it only reads; a missing --out exits 1
+            _make_out(cfg.out)
         return _VERBS[args.verb](cfg, args)
-    except (ConfigurationError, InvalidInputError) as exc:
+    except ConfigurationError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except CuspDecayError as exc:

@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import maps
-from .errors import ConfigurationError, InconsistencyError
+from .errors import ConfigurationError, CuspDecayError
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,9 @@ class OperatorMatrix:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
-            raise InconsistencyError("matrix has non-finite entries")
+            raise CuspDecayError("matrix has non-finite entries")
         if not self.tail_hs >= 0.0:  # rejects NaN, admits +inf
-            raise InconsistencyError("tail_hs must be non-negative")
+            raise CuspDecayError("tail_hs must be non-negative")
 
 
 def _binomials(d: int) -> np.ndarray:
@@ -334,7 +334,7 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
     hs_sq = _hs_quadrature(data, quad)
     rad = hs_sq - kept
     if rad < -1e-10:
-        raise InconsistencyError(
+        raise CuspDecayError(
             "kept norms exceed the Hilbert-Schmidt integral by %.3e; "
             "the shared-quadrature Parseval identity is broken" % (-rad,))
     return hs_sq, rad

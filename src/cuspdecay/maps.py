@@ -55,11 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CalibrationError,
-    ConfigurationError,
-    EstimationError,
-)
+from .errors import ConfigurationError, CuspDecayError
 
 _TWO_OVER_PI = 2.0 / math.pi
 _HALF_PI = math.pi / 2.0
@@ -379,7 +375,7 @@ def estimate_k(sample_count: int, seed: int) -> float:
         if ratio.size:
             sup = max(sup, float(ratio.max()))
     if sup == -math.inf:
-        raise EstimationError("no finite distortion ratios in the sample")
+        raise CuspDecayError("no finite distortion ratios in the sample")
     return max(1.0, 1.05 * sup)
 
 
@@ -467,9 +463,9 @@ def build_params(theta: float, g_kind: str, k_samples: int,
     K = estimate_k(k_samples, seed).  On a geometric grid of
     CALIBRATION_GRID_SIZE values X in [1e-8, 1], find the largest eta
     such that 2*exp(-delta X^-theta) < X / K for every grid X < eta,
-    and set c = eta / (4 K).  Raises CalibrationError, with the peak
-    point X* of the damping bound as witness, unless
-    reach_fraction < 1 certifies c.
+    and set c = eta / (4 K).  Raises CuspDecayError, naming the peak
+    point X* of the damping bound, unless reach_fraction < 1
+    certifies c.
     """
     k_hat = estimate_k(k_samples, seed)
     delta = math.cos(math.pi * theta / 2.0)
@@ -485,15 +481,16 @@ def build_params(theta: float, g_kind: str, k_samples: int,
 
 
 def _certify_reach(params: SymbolParams) -> None:
-    """Raise CalibrationError unless reach_fraction(params) < 1; the
-    witness is X*, the |1 - chi| at which the damping bound peaks."""
+    """Raise CuspDecayError unless reach_fraction(params) < 1; the
+    message gives X*, the |1 - chi| at which the damping bound peaks,
+    to full precision."""
     q = reach_fraction(params)
     if not q < 1.0:
         x_star = _damping_peak(params.theta)[0]
-        raise CalibrationError(
+        raise CuspDecayError(
             "reach not certified: 2c|phi| <= q (1 - |chi|) with q = %.3e "
-            ">= 1, the damping bound peaking at |1 - chi| = %.3e"
-            % (q, x_star), witness=x_star)
+            ">= 1, the damping bound peaking at |1 - chi| = %r"
+            % (q, x_star))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hardy, maps
-from .errors import (
-    ComputationError,
-    ConfigurationError,
-    EstimationError,
-    InconsistencyError,
-    InsufficientDataError,
-    InvalidInputError,
-    RangeError,
-)
+from .errors import ConfigurationError, CuspDecayError
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +47,15 @@ class SingularSpectrum:
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", v)
         if v.ndim != 1 or v.size == 0:
-            raise InvalidInputError("spectrum needs a non-empty 1-D array")
+            raise ConfigurationError("spectrum needs a non-empty 1-D array")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise InvalidInputError("singular values must be finite and >= 0")
+            raise ConfigurationError("singular values must be finite and >= 0")
         if np.any(np.diff(v) > 0.0):
-            raise InvalidInputError("singular values must descend")
+            raise ConfigurationError("singular values must descend")
         if not self.tail_bound >= 0.0:  # rejects NaN, admits +inf
-            raise InvalidInputError("tail_bound must be >= 0")
+            raise ConfigurationError("tail_bound must be >= 0")
         if not 0.0 <= self.noise_floor < math.inf:
-            raise InvalidInputError("noise_floor must be finite and >= 0")
+            raise ConfigurationError("noise_floor must be finite and >= 0")
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -108,10 +100,10 @@ class BetaReport:
 
     def __post_init__(self):
         if self.schedule_exponent < 1:
-            raise InvalidInputError("schedule exponent must be >= 1")
+            raise ConfigurationError("schedule exponent must be >= 1")
         ok = 0.0 <= self.beta_minus <= self.beta_plus <= 1.0
         if not ok:
-            raise InvalidInputError(
+            raise CuspDecayError(
                 "decay proxies outside [0, 1] (got [%r, %r]): the probed "
                 "range is not in the decaying regime"
                 % (self.beta_minus, self.beta_plus)
@@ -129,12 +121,12 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     its own Hermitian part, bit for bit."""
     gram = np.asarray(gram)
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise InvalidInputError("gram matrix must be square")
+        raise ConfigurationError("gram matrix must be square")
     gram = 0.5 * (gram + gram.conj().T)
     try:
         ev = np.linalg.eigvalsh(gram)
     except np.linalg.LinAlgError as exc:
-        raise ComputationError("eigensolve failed: %s" % exc) from exc
+        raise CuspDecayError("eigensolve failed: %s" % exc) from exc
     vals = np.sqrt(np.clip(ev[::-1], 0.0, None))
     noise = math.sqrt(float(np.finfo(float).eps) * max(float(ev[-1]), 0.0))
     return SingularSpectrum(vals, tail_bound, noise)
@@ -173,7 +165,7 @@ def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
     dropped = gram.trace - float(np.trace(b))
     # each trace is an n-term sum, off by at most n eps trace G
     if dropped < -n * float(np.finfo(float).eps) * gram.trace:
-        raise InconsistencyError(
+        raise CuspDecayError(
             "projected trace exceeds trace G by %.3e; the Gram is not "
             "positive semidefinite" % (-dropped,))
     values = np.zeros(n)
@@ -203,7 +195,7 @@ def composition_spectrum(params, spec: hardy.TruncationSpec,
     for every row, including those past the block, which read
     [0, tail].  A dropped trace that rounding pushes below zero adds
     nothing (its signed value is kept as dropped_trace); one below
-    -n eps trace G raises InconsistencyError.  The block grows until
+    -n eps trace G raises CuspDecayError.  The block grows until
     its smallest value drops below the eigensolver noise floor, so every
     value the fit can use is computed; at D = 48 that is k = 98 of 2401.
 
@@ -218,7 +210,7 @@ def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
     """Interval [s_n, s_n + tail] containing the full operator's n-th
     approximation number; 1-indexed, n = 1 is the operator norm."""
     if not 1 <= n <= len(spectrum):
-        raise RangeError(
+        raise CuspDecayError(
             "n = %d outside the computed range 1..%d" % (n, len(spectrum)))
     low = float(spectrum.values[n - 1])
     return (low, low + spectrum.tail_bound)
@@ -228,12 +220,12 @@ def _admissible_n(spectrum: SingularSpectrum, schedule_exponent: int,
                   n_range) -> list:
     """Sorted n in n_range with n^exponent inside the computed range."""
     if schedule_exponent < 1:
-        raise InvalidInputError("schedule exponent must be >= 1")
+        raise ConfigurationError("schedule exponent must be >= 1")
     admissible = sorted(
         {int(n) for n in n_range
          if n >= 1 and int(n) ** schedule_exponent <= len(spectrum)})
     if not admissible:
-        raise RangeError(
+        raise CuspDecayError(
             "no n in the range has n^%d within the %d computed values"
             % (schedule_exponent, len(spectrum)))
     return admissible
@@ -244,10 +236,9 @@ def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
     """Extremes of [a_{n^exponent}]^{1/n} over the upper half of
     n_range; the lower half is treated as transient and discarded.
 
-    Raises RangeError when no n in n_range fits the spectrum, and
-    InvalidInputError (via BetaReport) when the surviving proxies leave
-    [0, 1], which happens when the kept n are so small that a_{n^N}
-    still exceeds 1."""
+    Raises CuspDecayError when no n in n_range fits the spectrum, or
+    (via BetaReport) when the surviving proxies leave [0, 1], which
+    happens when the kept n are so small that a_{n^N} still exceeds 1."""
     admissible = _admissible_n(spectrum, schedule_exponent, n_range)
     kept = admissible[len(admissible) // 2:]
     lows, highs = [], []
@@ -275,7 +266,7 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
             usable.append(n)
             logs.append(math.log(low))
     if len(usable) < 4:
-        raise InsufficientDataError(
+        raise CuspDecayError(
             "only %d of %d points exceed the floor %.3e (10 x tail, or "
             "the eigensolver noise floor); "
             "need 4 for a fit" % (len(usable), len(admissible), floor))
@@ -319,7 +310,7 @@ def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
     try:
         s = np.linalg.svd(v, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise ComputationError("SVD failed to converge: %s" % exc) from exc
+        raise CuspDecayError("SVD failed to converge: %s" % exc) from exc
     # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2
     r = np.abs(chi) ** 2
     tail = math.sqrt(quad.mean(r ** (d + 1) / (1.0 - r)))
@@ -342,7 +333,7 @@ def scaled_sup_bound(scale: float) -> float:
     margin = scale / (1.0 - scale * scale) * (math.pi / SUP_BOUND_GRID)
     bound = float(vals.max()) + margin + 1e-12
     if bound >= 1.0:
-        raise EstimationError(
+        raise CuspDecayError(
             "no certified gap to 1 for scale %r; enlarge the grid" % scale)
     return bound
 
@@ -383,7 +374,7 @@ def one_dim_plateau(scale: float = 0.5,
         try:
             sv = mp.svd_r(block, compute_uv=False)
         except Exception as exc:
-            raise ComputationError(
+            raise CuspDecayError(
                 "arbitrary-precision SVD failed: %s" % exc) from exc
     vals = np.sort(np.array([float(sv[i]) for i in range(block_size)]))[::-1]
     big_r = 0.995 / scale  # chi(scale * z) is analytic on |z| <= big_r

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from cuspdecay import cli, hardy, maps, spectrum
-from cuspdecay.errors import ConfigurationError, InvalidInputError
+from cuspdecay.errors import ConfigurationError
 
 FROZEN = "theta = 0.5\nc = 1.456697e-3\nk_hat = 2.519054\n"
 
@@ -38,9 +38,9 @@ def test_parse_point_forms():
     assert cli.parse_point("1-1j") == 1 - 1j
     assert cli.parse_point("(1+2i)") == 1 + 2j
     assert cli.parse_point("1+2J") == 1 + 2j
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="empty point"):
         cli.parse_point("")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="cannot parse 'abc'"):
         cli.parse_point("abc")
 
 
@@ -565,6 +565,97 @@ def test_report_verb(tmp_path, frozen_cfg, capsys):
     assert set(payload["artifacts"]) == {"one_dim.json", "verify.json"}
     assert payload["seed"] == 17
     assert payload["config"] == cli.load_config(frozen_cfg, {}).hash()
+
+
+@pytest.mark.parametrize("truncated", [True, False])
+def test_report_rejects_an_unreadable_artifact(tmp_path, frozen_cfg, capsys,
+                                               truncated):
+    # a truncated params.json, or a directory in its place
+    out = tmp_path / "art"
+    out.mkdir()
+    if truncated:
+        (out / "params.json").write_text('{"params": {"theta": 0.5,')
+    else:
+        (out / "params.json").mkdir()
+    assert cli.main(["report", "--config", frozen_cfg,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "params.json") + ": malformed artifact" in err
+    assert ("JSONDecodeError" if truncated else "IsADirectoryError") in err
+    assert sorted(os.listdir(out)) == ["params.json"]
+
+
+def test_report_rejects_a_verify_report_without_passed(tmp_path, frozen_cfg,
+                                                       capsys):
+    # one_dim.json renders first; the verify section that fails after it
+    # must still leave neither report.json nor report.md behind
+    out = tmp_path / "art"
+    cli.main(["spectrum", "--config", frozen_cfg, "--out", str(out),
+              "--symbol", "one-dim", "--degree", "8", "--quad", "64"])
+    (out / "verify.json").write_text(json.dumps(
+        {"passed": True, "reports": [{"suite": "covering_n10"}]}))
+    capsys.readouterr()
+    assert cli.main(["report", "--config", frozen_cfg,
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "verify.json") in err and "KeyError: 'passed'" in err
+    assert not (out / "report.json").exists()
+    assert not (out / "report.md").exists()
+
+
+def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def no_calibration(*args):
+        raise AssertionError("calibrated before checking --out")
+
+    monkeypatch.setattr(maps, "build_params", no_calibration)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert cli.main(["calibrate", "--out", out]) == 2
+    assert "cannot use output directory %r" % out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["calibrate", "--config", "{typo}"], 2, "unknown config key 'sampels'"),
+    (["calibrate", "--config", "{binary}"], 2, "cannot read config"),
+    (["map-eval", "--config", "{cfg}", "--points", "{binary}"], 2,
+     "cannot read points"),
+    (["map-eval", "--config", "{cfg}", "--point=2+0i"], 2,
+     "arg:1: point outside the closed unit disk"),
+    (["calibrate", "--config", "{cfg}", "--out", "{file}/sub"], 2,
+     "cannot use output directory"),
+    (["report", "--config", "{cfg}", "--out", "{broken}"], 2,
+     "params.json: malformed artifact"),
+    (["spectrum", "--config", "{cfg}", "--symbol", "diagonal"], 1,
+     "only 3 of 7 points exceed the floor"),
+], ids=["unknown-key", "binary-config", "binary-points", "off-disk-point",
+        "unusable-out", "malformed-artifact", "fit-refuses"])
+def test_exit_contract(tmp_path, argv, code, message):
+    # 2 means the caller's config or input, 1 that the numbers said no;
+    # either way the installed command prints one error line and no
+    # traceback
+    paths = {name: tmp_path / name
+             for name in ("cfg", "typo", "binary", "file", "broken", "art")}
+    paths["cfg"].write_text(FROZEN)
+    paths["typo"].write_text(FROZEN + "sampels = 10000\n")
+    paths["binary"].write_bytes(b"\xff\xfe theta = 0.5\n")
+    paths["file"].write_text("")
+    paths["broken"].mkdir()
+    (paths["broken"] / "params.json").write_text('{"params": {')
+    argv = [arg.format(**paths) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(paths["art"])]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop(cli.OUT_ENV, None)
+    proc = subprocess.run([sys.executable, "-m", "cuspdecay.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
 
 
 def _decay_payload(tail_bound, tail_radicand):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cuspdecay import hardy, maps
-from cuspdecay.errors import ConfigurationError, InconsistencyError
+from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import dense_column_gram, stacked_product_gram, window_integrals
 
 
@@ -427,7 +427,8 @@ def test_operator_matrix_tail_must_be_nonnegative():
             quad_points=4, kind="identity", tail_hs=tail_hs, hs_sq=1.0)
 
     for bad in (-math.inf, math.nan, -1e-300):
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(CuspDecayError,
+                           match="tail_hs must be non-negative"):
             make(bad)
     for good in (0.0, math.inf):
         assert make(good).tail_hs == good

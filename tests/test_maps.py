@@ -9,11 +9,7 @@ import pytest
 from mpmath import mp
 
 from cuspdecay import cli, maps
-from cuspdecay.errors import (
-    CalibrationError,
-    ConfigurationError,
-    InvalidInputError,
-)
+from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import cusp_from_log_gap, disk_samples, traced_peak
 
 # exact chain value at 0: 1 - 1/(1 - (2/pi) log(sqrt(2) - 1))
@@ -54,7 +50,8 @@ def test_domain_rejection():
     # the vectorized chain assumes the closed disk; points from outside
     # are rejected where they enter, in map-eval's point check
     for z in (1.5, 2j, complex("nan")):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigurationError,
+                           match="arg:1: point (outside|is not finite)"):
             cli._check_points([("arg:1", complex(z))])
     cli._check_points([("arg:1", 1.0 + 0j), ("arg:2", -1j)])
 
@@ -551,10 +548,12 @@ def test_damping_peak_matches_dense_grid(theta):
 def test_reach_certificate_rejects_large_c():
     loose = maps.SymbolParams(theta=0.5, c=0.6, k_hat=2.519054)
     assert maps.reach_fraction(loose) > 1.0
-    with pytest.raises(CalibrationError) as exc:
+    with pytest.raises(CuspDecayError, match="reach not certified") as exc:
         maps._certify_reach(loose)
-    # X* = (delta theta)^(1/theta) = (sqrt(2)/4)^2
-    assert abs(exc.value.witness - 0.125) < 1e-15
+    # X* = (delta theta)^(1/theta) = (sqrt(2)/4)^2, printed to full
+    # precision
+    x_star = float(str(exc.value).rsplit("= ", 1)[1])
+    assert abs(x_star - 0.125) < 1e-15
 
 
 def test_near_cusp_ratio_bounds_the_lens():
@@ -582,7 +581,7 @@ def test_reach_certificate_near_the_cusp(params):
                                      "NEAR_CUSP_RATIO")
     # theta = 0.07 keeps the c of the rule's grid floor, 1e-8 / (4 K),
     # far too large for a peak at 2.9e-17
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CuspDecayError, match="reach not certified"):
         maps.build_params(0.07, "identity_in_z2", 100_000, 17)
     # where the peak lies past REACH_SPLIT, q is 2c LENS_K m bit for bit
     for theta in (0.5, 0.7, 0.9):

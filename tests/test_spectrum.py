@@ -11,14 +11,7 @@ import pytest
 from mpmath import mp
 
 from cuspdecay import hardy, maps, spectrum
-from cuspdecay.errors import (
-    ConfigurationError,
-    EstimationError,
-    InconsistencyError,
-    InsufficientDataError,
-    InvalidInputError,
-    RangeError,
-)
+from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import (
     dense_column_gram,
     pair_stack_split_grams,
@@ -31,19 +24,19 @@ def test_singular_spectrum_validation():
     s = spectrum.SingularSpectrum(np.array([2.0, 1.0, 1.0]), 0.1)
     assert len(s) == 3
     spectrum.SingularSpectrum(np.array([1.0]), math.inf)  # inf tail is legal
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="non-empty 1-D"):
         spectrum.SingularSpectrum(np.array([]), 0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="must descend"):
         spectrum.SingularSpectrum(np.array([1.0, 2.0]), 0.0)  # ascending
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="finite and >= 0"):
         spectrum.SingularSpectrum(np.array([1.0, -0.5]), 0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="tail_bound must be >= 0"):
         spectrum.SingularSpectrum(np.array([1.0]), -1.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="tail_bound must be >= 0"):
         spectrum.SingularSpectrum(np.array([1.0]), math.nan)
     assert s.noise_floor == 0.0
     for bad in (-1e-20, math.inf, math.nan):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ConfigurationError, match="noise_floor must be"):
             spectrum.SingularSpectrum(np.array([1.0]), 0.0, bad)
 
 
@@ -52,9 +45,9 @@ def test_approximation_numbers_indexing():
     assert np.allclose(s.values, [3.0, 2.0, 1.0])
     assert spectrum.approximation_numbers(s, 1) == (3.0, 3.5)
     assert spectrum.approximation_numbers(s, 3) == (1.0, 1.5)
-    with pytest.raises(RangeError):
+    with pytest.raises(CuspDecayError, match=r"n = 0 outside .* 1\.\.3"):
         spectrum.approximation_numbers(s, 0)
-    with pytest.raises(RangeError):
+    with pytest.raises(CuspDecayError, match=r"n = 4 outside .* 1\.\.3"):
         spectrum.approximation_numbers(s, 4)
 
 
@@ -64,7 +57,7 @@ def test_gram_values_validation_and_clipping():
     eps = np.finfo(float).eps
     out = spectrum.gram_values(np.diag([1.0, 9.0, 4.0]), 0.0)
     assert out.noise_floor == math.sqrt(eps * 9.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="must be square"):
         spectrum.gram_values(np.zeros((2, 3)), 0.0)
 
 
@@ -129,13 +122,13 @@ def test_beta_estimate_geometric():
     assert rep.schedule_exponent == 2
     assert abs(rep.beta_minus - 0.5 ** 8) < 1e-15
     assert abs(rep.beta_plus - 0.5 ** 5) < 1e-15
-    with pytest.raises(RangeError):
+    with pytest.raises(CuspDecayError, match="no n in the range"):
         spectrum.beta_estimate(spectrum.SingularSpectrum(vals[:3], 0.0),
                                2, [5, 6])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="schedule exponent"):
         spectrum.beta_estimate(s, 0, range(1, 4))
     growing = spectrum.SingularSpectrum(np.full(8, 1.5), 0.0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(CuspDecayError, match=r"proxies outside \[0, 1\]"):
         spectrum.beta_estimate(growing, 1, range(1, 9))
 
 
@@ -161,12 +154,12 @@ def test_fit_decay_floor_filtering():
     assert fit.usable_n == tuple(range(1, 20))
     assert abs(fit.rate - 0.3) < 1e-12
 
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(CuspDecayError, match="only 0 of 40 points"):
         spectrum.fit_decay(spectrum.SingularSpectrum(
             5.0 * np.exp(-0.3 * n), 10.0), 1, range(1, 41))
-    with pytest.raises(RangeError):
+    with pytest.raises(CuspDecayError, match="no n in the range"):
         spectrum.fit_decay(s, 2, [9, 10])
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ConfigurationError, match="schedule exponent"):
         spectrum.fit_decay(s, 0, range(1, 41))
 
 
@@ -184,7 +177,7 @@ def test_fit_decay_noise_floor_filtering():
                                   5.0 * math.exp(-5.85))
     assert spectrum.fit_decay(s, 1, range(1, 41)).usable_n == tuple(
         range(1, 10))
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(CuspDecayError, match="only 0 of 40 points"):
         spectrum.fit_decay(spectrum.SingularSpectrum(vals, 0.0, 10.0), 1,
                            range(1, 41))
 
@@ -270,7 +263,7 @@ def test_ritz_spectrum_matches_dense_oracle(params, d, q, fits):
     n_max = math.isqrt(d + 1)
     if not fits:
         for s in (dense, got):
-            with pytest.raises(InsufficientDataError):
+            with pytest.raises(CuspDecayError, match="need 4 for a fit"):
                 spectrum.fit_decay(s, 2, range(1, n_max + 1))
         return
     want = spectrum.fit_decay(dense, 2, range(1, n_max + 1))
@@ -346,7 +339,7 @@ def test_ritz_rejects_negative_dropped_trace():
     # an indefinite "Gram": the block holds the four 1s and four of the
     # -1e-3s, so trace G - trace B = -4e-3, far beyond rounding
     gram = np.diag([1.0] * 4 + [0.0] * 4 + [-1e-3] * 8)
-    with pytest.raises(InconsistencyError):
+    with pytest.raises(CuspDecayError, match="exceeds trace G by 4"):
         spectrum._ritz_spectrum(_dense_operator(gram, 0.0))
 
 
@@ -423,7 +416,7 @@ def test_scaled_sup_bound(monkeypatch):
     with pytest.raises(ConfigurationError):
         spectrum.scaled_sup_bound(1.0)
     monkeypatch.setattr(spectrum, "SUP_BOUND_GRID", 4)
-    with pytest.raises(EstimationError):
+    with pytest.raises(CuspDecayError, match="no certified gap to 1"):
         spectrum.scaled_sup_bound(0.9)  # margin swamps the gap
 
 
