@@ -13,13 +13,11 @@ Layout:
 
 from . import errors, hardy, maps, spectrum, verifier
 from .maps import SymbolParams
-from .hardy import TruncationSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "SymbolParams",
-    "TruncationSpec",
     "errors",
     "hardy",
     "maps",

@@ -19,7 +19,7 @@ unknown keys are errors (drift detection).  Keys:
                           omitted -> calibrate on demand; a pair
                           whose c fails maps.reach_fraction < 1 is
                           a configuration error
-    degree, quad          truncation: max degree, quadrature  [48, 1024]
+    degree, quad          D >= 1, Q a power of 2 >= 4(D+1)    [48, 1024]
     seed                  seed of K's disk sample             [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
@@ -51,7 +51,12 @@ Exit codes: 0 success; 2 for a ConfigurationError (a config, point,
 output directory or artifact read by report outside its documented
 domain); 1 for a failed verify suite or a CuspDecayError (a fit with
 too few points, a kernel that failed).  The output directory is made
-before a verb computes anything, so an unusable one costs no run.
+before a verb computes anything, so an unusable one costs no run; a
+verb that fails removes the directories main made while they are empty.
+
+The verbs build each t1 mesh from degree and quad: the uniform grid
+hardy.circle_quadrature(Q), with Gauss panels toward the cusp down to
+ONE_DIM_T_FLOOR for the one-dim contrast.
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near
@@ -104,7 +109,11 @@ class RunConfig:
         if self.precision not in ("double", "extended"):
             raise ConfigurationError(
                 "precision must be double or extended, not %r" % self.precision)
-        hardy.TruncationSpec(self.degree, self.quad)
+        d, q = self.degree, self.quad
+        if d < 1 or q < 4 * (d + 1) or q & (q - 1):
+            raise ConfigurationError(
+                "need degree D >= 1 and quad a power of two >= 4(D+1), "
+                "not D = %d, Q = %d" % (d, q))
         if (self.c is None) != (self.k_hat is None):
             raise ConfigurationError("c and k_hat must be overridden together")
         if self.c is None:  # calibrated later
@@ -174,7 +183,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             with open(path) as fh:
                 lines = fh.readlines()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError("cannot read config: %s" % exc) from exc
+            raise ConfigurationError(
+                "%s: cannot read config: %s" % (path, exc)) from exc
         for i, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -217,12 +227,18 @@ def resolve_params(cfg: RunConfig) -> maps.SymbolParams:
 # artifact writers: every CSV and JSON byte goes through these two
 
 
-def _make_out(out: str) -> None:
+def _make_out(out: str) -> list:
+    """Make out; return the directories this made, innermost first."""
+    made, path = [], os.path.abspath(out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(
             "cannot use output directory %r: %s" % (out, exc)) from exc
+    return made
 
 
 def _write_json(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -275,7 +291,8 @@ def _read_points(args) -> list:
         with open(args.points) as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError("cannot read points: %s" % exc) from exc
+        raise ConfigurationError(
+            "%s: cannot read points: %s" % (args.points, exc)) from exc
     pts = []
     for i, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
@@ -378,8 +395,7 @@ def _two_var_kind(cfg: RunConfig) -> str:
 def cmd_matrix(cfg: RunConfig, args) -> int:
     kind = _two_var_kind(cfg)
     params = resolve_params(cfg)
-    spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
-    om = hardy.assemble_matrix(params, spec, kind)
+    om = hardy.assemble_matrix(params, cfg.degree, cfg.quad, kind)
     base = "matrix_%s_d%d_q%d" % (kind, cfg.degree, cfg.quad)
     npz = os.path.join(cfg.out, base + ".npz")
     np.savez_compressed(npz, **asdict(om), **{
@@ -403,12 +419,13 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 
 
 SCHEDULE_EXPONENT = 2  # the paper's schedule n -> n^2
+ONE_DIM_T_FLOOR = math.exp(-80.0)  # one-dim mesh: cusp panels reach it
 
 
 def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
     params = resolve_params(cfg)
-    spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
-    spct = spectrum.composition_spectrum(params, spec, kind)
+    spct = spectrum.composition_spectrum(
+        params, cfg.degree, hardy.circle_quadrature(cfg.quad), kind)
     # a_{n^2} while n^2 is computed; resolved: lower above the noise
     ranks = [(n, n ** SCHEDULE_EXPONENT) for n in range(1, len(spct) + 1)]
     rows = [(n, *spectrum.approximation_numbers(spct, r))
@@ -462,8 +479,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if tag in ("paper", "diagonal"):
         return _two_var_spectrum(cfg, tag)
     if tag == "one-dim":
-        spec = hardy.TruncationSpec(cfg.degree, cfg.quad)
-        spct = spectrum.one_dim_contrast(spec)
+        spct = spectrum.one_dim_contrast(
+            cfg.degree, hardy.circle_quadrature(cfg.quad, ONE_DIM_T_FLOOR))
         return _write_trend(cfg, "one_dim", spct,
                             {"symbol": "one-dim", "degree": cfg.degree,
                              "noise_floor": spct.noise_floor})
@@ -615,17 +632,21 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {k: getattr(args, k, None)
                  for k in ("seed", "degree", "quad", "symbol", "out")}
+    made = []
     try:
         cfg = load_config(args.config, overrides)
         if args.verb != "report":  # it only reads; a missing --out exits 1
-            _make_out(cfg.out)
-        return _VERBS[args.verb](cfg, args)
-    except ConfigurationError as exc:
+            made = _make_out(cfg.out)
+        code = _VERBS[args.verb](cfg, args)
+    except (ConfigurationError, CuspDecayError) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except CuspDecayError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        code = 2 if isinstance(exc, ConfigurationError) else 1
+    for path in made if code else ():
+        try:  # what a failed verb wrote stays, and every parent with it
+            os.rmdir(path)
+        except OSError:
+            break
+    return code
 
 
 if __name__ == "__main__":

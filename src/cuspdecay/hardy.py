@@ -33,12 +33,12 @@ Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
 the normalized circle mean of any product of them and their conjugates
 is (1/pi) sum w Re(...), and CircleQuadrature.factor writes the mean
-of conj(X) Y as one real matrix product.  The column Gram, the
-assembled matrix's Fourier coefficients and the Hilbert-Schmidt
-integral share the same nodes and weights (the uniform grid of Q
-points unless a caller passes its own quadrature), so the truncation
-tail HS^2 - trace G is a quadrature Parseval remainder and cannot go
-negative except by rounding.
+of conj(X) Y as one real matrix product.  The column Gram runs on the
+mesh its caller passes, and the assembled matrix on the uniform grid
+of Q points; each shares its nodes and weights with its
+Hilbert-Schmidt integral, so the truncation tail HS^2 - trace G is a
+quadrature Parseval remainder and cannot go negative except by
+rounding.
 """
 
 from __future__ import annotations
@@ -68,29 +68,6 @@ def index_set(max_degree: int) -> np.ndarray:
         block = [(a1, m) for a1 in range(m)] + [(m, a2) for a2 in range(m + 1)]
         rows.extend(sorted(block))
     return np.array(rows, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class TruncationSpec:
-    """Degree/quadrature pair.  Q must be a power of two and at least
-    4(D+1).  Both are sizing conventions, not exactness conditions:
-    every transform is a quadrature sum over the Q-point grid, as
-    accurate as that grid resolves the boundary data."""
-
-    max_degree: int
-    quad_points: int
-
-    def __post_init__(self):
-        d, q = self.max_degree, self.quad_points
-        if d < 1:
-            raise ConfigurationError("max_degree must be positive")
-        if q < 1 or (q & (q - 1)) != 0:
-            raise ConfigurationError("quad_points must be a power of two")
-        if q < 4 * (d + 1):
-            raise ConfigurationError(
-                "quad_points %d below the floor 4*(D+1) = %d"
-                % (q, 4 * (d + 1))
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +238,7 @@ def _expansion(data: SeparableBoundaryData, d: int):
     return data.F, data.A, None
 
 
-def assemble_matrix(params, spec: TruncationSpec,
+def assemble_matrix(params, degree: int, q: int,
                     kind: str = "paper") -> OperatorMatrix:
     """Matrix of the composition operator on the degree-D block.
 
@@ -269,15 +246,15 @@ def assemble_matrix(params, spec: TruncationSpec,
     term per j, so entry((b1, b2), (a1, a2)) = W[a2, b2] times the
     Fourier coefficient b1 of X^(a1 + a2 - b2) Y^b2; for g = 1 it is
     the coefficient b1 of F^a1 A^a2 when b2 = 0 and zero otherwise.
-    The coefficients come from one table ct[p, q, m], the circle means
-    factor(X^p Y^q).T @ factor(e^{imt}) on the uniform quadrature; they
-    are Fourier coefficients of conjugation-symmetric functions, so the
-    entries are real.
+    The coefficients come from one table ct[p, k, m], the circle means
+    factor(X^p Y^k).T @ factor(e^{imt}) on the uniform q-point grid,
+    the grid the matrix verb records; they are Fourier coefficients of
+    conjugation-symmetric functions, so the entries are real.
 
     When the symbol is not Hilbert-Schmidt (identity) tail_hs is +inf,
     as is the tail of column_gram_operator.
     """
-    d, q = spec.max_degree, spec.quad_points
+    d = degree
     quad = circle_quadrature(q)
     data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
@@ -396,13 +373,13 @@ class ColumnGram:
         return w[a2, s]
 
 
-def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
-                         quad: CircleQuadrature | None = None) -> ColumnGram:
+def column_gram_operator(params, degree: int, quad: CircleQuadrature,
+                         kind: str = "paper") -> ColumnGram:
     """Gram G[alpha, alpha'] = <C e_alpha', C e_alpha> of the composed
     kept monomials under the discrete pullback measure, as a ColumnGram
     operator with the discarded-column tail.  G is real and symmetric,
-    in the index_set layout.  The t1 integrals run over quad, by
-    default circle_quadrature(spec.quad_points).
+    in the index_set layout, for max(a1, a2) <= degree.  The t1
+    integrals run over the caller's mesh quad.
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -427,9 +404,7 @@ def column_gram_operator(params, spec: TruncationSpec, kind: str = "paper",
     g = 1 has one t2 term per column: G = R^T R with R = factor(F^a1
     A^a2) over the (D+1)^2 columns, and trace G is the sum of R's
     squared entries."""
-    d = spec.max_degree
-    if quad is None:
-        quad = circle_quadrature(spec.quad_points)
+    d = degree
     data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]

@@ -176,12 +176,12 @@ def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
                         tail_radicand=gram.tail_radicand)
 
 
-def composition_spectrum(params, spec: hardy.TruncationSpec,
+def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
                          kind: str = "paper") -> RitzSpectrum:
     """Spectrum pipeline for the two-variable symbols: column Gram of
-    the kept monomial images, Rayleigh-Ritz values of its top block,
-    discarded-column tail.  This is the production route behind the
-    headline decay run.
+    the kept monomial images on the caller's t1 mesh quad, Rayleigh-Ritz
+    values of its top block, discarded-column tail.  This is the
+    production route behind the headline decay run.
 
     With C the operator on the n = (D+1)^2 kept columns, G = C^T C and
     Q an orthonormal n x k block (Gaussian start, one power step),
@@ -203,7 +203,8 @@ def composition_spectrum(params, spec: hardy.TruncationSpec,
     moment matrices (O(D^3 k) flops per block of k columns) along with
     trace G, HS^2 and the signed radicand HS^2 - trace G, which the
     result carries as hs_sq and tail_radicand."""
-    return _ritz_spectrum(hardy.column_gram_operator(params, spec, kind))
+    return _ritz_spectrum(hardy.column_gram_operator(params, degree, quad,
+                                                     kind))
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
@@ -290,30 +291,31 @@ def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,
 # one-variable comparison runs
 
 
-def one_dim_contrast(spec: hardy.TruncationSpec) -> SingularSpectrum:
+def one_dim_contrast(degree: int,
+                     quad: hardy.CircleQuadrature) -> SingularSpectrum:
     """Spectrum of the one-variable cusp composition operator, columns
-    exact in rows (rectangular factor SVD = full-column Gram route).
+    exact in rows (rectangular factor SVD = full-column Gram route), on
+    the caller's t1 mesh quad.
 
-    The boundary symbol touches the circle, so this operator is not
-    Hilbert-Schmidt-small: its a_n^{1/n} creeps toward 1, the contrast
-    to the damped two-variable decay.  Degree is capped at 512; beyond
-    that the dense SVD cost outgrows the desk budget.  The tail sums the
+    The boundary symbol touches the circle at t = 0, so quad must reach
+    deep into the cusp, and this operator is not Hilbert-Schmidt-small:
+    its a_n^{1/n} creeps toward 1, the contrast to the damped
+    two-variable decay.  Degree is capped at 512; beyond that the dense
+    SVD cost outgrows the desk budget.  The tail sums the
     discarded column norms node by node, so it never cancels to zero.
     The SVD resolves values only down to its rounding level eps * s_1,
     recorded as the noise_floor."""
-    if spec.max_degree > 512:
+    if degree > 512:
         raise ConfigurationError("one-dim contrast capped at degree 512")
-    d = spec.max_degree
-    quad = hardy.circle_quadrature(spec.quad_points, math.exp(-80.0))
     chi = maps.cusp_on_circle(quad.nodes)
-    v = quad.factor(np.vander(chi, d + 1, increasing=True))
+    v = quad.factor(np.vander(chi, degree + 1, increasing=True))
     try:
         s = np.linalg.svd(v, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise CuspDecayError("SVD failed to converge: %s" % exc) from exc
     # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2
     r = np.abs(chi) ** 2
-    tail = math.sqrt(quad.mean(r ** (d + 1) / (1.0 - r)))
+    tail = math.sqrt(quad.mean(r ** (degree + 1) / (1.0 - r)))
     return SingularSpectrum(s, tail, float(np.finfo(float).eps * s[0]))
 
 

@@ -15,9 +15,44 @@ def params():
     return SymbolParams(theta=0.5, c=1.456697e-3, k_hat=2.519054)
 
 
+GRADED_PANEL_POINTS = 12
+
+
+def graded_mesh(panels=16, ratio=0.2, floor=1e-14):
+    """Composite GRADED_PANEL_POINTS-point Gauss-Legendre mesh on
+    (0, pi], resolving chi's log cusp at t = 0 and its lens corner at
+    t = pi/2: panels pi/panels wide, except the three that touch t = 0
+    and either side of pi/2, which are split geometrically by ratio
+    toward that point until the innermost panel's near edge is below
+    floor (the geometric meshes of Babuska and Guo).  The defaults give
+    876 nodes, panels = 32 gives 1032; the holes next to 0 and pi/2 are
+    narrower than floor."""
+    x, w = np.polynomial.legendre.leggauss(GRADED_PANEL_POINTS)
+    h = math.pi / panels
+    edges = [(k * h, (k + 1) * h) for k in range(panels)
+             if k not in (0, panels // 2 - 1, panels // 2)]
+    gap = h  # far edge of the next graded panel, from its point
+    while gap > floor:
+        for point, side in ((0.0, 1.0), (math.pi / 2, -1.0),
+                            (math.pi / 2, 1.0)):
+            edges.append(tuple(sorted((point + side * gap,
+                                       point + side * gap * ratio))))
+        gap *= ratio
+    lo, hi = np.array(edges).T
+    nodes = ((hi + lo)[:, None] + (hi - lo)[:, None] * x) / 2.0
+    weights = (hi - lo)[:, None] * w / 2.0
+    order = np.argsort(nodes, axis=None)
+    return hardy.CircleQuadrature(nodes.ravel()[order],
+                                  weights.ravel()[order])
+
+
 @pytest.fixture(scope="session")
-def small_spec():
-    return hardy.TruncationSpec(16, 256)
+def meshes():
+    """q -> the two t1 meshes every same-quadrature oracle runs its
+    operator on: the uniform q-point grid and graded_mesh()."""
+    graded = graded_mesh()
+    return lambda q: {"uniform": hardy.circle_quadrature(q),
+                      "graded": graded}
 
 
 def disk_samples(count, seed):
@@ -164,23 +199,21 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
-def dense_column_gram(params, spec, kind="paper", quad=None):
+def dense_column_gram(params, d, quad, kind="paper"):
     """(G, tail): the column Gram of hardy.column_gram_operator written
     out by applying the operator to the identity, symmetrised from its
     upper triangle, and the operator's truncation tail."""
-    op = hardy.column_gram_operator(params, spec, kind, quad)
+    op = hardy.column_gram_operator(params, d, quad, kind)
     gram = op.matmat(np.eye(op.order))
     return np.triu(gram) + np.triu(gram, 1).T, op.tail
 
 
-def stacked_product_gram(params, spec, kind="paper"):
+def stacked_product_gram(params, d, quad, kind="paper"):
     """Column Gram oracle for F = A symbols, by the per-j build:
     G = sum_j R_j^T R_j with R_j = [Re M_j; Im M_j],
     M_j[node, (a1, a2)] = sqrt(w/pi) F^a1 C(a2, j) A^(a2-j) |B|^j over
-    the half-circle nodes, each product scattered into the index_set
-    layout.  It shares no code with hardy's moment route."""
-    d = spec.max_degree
-    quad = hardy.circle_quadrature(spec.quad_points)
+    the half-circle nodes of quad, each product scattered into the
+    index_set layout.  It shares no code with hardy's moment route."""
     data = hardy.symbol_boundary_data(params, quad.nodes, kind)
     sqw = np.sqrt(quad.weights / math.pi)[:, None]
     f_pows = np.vander(data.F, d + 1, increasing=True)
@@ -224,11 +257,11 @@ def split_quadrature(n):
 PAIR_CHUNK = 1 << 13
 
 
-def pair_stack_split_grams(params, spec, n):
+def pair_stack_split_grams(params, d, m2, n):
     """Real Gram matrices, in the index_set layout, of the monomial
     embedding restricted to the three regions of split_cuts(params, n),
     by the product rule over (t1, t2) pairs: on split_quadrature(n) in
-    t1 and the midpoint grid of m2 = Q points in t2, each pair's row
+    t1 and the midpoint grid of m2 points in t2, each pair's row
     sqrt(w/(pi m2)) w1^a1 w2^a2 over the index_set columns goes to the
     Gram R^T R, R = [Re V; Im V], of the region its max(|w1|, |w2|)
     falls in.  A column's t2 integrand has degree <= 2D < m2, so the
@@ -236,7 +269,6 @@ def pair_stack_split_grams(params, spec, n):
     Gram of hardy.column_gram_operator on the same t1 quadrature, which
     shares no Gram code with this product rule.  Returns (inner,
     middle, outer)."""
-    d, m2 = spec.max_degree, spec.quad_points
     quad = split_quadrature(n)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
     t2 = hardy.midpoint_nodes(m2)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspdecay import hardy, maps, spectrum, verifier
+from cuspdecay import cli, hardy, maps, spectrum, verifier
 from conftest import pair_stack_split_grams, split_quadrature, window_integrals
 
 
@@ -30,8 +30,8 @@ def _linefit(x, y):
 
 def test_01_headline_decay_rate(params):
     # a_{n^2} falls like e^{-tau n} with tau > 0 at degree 48
-    spec = hardy.TruncationSpec(48, 1024)
-    spct = spectrum.composition_spectrum(params, spec)
+    spct = spectrum.composition_spectrum(params, 48,
+                                         hardy.circle_quadrature(1024))
     n_max = math.isqrt(48 + 1)
     fit = spectrum.fit_decay(spct, 2, range(1, n_max + 1))
     beta = spectrum.beta_estimate(spct, 2, range(1, n_max + 1))
@@ -49,7 +49,8 @@ def test_01_headline_decay_rate(params):
     "tail, so the dip is a property of the truncated operator, not noise",
     strict=True)
 def test_02a_one_dim_root_strictly_increasing():
-    spct = spectrum.one_dim_contrast(hardy.TruncationSpec(512, 4096))
+    spct = spectrum.one_dim_contrast(
+        512, hardy.circle_quadrature(4096, cli.ONE_DIM_T_FLOOR))
     roots = [spectrum.approximation_numbers(spct, n)[0] ** (1.0 / n)
              for n in (8, 16, 32, 64)]
     print("roots", ["%.6f" % r for r in roots],
@@ -70,7 +71,8 @@ def test_02b_shrunken_symbol_plateau():
 
 def test_03_hs_stability_and_window_decay(params):
     value, doubled = (
-        hardy.column_gram_operator(params, hardy.TruncationSpec(48, q)).hs_sq
+        hardy.column_gram_operator(params, 48,
+                                   hardy.circle_quadrature(q)).hs_sq
         for q in (1024, 2048))
     rel_change = abs(doubled - value) / abs(doubled)
     print("hs %.12f doubled %.12f rel %.3e" % (value, doubled, rel_change))
@@ -135,13 +137,11 @@ def test_08_splitting_exactness(params):
     # the region Grams of the (t1, t2)-pair product rule sum to the
     # column Gram operator on the same t1 quadrature, which integrates
     # t2 exactly: two computations that share no Gram code
-    spec = hardy.TruncationSpec(12, 64)
     rng = np.random.default_rng(8)
     log_norms = []
     for n in (90, 140, 190):
-        regions = pair_stack_split_grams(params, spec, n)
-        op = hardy.column_gram_operator(params, spec, "paper",
-                                        quad=split_quadrature(n))
+        regions = pair_stack_split_grams(params, 12, 64, n)
+        op = hardy.column_gram_operator(params, 12, split_quadrature(n))
         full = op.matmat(np.eye(op.order))
         gap = float(np.max(np.abs(sum(regions) - full)))
         assert gap <= 1e-14

@@ -126,8 +126,11 @@ def test_runconfig_validation():
         cli.RunConfig(seed=-1).validate()
     with pytest.raises(ConfigurationError):
         cli.RunConfig(precision="quad").validate()
-    with pytest.raises(ConfigurationError):
-        cli.RunConfig(degree=16, quad=32).validate()
+    # the truncation: D >= 1, Q a power of two, Q >= 4(D+1)
+    cli.RunConfig(degree=16, quad=256).validate()
+    for degree, quad in ((0, 256), (4, 100), (16, 32)):
+        with pytest.raises(ConfigurationError, match="power of two"):
+            cli.RunConfig(degree=degree, quad=quad).validate()
     with pytest.raises(ConfigurationError):
         cli.RunConfig(theta=1.5).validate()
     with pytest.raises(ConfigurationError):
@@ -249,8 +252,7 @@ def test_matrix_verb_roundtrip(tmp_path, frozen_cfg, capsys):
 
 def _assembled(frozen_cfg, degree, quad):
     cfg = cli.load_config(frozen_cfg, {"degree": degree, "quad": quad})
-    return cfg, hardy.assemble_matrix(cli.resolve_params(cfg),
-                                      hardy.TruncationSpec(degree, quad))
+    return cfg, hardy.assemble_matrix(cli.resolve_params(cfg), degree, quad)
 
 
 def test_matrix_npz_roundtrip(tmp_path, frozen_cfg):
@@ -615,11 +617,29 @@ def test_unusable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
     assert "cannot use output directory %r" % out in capsys.readouterr().err
 
 
+def test_failed_verb_removes_the_directories_main_made(tmp_path, frozen_cfg):
+    root = tmp_path / "outs"
+    root.mkdir()
+    made = root / "new" / "art"
+    argv = ["map-eval", "--config", frozen_cfg, "--point=2+0i", "--out"]
+    assert cli.main(argv + [str(made)]) == 2
+    assert list(root.iterdir()) == []
+    # a directory that was there stays
+    kept = root / "kept"
+    kept.mkdir()
+    assert cli.main(argv + [str(kept / "art")]) == 2
+    assert list(root.iterdir()) == [kept] and list(kept.iterdir()) == []
+    # and so does one a failing verb wrote into, with its parents
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--symbol",
+                     "diagonal", "--out", str(made)]) == 1
+    assert [p.name for p in made.iterdir()] == ["spectrum_diagonal.csv"]
+
+
 @pytest.mark.parametrize("argv, code, message", [
     (["calibrate", "--config", "{typo}"], 2, "unknown config key 'sampels'"),
-    (["calibrate", "--config", "{binary}"], 2, "cannot read config"),
+    (["calibrate", "--config", "{binary}"], 2, "{binary}: cannot read config"),
     (["map-eval", "--config", "{cfg}", "--points", "{binary}"], 2,
-     "cannot read points"),
+     "{binary}: cannot read points"),
     (["map-eval", "--config", "{cfg}", "--point=2+0i"], 2,
      "arg:1: point outside the closed unit disk"),
     (["calibrate", "--config", "{cfg}", "--out", "{file}/sub"], 2,
@@ -655,7 +675,9 @@ def test_exit_contract(tmp_path, argv, code, message):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert message in lines[0]
+    assert message.format(**paths) in lines[0]
+    # only the fit that refuses wrote into the directory main made
+    assert paths["art"].exists() == (code == 1)
 
 
 def _decay_payload(tail_bound, tail_radicand):

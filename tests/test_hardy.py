@@ -24,16 +24,6 @@ def test_index_set_layout():
         hardy.index_set(-1)
 
 
-def test_truncation_spec_validation():
-    hardy.TruncationSpec(16, 256)
-    with pytest.raises(ConfigurationError):
-        hardy.TruncationSpec(0, 256)
-    with pytest.raises(ConfigurationError):
-        hardy.TruncationSpec(4, 100)  # not a power of two
-    with pytest.raises(ConfigurationError):
-        hardy.TruncationSpec(16, 32)  # below 4(D+1)
-
-
 def test_kernel_reproduces_point_evaluation():
     # <f, K_a> in coefficient space equals f(a), random degree <= 16
     rng = np.random.default_rng(42)
@@ -115,9 +105,8 @@ def test_boundary_data_conjugation_symmetry(params, kind, g_kind):
                               np.conj(getattr(up, name))), name
 
 
-def _brute_force_entries(params, spec, kind):
+def _brute_force_entries(params, d, q, kind):
     """Every Fourier coefficient by plain 2-D midpoint quadrature."""
-    d, q = spec.max_degree, spec.quad_points
     t = hardy.midpoint_nodes(q)
     data = hardy.symbol_boundary_data(params, t, kind)
     w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
@@ -135,16 +124,14 @@ def _brute_force_entries(params, spec, kind):
 
 @pytest.mark.parametrize("kind", ["paper", "diagonal", "identity"])
 def test_assembly_matches_brute_force(params, kind):
-    spec = hardy.TruncationSpec(4, 64)
-    om = hardy.assemble_matrix(params, spec, kind)
-    brute = _brute_force_entries(params, spec, kind)
+    om = hardy.assemble_matrix(params, 4, 64, kind)
+    brute = _brute_force_entries(params, 4, 64, kind)
     assert np.max(np.abs(om.entries - brute)) < 1e-10
 
 
 def test_assembly_matches_brute_force_scaling(params):
-    spec = hardy.TruncationSpec(4, 64)
-    om = hardy.assemble_matrix(params, spec, "scaling")
-    brute = _brute_force_entries(None, spec, "scaling")
+    om = hardy.assemble_matrix(params, 4, 64, "scaling")
+    brute = _brute_force_entries(None, 4, 64, "scaling")
     assert np.max(np.abs(om.entries - brute)) < 1e-10
     # exact diagonal: entry((b),(a)) = delta * 2^-(a1+a2)
     idx = om.indices
@@ -158,14 +145,13 @@ def test_assembly_matches_brute_force_constant_g(params):
     # for F^a1 moves entries by ~1e-2
     p2 = maps.SymbolParams(theta=params.theta, c=0.05, k_hat=params.k_hat,
                            g_kind="constant_one")
-    spec = hardy.TruncationSpec(4, 128)
-    om = hardy.assemble_matrix(p2, spec)
-    brute = _brute_force_entries(p2, spec, "paper")
+    om = hardy.assemble_matrix(p2, 4, 128)
+    brute = _brute_force_entries(p2, 4, 128, "paper")
     assert np.max(np.abs(om.entries - brute)) < 1e-10
 
 
-def test_assembled_matrix_metadata(params, small_spec):
-    om = hardy.assemble_matrix(params, small_spec)
+def test_assembled_matrix_metadata(params):
+    om = hardy.assemble_matrix(params, 16, 256)
     assert om.max_degree == 16 and om.quad_points == 256
     assert om.entries.shape == (17 * 17, 17 * 17)
     assert om.entries.dtype == np.float64
@@ -174,19 +160,18 @@ def test_assembled_matrix_metadata(params, small_spec):
 
 
 def test_identity_symbol_is_not_hilbert_schmidt(params):
-    spec = hardy.TruncationSpec(2, 32)
-    om = hardy.assemble_matrix(None, spec, "identity")
+    om = hardy.assemble_matrix(None, 2, 32, "identity")
     assert math.isinf(om.tail_hs) and math.isinf(om.hs_sq)
-    op = hardy.column_gram_operator(None, spec, "identity")
-    assert math.isinf(op.hs_sq) and math.isinf(op.tail)
     quad = hardy.circle_quadrature(32)
+    op = hardy.column_gram_operator(None, 2, quad, "identity")
+    assert math.isinf(op.hs_sq) and math.isinf(op.tail)
     data = hardy.symbol_boundary_data(None, quad.nodes, "identity")
     assert math.isinf(hardy._hs_quadrature(data, quad))
 
 
 def _hs(params, d, q, kind="paper"):
     return hardy.column_gram_operator(
-        params, hardy.TruncationSpec(d, q), kind).hs_sq
+        params, d, hardy.circle_quadrature(q), kind).hs_sq
 
 
 def test_hs_norm_frozen_values(params):
@@ -213,8 +198,7 @@ def test_hs_scaling_closed_form(params):
 
 def test_hs_brute_force(params):
     # torus double integral of 1/((1-|w1|^2)(1-|w2|^2))
-    spec = hardy.TruncationSpec(4, 512)
-    t = hardy.midpoint_nodes(spec.quad_points)
+    t = hardy.midpoint_nodes(512)
     data = hardy.symbol_boundary_data(params, t, "paper")
     w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
     vals = 1.0 / ((1.0 - np.abs(data.F[:, None]) ** 2)
@@ -226,20 +210,18 @@ def test_hs_brute_force(params):
 
 def test_truncation_error_scaling_closed_form(params):
     d = 2
-    tail = hardy.column_gram_operator(params, hardy.TruncationSpec(d, 64),
+    tail = hardy.column_gram_operator(params, d, hardy.circle_quadrature(64),
                                       kind="scaling").tail
     kept = sum(0.25 ** (a1 + a2) for a1 in range(d + 1)
                for a2 in range(d + 1))
     assert abs(tail - math.sqrt(16.0 / 9.0 - kept)) < 1e-12
 
 
-def _column_quadrature_norms(params, spec, kind="paper"):
+def _column_quadrature_norms(params, d, quad, kind="paper"):
     """||e_alpha o Phi||^2 under the discrete pullback measure in closed
     form, t2 exact: per node sum_j C(a2,j)^2 |A|^{2(a2-j)} |B|^{2j},
-    averaged in t1 over the uniform half-circle quadrature."""
-    quad = hardy.circle_quadrature(spec.quad_points)
+    averaged in t1 over the half-circle quadrature quad."""
     data = hardy.symbol_boundary_data(params, quad.nodes, kind)
-    d = spec.max_degree
     idx = hardy.index_set(d)
     aa = np.abs(data.A) ** 2
     bb = np.abs(data.B) ** 2
@@ -252,10 +234,11 @@ def _column_quadrature_norms(params, spec, kind="paper"):
     return idx, quad.weights @ vals / math.pi
 
 
-def test_column_norms_parseval(params, small_spec):
-    idx, cols = _column_quadrature_norms(params, small_spec)
+def test_column_norms_parseval(params):
+    quad = hardy.circle_quadrature(256)
+    idx, cols = _column_quadrature_norms(params, 16, quad)
     assert idx.shape[0] == cols.size == 17 * 17
-    op = hardy.column_gram_operator(params, small_spec)
+    op = hardy.column_gram_operator(params, 16, quad)
     hs, tail = op.hs_sq, op.tail
     assert np.all(cols > 0.0)
     assert np.sum(cols) < hs
@@ -265,19 +248,18 @@ def test_column_norms_parseval(params, small_spec):
 @pytest.mark.parametrize("kind,g_kind", _SYMBOL_KINDS)
 def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     p = _with_g_kind(params, g_kind)
-    spec = hardy.TruncationSpec(6, 256)
-    gram, tail = dense_column_gram(p, spec, kind)
-    t = hardy.midpoint_nodes(spec.quad_points)
+    gram, tail = dense_column_gram(p, 6, hardy.circle_quadrature(256), kind)
+    t = hardy.midpoint_nodes(256)
     data = hardy.symbol_boundary_data(p, t, kind)
     w2 = data.A[:, None] + data.B[:, None] * np.exp(1j * t)[None, :]
     idx = hardy.index_set(6)
     v = (data.F[:, None, None] ** idx[:, 0]) * w2[:, :, None] ** idx[:, 1]
     v = v.reshape(-1, idx.shape[0])
-    brute = v.conj().T @ v / (spec.quad_points ** 2)
+    brute = v.conj().T @ v / 256 ** 2
     assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
     # only g = 1 (image F^a1 A^a2) has no moment form: it keeps its factor
-    op = hardy.column_gram_operator(p, spec, kind)
+    op = hardy.column_gram_operator(p, 6, hardy.circle_quadrature(256), kind)
     factored = kind == "paper" and g_kind == "constant_one"
     assert (op.factor is not None) == factored
     assert (op.moments is None) == factored
@@ -286,7 +268,7 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     # the complex Gram over the +-t nodes with their weights, each node a
     # plain mean over a 256-point t2 grid
     quad = hardy.circle_quadrature(64, 1e-30)
-    graded, graded_tail = dense_column_gram(p, spec, kind, quad=quad)
+    graded, graded_tail = dense_column_gram(p, 6, quad, kind)
     t1 = np.concatenate([quad.nodes, -quad.nodes])
     w = np.concatenate([quad.weights, quad.weights]) / (2.0 * math.pi)
     gd = hardy.symbol_boundary_data(p, t1, kind)
@@ -313,47 +295,50 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
 
 
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
-def test_column_gram_matches_stacked_products(params, d, q):
-    spec = hardy.TruncationSpec(d, q)
-    gram, _ = dense_column_gram(params, spec)
-    assert np.array_equal(gram, gram.T)
-    assert np.max(np.abs(gram - stacked_product_gram(params, spec))) <= 1e-14
+def test_column_gram_matches_stacked_products(params, meshes, d, q):
+    for mesh, quad in meshes(q).items():
+        gram, _ = dense_column_gram(params, d, quad)
+        assert np.array_equal(gram, gram.T), mesh
+        oracle = stacked_product_gram(params, d, quad)
+        assert np.max(np.abs(gram - oracle)) <= 1e-14, mesh
 
 
 @pytest.mark.parametrize("kind", ["paper", "diagonal"])
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
-def test_column_gram_operator_matches_stacked_products(params, kind, d, q):
-    spec = hardy.TruncationSpec(d, q)
-    op = hardy.column_gram_operator(params, spec, kind)
-    gram = stacked_product_gram(params, spec, kind)
-    assert op.order == gram.shape[0] == (d + 1) ** 2
-    x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
-    err = np.max(np.abs(op.matmat(x) - gram @ x))
-    assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2)
-    trace = float(np.trace(gram))
-    assert abs(op.trace - trace) <= 1e-14 * trace
-    # HS^2 in closed form in t2 on the same half-circle nodes
-    quad = hardy.circle_quadrature(q)
-    data = hardy.symbol_boundary_data(params, quad.nodes, kind)
-    ff, aa, bb = (np.abs(v) ** 2 for v in (data.F, data.A, data.B))
-    hs = float(np.sum(quad.weights / ((1.0 - ff) * np.sqrt(
-        (1.0 - aa - bb) ** 2 - 4.0 * aa * bb)))) / math.pi
-    assert abs(op.hs_sq - hs) <= 1e-14 * hs
-    assert op.tail_radicand == op.hs_sq - op.trace
+def test_column_gram_operator_matches_stacked_products(params, meshes, kind,
+                                                       d, q):
+    for mesh, quad in meshes(q).items():
+        op = hardy.column_gram_operator(params, d, quad, kind)
+        gram = stacked_product_gram(params, d, quad, kind)
+        assert op.order == gram.shape[0] == (d + 1) ** 2
+        x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
+        err = np.max(np.abs(op.matmat(x) - gram @ x))
+        assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2), \
+            mesh
+        trace = float(np.trace(gram))
+        assert abs(op.trace - trace) <= 1e-14 * trace, mesh
+        # HS^2 in closed form in t2 on the same half-circle nodes
+        data = hardy.symbol_boundary_data(params, quad.nodes, kind)
+        ff, aa, bb = (np.abs(v) ** 2 for v in (data.F, data.A, data.B))
+        hs = float(np.sum(quad.weights / ((1.0 - ff) * np.sqrt(
+            (1.0 - aa - bb) ** 2 - 4.0 * aa * bb)))) / math.pi
+        assert abs(op.hs_sq - hs) <= 1e-14 * hs, mesh
+        assert op.tail_radicand == op.hs_sq - op.trace, mesh
 
 
-def test_column_gram_diagonal_matches_column_norms(params, small_spec):
-    gram, _ = dense_column_gram(params, small_spec)
-    idx, cols = _column_quadrature_norms(params, small_spec)
-    assert np.max(np.abs(np.diag(gram).real - cols)) < 1e-13
+def test_column_gram_diagonal_matches_column_norms(params, meshes):
+    for mesh, quad in meshes(256).items():
+        gram, _ = dense_column_gram(params, 16, quad)
+        idx, cols = _column_quadrature_norms(params, 16, quad)
+        assert np.max(np.abs(np.diag(gram).real - cols)) < 1e-13, mesh
 
 
-def test_column_gram_infinite_tail_for_identity():
-    gram, tail = dense_column_gram(None, hardy.TruncationSpec(2, 32),
-                                   "identity")
-    assert math.isinf(tail)
-    # columns e_{a} o identity are orthonormal
-    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
+def test_column_gram_infinite_tail_for_identity(meshes):
+    for mesh, quad in meshes(32).items():
+        gram, tail = dense_column_gram(None, 2, quad, "identity")
+        assert math.isinf(tail), mesh
+        # columns e_{a} o identity are orthonormal
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12, mesh
 
 
 def test_graded_mesh():
