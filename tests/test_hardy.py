@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from cuspdecay import hardy, maps
+from cuspdecay import cli, hardy, maps
 from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import dense_column_gram, stacked_product_gram, window_integrals
 
@@ -22,6 +22,15 @@ def test_index_set_layout():
     assert np.array_equal(idx[:4], [[0, 0], [0, 1], [1, 0], [1, 1]])
     with pytest.raises(ConfigurationError):
         hardy.index_set(-1)
+
+
+def test_truncation_spec_validation():
+    # the truncation rules, checked where a config enters:
+    # D >= 1, Q a power of two, Q >= 4(D+1)
+    cli.RunConfig(degree=16, quad=256).validate()
+    for degree, quad in ((0, 256), (4, 100), (16, 32)):
+        with pytest.raises(ConfigurationError, match="power of two"):
+            cli.RunConfig(degree=degree, quad=quad).validate()
 
 
 def test_kernel_reproduces_point_evaluation():
