@@ -54,9 +54,9 @@ too few points, a kernel that failed).  The output directory is made
 before a verb computes anything, so an unusable one costs no run; a
 verb that fails removes the directories main made while they are empty.
 
-The verbs build each t1 mesh from degree and quad: the uniform grid
-hardy.circle_quadrature(Q), with Gauss panels toward the cusp down to
-ONE_DIM_T_FLOOR for the one-dim contrast.
+The two-variable verbs run on the uniform grid hardy.circle_quadrature(Q);
+the one-dim contrast reads no quad: one_dim.json records its mesh,
+hardy.graded_quadrature(ONE_DIM_PANELS, ONE_DIM_CUSP_FLOOR).
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near
@@ -419,7 +419,8 @@ def cmd_matrix(cfg: RunConfig, args) -> int:
 
 
 SCHEDULE_EXPONENT = 2  # the paper's schedule n -> n^2
-ONE_DIM_T_FLOOR = math.exp(-80.0)  # one-dim mesh: cusp panels reach it
+# the one-dim contrast's mesh: its bulk panels and its cusp panels' depth
+ONE_DIM_PANELS, ONE_DIM_CUSP_FLOOR = 16, math.exp(-80.0)
 
 
 def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
@@ -479,11 +480,13 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if tag in ("paper", "diagonal"):
         return _two_var_spectrum(cfg, tag)
     if tag == "one-dim":
-        spct = spectrum.one_dim_contrast(
-            cfg.degree, hardy.circle_quadrature(cfg.quad, ONE_DIM_T_FLOOR))
+        quad = hardy.graded_quadrature(ONE_DIM_PANELS, ONE_DIM_CUSP_FLOOR)
+        spct = spectrum.one_dim_contrast(cfg.degree, quad)
+        mesh = {"panels": ONE_DIM_PANELS, "nodes": quad.nodes.size,
+                "cusp_floor": ONE_DIM_CUSP_FLOOR}
         return _write_trend(cfg, "one_dim", spct,
                             {"symbol": "one-dim", "degree": cfg.degree,
-                             "noise_floor": spct.noise_floor})
+                             "mesh": mesh, "noise_floor": spct.noise_floor})
     _, scale = tag
     spct = spectrum.one_dim_plateau(scale=scale)
     sup = spectrum.scaled_sup_bound(scale)

@@ -33,12 +33,13 @@ Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
 the normalized circle mean of any product of them and their conjugates
 is (1/pi) sum w Re(...), and CircleQuadrature.factor writes the mean
-of conj(X) Y as one real matrix product.  The column Gram runs on the
-mesh its caller passes, and the assembled matrix on the uniform grid
-of Q points; each shares its nodes and weights with its
-Hilbert-Schmidt integral, so the truncation tail HS^2 - trace G is a
-quadrature Parseval remainder and cannot go negative except by
-rounding.
+of conj(X) Y as one real matrix product.  circle_quadrature builds the
+uniform grid, graded_quadrature the mesh that resolves chi's cusp and
+lens corners.  The column Gram runs on the mesh its caller passes, and
+the assembled matrix on the uniform grid of Q points; each shares its
+nodes and weights with its Hilbert-Schmidt integral, so the truncation
+tail HS^2 - trace G is a quadrature Parseval remainder and cannot go
+negative except by rounding.
 """
 
 from __future__ import annotations
@@ -135,9 +136,6 @@ def midpoint_nodes(q: int) -> np.ndarray:
 # half-circle quadrature
 
 
-PANEL_POINTS = 8
-
-
 @dataclass(frozen=True)
 class CircleQuadrature:
     """Nodes on (0, pi], ascending, with plain-dt weights.
@@ -160,36 +158,40 @@ class CircleQuadrature:
         return np.concatenate([v.real, v.imag])
 
 
-def circle_quadrature(q: int,
-                      t_floor: float | None = None) -> CircleQuadrature:
-    """Midpoint cells of width 2pi/q on (0, pi]; with t_floor, the
-    cusp-adjacent cell (0, 2pi/q) is replaced by dyadic Gauss-Legendre
-    panels [h/2, h] until the left edge drops below t_floor.
-
-    Uniform cells resolve the bulk, where columns of degree up to D
-    oscillate like e^{iDt}; only the panels reach the log-singular cusp
-    at t = 0.  The hole (0, ~t_floor) is left uncovered; callers pick
-    t_floor far below the scale they integrate.  q = 2 gives the purely
-    dyadic mesh on (0, pi]."""
+def circle_quadrature(q: int) -> CircleQuadrature:
+    """The upper half of the q-point midpoint grid, on (0, pi]; it
+    resolves neither chi's cusp nor its corners (graded_quadrature)."""
     if q < 2 or (q & (q - 1)) != 0:
         raise ConfigurationError("q must be a power of two, at least 2")
-    nodes = [midpoint_nodes(q)[: q // 2]]
-    weights = [np.full(q // 2, 2.0 * math.pi / q)]
-    if t_floor is not None:
-        hi = 2.0 * math.pi / q
-        if not 0.0 < t_floor < hi:
-            raise ConfigurationError("t_floor must lie in (0, 2pi/q)")
-        nodes[0], weights[0] = nodes[0][1:], weights[0][1:]
-        x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
-        while hi > t_floor:
-            lo = hi / 2.0
-            mid, half = (hi + lo) / 2.0, (hi - lo) / 2.0
-            nodes.append(mid + half * x)
-            weights.append(half * w)
-            hi = lo
-    nodes = np.concatenate(nodes)
+    return CircleQuadrature(midpoint_nodes(q)[: q // 2],
+                            np.full(q // 2, 2.0 * math.pi / q))
+
+
+def graded_quadrature(panels: int, floor: float) -> CircleQuadrature:
+    """8-point Gauss-Legendre panels pi/panels wide on (0, pi], graded
+    toward chi's log cusp at t = 0 and its lens corner at pi/2
+    (geometric meshes after Babuska and Guo): the panels that touch 0
+    and either side of pi/2 are split dyadically, [h/2, h] from the
+    point, until the near edge is below floor at 0 and 1e-14 at pi/2.
+    Callers pick floor far below the scale they integrate."""
+    h = math.pi / panels
+    if panels < 4 or panels & (panels - 1) or not 0.0 < floor < h:
+        raise ConfigurationError(
+            "need panels a power of two >= 4 and floor in (0, pi/panels)")
+    edges = [(k * h, (k + 1) * h) for k in range(1, panels)
+             if k not in (panels // 2 - 1, panels // 2)]
+    for point, side, stop in ((0.0, 1.0, floor), (math.pi / 2, -1.0, 1e-14),
+                              (math.pi / 2, 1.0, 1e-14)):
+        gap = h
+        while gap > stop:
+            edges.append(sorted((point + side * gap, point + side * gap / 2)))
+            gap /= 2.0
+    lo, hi = np.array(edges).T
+    mid, half = (hi + lo)[:, None] / 2.0, (hi - lo)[:, None] / 2.0
+    x, w = np.polynomial.legendre.leggauss(8)
+    nodes = (mid + half * x).ravel()
     order = np.argsort(nodes)
-    return CircleQuadrature(nodes[order], np.concatenate(weights)[order])
+    return CircleQuadrature(nodes[order], (half * w).ravel()[order])
 
 
 # ---------------------------------------------------------------------------

@@ -295,16 +295,15 @@ def one_dim_contrast(degree: int,
                      quad: hardy.CircleQuadrature) -> SingularSpectrum:
     """Spectrum of the one-variable cusp composition operator, columns
     exact in rows (rectangular factor SVD = full-column Gram route), on
-    the caller's t1 mesh quad.
+    the caller's t1 mesh quad, which must resolve the cusp at t = 0 and
+    the lens corner at pi/2 (hardy.graded_quadrature).
 
-    The boundary symbol touches the circle at t = 0, so quad must reach
-    deep into the cusp, and this operator is not Hilbert-Schmidt-small:
-    its a_n^{1/n} creeps toward 1, the contrast to the damped
-    two-variable decay.  Degree is capped at 512; beyond that the dense
-    SVD cost outgrows the desk budget.  The tail sums the
-    discarded column norms node by node, so it never cancels to zero.
-    The SVD resolves values only down to its rounding level eps * s_1,
-    recorded as the noise_floor."""
+    This operator is not Hilbert-Schmidt-small: its a_n^{1/n} creeps
+    toward 1, the contrast to the damped two-variable decay.  Degree is
+    capped at 512, where the dense SVD outgrows the desk budget.  The
+    tail sums the discarded column norms node by node, so it never
+    cancels to zero.  The SVD resolves values only down to its rounding
+    level eps * s_1, recorded as the noise_floor."""
     if degree > 512:
         raise ConfigurationError("one-dim contrast capped at degree 512")
     chi = maps.cusp_on_circle(quad.nodes)

@@ -15,42 +15,39 @@ def params():
     return SymbolParams(theta=0.5, c=1.456697e-3, k_hat=2.519054)
 
 
-GRADED_PANEL_POINTS = 12
+def tanh_sinh_quadrature(step=1.0 / 32.0, kmax=160):
+    """The tanh-sinh rule (Takahasi and Mori) with nodes k * step,
+    |k| <= kmax, on each lens arc of chi, (0, pi/2) and (pi/2, pi): the
+    tests' independent oracle mesh, clustered doubly exponentially at
+    the cusp t = 0 and at the corner pi/2.  With e = exp(-pi |sinh|),
+    1 -+ tanh are 2e/(1 + e) and 2/(1 + e), formed without cancellation
+    at both ends.  The defaults give 642 nodes, the smallest ~9e-102."""
+    u = step * np.arange(-kmax, kmax + 1)
+    e = np.exp(-math.pi * np.abs(np.sinh(u)))
+    near = 2.0 * e / (1.0 + e)  # distance to the closer end, in half-widths
+    weight = step * math.pi / 2.0 * np.cosh(u) * 4.0 * e / (1.0 + e) ** 2
+    half, arcs = math.pi / 4.0, ((0.0, math.pi / 2), (math.pi / 2, math.pi))
+    nodes = np.concatenate([np.where(u < 0, a + half * near, b - half * near)
+                            for a, b in arcs])
+    order = np.argsort(nodes, kind="stable")
+    return hardy.CircleQuadrature(nodes[order],
+                                  np.tile(half * weight, 2)[order])
 
 
-def graded_mesh(panels=16, ratio=0.2, floor=1e-14):
-    """Composite GRADED_PANEL_POINTS-point Gauss-Legendre mesh on
-    (0, pi], resolving chi's log cusp at t = 0 and its lens corner at
-    t = pi/2: panels pi/panels wide, except the three that touch t = 0
-    and either side of pi/2, which are split geometrically by ratio
-    toward that point until the innermost panel's near edge is below
-    floor (the geometric meshes of Babuska and Guo).  The defaults give
-    876 nodes, panels = 32 gives 1032; the holes next to 0 and pi/2 are
-    narrower than floor."""
-    x, w = np.polynomial.legendre.leggauss(GRADED_PANEL_POINTS)
-    h = math.pi / panels
-    edges = [(k * h, (k + 1) * h) for k in range(panels)
-             if k not in (0, panels // 2 - 1, panels // 2)]
-    gap = h  # far edge of the next graded panel, from its point
-    while gap > floor:
-        for point, side in ((0.0, 1.0), (math.pi / 2, -1.0),
-                            (math.pi / 2, 1.0)):
-            edges.append(tuple(sorted((point + side * gap,
-                                       point + side * gap * ratio))))
-        gap *= ratio
-    lo, hi = np.array(edges).T
-    nodes = ((hi + lo)[:, None] + (hi - lo)[:, None] * x) / 2.0
-    weights = (hi - lo)[:, None] * w / 2.0
-    order = np.argsort(nodes, axis=None)
-    return hardy.CircleQuadrature(nodes.ravel()[order],
-                                  weights.ravel()[order])
+@pytest.fixture(scope="session")
+def oracle_values(params):
+    """Descending square roots of the eigenvalues of the D = 32 column
+    Gram on tanh_sinh_quadrature(), built by stacked_product_gram."""
+    gram = stacked_product_gram(params, 32, tanh_sinh_quadrature())
+    return np.sqrt(np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None))
 
 
 @pytest.fixture(scope="session")
 def meshes():
     """q -> the two t1 meshes every same-quadrature oracle runs its
-    operator on: the uniform q-point grid and graded_mesh()."""
-    graded = graded_mesh()
+    operator on: the uniform q-point grid and the 1184-node graded
+    mesh."""
+    graded = hardy.graded_quadrature(16, 1e-14)
     return lambda q: {"uniform": hardy.circle_quadrature(q),
                       "graded": graded}
 
@@ -246,10 +243,10 @@ def split_cuts(params, n):
 
 
 def split_quadrature(n):
-    """The purely dyadic t1 quadrature of the split at rank n, floored
-    far enough below the cusp for the outer layer at this n."""
-    t_floor = max(math.exp(-(math.pi / 2.0) * n * 1.25 - 30.0), 1e-300)
-    return hardy.circle_quadrature(2, t_floor)
+    """The graded t1 quadrature of the split at rank n, floored far
+    enough below the cusp for the outer layer at this n."""
+    floor = max(math.exp(-(math.pi / 2.0) * n * 1.25 - 30.0), 1e-300)
+    return hardy.graded_quadrature(16, floor)
 
 
 # (t1 node, t2 point) pairs per block of pair_stack_split_grams, which
@@ -301,13 +298,13 @@ def window_integrals(h, params, quad=None):
 
     the latter in normalized Haar measure, so that I <= (2/(2pi)) I0 by
     the calibration margin 1 - |w2| >= (1 - |w1|)/2.  The t1 integrals
-    run on quad, by default the dyadic circle_quadrature(2, floor) with
-    the floor a few decades below the window's half-length
+    run on quad, by default hardy.graded_quadrature(16, floor) with the
+    floor a few decades below the window's half-length
     ~ exp(-pi/(2h) + 2.2); the t2 integral is a smooth periodic average
     over 256 midpoints."""
     if quad is None:
         floor = max(math.exp(-math.pi / (2.0 * h) * 1.5 - 30.0), 1e-300)
-        quad = hardy.circle_quadrature(2, floor)
+        quad = hardy.graded_quadrature(16, floor)
     data = hardy.symbol_boundary_data(params, quad.nodes, "paper")
     mask = np.abs(data.F - 1.0) <= h
     assert np.any(mask), "no quadrature node inside the window"

@@ -44,13 +44,14 @@ def test_01_headline_decay_rate(params):
 
 @pytest.mark.xfail(
     reason="a_n^{1/n} of the undamped one-variable operator dips between "
-    "n = 8 and n = 16 at every refinement tried (degree 512, quadrature "
-    "4096); the computed lower endpoints are well above the truncation "
-    "tail, so the dip is a property of the truncated operator, not noise",
+    "n = 8 and n = 16 at degree 512 on the graded mesh that resolves the "
+    "cusp and the lens corners; the computed lower endpoints are well "
+    "above the truncation tail, so the dip is a property of the "
+    "truncated operator, not noise",
     strict=True)
 def test_02a_one_dim_root_strictly_increasing():
-    spct = spectrum.one_dim_contrast(
-        512, hardy.circle_quadrature(4096, cli.ONE_DIM_T_FLOOR))
+    spct = spectrum.one_dim_contrast(512, hardy.graded_quadrature(
+        cli.ONE_DIM_PANELS, cli.ONE_DIM_CUSP_FLOOR))
     roots = [spectrum.approximation_numbers(spct, n)[0] ** (1.0 / n)
              for n in (8, 16, 32, 64)]
     print("roots", ["%.6f" % r for r in roots],

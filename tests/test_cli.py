@@ -393,6 +393,9 @@ def test_spectrum_one_dim_verb(tmp_path, frozen_cfg):
     assert rc == 0
     payload = json.load(open(os.path.join(out, "one_dim.json")))
     assert payload["symbol"] == "one-dim" and payload["degree"] == 32
+    # the mesh is fixed: --quad 256 does not reach it
+    assert payload["mesh"] == {"panels": 16, "nodes": 1736,
+                               "cusp_floor": math.exp(-80.0)}
     assert [r["n"] for r in payload["trend"]] == [1, 2, 4, 8, 16, 32]
     assert payload["tail_bound"] > 0.0
     # eps * a_1, with a_1 ~ 1.09

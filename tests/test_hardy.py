@@ -106,7 +106,7 @@ def test_boundary_data_conjugation_symmetry(params, kind, g_kind):
     # circle; check it on uniform and on deeply graded nodes
     p = _with_g_kind(params, g_kind)
     t = np.concatenate([hardy.circle_quadrature(4096).nodes,
-                        hardy.circle_quadrature(64, 1e-300).nodes])
+                        hardy.graded_quadrature(16, 1e-300).nodes])
     up = hardy.symbol_boundary_data(p, t, kind)
     down = hardy.symbol_boundary_data(p, -t, kind)
     for name in ("F", "A", "B"):
@@ -276,7 +276,7 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     # a caller's graded quadrature that reaches the cusp: the oracle sums
     # the complex Gram over the +-t nodes with their weights, each node a
     # plain mean over a 256-point t2 grid
-    quad = hardy.circle_quadrature(64, 1e-30)
+    quad = hardy.graded_quadrature(16, 1e-30)
     graded, graded_tail = dense_column_gram(p, 6, quad, kind)
     t1 = np.concatenate([quad.nodes, -quad.nodes])
     w = np.concatenate([quad.weights, quad.weights]) / (2.0 * math.pi)
@@ -350,38 +350,40 @@ def test_column_gram_infinite_tail_for_identity(meshes):
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12, mesh
 
 
-def test_graded_mesh():
-    quad = hardy.circle_quadrature(2, 1e-12)
+def test_graded_quadrature():
+    quad = hardy.graded_quadrature(16, 1e-12)
+    assert quad.nodes.size == 8 * (13 + 38 + 2 * 45)
     assert quad.nodes[0] < 1e-12 < quad.nodes[-1] <= math.pi
     assert np.all(np.diff(quad.nodes) > 0)
     assert np.all(quad.weights > 0)
-    # plain dt weights integrate t over the covered interval
-    covered = math.pi - quad.nodes[0]
-    assert abs(np.sum(quad.weights) - covered) < 1e-8
-    with pytest.raises(ConfigurationError):
-        hardy.circle_quadrature(2, 0.0)
-    with pytest.raises(ConfigurationError):
-        hardy.circle_quadrature(1)
+    # plain dt weights integrate over (0, pi] up to the holes
+    assert abs(np.sum(quad.weights) - math.pi) < 1e-12
+    assert abs(np.sum(quad.weights * np.cos(quad.nodes) ** 2)
+               - math.pi / 2.0) < 1e-12
+    # below the bulk, the cusp panels are exactly [pi/2^(m+1), pi/2^m]
+    x, _ = np.polynomial.legendre.leggauss(8)
+    for m in range(4, 42):
+        lo, hi = math.pi / 2 ** (m + 1), math.pi / 2 ** m
+        panel = quad.nodes[(quad.nodes > lo) & (quad.nodes < hi)]
+        assert np.array_equal(panel, (hi + lo) / 2 + (hi - lo) / 2 * x), m
+    for panels, floor in ((8, 0.0), (8, math.pi / 8), (2, 1e-3), (12, 1e-3)):
+        with pytest.raises(ConfigurationError):
+            hardy.graded_quadrature(panels, floor)
 
 
-def test_hybrid_mesh():
-    quad = hardy.circle_quadrature(64, 1e-9)
+def test_circle_quadrature():
+    # the upper half of the midpoint grid, whose mean of a
+    # conjugation-symmetric function is the full-grid mean
+    quad = hardy.circle_quadrature(64)
+    assert np.array_equal(quad.nodes, hardy.midpoint_nodes(64)[:32])
     assert np.all(np.diff(quad.nodes) > 0)
-    assert quad.nodes[0] < 1e-9
-    # integrates smooth periodic functions to midpoint-rule accuracy
-    val = float(np.sum(quad.weights * np.cos(quad.nodes) ** 2))
-    assert abs(val - math.pi / 2.0) < 1e-3
-    # without a floor: the upper half of the midpoint grid, whose mean
-    # of a conjugation-symmetric function is the full-grid mean
-    plain = hardy.circle_quadrature(64)
-    assert np.array_equal(plain.nodes, hardy.midpoint_nodes(64)[:32])
+    assert np.all(quad.weights == 2.0 * math.pi / 64)
     t = hardy.midpoint_nodes(64)
     f = np.exp(3j * t) / (2.0 - np.cos(t))
-    assert abs(plain.mean(f[:32]) - np.mean(f).real) < 1e-15
-    with pytest.raises(ConfigurationError):
-        hardy.circle_quadrature(63, 1e-9)
-    with pytest.raises(ConfigurationError):
-        hardy.circle_quadrature(64, 1.0)  # above the first cell
+    assert abs(quad.mean(f[:32]) - np.mean(f).real) < 1e-15
+    for q in (1, 63):
+        with pytest.raises(ConfigurationError):
+            hardy.circle_quadrature(q)
 
 
 def test_window_integrals_frozen(params):
@@ -406,7 +408,7 @@ def test_window_integral_monotone_and_comparable(params):
 def test_window_integral_floor_invariance(params):
     # pushing the mesh floor 36 decades deeper adds only panels whose
     # entire mass is ~ 1e-20 relative: the reported value is converged
-    deep = hardy.circle_quadrature(2, 1e-60)
+    deep = hardy.graded_quadrature(16, 1e-60)
     a = window_integrals(0.1, params)[0]
     b = window_integrals(0.1, params, quad=deep)[0]
     assert abs(a - b) <= 1e-12 * a
