@@ -19,7 +19,8 @@ unknown keys are errors (drift detection).  Keys:
                           omitted -> calibrate on demand; a pair
                           whose c fails maps.reach_fraction < 1 is
                           a configuration error
-    degree, quad          D >= 1, Q a power of 2 >= 4(D+1)    [48, 1024]
+    degree, quad          D >= 1; for paper and diagonal,     [48, 1024]
+                          Q a power of 2 >= 4(D+1)
     seed                  seed of K's disk sample             [17]
     out                   output directory                    [out]
     precision             double | extended                   [double]
@@ -38,10 +39,9 @@ The paper symbol with g_kind = constant_one does the same at degree 48
 (seeds 17 and 18): it writes spectrum_paper.csv and exits 1.  Degree
 64 fits n = 1..4 with r^2 = 0.961, under the paper headline's 0.98.
 
-Flags override the file; CUSPDECAY_OUT overrides the configured output
-directory (an explicit --out still wins).  Every CSV and JSON artifact,
-report.json included, embeds the 12-hex config hash (all keys but out
-and precision) and the seed, and re-running a double-precision config
+Flags override the file.  Every CSV and JSON artifact, report.json
+included, embeds the 12-hex config hash (all keys but out and
+precision) and the seed, and re-running a double-precision config
 at the same BLAS thread count reproduces each file byte for byte, into
 any output directory.  A different thread count sums the dense
 products in another order and moves the spectrum's trailing digits
@@ -54,9 +54,11 @@ too few points, a kernel that failed).  The output directory is made
 before a verb computes anything, so an unusable one costs no run; a
 verb that fails removes the directories main made while they are empty.
 
-The two-variable verbs run on the uniform grid hardy.circle_quadrature(Q);
-the one-dim contrast reads no quad: one_dim.json records its mesh,
-hardy.graded_quadrature(ONE_DIM_PANELS, ONE_DIM_CUSP_FLOOR).
+The two-variable verbs run on the uniform grid hardy.circle_quadrature(Q),
+so only the paper and diagonal symbols need Q a power of two and at
+least 4(D+1).  The one-dim contrast reads no quad: one_dim.json records
+its mesh, hardy.graded_quadrature(ONE_DIM_PANELS, ONE_DIM_CUSP_FLOOR),
+and takes any D from 1 to 512.
 
 Extended precision re-evaluates the conformal chain and the damping
 factor through mpmath (the stages that cancel catastrophically near
@@ -81,7 +83,6 @@ import numpy as np
 from . import hardy, maps, spectrum, verifier
 from .errors import ConfigurationError, CuspDecayError
 
-OUT_ENV = "CUSPDECAY_OUT"
 DISK_SLACK = 1e-14  # tolerated modulus overshoot for map-eval points
 
 _SYMBOLS = ("paper", "diagonal", "one-dim")
@@ -110,10 +111,11 @@ class RunConfig:
             raise ConfigurationError(
                 "precision must be double or extended, not %r" % self.precision)
         d, q = self.degree, self.quad
-        if d < 1 or q < 4 * (d + 1) or q & (q - 1):
+        uniform = parse_symbol(self.symbol) in ("paper", "diagonal")
+        if d < 1 or uniform and (q < 4 * (d + 1) or q & (q - 1)):
             raise ConfigurationError(
-                "need degree D >= 1 and quad a power of two >= 4(D+1), "
-                "not D = %d, Q = %d" % (d, q))
+                "need degree D >= 1, and for paper and diagonal quad a "
+                "power of two >= 4(D+1), not D = %d, Q = %d" % (d, q))
         if (self.c is None) != (self.k_hat is None):
             raise ConfigurationError("c and k_hat must be overridden together")
         if self.c is None:  # calibrated later
@@ -126,7 +128,6 @@ class RunConfig:
                 raise ConfigurationError(
                     "c = %r is too large: the reach certificate needs "
                     "q < 1, got q = %.3e" % (self.c, q))
-        parse_symbol(self.symbol)
         if min(self.samples, self.calibration_samples, self.trials) < 1:
             raise ConfigurationError("sample budgets must be positive")
         if min(self.samples, self.calibration_samples) < 10_000:
@@ -137,9 +138,9 @@ class RunConfig:
         return self
 
     def hash(self) -> str:
-        """12-hex digest of the fields that feed the numbers.  The output
-        directory changes no artifact, and precision, read by map-eval
-        alone, is recorded in its CSV header."""
+        """12-hex digest of every field but out and precision.  The
+        output directory changes no artifact, and precision, read by
+        map-eval alone, is recorded in its CSV header."""
         text = "".join("%s=%r\n" % (f.name, getattr(self, f.name))
                        for f in fields(self)
                        if f.name not in ("out", "precision"))
@@ -175,7 +176,7 @@ def parse_symbol(text: str):
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """File -> env -> flags, later wins; unknown keys and unparseable
+    """File -> flags, later wins; unknown keys and unparseable
     values are configuration errors with the offending line."""
     values = {}
     if path is not None:
@@ -203,9 +204,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                 raise ConfigurationError(
                     "%s:%d: bad value %r for key %r"
                     % (path, i, val, key)) from None
-    env_out = os.environ.get(OUT_ENV)
-    if env_out:
-        values["out"] = env_out
     for key, val in overrides.items():
         if val is not None:
             values[key] = val

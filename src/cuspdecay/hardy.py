@@ -13,14 +13,14 @@ Every symbol handled here is separable on the torus:
     Phi1(t1, t2) = F(t1),   Phi2(t1, t2) = A(t1) + B(t1) e^{i t2},
 
 which covers the perturbed-diagonal symbol (F = A = cusp, B = c phi),
-the pure diagonal (F = A, B = 0), the constant perturbation g = 1
-(F = cusp, A = cusp + c phi, B = 0), the identity and radial scalings
-(A = 0).  For F = A and for A = 0 the image of z1^a1 z2^a2 is
+the pure diagonal (F = A, B = 0) and the constant perturbation g = 1
+(F = cusp, A = cusp + c phi, B = 0).  For F = A the image of
+z1^a1 z2^a2 is
 
     sum_j W[a2, j] F^(a1 + a2 - j) B^j e^{i j t2},
 
-with W[a2, j] = C(a2, j) (F = A) or the identity (A = 0), so the t2
-transform is a single term per j and only 1-D transforms in t1 remain.
+with W[a2, j] = C(a2, j), so the t2 transform is a single term per j
+and only 1-D transforms in t1 remain.
 A column's j-th term depends on (a1, a2) only through p = a1 + a2 - j,
 so the column Gram is an operator on (2D+1)^2 moment matrices
 H_j[p, p'] = <|B|^j F^p', |B|^j F^p> (one small product per j): G X
@@ -81,7 +81,6 @@ class SeparableBoundaryData:
     column structure its kind fixes (see _expansion):
 
       "binomial"  F = A (paper with g = z2, diagonal)
-      "shift"     A = 0 (identity, scaling)
       "product"   B = 0 and F != A (paper with g = 1)
     """
 
@@ -91,17 +90,13 @@ class SeparableBoundaryData:
     structure: str
 
 
-SCALING_RADIUS = 0.5
-
-
 def symbol_boundary_data(params, t1,
                          kind: str = "paper") -> SeparableBoundaryData:
     """Evaluate the separable components on the t1 nodes.
 
-    kind: "paper" (perturbed diagonal), "diagonal", "identity",
-    or "scaling" (z -> (r z1, r z2), r = SCALING_RADIUS; test symbol).
-    The cusp values come from cusp_on_circle, whose closed form on the
-    lens arcs keeps graded meshes reaching t ~ 1e-300 accurate.
+    kind: "paper" (perturbed diagonal) or "diagonal".  The cusp values
+    come from cusp_on_circle, whose closed form on the lens arcs keeps
+    graded meshes reaching t ~ 1e-300 accurate.
     """
     t1 = np.asarray(t1, dtype=float)
     if kind == "paper":
@@ -116,14 +111,6 @@ def symbol_boundary_data(params, t1,
     if kind == "diagonal":
         chi = maps.cusp_on_circle(t1)
         return SeparableBoundaryData(chi, chi, np.zeros_like(chi), "binomial")
-    if kind == "identity":
-        f = maps.expi(t1)
-        return SeparableBoundaryData(f, np.zeros_like(f), np.ones_like(f),
-                                     "shift")
-    if kind == "scaling":
-        f = SCALING_RADIUS * maps.expi(t1)
-        return SeparableBoundaryData(f, np.zeros_like(f),
-                                     np.full_like(f, SCALING_RADIUS), "shift")
     raise ConfigurationError("unknown symbol kind %r" % (kind,))
 
 
@@ -211,8 +198,8 @@ class OperatorMatrix:
     def __post_init__(self):
         if not np.all(np.isfinite(self.entries)):
             raise CuspDecayError("matrix has non-finite entries")
-        if not self.tail_hs >= 0.0:  # rejects NaN, admits +inf
-            raise CuspDecayError("tail_hs must be non-negative")
+        if not 0.0 <= self.tail_hs < math.inf:
+            raise CuspDecayError("tail_hs must be finite and >= 0")
 
 
 def _binomials(d: int) -> np.ndarray:
@@ -230,13 +217,11 @@ def _expansion(data: SeparableBoundaryData, d: int):
         sum_j W[a2, j] X^(a1 + a2 - j) Y^j e^{i j t2},   a2, j <= d.
 
     "binomial" (F = A): X = F, Y = B and W[a2, j] = C(a2, j), the
-    binomial expansion of (F + B e^{i t2})^a2.  "shift" (A = 0): X = F,
-    Y = B and W = I.  "product" (B = 0, F != A) has image F^a1 A^a2,
-    which has no such form: it is returned as (F, A, None)."""
+    binomial expansion of (F + B e^{i t2})^a2.  "product" (B = 0,
+    F != A) has image F^a1 A^a2, which has no such form: it is returned
+    as (F, A, None)."""
     if data.structure == "binomial":
         return data.F, data.B, _binomials(d)
-    if data.structure == "shift":
-        return data.F, data.B, np.eye(d + 1)
     return data.F, data.A, None
 
 
@@ -251,11 +236,7 @@ def assemble_matrix(params, degree: int, q: int,
     The coefficients come from one table ct[p, k, m], the circle means
     factor(X^p Y^k).T @ factor(e^{imt}) on the uniform q-point grid,
     the grid the matrix verb records; they are Fourier coefficients of
-    conjugation-symmetric functions, so the entries are real.
-
-    When the symbol is not Hilbert-Schmidt (identity) tail_hs is +inf,
-    as is the tail of column_gram_operator.
-    """
+    conjugation-symmetric functions, so the entries are real."""
     d = degree
     quad = circle_quadrature(q)
     data = symbol_boundary_data(params, quad.nodes, kind)
@@ -291,25 +272,25 @@ def _hs_quadrature(data: SeparableBoundaryData,
       (1/2pi) int dt2 / (1 - |A + B e^{it2}|^2)
           = 1 / sqrt((1 - |A|^2 - |B|^2)^2 - 4 |A|^2 |B|^2),
 
-    valid iff |A| + |B| < 1.  inf when the symbol is not
-    Hilbert-Schmidt on the nodes (identity: |F| = 1)."""
+    valid iff |A| + |B| < 1.  A symbol that reaches the torus at a
+    node (|F| >= 1 or |A| + |B| >= 1) raises CuspDecayError."""
     f2 = np.abs(data.F) ** 2
     a2 = np.abs(data.A) ** 2
     b2 = np.abs(data.B) ** 2
     gap1 = 1.0 - f2
     rad = (1.0 - a2 - b2) ** 2 - 4.0 * a2 * b2
     if np.any(gap1 <= 0.0) or np.any((1.0 - a2 - b2) <= 0.0) or np.any(rad <= 0.0):
-        return math.inf  # the symbol touches the torus on the nodes
+        raise CuspDecayError("the symbol reaches the torus at a node: "
+                             "no Hilbert-Schmidt integral on this quadrature")
     return quad.mean(1.0 / (gap1 * np.sqrt(rad)))
 
 
 def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
                      kept: float):
-    """(HS^2, HS^2 - kept), or (inf, inf) when the symbol is not
-    Hilbert-Schmidt.  kept is the sum of kept norms on the same nodes
-    and weights, so the radicand is a Parseval remainder that only
-    rounding can push below zero; it is returned signed, and the tail
-    is the square root of its positive part."""
+    """(HS^2, HS^2 - kept).  kept is the sum of kept norms on the same
+    nodes and weights, so the radicand is a Parseval remainder that
+    only rounding can push below zero; it is returned signed, and the
+    tail is the square root of its positive part."""
     hs_sq = _hs_quadrature(data, quad)
     rad = hs_sq - kept
     if rad < -1e-10:
@@ -328,12 +309,11 @@ class ColumnGram:
     X -> G X on blocks of columns in the index_set layout, with its
     order n, trace and truncation tail.  hs_sq is the Hilbert-Schmidt
     integral on the same quadrature and tail_radicand the signed
-    HS^2 - trace G before the clamp; both are inf when the symbol is not
-    Hilbert-Schmidt.
+    HS^2 - trace G before the clamp.
 
-    For every symbol with an expansion matrix W (see _expansion) G is
-    held as shifted moments moments[j, s, s'] = H_j[s - j, s' - j]
-    (s, s' <= 2D, zero where s < j or s' < j) and expansion = W, and
+    For F = A, with W[a2, j] = C(a2, j) from _expansion, G is held as
+    shifted moments moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D,
+    zero where s < j or s' < j) and expansion = W, and
     (G X)[(b1, b2)] = sum_j W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
     sum_{a1 + a2 = s'} W[a2, j] X[(a1, a2)] is computed without forming
     G.  Paper with g = 1 holds the real factor R of G = R^T R."""

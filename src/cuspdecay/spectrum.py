@@ -52,8 +52,8 @@ class SingularSpectrum:
             raise ConfigurationError("singular values must be finite and >= 0")
         if np.any(np.diff(v) > 0.0):
             raise ConfigurationError("singular values must descend")
-        if not self.tail_bound >= 0.0:  # rejects NaN, admits +inf
-            raise ConfigurationError("tail_bound must be >= 0")
+        if not 0.0 <= self.tail_bound < math.inf:
+            raise ConfigurationError("tail_bound must be finite and >= 0")
         if not 0.0 <= self.noise_floor < math.inf:
             raise ConfigurationError("noise_floor must be finite and >= 0")
 

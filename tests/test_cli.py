@@ -97,14 +97,11 @@ def test_load_config_errors(tmp_path):
         cli.load_config(str(tmp_path / "missing.cfg"), {})
 
 
-def test_out_dir_precedence(tmp_path, monkeypatch):
+def test_out_dir_precedence(tmp_path):
     path = tmp_path / "o.cfg"
     path.write_text("out = from_file\n")
-    monkeypatch.delenv(cli.OUT_ENV, raising=False)
     assert cli.load_config(str(path), {}).out == "from_file"
-    monkeypatch.setenv(cli.OUT_ENV, "from_env")
-    assert cli.load_config(str(path), {}).out == "from_env"
-    # an explicit flag still wins over the environment
+    # an explicit flag wins over the file
     assert cli.load_config(str(path), {"out": "from_flag"}).out == "from_flag"
 
 
@@ -136,6 +133,23 @@ def test_runconfig_validation():
         cli.RunConfig(samples=-1).validate()
     with pytest.raises(ConfigurationError):
         cli.RunConfig(symbol="scaled:2").validate()
+
+
+def test_quad_rules_bind_only_the_uniform_grid_symbols(tmp_path, frozen_cfg):
+    # Q a power of two >= 4(D+1) is a rule of the uniform grid, which
+    # only paper and diagonal run on; D >= 1 holds for every symbol
+    for symbol in ("one-dim", "scaled:0.5"):
+        cli.RunConfig(symbol=symbol, degree=300, quad=1000).validate()
+        with pytest.raises(ConfigurationError, match="D >= 1"):
+            cli.RunConfig(symbol=symbol, degree=0).validate()
+    out = str(tmp_path / "art")
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out,
+                     "--symbol", "one-dim", "--degree", "300"]) == 0
+    assert json.load(open(os.path.join(out, "one_dim.json")))["degree"] == 300
+    for symbol in ("paper", "diagonal"):
+        assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out,
+                         "--symbol", symbol, "--degree", "300",
+                         "--quad", "1024"]) == 2
 
 
 def _rows(path):
@@ -528,7 +542,6 @@ def test_verify_and_spectrum_never_load_mpmath(tmp_path):
     ext.write_text(FROZEN + "precision = extended\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop(cli.OUT_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-c", _MPMATH_PROBE, str(cfg), str(tmp_path / "art"),
          str(ext)], env=env, capture_output=True, text=True, timeout=300)
@@ -667,7 +680,6 @@ def test_exit_contract(tmp_path, argv, code, message):
         argv += ["--out", str(paths["art"])]
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    env.pop(cli.OUT_ENV, None)
     proc = subprocess.run([sys.executable, "-m", "cuspdecay.cli"] + argv,
                           env=env, capture_output=True, text=True,
                           timeout=300)

@@ -64,15 +64,11 @@ def test_boundary_data_kinds(params):
     dd = hardy.symbol_boundary_data(params, t, "diagonal")
     assert np.all(dd.B == 0.0) and dd.structure == "binomial"
 
-    di = hardy.symbol_boundary_data(None, t, "identity")
-    assert np.all(di.A == 0.0) and np.all(di.B == 1.0)
-    assert di.structure == "shift"
-
-    ds = hardy.symbol_boundary_data(None, t, "scaling")
-    assert np.max(np.abs(ds.F - 0.5 * np.exp(1j * t))) < 1e-15
-    assert np.all(ds.A == 0.0) and ds.structure == "shift"
-    with pytest.raises(ConfigurationError):
-        hardy.symbol_boundary_data(params, t, "nope")
+    # only the two symbols a verb runs; the model operators are built
+    # by hand where a test needs them
+    for kind in ("nope", "identity", "scaling"):
+        with pytest.raises(ConfigurationError, match="unknown symbol kind"):
+            hardy.symbol_boundary_data(params, t, kind)
     with pytest.raises(ConfigurationError):
         hardy.symbol_boundary_data(None, t, "paper")
 
@@ -89,13 +85,10 @@ def test_boundary_data_constant_g(params):
 
 
 _SYMBOL_KINDS = [("paper", "identity_in_z2"), ("paper", "constant_one"),
-                 ("diagonal", "identity_in_z2"), ("identity", None),
-                 ("scaling", None)]
+                 ("diagonal", "identity_in_z2")]
 
 
 def _with_g_kind(params, g_kind):
-    if g_kind is None:
-        return None
     return maps.SymbolParams(theta=params.theta, c=params.c,
                              k_hat=params.k_hat, g_kind=g_kind)
 
@@ -131,21 +124,11 @@ def _brute_force_entries(params, d, q, kind):
     return ent
 
 
-@pytest.mark.parametrize("kind", ["paper", "diagonal", "identity"])
+@pytest.mark.parametrize("kind", ["paper", "diagonal"])
 def test_assembly_matches_brute_force(params, kind):
     om = hardy.assemble_matrix(params, 4, 64, kind)
     brute = _brute_force_entries(params, 4, 64, kind)
     assert np.max(np.abs(om.entries - brute)) < 1e-10
-
-
-def test_assembly_matches_brute_force_scaling(params):
-    om = hardy.assemble_matrix(params, 4, 64, "scaling")
-    brute = _brute_force_entries(None, 4, 64, "scaling")
-    assert np.max(np.abs(om.entries - brute)) < 1e-10
-    # exact diagonal: entry((b),(a)) = delta * 2^-(a1+a2)
-    idx = om.indices
-    expect = np.diag([0.5 ** (a1 + a2) for a1, a2 in idx])
-    assert np.max(np.abs(om.entries - expect)) < 1e-12
 
 
 def test_assembly_matches_brute_force_constant_g(params):
@@ -168,19 +151,29 @@ def test_assembled_matrix_metadata(params):
     assert abs(om.tail_hs - 0.10938138192816624) < 1e-12
 
 
-def test_identity_symbol_is_not_hilbert_schmidt(params):
-    om = hardy.assemble_matrix(None, 2, 32, "identity")
-    assert math.isinf(om.tail_hs) and math.isinf(om.hs_sq)
-    quad = hardy.circle_quadrature(32)
-    op = hardy.column_gram_operator(None, 2, quad, "identity")
-    assert math.isinf(op.hs_sq) and math.isinf(op.tail)
-    data = hardy.symbol_boundary_data(None, quad.nodes, "identity")
-    assert math.isinf(hardy._hs_quadrature(data, quad))
+def _hand_built(quad, f, a, b):
+    """Boundary data F = f(t), constant A = a and B = b on the nodes;
+    only the Hilbert-Schmidt integral reads it, which needs no column
+    structure."""
+    one = np.ones(quad.nodes.size, dtype=complex)
+    return hardy.SeparableBoundaryData(f(quad.nodes) * one, a * one, b * one,
+                                       structure=None)
 
 
-def _hs(params, d, q, kind="paper"):
+def test_identity_symbol_is_not_hilbert_schmidt():
+    # the identity (F = e^{it}, A = 0, B = 1) has |F| = 1 at every node,
+    # and (r z1, a + b z2) with |a| + |b| = 1 reaches the torus in z2:
+    # neither has a Hilbert-Schmidt integral on the nodes
+    for quad in (hardy.circle_quadrature(32), hardy.graded_quadrature(4, 1e-3)):
+        for f, a, b in ((lambda t: np.exp(1j * t), 0.0, 1.0),
+                        (lambda t: 0.5 * np.exp(1j * t), 0.25, 0.75j)):
+            with pytest.raises(CuspDecayError, match="reaches the torus"):
+                hardy._hs_quadrature(_hand_built(quad, f, a, b), quad)
+
+
+def _hs(params, d, q):
     return hardy.column_gram_operator(
-        params, d, hardy.circle_quadrature(q), kind).hs_sq
+        params, d, hardy.circle_quadrature(q)).hs_sq
 
 
 def test_hs_norm_frozen_values(params):
@@ -199,10 +192,30 @@ def test_hs_norm_frozen_values(params):
                - 3.4447723006987633e-4) < 1e-9
 
 
-def test_hs_scaling_closed_form(params):
+def _scaling(quad, r=0.5):
+    # z -> (r z1, r z2): F = r e^{it}, A = 0, B = r
+    return _hand_built(quad, lambda t: r * np.exp(1j * t), 0.0, r)
+
+
+def test_hs_scaling_closed_form():
     # sum over alpha of 4^-(a1+a2) = (4/3)^2
-    val = _hs(params, 4, 64, kind="scaling")
+    quad = hardy.circle_quadrature(64)
+    val = hardy._hs_quadrature(_scaling(quad), quad)
     assert abs(val - 16.0 / 9.0) < 1e-12
+
+
+def test_hs_closed_form_with_affine_second_coordinate():
+    # (r z1, a + b z2): the t2 integral in closed form against the sum
+    # of the column norms, r^(2 a1) sum_j C(a2, j)^2 |a|^2(a2-j) |b|^2j,
+    # a series of ratio (|a| + |b|)^2 = 0.36 that 120 degrees exhaust
+    r, a, b = 0.6, 0.35, -0.25j
+    aa, bb = abs(a) ** 2, abs(b) ** 2
+    series = sum(math.comb(n, j) ** 2 * aa ** (n - j) * bb ** j
+                 for n in range(120) for j in range(n + 1))
+    expect = series / (1.0 - r * r)
+    quad = hardy.circle_quadrature(64)
+    data = _hand_built(quad, lambda t: r * np.exp(1j * t), a, b)
+    assert abs(hardy._hs_quadrature(data, quad) - expect) <= 4e-16 * expect
 
 
 def test_hs_brute_force(params):
@@ -217,13 +230,16 @@ def test_hs_brute_force(params):
     assert abs(brute - exact) / exact < 1e-6
 
 
-def test_truncation_error_scaling_closed_form(params):
+def test_truncation_error_scaling_closed_form():
+    # the kept norms 4^-(a1+a2) of the scaling z -> z/2 at D = 2 leave
+    # the tail sqrt(16/9 - kept) of the discarded columns
     d = 2
-    tail = hardy.column_gram_operator(params, d, hardy.circle_quadrature(64),
-                                      kind="scaling").tail
+    quad = hardy.circle_quadrature(64)
     kept = sum(0.25 ** (a1 + a2) for a1 in range(d + 1)
                for a2 in range(d + 1))
-    assert abs(tail - math.sqrt(16.0 / 9.0 - kept)) < 1e-12
+    gram = hardy.ColumnGram((d + 1) ** 2, kept,
+                            *hardy._truncation_tail(_scaling(quad), quad, kept))
+    assert abs(gram.tail - math.sqrt(16.0 / 9.0 - kept)) < 1e-12
 
 
 def _column_quadrature_norms(params, d, quad, kind="paper"):
@@ -290,9 +306,6 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     assert graded.dtype == np.float64
     assert np.max(np.abs(graded - brute)) < 1e-12
 
-    if kind == "identity":
-        assert math.isinf(tail) and math.isinf(graded_tail)
-        return
     # trace + tail^2 = the HS integral on the same grid
     hs = op.hs_sq
     assert abs(float(np.trace(gram).real) + tail ** 2 - hs) < 1e-12
@@ -340,14 +353,6 @@ def test_column_gram_diagonal_matches_column_norms(params, meshes):
         gram, _ = dense_column_gram(params, 16, quad)
         idx, cols = _column_quadrature_norms(params, 16, quad)
         assert np.max(np.abs(np.diag(gram).real - cols)) < 1e-13, mesh
-
-
-def test_column_gram_infinite_tail_for_identity(meshes):
-    for mesh, quad in meshes(32).items():
-        gram, tail = dense_column_gram(None, 2, quad, "identity")
-        assert math.isinf(tail), mesh
-        # columns e_{a} o identity are orthonormal
-        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12, mesh
 
 
 def test_graded_quadrature():
@@ -415,16 +420,15 @@ def test_window_integral_floor_invariance(params):
 
 
 def test_operator_matrix_tail_must_be_nonnegative():
-    # +inf is the tail of a symbol that is not Hilbert-Schmidt; -inf and
-    # NaN are not tails at all
+    # every assembled symbol is Hilbert-Schmidt, so a tail is finite
     def make(tail_hs):
         return hardy.OperatorMatrix(
             entries=np.eye(1), indices=hardy.index_set(0), max_degree=0,
-            quad_points=4, kind="identity", tail_hs=tail_hs, hs_sq=1.0)
+            quad_points=4, kind="paper", tail_hs=tail_hs, hs_sq=1.0)
 
-    for bad in (-math.inf, math.nan, -1e-300):
+    for bad in (math.inf, -math.inf, math.nan, -1e-300):
         with pytest.raises(CuspDecayError,
-                           match="tail_hs must be non-negative"):
+                           match="tail_hs must be finite and >= 0"):
             make(bad)
-    for good in (0.0, math.inf):
+    for good in (0.0, 1e-300):
         assert make(good).tail_hs == good

@@ -24,17 +24,16 @@ from conftest import (
 def test_singular_spectrum_validation():
     s = spectrum.SingularSpectrum(np.array([2.0, 1.0, 1.0]), 0.1)
     assert len(s) == 3
-    spectrum.SingularSpectrum(np.array([1.0]), math.inf)  # inf tail is legal
     with pytest.raises(ConfigurationError, match="non-empty 1-D"):
         spectrum.SingularSpectrum(np.array([]), 0.0)
     with pytest.raises(ConfigurationError, match="must descend"):
         spectrum.SingularSpectrum(np.array([1.0, 2.0]), 0.0)  # ascending
     with pytest.raises(ConfigurationError, match="finite and >= 0"):
         spectrum.SingularSpectrum(np.array([1.0, -0.5]), 0.0)
-    with pytest.raises(ConfigurationError, match="tail_bound must be >= 0"):
-        spectrum.SingularSpectrum(np.array([1.0]), -1.0)
-    with pytest.raises(ConfigurationError, match="tail_bound must be >= 0"):
-        spectrum.SingularSpectrum(np.array([1.0]), math.nan)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError,
+                           match="tail_bound must be finite and >= 0"):
+            spectrum.SingularSpectrum(np.array([1.0]), bad)
     assert s.noise_floor == 0.0
     for bad in (-1e-20, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="noise_floor must be"):
@@ -222,10 +221,14 @@ def test_compression_monotonicity(params, meshes):
         assert np.all(sv4 <= sv6[:25] + 1e-10), mesh
 
 
-def test_scaling_spectrum_exact(params):
-    s = spectrum.composition_spectrum(params, 4, hardy.circle_quadrature(64),
-                                      kind="scaling")
+def test_scaling_spectrum_exact():
+    # the column Gram of the scaling z -> z/2 at D = 4 is
+    # diag(4^-(a1+a2)), and its discarded columns carry
+    # 16/9 - trace G = HS^2 - trace G
     idx = hardy.index_set(4)
+    lam = 0.25 ** (idx[:, 0] + idx[:, 1])
+    tail = math.sqrt(16.0 / 9.0 - float(np.sum(lam)))
+    s = spectrum._ritz_spectrum(_dense_operator(np.diag(lam), tail))
     expect = np.sort(0.5 ** (idx[:, 0] + idx[:, 1]))[::-1]
     assert np.max(np.abs(s.values - expect)) < 1e-12
     assert abs(s.tail_bound - 0.058911177218042614) < 1e-12
