@@ -426,9 +426,8 @@ def _two_var_spectrum(cfg: RunConfig, kind: str) -> int:
     spct = spectrum.composition_spectrum(
         params, cfg.degree, hardy.circle_quadrature(cfg.quad), kind)
     # a_{n^2} while n^2 is computed; resolved: lower above the noise
-    ranks = [(n, n ** SCHEDULE_EXPONENT) for n in range(1, len(spct) + 1)]
-    rows = [(n, *spectrum.approximation_numbers(spct, r))
-            for n, r in ranks if r <= len(spct)]
+    rows = [(n, *spectrum.approximation_numbers(spct, n ** SCHEDULE_EXPONENT))
+            for n in range(1, math.isqrt(len(spct)) + 1)]
     _write_csv(cfg, "spectrum_%s.csv" % kind,
                ["# " + cfg.stamp(), "n,lower,upper,resolved"],
                ("%d,%.17g,%.17g,%d" % (n, lo, hi, lo > spct.noise_floor)
@@ -536,6 +535,8 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
                         beta["schedule_exponent"]))
         lines.append("- Ritz block %d of %d columns"
                      % (payload["ritz_block"], (payload["degree"] + 1) ** 2))
+        lines.append("- t2 modes held: %d of %d"
+                     % (payload["t2_modes"], payload["degree"] + 1))
         lines.append("- dropped trace tr G - tr B = %.3e"
                      % payload["dropped_trace"])
         lines.append("- tail radicand HS^2 - tr G = %.3e (HS^2 = %.6g)"

@@ -25,9 +25,17 @@ A column's j-th term depends on (a1, a2) only through p = a1 + a2 - j,
 so the column Gram is an operator on (2D+1)^2 moment matrices
 H_j[p, p'] = <|B|^j F^p', |B|^j F^p> (one small product per j): G X
 costs a few small matrix products and the (D+1)^2 x (D+1)^2 Gram is
-never needed.  g = 1 (image F^a1 A^a2) has no such form; its Gram is
-kept as the real factor R of G = R^T R, two rows per half-circle node
-and one column per kept monomial, so it is never formed either.
+never needed.  Only the t2 modes j = 0..J whose Gram mass clears
+rounding are held: |B| <= 5.4e-4 makes each mode carry about 1e-6 of
+the mass of the one before, so J = 5 for the paper symbol (6 of 49
+modes at D = 48) and J = 0 for the diagonal.  The t2 modes are
+orthogonal, so the cut Gram is the Gram of P_J C, the image projected
+onto t2 modes <= J: a compression of C, whose values stay lower
+endpoints, and HS^2 - trace G counts the dropped modes' mass with the
+discarded columns (column_gram_operator has the proof).  g = 1 (image
+F^a1 A^a2) has no such form; its Gram is kept as the real factor R of
+G = R^T R, two rows per half-circle node and one column per kept
+monomial, so it is never formed either.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
@@ -64,11 +72,11 @@ def index_set(max_degree: int) -> np.ndarray:
     leading principal submatrix."""
     if max_degree < 0:
         raise ConfigurationError("max_degree must be non-negative")
-    rows = []
-    for m in range(max_degree + 1):
-        block = [(a1, m) for a1 in range(m)] + [(m, a2) for a2 in range(m + 1)]
-        rows.extend(sorted(block))
-    return np.array(rows, dtype=np.int64)
+    # block m holds 2m + 1 entries from offset m^2 on: (0, m), ...,
+    # (m - 1, m), then (m, 0), ..., (m, m)
+    m = np.repeat(np.arange(max_degree + 1), 2 * np.arange(max_degree + 1) + 1)
+    k = np.arange(m.size) - m * m
+    return np.stack([np.minimum(k, m), np.where(k < m, m, k - m)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +309,7 @@ def _truncation_tail(data: SeparableBoundaryData, quad: CircleQuadrature,
 
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,12 +320,18 @@ class ColumnGram:
     integral on the same quadrature and tail_radicand the signed
     HS^2 - trace G before the clamp.
 
-    For F = A, with W[a2, j] = C(a2, j) from _expansion, G is held as
-    shifted moments moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D,
-    zero where s < j or s' < j) and expansion = W, and
-    (G X)[(b1, b2)] = sum_j W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
+    For F = A, with W[a2, j] = C(a2, j) from _expansion, G is held on
+    the t2 modes j = 0..J that column_gram_operator keeps, as shifted
+    moments moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D, zero
+    where s < j or s' < j) and expansion = W[:, :J+1], and
+    (G X)[(b1, b2)] = sum_{j <= J} W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
     sum_{a1 + a2 = s'} W[a2, j] X[(a1, a2)] is computed without forming
-    G.  Paper with g = 1 holds the real factor R of G = R^T R."""
+    G.  That G is the Gram of P_J C, C with its image projected onto
+    the t2 modes <= J: a compression, so its eigenvalues and Ritz values
+    stay below those of the full Gram, and trace G leaves the dropped
+    modes' mass in HS^2 - trace G, inside the tail.  Paper with g = 1
+    holds the real factor R of G = R^T R; its image has the t2 mode 0
+    alone."""
 
     order: int
     trace: float
@@ -330,6 +345,11 @@ class ColumnGram:
     def tail(self) -> float:
         return math.sqrt(max(self.tail_radicand, 0.0))
 
+    @property
+    def t2_modes(self) -> int:
+        """J + 1, the number of t2 modes the Gram holds."""
+        return 1 if self.expansion is None else self.expansion.shape[1]
+
     @cached_property
     def _layout(self):
         # column (a1, a2) sits at [a2, a1 + a2] of the moment-side blocks
@@ -338,10 +358,10 @@ class ColumnGram:
 
     def matmat(self, x: np.ndarray) -> np.ndarray:
         """G @ x for an (n, k) block x.  With the moments this is five
-        steps, O(D^3 k) flops and no n x n array: scatter x into
-        w[a2, a1 + a2], contract a2 against W, one batched product with
-        the moment matrices, contract j against W, gather.  With the
-        factor it is R^T (R x)."""
+        steps, O(J D^2 k) flops for the J + 1 held t2 modes and no n x n
+        array: scatter x into w[a2, a1 + a2], contract a2 against W, one
+        batched product with the moment matrices, contract j against W,
+        gather.  With the factor it is R^T (R x)."""
         if self.factor is not None:
             return self.factor.T @ (self.factor @ x)
         a2, s = self._layout
@@ -381,11 +401,37 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
         H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}).
 
     The moment matrices are H_j = S_j^T S_j, S_j = factor(X^p) scaled
-    by |Y|^j, p up to 2D - j, and trace G = sum_j sum_alpha W[a2, j]^2
-    H_j[a1 + a2 - j, a1 + a2 - j]; j stops at 0 when Y = 0.  Paper with
-    g = 1 has one t2 term per column: G = R^T R with R = factor(F^a1
-    A^a2) over the (D+1)^2 columns, and trace G is the sum of R's
-    squared entries."""
+    by |Y|^j, p up to 2D - j.  Mode j carries the Gram mass
+    m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], read off
+    the column sums of squares of S_j before H_j is formed.  The build
+    stops at the first j >= 1 with m_j <= eps^2 m_0 / n, n = (D+1)^2,
+    and holds the modes j = 0..J before it (O(J D^2 N) flops on N rows,
+    (J+1)(2D+1)^2 doubles): Y = 0 gives J = 0, and the paper symbol,
+    whose masses fall by about 1e-6 a mode (|B| <= 5.4e-4), J = 5 at
+    D = 8 to 128.  trace G is summed mode by mode from the diagonals
+    of the held H_j, j = 0 first, so a mode under half an ulp of the
+    running sum cannot move its bits whether it is held or not.  The
+    cut leaves the intervals honest:
+
+    - Mode j is the Gram of the t2-mode-j component of the image, and
+      the modes are orthogonal in L^2(t2).  So the held G is the Gram
+      of P_J C, with P_J the projection onto t2 modes <= J, a
+      compression of C: its eigenvalues, and the Ritz values drawn from
+      it, are still lower endpoints.
+    - HS^2 - trace G is exactly the discarded columns' mass plus the
+      dropped modes' mass ||(1 - P_J) C||_HS^2, so the tail
+      sqrt(HS^2 - trace G) covers every dropped mode, whatever J is.
+    - The dropped mass delta = trace((1 - P_J) C^T C) bounds
+      ||G_full - G||_2, so by Weyl it moves no eigenvalue by more than
+      delta.  With masses falling geometrically, as here, delta is about
+      m_{J+1} <= eps^2 trace G / n <= eps^2 lambda_1: eps times the
+      noise floor eps lambda_1, so about an ulp of the smallest
+      eigenvalue above that floor (trace G / n is 6e-4 lambda_1 for the
+      paper symbol at D = 48, which leaves delta far below it).
+
+    Paper with g = 1 has one t2 term per column: G = R^T R with
+    R = factor(F^a1 A^a2) over the (D+1)^2 columns, and trace G is the
+    sum of R's squared entries."""
     d = degree
     data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
@@ -397,20 +443,33 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
         trace = float(np.sum(r * r))
         return ColumnGram(r.shape[1], trace,
                           *_truncation_tail(data, quad, trace), factor=r)
-    if np.all(y == 0):
-        w = w[:, :1]
     r = quad.factor(np.vander(x, 2 * d + 1, increasing=True))
     b = np.abs(np.concatenate([y, y]))[:, None]
-    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
-    for j in range(w.shape[1]):
+    products = []
+    for j in range(d + 1):
         s_j = r[:, :2 * d + 1 - j] * b ** j
         # keep every product normal: subnormal ones made these
         # products 5x slower at D = 48, and what is dropped moves
         # no moment by more than ~1e-150
         s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
-        moments[j, j:, j:] = s_j.T @ s_j
-    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
-    trace = float(np.sum(w[a2] ** 2 * diag))
+        # m_j from the column sums of squares, diag H_j; a negative
+        # index (a2 < j) meets W[a2, j] = 0
+        cols = np.einsum("ij,ij->j", s_j, s_j)
+        mass = float(np.sum(w[a2, j] ** 2 * cols[a1 + a2 - j]))
+        if j == 0:
+            cut = _EPS ** 2 * mass / idx.shape[0]
+        elif mass <= cut:
+            break
+        products.append(s_j.T @ s_j)
+    w = w[:, :len(products)]
+    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
+    # trace G mode by mode, j = 0 first: a mode under half an ulp of the
+    # running sum cannot move its bits, held or dropped
+    trace = 0.0
+    for j, h_j in enumerate(products):
+        moments[j, j:, j:] = h_j
+        trace += float(np.sum(w[a2, j] ** 2
+                              * np.diagonal(moments[j])[a1 + a2]))
     return ColumnGram(idx.shape[0], trace,
                       *_truncation_tail(data, quad, trace),
                       moments=moments, expansion=w)

@@ -66,13 +66,15 @@ class RitzSpectrum(SingularSpectrum):
     """A spectrum whose first ritz_block values are Rayleigh-Ritz values
     of a Gram G on a block of that width, the rest exact zeros.
     dropped_trace is trace G - trace B for the block's projected Gram
-    B, and tail_radicand is HS^2 - trace G for the discarded columns,
-    each signed as computed; their positive parts are in tail_bound."""
+    B, and tail_radicand is HS^2 - trace G for the discarded columns
+    and t2 modes, each signed as computed; their positive parts are in
+    tail_bound.  t2_modes is the number of t2 modes G holds."""
 
     ritz_block: int
     dropped_trace: float
     hs_sq: float
     tail_radicand: float
+    t2_modes: int
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,8 @@ def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
     tail = math.sqrt(gram.tail ** 2 + max(dropped, 0.0))
     return RitzSpectrum(values, tail, top.noise_floor, ritz_block=k,
                         dropped_trace=dropped, hs_sq=gram.hs_sq,
-                        tail_radicand=gram.tail_radicand)
+                        tail_radicand=gram.tail_radicand,
+                        t2_modes=gram.t2_modes)
 
 
 def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
@@ -200,9 +203,16 @@ def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
     value the fit can use is computed; at D = 48 that is k = 98 of 2401.
 
     G is never formed: hardy.column_gram_operator supplies G X from the
-    moment matrices (O(D^3 k) flops per block of k columns) along with
-    trace G, HS^2 and the signed radicand HS^2 - trace G, which the
-    result carries as hs_sq and tail_radicand."""
+    moment matrices of the t2 modes j = 0..J it keeps (O(J D^2 k) flops
+    per block of k columns; J = 5 for the paper symbol, 0 for the
+    diagonal) along with trace G, HS^2 and the signed radicand
+    HS^2 - trace G, which the result carries as hs_sq and
+    tail_radicand, and J + 1 as t2_modes.  That G is the Gram of P_J C,
+    the image cut to t2 modes <= J, which the modes' orthogonality makes
+    a compression of C: interlacing from it still gives lower
+    endpoints, and HS^2 - trace G holds the dropped modes' mass
+    ||C - P_J C||_HS^2 beside the discarded columns', so the same tail
+    covers them (hardy.column_gram_operator has the proof)."""
     return _ritz_spectrum(hardy.column_gram_operator(params, degree, quad,
                                                      kind))
 

@@ -205,6 +205,30 @@ def dense_column_gram(params, d, quad, kind="paper"):
     return np.triu(gram) + np.triu(gram, 1).T, op.tail
 
 
+def all_modes_column_gram(params, d, quad, kind="paper"):
+    """hardy.ColumnGram for an F = A symbol with a moment matrix for
+    every t2 mode j = 0..D (j = 0 alone when B = 0), the oracle of
+    column_gram_operator's cut at the modes it can see: the same
+    moments H_j = S_j^T S_j, none dropped, and trace G as one sum over
+    every held mode's diagonal."""
+    data = hardy.symbol_boundary_data(params, quad.nodes, kind)
+    idx = hardy.index_set(d)
+    a1, a2 = idx[:, 0], idx[:, 1]
+    w = hardy._binomials(d)[:, :d + 1 if np.any(data.B) else 1]
+    r = quad.factor(np.vander(data.F, 2 * d + 1, increasing=True))
+    b = np.abs(np.concatenate([data.B, data.B]))[:, None]
+    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
+    for j in range(w.shape[1]):
+        s_j = r[:, :2 * d + 1 - j] * b ** j
+        s_j[np.abs(s_j) < hardy._SQRT_TINY] = 0.0
+        moments[j, j:, j:] = s_j.T @ s_j
+    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
+    trace = float(np.sum(w[a2] ** 2 * diag))
+    return hardy.ColumnGram(idx.shape[0], trace,
+                            *hardy._truncation_tail(data, quad, trace),
+                            moments=moments, expansion=w)
+
+
 def stacked_product_gram(params, d, quad, kind="paper"):
     """Column Gram oracle for F = A symbols, by the per-j build:
     G = sum_j R_j^T R_j with R_j = [Re M_j; Im M_j],

@@ -10,7 +10,14 @@ import pytest
 
 from cuspdecay import cli, hardy, maps
 from cuspdecay.errors import ConfigurationError, CuspDecayError
-from conftest import dense_column_gram, stacked_product_gram, window_integrals
+from conftest import (
+    all_modes_column_gram,
+    dense_column_gram,
+    stacked_product_gram,
+    window_integrals,
+)
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_index_set_layout():
@@ -22,6 +29,23 @@ def test_index_set_layout():
     assert np.array_equal(idx[:4], [[0, 0], [0, 1], [1, 0], [1, 1]])
     with pytest.raises(ConfigurationError):
         hardy.index_set(-1)
+
+
+def _index_set_loop(max_degree):
+    rows = []
+    for m in range(max_degree + 1):
+        block = [(a1, m) for a1 in range(m)] + [(m, a2) for a2 in range(m + 1)]
+        rows.extend(sorted(block))
+    return np.array(rows, dtype=np.int64)
+
+
+def test_index_set_matches_the_loop():
+    # the block-by-block loop, sorted inside each block, is the oracle
+    # of the vectorized layout: same order, same dtype
+    for d in range(41):
+        idx = hardy.index_set(d)
+        assert idx.dtype == np.int64, d
+        assert np.array_equal(idx, _index_set_loop(d)), d
 
 
 def test_truncation_spec_validation():
@@ -346,6 +370,53 @@ def test_column_gram_operator_matches_stacked_products(params, meshes, kind,
             (1.0 - aa - bb) ** 2 - 4.0 * aa * bb)))) / math.pi
         assert abs(op.hs_sq - hs) <= 1e-14 * hs, mesh
         assert op.tail_radicand == op.hs_sq - op.trace, mesh
+
+
+def _mode_masses(op):
+    """m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], the Gram
+    mass of each t2 mode op holds, from its moment diagonals."""
+    idx = hardy.index_set(op.expansion.shape[0] - 1)
+    diag = np.diagonal(op.moments, axis1=1, axis2=2)[:, idx.sum(axis=1)]
+    return np.sum(op.expansion[idx[:, 1]].T ** 2 * diag, axis=1)
+
+
+@pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
+def test_column_gram_holds_the_visible_t2_modes(params, meshes, d, q):
+    # the paper symbol's t2 modes lose ~1e-6 of their mass a mode; the
+    # operator holds modes 0..J, the first mass <= eps^2 m_0 / n ends
+    # them, and the cut is a compression whose lost mass joins the tail
+    for mesh, quad in meshes(q).items():
+        op = hardy.column_gram_operator(params, d, quad)
+        full = all_modes_column_gram(params, d, quad)
+        masses = _mode_masses(full)
+        j = op.t2_modes - 1
+        assert masses[j + 1] <= EPS ** 2 * masses[0] / op.order < masses[j], \
+            mesh
+        assert np.array_equal(op.moments, full.moments[:j + 1]), mesh
+        assert np.array_equal(op.expansion, full.expansion[:, :j + 1]), mesh
+        # G X against the stacked products: rounding plus the dropped
+        # mass, which bounds the 2-norm of what the cut leaves out
+        gram = stacked_product_gram(params, d, quad)
+        dropped = float(np.sum(masses[j + 1:]))
+        x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
+        err = np.max(np.abs(op.matmat(x) - gram @ x))
+        assert err <= (1e-14 * np.linalg.norm(gram, 2) + dropped) \
+            * np.linalg.norm(x, 2), mesh
+        # the cut radicand counts the dropped mass: never below the full
+        # radicand beyond the rounding of two traces
+        trace = float(np.trace(gram))
+        assert op.tail_radicand >= op.hs_sq - trace - 8 * EPS * trace, mesh
+        # B = 0: every mode past 0 has mass 0
+        diagonal = hardy.column_gram_operator(params, d, quad, "diagonal")
+        assert diagonal.t2_modes == 1 and diagonal.moments.shape[0] == 1, mesh
+
+
+def test_paper_symbol_holds_six_t2_modes_at_degree_48(params):
+    # masses 2.3, 1.1e-6, 8.4e-13, 8.5e-19, 1.1e-24, 1.6e-30, then 2.6e-36
+    # under eps^2 m_0 / 2401 = 4.7e-35
+    op = hardy.column_gram_operator(params, 48, hardy.circle_quadrature(1024))
+    assert op.t2_modes == 6
+    assert op.moments.shape == (6, 97, 97) and op.expansion.shape == (49, 6)
 
 
 def test_column_gram_diagonal_matches_column_norms(params, meshes):

@@ -13,6 +13,7 @@ from mpmath import mp
 from cuspdecay import cli, hardy, maps, spectrum
 from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import (
+    all_modes_column_gram,
     dense_column_gram,
     pair_stack_split_grams,
     split_quadrature,
@@ -270,6 +271,19 @@ def _check_ritz_against_dense_oracle(params, d, quad, fits):
     assert np.all(theta <= lam[:k] + tol)
     assert abs(got.noise_floor - dense.noise_floor) <= 1e-12 * dense.noise_floor
     assert got.tail_bound >= tail - 1e-15 * tail
+    # the route holds 6 of the D + 1 t2 modes, and holding every mode
+    # moves no Ritz value by eps * lambda_1, the solver's resolution; at
+    # D = 16 the shorter j contraction rounds differently, moving values
+    # near the floor by up to 3e-4 eps * lambda_1 (6e-10 relative), and
+    # at D = 32 the resolved values agree to 1e-15 relative
+    full = spectrum._ritz_spectrum(all_modes_column_gram(params, d, quad))
+    assert got.t2_modes == 6 and full.t2_modes == d + 1
+    assert full.ritz_block == k
+    assert np.all(np.abs(theta - full.values[:k] ** 2) <= EPS * lam[0])
+    if d == 32:
+        resolved = full.values > full.noise_floor
+        assert np.all(np.abs(got.values - full.values)[resolved]
+                      <= 1e-15 * full.values[resolved])
     n_max = math.isqrt(d + 1)
     if not fits:
         for s in (dense, got):
@@ -375,6 +389,7 @@ def test_constant_one_factor_matches_written_out_gram(params, d, q):
     assert np.all(np.abs(theta - np.clip(lam[:k], 0.0, None)) <= tol)
     assert np.all(theta <= lam[:k] + tol)
     assert got.hs_sq == op.hs_sq and got.tail_radicand == op.tail_radicand
+    assert got.t2_modes == 1
 
 
 def _dense_operator(gram, tail):
@@ -383,7 +398,7 @@ def _dense_operator(gram, tail):
     trace = float(np.trace(gram))
     return types.SimpleNamespace(
         order=gram.shape[0], trace=trace, tail=tail,
-        hs_sq=trace + tail ** 2, tail_radicand=tail ** 2,
+        hs_sq=trace + tail ** 2, tail_radicand=tail ** 2, t2_modes=1,
         matmat=lambda x: gram @ x)
 
 
