@@ -46,7 +46,8 @@ at the same BLAS thread count reproduces each file byte for byte, into
 any output directory.  A different thread count sums the dense
 products in another order and moves the spectrum's trailing digits
 (at seed 17, OPENBLAS_NUM_THREADS=1 against 2 threads changes
-spectrum_paper.csv from its fourth line on).
+spectrum_paper.csv from its sixth line, a_16, on; 3 and 4 threads
+write the 2-thread bytes on a 2-core machine).
 Exit codes: 0 success; 2 for a ConfigurationError (a config, point,
 output directory or artifact read by report outside its documented
 domain); 1 for a failed verify suite or a CuspDecayError (a fit with
@@ -533,12 +534,8 @@ def _md_section(lines: list, name: str, payload: dict) -> None:
         lines.append("- beta interval [%.6f, %.6f] on schedule n^%d"
                      % (beta["beta_minus"], beta["beta_plus"],
                         beta["schedule_exponent"]))
-        lines.append("- Ritz block %d of %d columns"
-                     % (payload["ritz_block"], (payload["degree"] + 1) ** 2))
         lines.append("- t2 modes held: %d of %d"
                      % (payload["t2_modes"], payload["degree"] + 1))
-        lines.append("- dropped trace tr G - tr B = %.3e"
-                     % payload["dropped_trace"])
         lines.append("- tail radicand HS^2 - tr G = %.3e (HS^2 = %.6g)"
                      % (payload["tail_radicand"], payload["hs_sq"]))
         if payload["tail_radicand"] <= 0.0:

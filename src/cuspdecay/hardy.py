@@ -22,20 +22,22 @@ z1^a1 z2^a2 is
 with W[a2, j] = C(a2, j), so the t2 transform is a single term per j
 and only 1-D transforms in t1 remain.
 A column's j-th term depends on (a1, a2) only through p = a1 + a2 - j,
-so the column Gram is an operator on (2D+1)^2 moment matrices
-H_j[p, p'] = <|B|^j F^p', |B|^j F^p> (one small product per j): G X
-costs a few small matrix products and the (D+1)^2 x (D+1)^2 Gram is
-never needed.  Only the t2 modes j = 0..J whose Gram mass clears
-rounding are held: |B| <= 5.4e-4 makes each mode carry about 1e-6 of
-the mass of the one before, so J = 5 for the paper symbol (6 of 49
-modes at D = 48) and J = 0 for the diagonal.  The t2 modes are
-orthogonal, so the cut Gram is the Gram of P_J C, the image projected
-onto t2 modes <= J: a compression of C, whose values stay lower
-endpoints, and HS^2 - trace G counts the dropped modes' mass with the
-discarded columns (column_gram_operator has the proof).  g = 1 (image
+so the column Gram is built from one (2D+1)^2 moment matrix per j,
+H_j[p, p'] = <|B|^j F^p', |B|^j F^p>, each held as the triangular
+factor T_j of H_j = T_j^T T_j, and the (D+1)^2 x (D+1)^2 Gram is
+never formed: the factors stack into M with G = M^T M, and the small
+core M M^T has all of G's nonzero eigenvalues.  Only the t2 modes
+j = 0..J whose Gram mass clears rounding are held: |B| <= 5.4e-4 makes
+each mode carry about 1e-6 of the mass of the one before, so J = 5 for
+the paper symbol (6 of 49 modes at D = 48, a 567-square core) and
+J = 0 for the diagonal.  The t2 modes are orthogonal, so the cut Gram
+is the Gram of P_J C, the image projected onto t2 modes <= J: a
+compression of C, whose values stay lower endpoints, and
+HS^2 - trace G counts the dropped modes' mass with the discarded
+columns (column_gram_operator has the proof).  g = 1 (image
 F^a1 A^a2) has no such form; its Gram is kept as the real factor R of
 G = R^T R, two rows per half-circle node and one column per kept
-monomial, so it is never formed either.
+monomial, and its core is the smaller of R R^T and R^T R.
 
 Every t1 integral is a weighted sum over one CircleQuadrature on the
 half circle (0, pi]: F, A, B and e^{imt} satisfy X(-t) = conj X(t), so
@@ -210,13 +212,9 @@ class OperatorMatrix:
             raise CuspDecayError("tail_hs must be finite and >= 0")
 
 
-def _binomials(d: int) -> np.ndarray:
-    """binom[n, k] = C(n, k) for 0 <= k <= n <= d, zero above."""
-    binom = np.zeros((d + 1, d + 1))
-    for n_ in range(d + 1):
-        for k_ in range(n_ + 1):
-            binom[n_, k_] = math.comb(n_, k_)
-    return binom
+def _binomials(d: int, k: int) -> np.ndarray:
+    """Column k of W: C(n, k) for n = 0..d, zero for n < k."""
+    return np.array([math.comb(n, k) for n in range(d + 1)], dtype=float)
 
 
 def _expansion(data: SeparableBoundaryData, d: int):
@@ -229,7 +227,8 @@ def _expansion(data: SeparableBoundaryData, d: int):
     F != A) has image F^a1 A^a2, which has no such form: it is returned
     as (F, A, None)."""
     if data.structure == "binomial":
-        return data.F, data.B, _binomials(d)
+        return data.F, data.B, np.stack([_binomials(d, k)
+                                         for k in range(d + 1)], axis=1)
     return data.F, data.A, None
 
 
@@ -314,32 +313,32 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class ColumnGram:
-    """The column Gram G of column_gram_operator as an operator
-    X -> G X on blocks of columns in the index_set layout, with its
-    order n, trace and truncation tail.  hs_sq is the Hilbert-Schmidt
-    integral on the same quadrature and tail_radicand the signed
-    HS^2 - trace G before the clamp.
+    """The column Gram G of column_gram_operator, held as real factors,
+    with its order n, trace and truncation tail.  hs_sq is the
+    Hilbert-Schmidt integral on the same quadrature and tail_radicand
+    the signed HS^2 - trace G before the clamp.
 
-    For F = A, with W[a2, j] = C(a2, j) from _expansion, G is held on
-    the t2 modes j = 0..J that column_gram_operator keeps, as shifted
-    moments moments[j, s, s'] = H_j[s - j, s' - j] (s, s' <= 2D, zero
-    where s < j or s' < j) and expansion = W[:, :J+1], and
-    (G X)[(b1, b2)] = sum_{j <= J} W[b2, j] sum_s' H_j[b1 + b2 - j, s' - j]
-    sum_{a1 + a2 = s'} W[a2, j] X[(a1, a2)] is computed without forming
-    G.  That G is the Gram of P_J C, C with its image projected onto
-    the t2 modes <= J: a compression, so its eigenvalues and Ritz values
-    stay below those of the full Gram, and trace G leaves the dropped
-    modes' mass in HS^2 - trace G, inside the tail.  Paper with g = 1
-    holds the real factor R of G = R^T R; its image has the t2 mode 0
-    alone."""
+    For F = A, with W[a2, j] = C(a2, j) (_binomials), G is held on
+    the t2 modes j = 0..J that column_gram_operator keeps: factors[j] is
+    the triangular T_j with H_j = T_j^T T_j, placed at the columns
+    s >= j (zero before them), and expansion = W[:, :J+1].  With
+    E_j[s, (a1, a2)] = W[a2, j] if s = a1 + a2 and 0 otherwise,
+
+        G = sum_{j <= J} E_j^T T_j^T T_j E_j = M^T M,
+
+    M the stack of the T_j E_j.  That G is the Gram of P_J C, C with its
+    image projected onto the t2 modes <= J: a compression, so its
+    eigenvalues stay below those of the full Gram, and trace G leaves
+    the dropped modes' mass in HS^2 - trace G, inside the tail.  Paper
+    with g = 1 holds factors = (R,), G = R^T R, and no expansion; its
+    image has the t2 mode 0 alone."""
 
     order: int
     trace: float
     hs_sq: float
     tail_radicand: float
-    moments: np.ndarray | None = None
+    factors: tuple = ()
     expansion: np.ndarray | None = None
-    factor: np.ndarray | None = None
 
     @property
     def tail(self) -> float:
@@ -348,40 +347,33 @@ class ColumnGram:
     @property
     def t2_modes(self) -> int:
         """J + 1, the number of t2 modes the Gram holds."""
-        return 1 if self.expansion is None else self.expansion.shape[1]
+        return len(self.factors)
 
     @cached_property
-    def _layout(self):
-        # column (a1, a2) sits at [a2, a1 + a2] of the moment-side blocks
+    def core(self) -> np.ndarray:
+        """A small PSD matrix whose nonzero eigenvalues are G's: M M^T.
+        Its block (j, j') is T_j E_j E_j'^T T_j'^T = (T_j * c) T_j'^T, c
+        the diagonal c[s] = sum_{a1 + a2 = s} W[a2, j] W[a2, j'], so it
+        is at most sum_{j <= J} (2D + 1 - j) square (567 at D = 48)
+        against n = (D+1)^2.  For g = 1, the smaller of R R^T and
+        R^T R."""
+        if self.expansion is None:
+            (r,) = self.factors
+            return r @ r.T if r.shape[0] < r.shape[1] else r.T @ r
         idx = index_set(self.expansion.shape[0] - 1)
-        return idx[:, 1], idx[:, 0] + idx[:, 1]
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """G @ x for an (n, k) block x.  With the moments this is five
-        steps, O(J D^2 k) flops for the J + 1 held t2 modes and no n x n
-        array: scatter x into w[a2, a1 + a2], contract a2 against W, one
-        batched product with the moment matrices, contract j against W,
-        gather.  With the factor it is R^T (R x)."""
-        if self.factor is not None:
-            return self.factor.T @ (self.factor @ x)
-        a2, s = self._layout
-        w = np.zeros((self.expansion.shape[0], self.moments.shape[1],
-                      x.shape[1]))
-        w[a2, s] = x
-        # one step per line, so at most two (D+1)(2D+1)k arrays are alive
-        w = np.tensordot(self.expansion.T, w, axes=1)
-        w = np.matmul(self.moments, w)
-        w = np.tensordot(self.expansion, w, axes=1)
-        return w[a2, s]
+        s, w = idx.sum(axis=1), self.expansion[idx[:, 1]]
+        return np.block([[(t_j * np.bincount(s, w[:, j] * w[:, k])) @ t_k.T
+                          for k, t_k in enumerate(self.factors)]
+                         for j, t_j in enumerate(self.factors)])
 
 
 def column_gram_operator(params, degree: int, quad: CircleQuadrature,
                          kind: str = "paper") -> ColumnGram:
     """Gram G[alpha, alpha'] = <C e_alpha', C e_alpha> of the composed
     kept monomials under the discrete pullback measure, as a ColumnGram
-    operator with the discarded-column tail.  G is real and symmetric,
-    in the index_set layout, for max(a1, a2) <= degree.  The t1
-    integrals run over the caller's mesh quad.
+    of real factors with the discarded-column tail.  G is real and
+    symmetric, in the index_set layout, for max(a1, a2) <= degree.  The
+    t1 integrals run over the caller's mesh quad.
 
     Unlike the assembled matrix, the inner products here keep every
     output Fourier mode (the t2 integral is exact; t1 is a plain node
@@ -400,24 +392,24 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
             = sum_j W[a2, j] W[b2, j] H_j[a1 + a2 - j, b1 + b2 - j],
         H_j[p, p'] = (1/pi) sum_nodes w |B|^{2j} Re(conj(F^p) F^{p'}).
 
-    The moment matrices are H_j = S_j^T S_j, S_j = factor(X^p) scaled
-    by |Y|^j, p up to 2D - j.  Mode j carries the Gram mass
+    The moment matrices are H_j = S_j^T S_j, S_j = factor(F^p) scaled
+    by |B|^j, p up to 2D - j, and H_j is never formed: mode j is held
+    as T_j, the R factor of the thin QR of S_j (Golub and Kahan 1965),
+    so H_j = T_j^T T_j.  Mode j carries the Gram mass
     m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], read off
-    the column sums of squares of S_j before H_j is formed.  The build
-    stops at the first j >= 1 with m_j <= eps^2 m_0 / n, n = (D+1)^2,
-    and holds the modes j = 0..J before it (O(J D^2 N) flops on N rows,
-    (J+1)(2D+1)^2 doubles): Y = 0 gives J = 0, and the paper symbol,
+    the column sums of squares of S_j.  The build stops at the first
+    j >= 1 with m_j <= eps^2 m_0 / n, n = (D+1)^2, and holds the modes
+    j = 0..J before it (O(J D^2 N) flops on N rows, at most
+    (J+1)(2D+1)^2 doubles): B = 0 gives J = 0, and the paper symbol,
     whose masses fall by about 1e-6 a mode (|B| <= 5.4e-4), J = 5 at
-    D = 8 to 128.  trace G is summed mode by mode from the diagonals
-    of the held H_j, j = 0 first, so a mode under half an ulp of the
-    running sum cannot move its bits whether it is held or not.  The
-    cut leaves the intervals honest:
+    D = 8 to 128.  trace G is the sum of the held masses, j = 0 first,
+    so a mode under half an ulp of the running sum cannot move its bits
+    whether it is held or not.  The cut leaves the intervals honest:
 
     - Mode j is the Gram of the t2-mode-j component of the image, and
       the modes are orthogonal in L^2(t2).  So the held G is the Gram
       of P_J C, with P_J the projection onto t2 modes <= J, a
-      compression of C: its eigenvalues, and the Ritz values drawn from
-      it, are still lower endpoints.
+      compression of C: its eigenvalues are still lower endpoints.
     - HS^2 - trace G is exactly the discarded columns' mass plus the
       dropped modes' mass ||(1 - P_J) C||_HS^2, so the tail
       sqrt(HS^2 - trace G) covers every dropped mode, whatever J is.
@@ -436,41 +428,37 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
     data = symbol_boundary_data(params, quad.nodes, kind)
     idx = index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]
-    x, y, w = _expansion(data, d)
-    if w is None:
-        r = quad.factor(np.vander(x, d + 1, increasing=True)[:, a1]
-                        * np.vander(y, d + 1, increasing=True)[:, a2])
+    if data.structure == "product":
+        r = quad.factor(np.vander(data.F, d + 1, increasing=True)[:, a1]
+                        * np.vander(data.A, d + 1, increasing=True)[:, a2])
         trace = float(np.sum(r * r))
         return ColumnGram(r.shape[1], trace,
-                          *_truncation_tail(data, quad, trace), factor=r)
-    r = quad.factor(np.vander(x, 2 * d + 1, increasing=True))
-    b = np.abs(np.concatenate([y, y]))[:, None]
-    products = []
+                          *_truncation_tail(data, quad, trace), factors=(r,))
+    r = quad.factor(np.vander(data.F, 2 * d + 1, increasing=True))
+    b = np.abs(np.concatenate([data.B, data.B]))[:, None]
+    factors, expansion = [], []
+    trace = 0.0
     for j in range(d + 1):
         s_j = r[:, :2 * d + 1 - j] * b ** j
-        # keep every product normal: subnormal ones made these
-        # products 5x slower at D = 48, and what is dropped moves
-        # no moment by more than ~1e-150
+        # keep every entry normal: subnormal ones slow the BLAS kernels
+        # (5x on the products S_j^T S_j at D = 48), and what is dropped
+        # moves no entry of H_j by more than ~1e-150
         s_j[np.abs(s_j) < _SQRT_TINY] = 0.0
         # m_j from the column sums of squares, diag H_j; a negative
         # index (a2 < j) meets W[a2, j] = 0
+        w_j = _binomials(d, j)
         cols = np.einsum("ij,ij->j", s_j, s_j)
-        mass = float(np.sum(w[a2, j] ** 2 * cols[a1 + a2 - j]))
+        mass = float(np.sum(w_j[a2] ** 2 * cols[a1 + a2 - j]))
         if j == 0:
             cut = _EPS ** 2 * mass / idx.shape[0]
         elif mass <= cut:
             break
-        products.append(s_j.T @ s_j)
-    w = w[:, :len(products)]
-    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
-    # trace G mode by mode, j = 0 first: a mode under half an ulp of the
-    # running sum cannot move its bits, held or dropped
-    trace = 0.0
-    for j, h_j in enumerate(products):
-        moments[j, j:, j:] = h_j
-        trace += float(np.sum(w[a2, j] ** 2
-                              * np.diagonal(moments[j])[a1 + a2]))
+        trace += mass
+        t_j = np.zeros((min(s_j.shape), 2 * d + 1))
+        t_j[:, j:] = np.linalg.qr(s_j, mode="r")
+        factors.append(t_j)
+        expansion.append(w_j)
     return ColumnGram(idx.shape[0], trace,
                       *_truncation_tail(data, quad, trace),
-                      moments=moments, expansion=w)
-
+                      factors=tuple(factors),
+                      expansion=np.stack(expansion, axis=1))

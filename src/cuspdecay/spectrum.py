@@ -8,11 +8,10 @@ tail_bound caps the gap in operator norm.  Values at or below the
 tail, or below the eigensolver's rounding floor, carry no information;
 the fitting code refuses to use them.
 
-The two-variable spectra compress once more: a Rayleigh-Ritz step on
-a block subspace keeps only the top of the column Gram's spectrum.
-Ritz values interlace from below, so they are still lower endpoints,
-and the Gram trace the block leaves out joins the tail by Parseval
-(see composition_spectrum).
+The two-variable spectra come from one dense eigensolve of a small
+core matrix that shares its nonzero eigenvalues with the column Gram
+(see composition_spectrum), so every value is computed; values under
+the eigensolver's noise floor are reported as 0.
 """
 
 from __future__ import annotations
@@ -62,16 +61,13 @@ class SingularSpectrum:
 
 
 @dataclass(frozen=True, kw_only=True)
-class RitzSpectrum(SingularSpectrum):
-    """A spectrum whose first ritz_block values are Rayleigh-Ritz values
-    of a Gram G on a block of that width, the rest exact zeros.
-    dropped_trace is trace G - trace B for the block's projected Gram
-    B, and tail_radicand is HS^2 - trace G for the discarded columns
-    and t2 modes, each signed as computed; their positive parts are in
-    tail_bound.  t2_modes is the number of t2 modes G holds."""
+class TruncatedSpectrum(SingularSpectrum):
+    """The spectrum of a truncated composition operator with the record
+    of its truncation: hs_sq is the Hilbert-Schmidt integral and
+    tail_radicand the signed HS^2 - trace G for the discarded columns
+    and t2 modes, whose positive part is tail_bound squared; t2_modes is
+    the number of t2 modes the Gram G holds."""
 
-    ritz_block: int
-    dropped_trace: float
     hs_sq: float
     tail_radicand: float
     t2_modes: int
@@ -134,87 +130,54 @@ def gram_values(gram: np.ndarray, tail_bound: float) -> SingularSpectrum:
     return SingularSpectrum(vals, tail_bound, noise)
 
 
-# seed of the Gaussian start block: fixed, so reruns are byte-identical
-RITZ_SEED = 0
-
-
-def _ritz_spectrum(gram: hardy.ColumnGram) -> RitzSpectrum:
-    """Top of the spectrum of a real symmetric PSD Gram, given as the
-    operator X -> G X, by block subspace iteration with a Rayleigh-Ritz
-    step; see composition_spectrum for why the intervals stay honest.
-
-    The block starts at width 2 isqrt(n) (2(D+1) for a degree-D Gram)
-    and doubles while its smallest Ritz value is above the noise floor,
-    up to n."""
-    n = gram.order
-    k = min(2 * math.isqrt(n), n)
-    while True:
-        # no n x k block outlives its use: the start block goes once
-        # G Omega is formed, and each basis before the next QR
-        rng = np.random.default_rng(RITZ_SEED)
-        y = gram.matmat(rng.standard_normal((n, k)))
-        q = np.linalg.qr(y)[0]
-        y = gram.matmat(q)
-        del q
-        q = np.linalg.qr(y)[0]  # one power step
-        del y
-        b = q.T @ gram.matmat(q)
-        del q
-        top = gram_values(b, gram.tail)
-        if k == n or top.values[-1] <= top.noise_floor:
-            break
-        k = min(2 * k, n)
-    dropped = gram.trace - float(np.trace(b))
-    # each trace is an n-term sum, off by at most n eps trace G
-    if dropped < -n * float(np.finfo(float).eps) * gram.trace:
-        raise CuspDecayError(
-            "projected trace exceeds trace G by %.3e; the Gram is not "
-            "positive semidefinite" % (-dropped,))
-    values = np.zeros(n)
-    values[:k] = top.values
-    tail = math.sqrt(gram.tail ** 2 + max(dropped, 0.0))
-    return RitzSpectrum(values, tail, top.noise_floor, ritz_block=k,
-                        dropped_trace=dropped, hs_sq=gram.hs_sq,
-                        tail_radicand=gram.tail_radicand,
-                        t2_modes=gram.t2_modes)
+def _column_gram_spectrum(gram: hardy.ColumnGram) -> TruncatedSpectrum:
+    """s-numbers of a ColumnGram from the eigenvalues of its core,
+    truncated or zero-padded to its order n, with the values at or
+    below the noise floor reported as 0; see composition_spectrum."""
+    top = gram_values(gram.core, gram.tail)
+    values = np.zeros(gram.order)
+    k = min(len(top), gram.order)
+    values[:k] = np.where(top.values[:k] > top.noise_floor,
+                          top.values[:k], 0.0)
+    return TruncatedSpectrum(values, top.tail_bound, top.noise_floor,
+                             hs_sq=gram.hs_sq,
+                             tail_radicand=gram.tail_radicand,
+                             t2_modes=gram.t2_modes)
 
 
 def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
-                         kind: str = "paper") -> RitzSpectrum:
+                         kind: str = "paper") -> TruncatedSpectrum:
     """Spectrum pipeline for the two-variable symbols: column Gram of
-    the kept monomial images on the caller's t1 mesh quad, Rayleigh-Ritz
-    values of its top block, discarded-column tail.  This is the
+    the kept monomials' images on the caller's t1 mesh quad, the exact
+    eigenvalues of its small core, discarded-column tail.  This is the
     production route behind the headline decay run.
 
-    With C the operator on the n = (D+1)^2 kept columns, G = C^T C and
-    Q an orthonormal n x k block (Gaussian start, one power step),
-    B = Q^T G Q is the Gram of the compression C Q Q^T, whose s-numbers
-    are the square roots of B's eigenvalues followed by n - k exact
-    zeros.  By Cauchy interlacing each Ritz value is at most the
-    matching eigenvalue of G, so these stay lower endpoints.  By
-    Parseval ||C - C Q Q^T||_HS^2 = trace G - trace B, and the
-    discarded columns add HS^2 - trace G, so the tail
-    sqrt(tail^2 + trace G - trace B) caps the gap to the full operator
-    for every row, including those past the block, which read
-    [0, tail].  A dropped trace that rounding pushes below zero adds
-    nothing (its signed value is kept as dropped_trace); one below
-    -n eps trace G raises CuspDecayError.  The block grows until
-    its smallest value drops below the eigensolver noise floor, so every
-    value the fit can use is computed; at D = 48 that is k = 98 of 2401.
+    hardy.column_gram_operator holds the Gram of P_J C, the image of the
+    n = (D+1)^2 kept columns cut to the t2 modes <= J, as G = M^T M
+    with M = [T_0 E_0; ...; T_J E_J] (ColumnGram has the layout), along
+    with trace G, HS^2 and the signed radicand HS^2 - trace G, which the
+    result carries as hs_sq and tail_radicand, and J + 1 as t2_modes.
+    M M^T and M^T M share their nonzero eigenvalues, so one dense
+    eigensolve of the core M M^T (567 square for the paper symbol at
+    D = 48; J = 5, and J = 0 for the diagonal) gives every nonzero
+    eigenvalue of G, and G's other n - rank eigenvalues are exact
+    zeros.  Their square roots are the s-numbers of the compression
+    P_J C.
 
-    G is never formed: hardy.column_gram_operator supplies G X from the
-    moment matrices of the t2 modes j = 0..J it keeps (O(J D^2 k) flops
-    per block of k columns; J = 5 for the paper symbol, 0 for the
-    diagonal) along with trace G, HS^2 and the signed radicand
-    HS^2 - trace G, which the result carries as hs_sq and
-    tail_radicand, and J + 1 as t2_modes.  That G is the Gram of P_J C,
-    the image cut to t2 modes <= J, which the modes' orthogonality makes
-    a compression of C: interlacing from it still gives lower
-    endpoints, and HS^2 - trace G holds the dropped modes' mass
-    ||C - P_J C||_HS^2 beside the discarded columns', so the same tail
-    covers them (hardy.column_gram_operator has the proof)."""
-    return _ritz_spectrum(hardy.column_gram_operator(params, degree, quad,
-                                                     kind))
+    - Lower endpoints: P_J C compresses C (the t2 modes are orthogonal;
+      hardy.column_gram_operator has the proof), so each s-number of
+      P_J C is at most the matching one of the full operator.
+    - Tail: by Parseval ||C_full - P_J C||_HS^2 = HS^2 - trace G, the
+      discarded columns' mass plus the dropped modes', so every row,
+      the zero ones included, reads [s_n, s_n + tail] with
+      tail = sqrt(max(HS^2 - trace G, 0)).
+    - Noise: the eigensolve knows each eigenvalue only to about
+      eps lambda_1, so a value at or below sqrt(eps lambda_1), the
+      noise floor, carries no information: it is reported as 0, still
+      a lower endpoint, and fit_decay never uses it.  Neither endpoint
+      is widened for this rounding."""
+    return _column_gram_spectrum(
+        hardy.column_gram_operator(params, degree, quad, kind))
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:

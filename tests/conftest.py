@@ -196,37 +196,56 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def written_out_gram(op):
+    """The column Gram of a hardy.ColumnGram built from the factors it
+    holds: R^T R for g = 1, else G = sum_j E_j^T T_j^T T_j E_j with
+    E_j[s, (a1, a2)] = W[a2, j] where s = a1 + a2, so that column
+    (a1, a2) of T_j E_j is W[a2, j] times column a1 + a2 of T_j."""
+    if op.expansion is None:
+        (r,) = op.factors
+        return r.T @ r
+    idx = hardy.index_set(op.expansion.shape[0] - 1)
+    gram = np.zeros((op.order, op.order))
+    for j, t_j in enumerate(op.factors):
+        m = t_j[:, idx.sum(axis=1)] * op.expansion[idx[:, 1], j]
+        gram += m.T @ m
+    return gram
+
+
 def dense_column_gram(params, d, quad, kind="paper"):
     """(G, tail): the column Gram of hardy.column_gram_operator written
-    out by applying the operator to the identity, symmetrised from its
-    upper triangle, and the operator's truncation tail."""
+    out from its factors, symmetrised from its upper triangle, and the
+    operator's truncation tail."""
     op = hardy.column_gram_operator(params, d, quad, kind)
-    gram = op.matmat(np.eye(op.order))
+    gram = written_out_gram(op)
     return np.triu(gram) + np.triu(gram, 1).T, op.tail
 
 
 def all_modes_column_gram(params, d, quad, kind="paper"):
-    """hardy.ColumnGram for an F = A symbol with a moment matrix for
-    every t2 mode j = 0..D (j = 0 alone when B = 0), the oracle of
+    """hardy.ColumnGram for an F = A symbol with a factor for every t2
+    mode j = 0..D (j = 0 alone when B = 0), the oracle of
     column_gram_operator's cut at the modes it can see: the same
-    moments H_j = S_j^T S_j, none dropped, and trace G as one sum over
-    every held mode's diagonal."""
+    factors T_j, the R of the thin QR of S_j, none dropped, and trace G
+    as one sum over every held mode's column sums of squares."""
     data = hardy.symbol_boundary_data(params, quad.nodes, kind)
     idx = hardy.index_set(d)
     a1, a2 = idx[:, 0], idx[:, 1]
-    w = hardy._binomials(d)[:, :d + 1 if np.any(data.B) else 1]
+    modes = d + 1 if np.any(data.B) else 1
+    w = np.stack([hardy._binomials(d, j) for j in range(modes)], axis=1)
     r = quad.factor(np.vander(data.F, 2 * d + 1, increasing=True))
     b = np.abs(np.concatenate([data.B, data.B]))[:, None]
-    moments = np.zeros((w.shape[1], 2 * d + 1, 2 * d + 1))
-    for j in range(w.shape[1]):
+    factors, diag = [], np.zeros((modes, 2 * d + 1))
+    for j in range(modes):
         s_j = r[:, :2 * d + 1 - j] * b ** j
         s_j[np.abs(s_j) < hardy._SQRT_TINY] = 0.0
-        moments[j, j:, j:] = s_j.T @ s_j
-    diag = np.diagonal(moments, axis1=1, axis2=2)[:, a1 + a2].T
-    trace = float(np.sum(w[a2] ** 2 * diag))
+        diag[j, j:] = np.sum(s_j * s_j, axis=0)
+        t_j = np.zeros((min(s_j.shape), 2 * d + 1))
+        t_j[:, j:] = np.linalg.qr(s_j, mode="r")
+        factors.append(t_j)
+    trace = float(np.sum(w[a2] ** 2 * diag[:, a1 + a2].T))
     return hardy.ColumnGram(idx.shape[0], trace,
                             *hardy._truncation_tail(data, quad, trace),
-                            moments=moments, expansion=w)
+                            factors=tuple(factors), expansion=w)
 
 
 def stacked_product_gram(params, d, quad, kind="paper"):

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from cuspdecay import cli, hardy, maps, spectrum, verifier
-from conftest import pair_stack_split_grams, split_quadrature, window_integrals
+from conftest import (
+    pair_stack_split_grams,
+    split_quadrature,
+    window_integrals,
+    written_out_gram,
+)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +148,7 @@ def test_08_splitting_exactness(params):
     for n in (90, 140, 190):
         regions = pair_stack_split_grams(params, 12, 64, n)
         op = hardy.column_gram_operator(params, 12, split_quadrature(n))
-        full = op.matmat(np.eye(op.order))
+        full = written_out_gram(op)
         gap = float(np.max(np.abs(sum(regions) - full)))
         assert gap <= 1e-14
         # ||T_outer|| = sqrt(||G_outer||_2) <= sqrt(||G_outer||_F)

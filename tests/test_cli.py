@@ -372,7 +372,7 @@ def test_spectrum_paper_verb_records_noise_floor(tmp_path, frozen_cfg):
 
 
 def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
-    # the Ritz start block has a fixed seed, so a rerun repeats every byte
+    # the route draws no random number, so a rerun repeats every byte
     outs = [str(tmp_path / name) for name in ("a", "b")]
     for out in outs:
         assert cli.main(["spectrum", "--config", frozen_cfg,
@@ -382,9 +382,7 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
                          for o in outs)
         assert first == second
     payload = json.load(open(os.path.join(outs[0], "decay_paper.json")))
-    assert payload["ritz_block"] == 98
     assert payload["t2_modes"] == 6
-    assert abs(payload["dropped_trace"]) < 1e-12
     # the radicand HS^2 - tr G (3.2e-10 of HS^2 = 2.26 at degree 48) is
     # recorded signed, before the tail clamps it
     assert 2.0 < payload["hs_sq"] < 2.5
@@ -396,8 +394,7 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
     assert [r.split(",")[3] for r in rows[1:]] == ["1"] * 7 + ["0"] * 42
     assert cli.main(["report", "--config", frozen_cfg, "--out", outs[0]]) == 0
     md = open(os.path.join(outs[0], "report.md")).read()
-    assert "- Ritz block 98 of 2401 columns\n- t2 modes held: 6 of 49\n" in md
-    assert "- dropped trace tr G - tr B = " in md
+    assert "- t2 modes held: 6 of 49\n" in md
     assert "- tail radicand HS^2 - tr G = " in md
 
 
@@ -696,8 +693,8 @@ def test_exit_contract(tmp_path, argv, code, message):
 def _decay_payload(tail_bound, tail_radicand):
     return {"config": "0" * 12, "seed": 17, "symbol": "paper",
             "degree": 96, "quad": 1024, "tail_bound": tail_bound,
-            "noise_floor": 1e-8, "ritz_block": 194, "dropped_trace": -8.9e-16,
-            "hs_sq": 2.3, "tail_radicand": tail_radicand, "t2_modes": 6,
+            "noise_floor": 1e-8, "hs_sq": 2.3,
+            "tail_radicand": tail_radicand, "t2_modes": 6,
             "fit": {"rate": 2.7, "r_squared": 0.99},
             "beta": {"beta_minus": 0.1, "beta_plus": 0.2,
                      "schedule_exponent": 2}}
@@ -739,9 +736,8 @@ def test_artifact_contract(tmp_path, frozen_cfg):
     assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out]) == 0
     decay = json.load(open(os.path.join(out, "decay_paper.json")))
     assert set(decay) >= {"config", "seed", "symbol", "degree", "quad",
-                          "tail_bound", "noise_floor", "ritz_block",
-                          "dropped_trace", "hs_sq", "tail_radicand",
-                          "t2_modes", "fit", "beta"}
+                          "tail_bound", "noise_floor", "hs_sq",
+                          "tail_radicand", "t2_modes", "fit", "beta"}
     assert set(decay["fit"]) == {"intercept", "rate", "r_squared",
                                  "n_range", "usable_n"}
     assert isinstance(decay["fit"]["n_range"], list)

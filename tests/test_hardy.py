@@ -15,6 +15,7 @@ from conftest import (
     dense_column_gram,
     stacked_product_gram,
     window_integrals,
+    written_out_gram,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -307,11 +308,11 @@ def test_column_gram_matches_torus_oracle(params, kind, g_kind):
     brute = v.conj().T @ v / 256 ** 2
     assert gram.dtype == np.float64  # half-circle reduction of brute
     assert np.max(np.abs(gram - brute)) < 1e-12
-    # only g = 1 (image F^a1 A^a2) has no moment form: it keeps its factor
+    # only g = 1 (image F^a1 A^a2) has no moment form: it keeps its
+    # factor R alone, with no expansion
     op = hardy.column_gram_operator(p, 6, hardy.circle_quadrature(256), kind)
     factored = kind == "paper" and g_kind == "constant_one"
-    assert (op.factor is not None) == factored
-    assert (op.moments is None) == factored
+    assert (op.expansion is None) == factored
 
     # a caller's graded quadrature that reaches the cusp: the oracle sums
     # the complex Gram over the +-t nodes with their weights, each node a
@@ -358,7 +359,7 @@ def test_column_gram_operator_matches_stacked_products(params, meshes, kind,
         gram = stacked_product_gram(params, d, quad, kind)
         assert op.order == gram.shape[0] == (d + 1) ** 2
         x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
-        err = np.max(np.abs(op.matmat(x) - gram @ x))
+        err = np.max(np.abs(written_out_gram(op) @ x - gram @ x))
         assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2), \
             mesh
         trace = float(np.trace(gram))
@@ -374,10 +375,12 @@ def test_column_gram_operator_matches_stacked_products(params, meshes, kind,
 
 def _mode_masses(op):
     """m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], the Gram
-    mass of each t2 mode op holds, from its moment diagonals."""
+    mass of each t2 mode op holds, from the column sums of squares of
+    its factors, diag T_j^T T_j = diag H_j."""
     idx = hardy.index_set(op.expansion.shape[0] - 1)
-    diag = np.diagonal(op.moments, axis1=1, axis2=2)[:, idx.sum(axis=1)]
-    return np.sum(op.expansion[idx[:, 1]].T ** 2 * diag, axis=1)
+    diag = np.array([np.sum(t * t, axis=0) for t in op.factors])
+    return np.sum(op.expansion[idx[:, 1]].T ** 2
+                  * diag[:, idx.sum(axis=1)], axis=1)
 
 
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
@@ -392,14 +395,16 @@ def test_column_gram_holds_the_visible_t2_modes(params, meshes, d, q):
         j = op.t2_modes - 1
         assert masses[j + 1] <= EPS ** 2 * masses[0] / op.order < masses[j], \
             mesh
-        assert np.array_equal(op.moments, full.moments[:j + 1]), mesh
+        assert all(np.array_equal(t, u) for t, u in
+                   zip(op.factors, full.factors[:j + 1],
+                       strict=True)), mesh
         assert np.array_equal(op.expansion, full.expansion[:, :j + 1]), mesh
         # G X against the stacked products: rounding plus the dropped
         # mass, which bounds the 2-norm of what the cut leaves out
         gram = stacked_product_gram(params, d, quad)
         dropped = float(np.sum(masses[j + 1:]))
         x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
-        err = np.max(np.abs(op.matmat(x) - gram @ x))
+        err = np.max(np.abs(written_out_gram(op) @ x - gram @ x))
         assert err <= (1e-14 * np.linalg.norm(gram, 2) + dropped) \
             * np.linalg.norm(x, 2), mesh
         # the cut radicand counts the dropped mass: never below the full
@@ -408,7 +413,7 @@ def test_column_gram_holds_the_visible_t2_modes(params, meshes, d, q):
         assert op.tail_radicand >= op.hs_sq - trace - 8 * EPS * trace, mesh
         # B = 0: every mode past 0 has mass 0
         diagonal = hardy.column_gram_operator(params, d, quad, "diagonal")
-        assert diagonal.t2_modes == 1 and diagonal.moments.shape[0] == 1, mesh
+        assert diagonal.t2_modes == len(diagonal.factors) == 1, mesh
 
 
 def test_paper_symbol_holds_six_t2_modes_at_degree_48(params):
@@ -416,7 +421,10 @@ def test_paper_symbol_holds_six_t2_modes_at_degree_48(params):
     # under eps^2 m_0 / 2401 = 4.7e-35
     op = hardy.column_gram_operator(params, 48, hardy.circle_quadrature(1024))
     assert op.t2_modes == 6
-    assert op.moments.shape == (6, 97, 97) and op.expansion.shape == (49, 6)
+    assert [t.shape for t in op.factors] == [(97 - j, 97) for j in range(6)]
+    assert op.expansion.shape == (49, 6)
+    # the core M M^T stacks the six triangular factors' rows
+    assert op.core.shape == (567, 567)
 
 
 def test_column_gram_diagonal_matches_column_norms(params, meshes):

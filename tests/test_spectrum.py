@@ -19,6 +19,7 @@ from conftest import (
     split_quadrature,
     stacked_product_gram,
     tanh_sinh_quadrature,
+    written_out_gram,
 )
 
 
@@ -224,18 +225,16 @@ def test_compression_monotonicity(params, meshes):
 
 def test_scaling_spectrum_exact():
     # the column Gram of the scaling z -> z/2 at D = 4 is
-    # diag(4^-(a1+a2)), and its discarded columns carry
+    # diag(4^-(a1+a2)), its own core, and its discarded columns carry
     # 16/9 - trace G = HS^2 - trace G
     idx = hardy.index_set(4)
     lam = 0.25 ** (idx[:, 0] + idx[:, 1])
     tail = math.sqrt(16.0 / 9.0 - float(np.sum(lam)))
-    s = spectrum._ritz_spectrum(_dense_operator(np.diag(lam), tail))
+    s = spectrum._column_gram_spectrum(_stand_in(np.diag(lam), tail))
     expect = np.sort(0.5 ** (idx[:, 0] + idx[:, 1]))[::-1]
+    assert len(s) == 25
     assert np.max(np.abs(s.values - expect)) < 1e-12
     assert abs(s.tail_bound - 0.058911177218042614) < 1e-12
-    # every value is above the noise floor, so the Ritz block doubles
-    # 10 -> 20 -> 25 = n
-    assert s.ritz_block == len(s) == 25
 
 
 EPS = float(np.finfo(float).eps)
@@ -244,46 +243,44 @@ EPS = float(np.finfo(float).eps)
 @pytest.mark.parametrize("d, q, fits", [(16, 256, False), (32, 512, False),
                                         (48, 1024, True)])
 def test_ritz_spectrum_matches_dense_oracle(params, meshes, d, q, fits):
-    # the dense route the Ritz step replaced, written out as the oracle:
-    # every eigenvalue of the full column Gram, built by the per-j
-    # stacked products, which share no code with the moment operator;
-    # the 4 s dense case at D = 48 runs on the uniform grid alone
+    # the dense route, written out as the oracle: every eigenvalue of the
+    # full column Gram, built by the per-j stacked products, which share
+    # no code with the factored core; the 4 s dense case at D = 48 runs
+    # on the uniform grid alone
     for mesh, quad in meshes(q).items():
         if d < 48 or mesh == "uniform":
-            _check_ritz_against_dense_oracle(params, d, quad, fits)
+            _check_against_dense_oracle(params, d, quad, fits)
 
 
-def _check_ritz_against_dense_oracle(params, d, quad, fits):
+def _check_against_dense_oracle(params, d, quad, fits):
     gram = stacked_product_gram(params, d, quad)
     tail = hardy.column_gram_operator(params, d, quad).tail
     lam = np.linalg.eigvalsh(gram)[::-1]
     dense = spectrum.SingularSpectrum(np.sqrt(np.clip(lam, 0.0, None)), tail,
                                       math.sqrt(EPS * lam[0]))
     got = spectrum.composition_spectrum(params, d, quad)
-    k = got.ritz_block
-    assert len(got) == (d + 1) ** 2 and 0 < k < len(got)
-    assert np.all(got.values[k:] == 0.0)
-    # Ritz values match to the dense solver's own rounding and interlace
-    # from below
-    theta = got.values[:k] ** 2
+    assert len(got) == (d + 1) ** 2
+    # every value, the zeros under the noise floor included, matches the
+    # dense eigenvalues to the solver's own rounding
     tol = 64 * EPS * lam[0]
-    assert np.all(np.abs(theta - np.clip(lam[:k], 0.0, None)) <= tol)
-    assert np.all(theta <= lam[:k] + tol)
+    assert np.all(np.abs(got.values ** 2 - np.clip(lam, 0.0, None)) <= tol)
+    assert np.all((got.values > got.noise_floor) | (got.values == 0.0))
     assert abs(got.noise_floor - dense.noise_floor) <= 1e-12 * dense.noise_floor
     assert got.tail_bound >= tail - 1e-15 * tail
-    # the route holds 6 of the D + 1 t2 modes, and holding every mode
-    # moves no Ritz value by eps * lambda_1, the solver's resolution; at
-    # D = 16 the shorter j contraction rounds differently, moving values
-    # near the floor by up to 3e-4 eps * lambda_1 (6e-10 relative), and
-    # at D = 32 the resolved values agree to 1e-15 relative
-    full = spectrum._ritz_spectrum(all_modes_column_gram(params, d, quad))
-    assert got.t2_modes == 6 and full.t2_modes == d + 1
-    assert full.ritz_block == k
-    assert np.all(np.abs(theta - full.values[:k] ** 2) <= EPS * lam[0])
-    if d == 32:
-        resolved = full.values > full.noise_floor
-        assert np.all(np.abs(got.values - full.values)[resolved]
-                      <= 1e-15 * full.values[resolved])
+    # so every reported interval contains the oracle's value, the zeroed
+    # rows included, once the tail exceeds the noise floor
+    assert got.tail_bound > got.noise_floor
+    assert np.all(got.values ** 2 <= lam + tol)
+    assert np.all(dense.values <= got.values + got.tail_bound)
+    # the route holds 6 of the D + 1 t2 modes; holding every mode, through
+    # the same core, moves no value by eps * lambda_1, the solver's
+    # resolution (the all-modes core is 1617 square at D = 32)
+    if d <= 32:
+        full = spectrum._column_gram_spectrum(
+            all_modes_column_gram(params, d, quad))
+        assert got.t2_modes == 6 and full.t2_modes == d + 1
+        assert np.all(np.abs(got.values ** 2 - full.values ** 2)
+                      <= EPS * lam[0])
     n_max = math.isqrt(d + 1)
     if not fits:
         for s in (dense, got):
@@ -367,7 +364,7 @@ def test_constant_one_factor_matches_written_out_gram(params, d, q):
     p = dataclasses.replace(params, g_kind="constant_one")
     quad = hardy.circle_quadrature(q)
     op = hardy.column_gram_operator(p, d, quad)
-    assert op.factor is not None and op.moments is None
+    assert op.expansion is None and len(op.factors) == 1
     f = maps.cusp_on_circle(quad.nodes)
     a = f + p.c * maps.phi_values(f, p.theta)
     idx = hardy.index_set(d)
@@ -377,62 +374,40 @@ def test_constant_one_factor_matches_written_out_gram(params, d, q):
     gram = r.T @ r
     assert op.order == gram.shape[0] == (d + 1) ** 2
     x = np.random.default_rng(5).standard_normal((op.order, 2 * (d + 1)))
-    err = np.max(np.abs(op.matmat(x) - gram @ x))
+    err = np.max(np.abs(written_out_gram(op) @ x - gram @ x))
     assert err <= 1e-14 * np.linalg.norm(gram, 2) * np.linalg.norm(x, 2)
     trace = float(np.trace(gram))
     assert abs(op.trace - trace) <= 1e-14 * trace
+    # the core is R^T R at D = 8 (128 rows, 81 columns) and R R^T at
+    # D = 16 (256 rows, 289 columns)
+    assert op.core.shape[0] == min(r.shape)
     lam = np.linalg.eigvalsh(gram)[::-1]
     got = spectrum.composition_spectrum(p, d, quad)
-    k = got.ritz_block
-    theta = got.values[:k] ** 2
+    assert len(got) == (d + 1) ** 2
     tol = 64 * EPS * lam[0]
-    assert np.all(np.abs(theta - np.clip(lam[:k], 0.0, None)) <= tol)
-    assert np.all(theta <= lam[:k] + tol)
+    assert np.all(np.abs(got.values ** 2 - np.clip(lam, 0.0, None)) <= tol)
+    assert np.all((got.values > got.noise_floor) | (got.values == 0.0))
+    assert got.tail_bound > got.noise_floor
+    assert np.all(got.values ** 2 <= lam + tol)
+    assert np.all(np.sqrt(np.clip(lam, 0.0, None))
+                  <= got.values + got.tail_bound)
     assert got.hs_sq == op.hs_sq and got.tail_radicand == op.tail_radicand
     assert got.t2_modes == 1
 
 
-def _dense_operator(gram, tail):
-    """A stand-in for hardy.ColumnGram that holds the matrix itself, so
-    the input may be any symmetric matrix, indefinite ones included."""
-    trace = float(np.trace(gram))
+def _stand_in(core, tail):
+    """A stand-in for hardy.ColumnGram that holds a given PSD core, the
+    Gram itself, of order its size."""
+    trace = float(np.trace(core))
     return types.SimpleNamespace(
-        order=gram.shape[0], trace=trace, tail=tail,
-        hs_sq=trace + tail ** 2, tail_radicand=tail ** 2, t2_modes=1,
-        matmat=lambda x: gram @ x)
-
-
-def test_ritz_intervals_contain_exact_values():
-    # known spectrum: 20 geometric values, then 380 values of 1e-16
-    # (s = 1e-8, under the noise floor 1.5e-8); the block stops at 40,
-    # and only the dropped trace puts the rows past it under the tail
-    rng = np.random.default_rng(3)
-    n = 400
-    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.concatenate([0.5 ** np.arange(20.0), np.full(n - 20, 1e-16)])
-    gram = (u * lam) @ u.T
-    gram = np.triu(gram) + np.triu(gram, 1).T
-    s = spectrum._ritz_spectrum(_dense_operator(gram, 1e-9))
-    assert s.ritz_block == 40 and len(s) == n
-    exact = np.sqrt(lam)
-    assert np.all(exact <= s.values + s.tail_bound)
-    above = s.values > s.noise_floor
-    assert np.all(s.values[above] <= exact[above] * (1.0 + 1e-12))
-    assert s.dropped_trace > 0.0
-
-
-def test_ritz_rejects_negative_dropped_trace():
-    # an indefinite "Gram": the block holds the four 1s and four of the
-    # -1e-3s, so trace G - trace B = -4e-3, far beyond rounding
-    gram = np.diag([1.0] * 4 + [0.0] * 4 + [-1e-3] * 8)
-    with pytest.raises(CuspDecayError, match="exceeds trace G by 4"):
-        spectrum._ritz_spectrum(_dense_operator(gram, 0.0))
+        order=core.shape[0], core=core, tail=tail,
+        hs_sq=trace + tail ** 2, tail_radicand=tail ** 2, t2_modes=1)
 
 
 def test_split_gram_partition_and_masses(params):
     regions = pair_stack_split_grams(params, 12, 64, 90)
     op = hardy.column_gram_operator(params, 12, split_quadrature(90))
-    full = op.matmat(np.eye(op.order))
+    full = written_out_gram(op)
     assert np.max(np.abs(sum(regions) - full)) < 1e-14
     # the alpha = 0 entries are the plain region measures
     mi, mm, mo = (float(g[0, 0]) for g in regions)
