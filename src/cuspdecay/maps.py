@@ -34,9 +34,15 @@ Conventions used throughout:
 * the chain functions are elementwise, and a slice of an input gets
   the bits the whole array gets, so a caller that streams its points
   in slices of SAMPLE_BLOCK, as every pass over many points does,
-  gets the whole-array result.  disk_sample_blocks yields the disk
-  sample a block at a time, from two generators on one stream, and
-  holds nothing between blocks;
+  gets the whole-array result.  cusp_on_circle, _lens_arcs and
+  phi_modulus take their masked copies only in a block that needs
+  them: one that holds t = 0, a NaN or infinite t, a point on the
+  outer arc, a subnormal t or z = 1; made on every block, they would
+  be most of a pass's page faults.  SAMPLE_BLOCK = 4096 points, which
+  keeps each complex temporary (64 KiB) under glibc's 128 KiB mmap
+  threshold, removes most of the rest (see SAMPLE_BLOCK).
+  disk_sample_blocks yields the disk sample a block at a time, from
+  two generators on one stream, and holds nothing between blocks;
 * estimate_k is the only user of the disk sample, and its K enters
   the c rule.  The lens constant LENS_K = 1 + sqrt(2) is exact, and
   reach_fraction certifies the reach and half-gap inequalities of a
@@ -143,21 +149,20 @@ def _lens_arcs(t) -> np.ndarray:
       outer arc, t >= pi/2: |chi0| = 1, so A = 1 and
         B = 1 - (4/pi) arctan sqrt(tan((t - pi/2)/2)).
 
-    pi/2 - t takes pi/2's low part, so the corner keeps every digit."""
+    pi/2 - t takes pi/2's low part, so the corner keeps every digit.
+    A block on the inner arc alone, as every bracket-grid block is,
+    skips the masked gathers and scatters; a slice gets the bits of the
+    whole array either way."""
     d = (_HALF_PI - t) + _HALF_PI_LO  # pi/2 - t
     inner = d > 0.0
-    a, b = np.ones_like(t), np.ones_like(t)
-    ti = t[inner]
-    tau = np.tan(ti / 2.0)
-    root = np.sqrt(np.tan(d[inner] / 2.0))
-    den = (1.0 + tau) * (1.0 + root)
-    sub = ti < _TINY
-    log_q = np.log(np.where(sub, ti, 2.0 * tau / den))
-    log_q[sub] -= np.log(den[sub])
-    a[inner] = 1.0 - _TWO_OVER_PI * (log_q - np.log1p(root))
-    outer = ~inner
-    b[outer] = 1.0 - 2.0 * _TWO_OVER_PI * np.arctan(
-        np.sqrt(np.tan(-d[outer] / 2.0)))
+    if inner.all():
+        a, b = _inner_arc_a(t, d), 1.0
+    else:
+        a, b = np.ones_like(t), np.ones_like(t)
+        a[inner] = _inner_arc_a(t[inner], d[inner])
+        outer = ~inner
+        b[outer] = 1.0 - 2.0 * _TWO_OVER_PI * np.arctan(
+            np.sqrt(np.tan(-d[outer] / 2.0)))
     den = a * a + b * b
     out = np.empty(t.shape, dtype=complex)
     np.subtract(1.0, a / den, out=out.real)
@@ -165,12 +170,28 @@ def _lens_arcs(t) -> np.ndarray:
     return out
 
 
+def _inner_arc_a(t, d) -> np.ndarray:
+    """A = 1 - (2/pi) log r on the inner arc (see _lens_arcs), for t in
+    (0, pi/2) and d = pi/2 - t."""
+    tau = np.tan(t / 2.0)
+    root = np.sqrt(np.tan(d / 2.0))
+    den = (1.0 + tau) * (1.0 + root)
+    sub = t < _TINY
+    if sub.any():
+        log_q = np.log(np.where(sub, t, 2.0 * tau / den))
+        log_q[sub] -= np.log(den[sub])
+    else:
+        log_q = np.log(2.0 * tau / den)
+    return 1.0 - _TWO_OVER_PI * (log_q - np.log1p(root))
+
+
 def cusp_on_circle(t) -> np.ndarray:
     """Cusp map at e^{it} for arbitrary real t, from the two lens arcs'
     closed form (_lens_arcs), in which no term cancels: accurate down
     to the smallest subnormal |t|.  Vectorized; t = 0 maps to 1, a NaN
     or infinite t to nan + nan i, and negative t to the exact
-    conjugate."""
+    conjugate.  A block with no t = 0 and no NaN or infinite t skips
+    the np.where, gather and scatter."""
     scalar = np.ndim(t) == 0
     t = np.array(t, dtype=float, ndmin=1)
     t[np.isinf(t)] = math.nan  # no point of the circle; NaN fails every test
@@ -180,9 +201,12 @@ def cusp_on_circle(t) -> np.ndarray:
     if np.any(big):
         t[big] = np.mod(t[big] + math.pi, 2.0 * math.pi) - math.pi
     ta = np.abs(t)
-    out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
     on = ta > 0.0
-    out[on] = _lens_arcs(ta[on])
+    if on.all():
+        out = _lens_arcs(ta)
+    else:
+        out = np.where(np.isnan(t), complex(math.nan, math.nan), 1.0 + 0.0j)
+        out[on] = _lens_arcs(ta[on])
     np.negative(out.imag, out=out.imag, where=t < 0.0)
     return out[0] if scalar else out
 
@@ -246,10 +270,11 @@ def phi_modulus(z, theta: float) -> np.ndarray:
     least delta = cos(pi*theta/2), which gives phi_values' bound."""
     z = np.asarray(z, dtype=complex)
     at_one = z == 1.0
-    w = np.where(at_one, 0.5, 1.0 - z)
+    fix = at_one.any()
+    w = np.where(at_one, 0.5, 1.0 - z) if fix else 1.0 - z
     out = np.exp(-np.abs(w) ** -theta
                  * np.cos(theta * np.arctan2(w.imag, w.real)))
-    return np.where(at_one, 0.0, out)[()]
+    return (np.where(at_one, 0.0, out) if fix else out)[()]
 
 
 def phi_mp(z, theta, dps: int = 40):
@@ -310,9 +335,14 @@ class SymbolParams:
 
 SAMPLE_RADIUS_CAP = 1.0 - 1e-6
 SAMPLE_BULK_FRACTION = 0.2
-# points per slice of every sample and chain pass: small enough that a
-# block's ~10 complex temporaries stay in cache
-SAMPLE_BLOCK = 1 << 13
+# points per slice of every sample and chain pass.  A complex temporary
+# of 4096 points is 64 KiB, under glibc's 128 KiB mmap threshold, and
+# the pass reuses heap pages whatever ran before it: check_calibration
+# at 1e6 points takes 2 to 20 minor faults.  At 8192 points (128 KiB)
+# it takes about 100 after build_params and about 2 850 in a fresh
+# process; build_params and the geometry, calibration and codim suites
+# take 2 393 faults against 630 at 4096 (BENCH_36.json)
+SAMPLE_BLOCK = 1 << 12
 
 
 def disk_sample_blocks(count: int, seed: int):

@@ -481,8 +481,8 @@ def check_codim_count(n_list, params) -> VerificationReport:
     approaches the geometric series limit
     shrink^theta / (1 - shrink^theta).  Every floor is cross-checked
     against 50-digit decimal arithmetic (ln(shrink) once, one exp per
-    j, see _floor_50), so a double-rounding boundary case would surface
-    as a violation."""
+    j, shared by every n, see _floor_50), so a double-rounding boundary
+    case would surface as a violation."""
     theta, shrink = params.theta, params.sigma
     n_list = sorted({int(n) for n in n_list})
     if not n_list or n_list[0] < 1:
@@ -493,6 +493,7 @@ def check_codim_count(n_list, params) -> VerificationReport:
         ctx.prec = 50 + _GUARD_DIGITS
         # Decimal(float) is exact, and ln and exp are correctly rounded
         log_shrink, theta_d = Decimal(shrink).ln(), Decimal(theta)
+        powers = []  # shrink^(j theta) for j = 1, 2, ..., shared by every n
         for n in n_list:
             end = _covering_end(n, theta, shrink)
             end_exact = _floor_50(
@@ -502,10 +503,12 @@ def check_codim_count(n_list, params) -> VerificationReport:
                     {"item": "range_formula", "n": n,
                      "double": end, "exact": end_exact})
                 end = end_exact
+            while len(powers) < end:
+                powers.append(((len(powers) + 1) * theta_d * log_shrink).exp())
             total = 0
-            for j in range(1, end + 1):
+            for j, power in enumerate(powers[:end], 1):
                 m_double = int(math.floor(n * shrink ** (j * theta))) + 1
-                m_exact = _floor_50(n * (j * theta_d * log_shrink).exp()) + 1
+                m_exact = _floor_50(n * power) + 1
                 if m_double != m_exact:
                     rep.witness(
                         {"item": "block_size_formula", "n": n, "j": j,

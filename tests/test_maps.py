@@ -342,7 +342,10 @@ def test_scalar_inputs_return_complex_scalars():
 
 
 _B = maps.SAMPLE_BLOCK
-_BLOCK_SIZES = [1, _B - 1, _B, _B + 1, 3 * _B + 17]
+# counts about one and three blocks, of SAMPLE_BLOCK and of a fixed 8192
+# points, so that the counts checked do not all move with SAMPLE_BLOCK
+_BLOCK_SIZES = sorted({1, _B - 1, _B, _B + 1, 3 * _B + 17,
+                       8191, 8192, 8193, 3 * 8192 + 17})
 
 
 def _chain_inputs(count):
@@ -389,6 +392,36 @@ def test_chain_blocks_keep_shape():
     got = maps.cusp_on_circle(t.reshape(2, -1))
     assert got.shape == (2, 100)
     assert got.tobytes() == maps.cusp_on_circle(t).tobytes()
+
+
+_ABOVE_CORNER = np.nextafter(math.pi / 2.0, 4.0)
+# blocks on one arc, with no t = 0, no t beyond pi, no NaN and no
+# subnormal t: cusp_on_circle and phi_modulus take their unmasked paths
+# on each, _lens_arcs on the inner ones and its masked path on the outer
+_ONE_ARC_BLOCKS = {
+    "inner": np.geomspace(1e-12, 1.5, 257),
+    "inner to the corner": np.append(np.geomspace(1e-8, 1.5, 64),
+                                     math.pi / 2.0),
+    "outer": np.linspace(_ABOVE_CORNER, math.pi, 257),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_ARC_BLOCKS))
+def test_one_arc_blocks_match_mixed_blocks(name):
+    # each function must give a one-arc block the bits the same points
+    # get inside a block that takes every mask
+    t = _ONE_ARC_BLOCKS[name]
+    n = t.size
+    arcs = maps._lens_arcs(np.append(t, [5e-324, 0.3, 2.5]))
+    assert maps._lens_arcs(t).tobytes() == arcs[:n].tobytes()
+    extra = [0.0, -0.3, math.nan, math.inf, -math.inf, 4.0, -7.0, 5e-324]
+    for sign in (1.0, -1.0):
+        mixed = maps.cusp_on_circle(np.append(sign * t, extra))
+        assert maps.cusp_on_circle(sign * t).tobytes() == mixed[:n].tobytes()
+    chi = maps.cusp_on_circle(t)
+    mixed = maps.phi_modulus(np.append(chi, [1.0, 0.0]), 0.5)
+    assert maps.phi_modulus(chi, 0.5).tobytes() == mixed[:n].tobytes()
+    assert mixed[n] == 0.0
 
 
 def test_symbol_params_validation():
@@ -444,20 +477,21 @@ def _count_with_ring_edge(block, blocks):
     return count
 
 
-# counts just past one and three blocks, of SAMPLE_BLOCK and of 2^16;
-# the ring/bulk boundary falls mid-block but for the last, where it is
-# the edge of the second block
-@pytest.mark.parametrize("count", [1, 7, maps.SAMPLE_BLOCK + 1,
-                                   3 * maps.SAMPLE_BLOCK + 17, (1 << 16) + 1,
-                                   3 * (1 << 16) + 17,
-                                   _count_with_ring_edge(maps.SAMPLE_BLOCK, 2)])
+# counts just past one and three blocks, of SAMPLE_BLOCK, of 8192 and
+# of 2^16; the ring/bulk boundary falls mid-block but for the counts
+# whose ring points end on the edge of the second block
+@pytest.mark.parametrize("count", sorted({
+    1, 7, maps.SAMPLE_BLOCK + 1, 3 * maps.SAMPLE_BLOCK + 17,
+    _count_with_ring_edge(maps.SAMPLE_BLOCK, 2), 8192 + 1, 3 * 8192 + 17,
+    _count_with_ring_edge(8192, 2), (1 << 16) + 1, 3 * (1 << 16) + 17}))
 def test_disk_samples_match_whole_array_formula(count):
     for seed in (9, 17):
         got = disk_samples(count, seed)
         assert got.tobytes() == _whole_array_disk_samples(count, seed).tobytes()
 
 
-@pytest.mark.parametrize("block", [63, 64, 1000, maps.SAMPLE_BLOCK])
+@pytest.mark.parametrize("block", sorted({63, 64, 1000, maps.SAMPLE_BLOCK,
+                                           8192}))
 def test_disk_sample_blocks_match_whole_array_formula(block, monkeypatch):
     # every block but the last is full; the ring/bulk boundary falls
     # mid-block, then on the edge of the second block.  An odd block

@@ -4,13 +4,17 @@ must dominate."""
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from mpmath import mp
 
-from cuspdecay import maps, verifier
+from cuspdecay import cli, maps, verifier
 from cuspdecay.errors import ConfigurationError
 from conftest import (derivative_trials, diag_derivative, sampled_covering,
                       schwarz_trials, traced_peak)
@@ -317,6 +321,36 @@ def test_calibration_memory_per_sample(params):
     assert large - small <= 200_000 * 1
 
 
+_FAULT_PROBE = """
+import resource, sys
+from cuspdecay import maps, verifier
+params = maps.SymbolParams(theta=0.5, c=float(sys.argv[1]),
+                           k_hat=float(sys.argv[2]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+verifier.check_calibration(params, int(sys.argv[3]))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the fault count depends on glibc's malloc")
+def test_calibration_takes_no_page_faults_per_block(params):
+    # in a fresh interpreter, so that no earlier test has shaped the
+    # heap, the suite takes about 20 minor faults at 4096-point blocks,
+    # about 2 850 at 8192 (128 KiB complex temporaries, glibc's mmap
+    # threshold) and about 19 700 at 8192 with masked copies made on
+    # every block
+    default = cli.RunConfig().calibration_samples
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maps.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE, repr(params.c),
+         repr(params.k_hat), str(default)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
 def test_geometry_memory_per_sample():
     # the whole-array suite grew 136 B per sample; the streamed one
     # forms the bracket's t grid a slice at a time, so its peak does
@@ -326,9 +360,10 @@ def test_geometry_memory_per_sample():
     assert large - small <= 100_000 * 4
 
 
-@pytest.mark.parametrize("count", [2, 3, maps.SAMPLE_BLOCK - 1,
-                                   maps.SAMPLE_BLOCK, maps.SAMPLE_BLOCK + 1,
-                                   100_000, 200_000])
+# counts about one block of SAMPLE_BLOCK and about a fixed 8192 points
+@pytest.mark.parametrize("count", sorted({
+    2, 3, maps.SAMPLE_BLOCK - 1, maps.SAMPLE_BLOCK, maps.SAMPLE_BLOCK + 1,
+    8191, 8192, 8193, 100_000, 200_000}))
 def test_bracket_grid_slices_match_geomspace(count):
     slices = list(verifier._bracket_grid_slices(count))
     assert all(0 < t.size <= maps.SAMPLE_BLOCK for t in slices)
@@ -490,6 +525,7 @@ def test_derivative_suites_keep_ten_witnesses(monkeypatch):
     # whatever the slice length
     monkeypatch.setattr(verifier, "_derivative_sup",
                         lambda k, r: np.full(np.shape(r), np.inf))
+    default_block = maps.SAMPLE_BLOCK
     for check, key, stop in ((verifier.check_derivative_bound, "b", 0.999),
                              (verifier.check_schwarz_bound, "a", 0.9)):
         rep = check(1000)
@@ -500,7 +536,7 @@ def test_derivative_suites_keep_ten_witnesses(monkeypatch):
                    for v in rep.violations)
         monkeypatch.setattr(maps, "SAMPLE_BLOCK", 4)
         assert check(1000).violations == rep.violations
-        monkeypatch.setattr(maps, "SAMPLE_BLOCK", 1 << 13)
+        monkeypatch.setattr(maps, "SAMPLE_BLOCK", default_block)
 
 
 @pytest.mark.parametrize("check", [verifier.check_derivative_bound,
