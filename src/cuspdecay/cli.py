@@ -43,11 +43,13 @@ Flags override the file.  Every CSV and JSON artifact, report.json
 included, embeds the 12-hex config hash (all keys but out and
 precision) and the seed, and re-running a double-precision config
 at the same BLAS thread count reproduces each file byte for byte, into
-any output directory.  A different thread count sums the dense
-products in another order and moves the spectrum's trailing digits
-(at seed 17, OPENBLAS_NUM_THREADS=1 against 2 threads changes
-spectrum_paper.csv from its sixth line, a_16, on; 3 and 4 threads
-write the 2-thread bytes on a 2-core machine).
+any output directory.  The column Gram's thin QRs and the one-dim
+SVD run at one OpenBLAS thread at any count, so only the core's
+products and its eigensolve sum in another order at another count and
+move the spectrum's trailing digits (at seed 17, OPENBLAS_NUM_THREADS=1
+against 2 threads changes spectrum_paper.csv from its sixth line,
+a_16, on; 3 and 4 threads write the 2-thread bytes on a 2-core
+machine).
 Exit codes: 0 success; 2 for a ConfigurationError (a config, point,
 output directory or artifact read by report outside its documented
 domain); 1 for a failed verify suite or a CuspDecayError (a fit with

@@ -54,9 +54,11 @@ negative except by rounding.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -311,6 +313,42 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 _EPS = float(np.finfo(float).eps)
 
 
+@cache
+def _openblas_thread_setter():
+    """openblas_set_num_threads_local of numpy's bundled OpenBLAS, or
+    None (MKL, Accelerate, a system or older OpenBLAS)."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_set_num_threads_local64_",
+                    "openblas_set_num_threads_local"):
+            func = getattr(lib, sym, None)
+            if func is not None:
+                func.argtypes, func.restype = [ctypes.c_int], ctypes.c_int
+                return func
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread, then restore the caller's
+    count; without the setter, change nothing.  The thin QRs and SVDs
+    here run faster so (2.5x on the D = 48 QRs, 2 cores) and take one
+    set of bits: under about 128 columns LAPACK's unblocked path gives
+    each element one thread at any count, and wider ones now take the
+    1-thread bits.  numpy's pthreads OpenBLAS applies the "local"
+    setter to the whole process; the package runs single-threaded."""
+    setter = _openblas_thread_setter()
+    previous = setter(1) if setter is not None else None
+    try:
+        yield
+    finally:
+        if previous is not None:
+            setter(previous)
+
+
 @dataclass(frozen=True, eq=False)
 class ColumnGram:
     """The column Gram G of column_gram_operator, held as real factors,
@@ -395,7 +433,10 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
     The moment matrices are H_j = S_j^T S_j, S_j = factor(F^p) scaled
     by |B|^j, p up to 2D - j, and H_j is never formed: mode j is held
     as T_j, the R factor of the thin QR of S_j (Golub and Kahan 1965),
-    so H_j = T_j^T T_j.  Mode j carries the Gram mass
+    so H_j = T_j^T T_j.  The QRs run at one BLAS thread
+    (_one_blas_thread), so the T_j take the same bits at every thread
+    count; only the core's products and its eigensolve depend on it.
+    Mode j carries the Gram mass
     m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], read off
     the column sums of squares of S_j.  The build stops at the first
     j >= 1 with m_j <= eps^2 m_0 / n, n = (D+1)^2, and holds the modes
@@ -455,7 +496,8 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
             break
         trace += mass
         t_j = np.zeros((min(s_j.shape), 2 * d + 1))
-        t_j[:, j:] = np.linalg.qr(s_j, mode="r")
+        with _one_blas_thread():
+            t_j[:, j:] = np.linalg.qr(s_j, mode="r")
         factors.append(t_j)
         expansion.append(w_j)
     return ColumnGram(idx.shape[0], trace,

@@ -208,18 +208,25 @@ def _admissible_n(spectrum: SingularSpectrum, schedule_exponent: int,
 def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
                   n_range) -> BetaReport:
     """Extremes of [a_{n^exponent}]^{1/n} over the upper half of
-    n_range; the lower half is treated as transient and discarded.
+    n_range; the lower half is treated as transient and discarded, and
+    so is every row with a_{n^exponent} <= noise_floor, as in fit_decay.
 
-    Raises CuspDecayError when no n in n_range fits the spectrum, or
-    (via BetaReport) when the surviving proxies leave [0, 1], which
-    happens when the kept n are so small that a_{n^N} still exceeds 1."""
+    Raises CuspDecayError when no n in n_range fits the spectrum or no
+    kept row clears the noise floor, or (via BetaReport) when the
+    surviving proxies leave [0, 1], which happens when the kept n are
+    so small that a_{n^N} still exceeds 1."""
     admissible = _admissible_n(spectrum, schedule_exponent, n_range)
     kept = admissible[len(admissible) // 2:]
     lows, highs = [], []
     for n in kept:
         low, high = approximation_numbers(spectrum, n ** schedule_exponent)
-        lows.append(low ** (1.0 / n))
-        highs.append(high ** (1.0 / n))
+        if low > spectrum.noise_floor:
+            lows.append(low ** (1.0 / n))
+            highs.append(high ** (1.0 / n))
+    if not lows:
+        raise CuspDecayError(
+            "none of the %d kept points exceeds the noise floor %.3e"
+            % (len(kept), spectrum.noise_floor))
     return BetaReport(schedule_exponent, min(lows), max(highs))
 
 
@@ -282,7 +289,8 @@ def one_dim_contrast(degree: int,
     chi = maps.cusp_on_circle(quad.nodes)
     v = quad.factor(np.vander(chi, degree + 1, increasing=True))
     try:
-        s = np.linalg.svd(v, compute_uv=False)
+        with hardy._one_blas_thread():
+            s = np.linalg.svd(v, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise CuspDecayError("SVD failed to converge: %s" % exc) from exc
     # per node, 1/(1 - r) - sum_{k <= D} r^k = r^(D+1)/(1 - r), r = |chi|^2

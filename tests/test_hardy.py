@@ -3,12 +3,17 @@ half-circle quadrature, Carleson window integrals (conftest's
 window_integrals).  The matrix files are tested through the matrix verb
 in test_cli."""
 
+import ctypes
+import glob
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from cuspdecay import cli, hardy, maps
+from cuspdecay import cli, hardy, maps, spectrum
 from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import (
     all_modes_column_gram,
@@ -425,6 +430,77 @@ def test_paper_symbol_holds_six_t2_modes_at_degree_48(params):
     assert op.expansion.shape == (49, 6)
     # the core M M^T stacks the six triangular factors' rows
     assert op.core.shape == (567, 567)
+
+
+_FACTOR_PROBE = """
+import hashlib, sys
+from cuspdecay import hardy, maps
+params = maps.SymbolParams(theta=0.5, c=float(sys.argv[1]),
+                           k_hat=float(sys.argv[2]))
+d = int(sys.argv[3])
+quad = (hardy.circle_quadrature(1024) if sys.argv[4] == "uniform"
+        else hardy.graded_quadrature(16, 1e-14))
+op = hardy.column_gram_operator(params, d, quad)
+print(hashlib.sha256(b"".join(t.tobytes() for t in op.factors)).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("d,mesh", [(48, "uniform"), (240, "graded")])
+def test_column_gram_factors_ignore_the_blas_thread_count(params, d, mesh):
+    # at D = 48 (97 columns, the unblocked dgeqrf) the QR bits do not
+    # depend on the thread count; at D = 240 on the graded mesh (481
+    # columns, the blocked dgeqrf's dgemm) they do, unless the QRs run
+    # at one thread
+    if d == 240 and hardy._openblas_thread_setter() is None:
+        pytest.skip("no OpenBLAS thread setter: the QRs run at any count")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardy.__file__)))
+    digests = set()
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FACTOR_PROBE, repr(params.c),
+             repr(params.k_hat), str(d), mesh],
+            env=dict(os.environ, PYTHONPATH=src,
+                     OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1
+
+
+def _openblas_thread_count():
+    """The thread count from the getter of the OpenBLAS numpy loaded."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            func = getattr(lib, sym, None)
+            if func is not None:
+                func.restype = ctypes.c_int
+                return int(func())
+    return None
+
+
+def test_qr_and_svd_run_at_one_blas_thread_and_restore_the_count(
+        params, monkeypatch):
+    before = _openblas_thread_count()
+    if before is None or hardy._openblas_thread_setter() is None:
+        pytest.skip("no OpenBLAS thread getter and setter")
+    seen = []
+
+    def counted(call):
+        def wrapper(*args, **kwargs):
+            seen.append(_openblas_thread_count())
+            return call(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    hardy.column_gram_operator(params, 16, hardy.circle_quadrature(256))
+    assert _openblas_thread_count() == before
+    spectrum.one_dim_contrast(16, hardy.graded_quadrature(16, 1e-14))
+    assert _openblas_thread_count() == before
+    assert seen and set(seen) == {1}
 
 
 def test_column_gram_diagonal_matches_column_norms(params, meshes):

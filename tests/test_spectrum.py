@@ -134,6 +134,22 @@ def test_beta_estimate_geometric():
         spectrum.beta_estimate(growing, 1, range(1, 9))
 
 
+def test_beta_estimate_drops_rows_under_the_noise_floor():
+    # kept upper half n = 5..8 reads a_25, a_36, a_49, a_64; only a_25
+    # clears the floor 0.5^36 (a row at the floor is dropped, as in
+    # fit_decay), so neither extreme takes a noise row's 0 or its tail
+    vals = 0.5 ** np.arange(1, 65)
+    vals[40:] = 0.0
+    s = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 36)
+    rep = spectrum.beta_estimate(s, 2, range(1, 9))
+    assert rep.beta_minus == pytest.approx(0.5 ** 5, rel=1e-14)
+    assert rep.beta_plus == pytest.approx((0.5 ** 25 + 1e-12) ** 0.2,
+                                          rel=1e-14)
+    quiet = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 25)
+    with pytest.raises(CuspDecayError, match="noise floor"):
+        spectrum.beta_estimate(quiet, 2, range(1, 9))
+
+
 def test_fit_decay_recovers_synthetic_line():
     n = np.arange(1, 41)
     s = spectrum.SingularSpectrum(5.0 * np.exp(-0.3 * n), 0.0)
