@@ -314,19 +314,19 @@ _EPS = float(np.finfo(float).eps)
 
 
 @cache
-def _openblas_thread_setter():
-    """openblas_set_num_threads_local of numpy's bundled OpenBLAS, or
-    None (MKL, Accelerate, a system or older OpenBLAS)."""
+def _openblas_symbol(name):
+    """The function name (scipy_<name>64_ in numpy's wheels) of the
+    OpenBLAS numpy bundles, returning int; None under MKL, Accelerate
+    or a system or older OpenBLAS."""
     import ctypes
     import glob
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
         lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_set_num_threads_local64_",
-                    "openblas_set_num_threads_local"):
+        for sym in ("scipy_%s64_" % name, name):
             func = getattr(lib, sym, None)
             if func is not None:
-                func.argtypes, func.restype = [ctypes.c_int], ctypes.c_int
+                func.restype = ctypes.c_int
                 return func
     return None
 
@@ -335,12 +335,10 @@ def _openblas_thread_setter():
 def _one_blas_thread():
     """Run the block at one OpenBLAS thread, then restore the caller's
     count; without the setter, change nothing.  The thin QRs and SVDs
-    here run faster so (2.5x on the D = 48 QRs, 2 cores) and take one
-    set of bits: under about 128 columns LAPACK's unblocked path gives
-    each element one thread at any count, and wider ones now take the
-    1-thread bits.  numpy's pthreads OpenBLAS applies the "local"
-    setter to the whole process; the package runs single-threaded."""
-    setter = _openblas_thread_setter()
+    here run faster so (2.5x on the D = 48 QRs, 2 cores) and take the
+    1-thread bits at every count.  numpy's pthreads OpenBLAS applies
+    the "local" setter process-wide; the package runs single-threaded."""
+    setter = _openblas_symbol("openblas_set_num_threads_local")
     previous = setter(1) if setter is not None else None
     try:
         yield

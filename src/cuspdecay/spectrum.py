@@ -89,8 +89,9 @@ class BetaReport:
     """Finite-n proxies for the geometric-decay parameters along the
     schedule n -> n^exponent: extremes of [a_{n^exponent}]^{1/n} over
     the asymptotic half of the probed range.  beta_minus uses the
-    computed lower endpoints, beta_plus the truncation-capped upper
-    ones, so the pair brackets anything the finite data can certify."""
+    computed lower endpoints above the noise floor, beta_plus the
+    truncation-capped upper ones, so the pair brackets anything the
+    finite data can certify."""
 
     schedule_exponent: int
     beta_minus: float
@@ -208,13 +209,14 @@ def _admissible_n(spectrum: SingularSpectrum, schedule_exponent: int,
 def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
                   n_range) -> BetaReport:
     """Extremes of [a_{n^exponent}]^{1/n} over the upper half of
-    n_range; the lower half is treated as transient and discarded, and
-    so is every row with a_{n^exponent} <= noise_floor, as in fit_decay.
+    n_range; the lower half is treated as transient and discarded.
+    beta_minus skips every row with a_{n^exponent} <= noise_floor, as
+    fit_decay does, and is 0, still a lower bound, when no kept row
+    clears the floor; beta_plus takes every kept row's upper endpoint.
 
-    Raises CuspDecayError when no n in n_range fits the spectrum or no
-    kept row clears the noise floor, or (via BetaReport) when the
-    surviving proxies leave [0, 1], which happens when the kept n are
-    so small that a_{n^N} still exceeds 1."""
+    Raises CuspDecayError when no n in n_range fits the spectrum, or
+    (via BetaReport) when the surviving proxies leave [0, 1], which
+    happens when the kept n are so small that a_{n^N} still exceeds 1."""
     admissible = _admissible_n(spectrum, schedule_exponent, n_range)
     kept = admissible[len(admissible) // 2:]
     lows, highs = [], []
@@ -222,12 +224,8 @@ def beta_estimate(spectrum: SingularSpectrum, schedule_exponent: int,
         low, high = approximation_numbers(spectrum, n ** schedule_exponent)
         if low > spectrum.noise_floor:
             lows.append(low ** (1.0 / n))
-            highs.append(high ** (1.0 / n))
-    if not lows:
-        raise CuspDecayError(
-            "none of the %d kept points exceeds the noise floor %.3e"
-            % (len(kept), spectrum.noise_floor))
-    return BetaReport(schedule_exponent, min(lows), max(highs))
+        highs.append(high ** (1.0 / n))
+    return BetaReport(schedule_exponent, min(lows, default=0.0), max(highs))
 
 
 def fit_decay(spectrum: SingularSpectrum, schedule_exponent: int,

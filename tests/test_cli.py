@@ -346,6 +346,29 @@ def test_spectrum_diagonal_default_degree_fails_honestly(tmp_path, frozen_cfg,
     assert not os.path.exists(os.path.join(out, "decay_diagonal.json"))
 
 
+@pytest.mark.parametrize("degree", [64, 120])
+def test_spectrum_diagonal_beta_minus_skips_noise_rows(tmp_path, frozen_cfg,
+                                                      degree):
+    # beta_minus reads the kept upper half of n = 1..isqrt(D+1): at
+    # D = 64 (n = 5..8) only a_25 clears the noise floor, so beta_minus
+    # is a_25^(1/5); at D = 120 (n = 6..11) none does, and the verb still
+    # writes decay_diagonal.json with beta_minus 0, an honest lower bound
+    out = str(tmp_path / "art")
+    assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out,
+                     "--symbol", "diagonal", "--degree", str(degree)]) == 0
+    decay = json.load(open(os.path.join(out, "decay_diagonal.json")))
+    lines = open(os.path.join(out, "spectrum_diagonal.csv")).read()
+    rows = [line.split(",") for line in lines.splitlines()[2:]]  # a_{n^2}
+    kept = range(math.isqrt(degree + 1) // 2 + 1, math.isqrt(degree + 1) + 1)
+    lows = [float(rows[n - 1][1]) ** (1 / n) for n in kept
+            if rows[n - 1][3] == "1"]
+    assert [n for n in kept if rows[n - 1][3] == "1"] == (
+        [5] if degree == 64 else [])
+    assert decay["beta"]["beta_minus"] == min(lows, default=0.0)
+    assert decay["beta"]["beta_plus"] == max(
+        float(rows[n - 1][2]) ** (1 / n) for n in kept)
+
+
 def test_spectrum_constant_one_default_degree_fails_honestly(tmp_path,
                                                            capsys):
     # g = 1 at the default degree 48: only n = 1..3 clear the 10 x tail

@@ -3,8 +3,6 @@ half-circle quadrature, Carleson window integrals (conftest's
 window_integrals).  The matrix files are tested through the matrix verb
 in test_cli."""
 
-import ctypes
-import glob
 import math
 import os
 import subprocess
@@ -445,13 +443,16 @@ print(hashlib.sha256(b"".join(t.tobytes() for t in op.factors)).hexdigest())
 """
 
 
+_SETTER = hardy._openblas_symbol("openblas_set_num_threads_local")
+
+
 @pytest.mark.parametrize("d,mesh", [(48, "uniform"), (240, "graded")])
 def test_column_gram_factors_ignore_the_blas_thread_count(params, d, mesh):
     # at D = 48 (97 columns, the unblocked dgeqrf) the QR bits do not
     # depend on the thread count; at D = 240 on the graded mesh (481
     # columns, the blocked dgeqrf's dgemm) they do, unless the QRs run
     # at one thread
-    if d == 240 and hardy._openblas_thread_setter() is None:
+    if d == 240 and _SETTER is None:
         pytest.skip("no OpenBLAS thread setter: the QRs run at any count")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hardy.__file__)))
     digests = set()
@@ -467,39 +468,27 @@ def test_column_gram_factors_ignore_the_blas_thread_count(params, d, mesh):
     assert len(digests) == 1
 
 
-def _openblas_thread_count():
-    """The thread count from the getter of the OpenBLAS numpy loaded."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "lib*openblas*.so*")):
-        lib = ctypes.CDLL(path)
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            func = getattr(lib, sym, None)
-            if func is not None:
-                func.restype = ctypes.c_int
-                return int(func())
-    return None
-
-
 def test_qr_and_svd_run_at_one_blas_thread_and_restore_the_count(
         params, monkeypatch):
-    before = _openblas_thread_count()
-    if before is None or hardy._openblas_thread_setter() is None:
+    # the count is read from the library's own getter
+    count = hardy._openblas_symbol("openblas_get_num_threads")
+    if count is None or _SETTER is None:
         pytest.skip("no OpenBLAS thread getter and setter")
+    before = count()
     seen = []
 
     def counted(call):
         def wrapper(*args, **kwargs):
-            seen.append(_openblas_thread_count())
+            seen.append(count())
             return call(*args, **kwargs)
         return wrapper
 
     monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr))
     monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
     hardy.column_gram_operator(params, 16, hardy.circle_quadrature(256))
-    assert _openblas_thread_count() == before
+    assert count() == before
     spectrum.one_dim_contrast(16, hardy.graded_quadrature(16, 1e-14))
-    assert _openblas_thread_count() == before
+    assert count() == before
     assert seen and set(seen) == {1}
 
 

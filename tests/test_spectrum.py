@@ -137,17 +137,21 @@ def test_beta_estimate_geometric():
 def test_beta_estimate_drops_rows_under_the_noise_floor():
     # kept upper half n = 5..8 reads a_25, a_36, a_49, a_64; only a_25
     # clears the floor 0.5^36 (a row at the floor is dropped, as in
-    # fit_decay), so neither extreme takes a noise row's 0 or its tail
+    # fit_decay), so beta_minus never takes a noise row's 0, while
+    # beta_plus still takes every kept row's [0, tail] enclosure: at
+    # n = 8 the tail alone, 1e-12^(1/8), tops (a_25 + tail)^(1/5)
     vals = 0.5 ** np.arange(1, 65)
     vals[40:] = 0.0
     s = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 36)
     rep = spectrum.beta_estimate(s, 2, range(1, 9))
     assert rep.beta_minus == pytest.approx(0.5 ** 5, rel=1e-14)
-    assert rep.beta_plus == pytest.approx((0.5 ** 25 + 1e-12) ** 0.2,
-                                          rel=1e-14)
+    assert rep.beta_plus == pytest.approx(1e-12 ** (1 / 8), rel=1e-14)
+    assert rep.beta_plus > (0.5 ** 25 + 1e-12) ** 0.2
+    # every kept row under the floor: 0 is the honest lower bound
     quiet = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 25)
-    with pytest.raises(CuspDecayError, match="noise floor"):
-        spectrum.beta_estimate(quiet, 2, range(1, 9))
+    rep = spectrum.beta_estimate(quiet, 2, range(1, 9))
+    assert rep.beta_minus == 0.0
+    assert rep.beta_plus == pytest.approx(1e-12 ** (1 / 8), rel=1e-14)
 
 
 def test_fit_decay_recovers_synthetic_line():
