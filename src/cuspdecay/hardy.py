@@ -27,14 +27,14 @@ H_j[p, p'] = <|B|^j F^p', |B|^j F^p>, each held as the triangular
 factor T_j of H_j = T_j^T T_j, and the (D+1)^2 x (D+1)^2 Gram is
 never formed: the factors stack into M with G = M^T M, and the small
 core M M^T has all of G's nonzero eigenvalues.  Only the t2 modes
-j = 0..J whose Gram mass clears rounding are held: |B| <= 5.4e-4 makes
-each mode carry about 1e-6 of the mass of the one before, so J = 5 for
-the paper symbol (6 of 49 modes at D = 48, a 567-square core) and
-J = 0 for the diagonal.  The t2 modes are orthogonal, so the cut Gram
-is the Gram of P_J C, the image projected onto t2 modes <= J: a
-compression of C, whose values stay lower endpoints, and
-HS^2 - trace G counts the dropped modes' mass with the discarded
-columns (column_gram_operator has the proof).  g = 1 (image
+j = 0..J whose Gram mass clears the eigensolver's noise level are
+held: |B| <= 5.4e-4 makes each mode carry about 1e-6 of the mass of
+the one before, so J = 2 for the paper symbol (3 of 49 modes at
+D = 48, a 288-square core) and J = 0 for the diagonal.  The t2 modes
+are orthogonal, so the cut Gram is the Gram of P_J C, the image
+projected onto t2 modes <= J: a compression of C, whose values stay
+lower endpoints, and HS^2 - trace G counts the dropped modes' mass
+with the discarded columns (column_gram_operator has the proof).  g = 1 (image
 F^a1 A^a2) has no such form; its Gram is kept as the real factor R of
 G = R^T R, two rows per half-circle node and one column per kept
 monomial, and its core is the smaller of R R^T and R^T R.
@@ -390,7 +390,7 @@ class ColumnGram:
         """A small PSD matrix whose nonzero eigenvalues are G's: M M^T.
         Its block (j, j') is T_j E_j E_j'^T T_j'^T = (T_j * c) T_j'^T, c
         the diagonal c[s] = sum_{a1 + a2 = s} W[a2, j] W[a2, j'], so it
-        is at most sum_{j <= J} (2D + 1 - j) square (567 at D = 48)
+        is at most sum_{j <= J} (2D + 1 - j) square (288 at D = 48)
         against n = (D+1)^2.  For g = 1, the smaller of R R^T and
         R^T R."""
         if self.expansion is None:
@@ -437,13 +437,20 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
     Mode j carries the Gram mass
     m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], read off
     the column sums of squares of S_j.  The build stops at the first
-    j >= 1 with m_j <= eps^2 m_0 / n, n = (D+1)^2, and holds the modes
-    j = 0..J before it (O(J D^2 N) flops on N rows, at most
-    (J+1)(2D+1)^2 doubles): B = 0 gives J = 0, and the paper symbol,
-    whose masses fall by about 1e-6 a mode (|B| <= 5.4e-4), J = 5 at
-    D = 8 to 128.  trace G is the sum of the held masses, j = 0 first,
-    so a mode under half an ulp of the running sum cannot move its bits
-    whether it is held or not.  The cut leaves the intervals honest:
+    j >= 1 with m_j <= eps lambda_lo, lambda_lo = max_s H_0[s, s]
+    (H_0[0, 0] = 1, as |F| < 1), and holds the modes j = 0..J before it
+    (O(J D^2 N) flops on N rows, at most (J+1)(2D+1)^2 doubles).  Each
+    diagonal entry of G is at least its j = 0 term H_0[s, s], so
+    lambda_lo <= max diag G <= lambda_1, and the cut sits under the
+    eigensolver's noise level eps lambda_1 (gram_values' noise floor,
+    squared): it is written from that floor and moves with it.  B = 0
+    gives J = 0, and the paper symbol, whose masses fall by about 1e-6
+    a mode (|B| <= 5.4e-4), J = 2 at D = 2 to 240 (m_3 = 8.6e-19).
+    trace G is the sum of the held masses, j = 0 first; a dropped
+    m_{J+1} <= eps lambda_lo <= eps trace G moves it by at most an ulp,
+    and m_3 lies far under half an ulp of the paper symbol's 2.27, so
+    its bits do not depend on the cut.  The cut leaves the intervals
+    honest:
 
     - Mode j is the Gram of the t2-mode-j component of the image, and
       the modes are orthogonal in L^2(t2).  So the held G is the Gram
@@ -452,13 +459,20 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
     - HS^2 - trace G is exactly the discarded columns' mass plus the
       dropped modes' mass ||(1 - P_J) C||_HS^2, so the tail
       sqrt(HS^2 - trace G) covers every dropped mode, whatever J is.
-    - The dropped mass delta = trace((1 - P_J) C^T C) bounds
-      ||G_full - G||_2, so by Weyl it moves no eigenvalue by more than
-      delta.  With masses falling geometrically, as here, delta is about
-      m_{J+1} <= eps^2 trace G / n <= eps^2 lambda_1: eps times the
-      noise floor eps lambda_1, so about an ulp of the smallest
-      eigenvalue above that floor (trace G / n is 6e-4 lambda_1 for the
-      paper symbol at D = 48, which leaves delta far below it).
+    - G_full - G is the PSD sum of the dropped modes' Grams, of trace
+      delta = sum_{j > J} m_j, so ||G_full - G||_2 <= delta and, by
+      Weyl, no eigenvalue moves by more than delta.  Node by node,
+      C(a2, j) <= C(a2, k) C(a2 - k, j - k) and
+      sum_i C(n, i)^2 x^(n-i) y^i <= (sqrt x + sqrt y)^(2n) give
+
+          sum_{j >= k} C(a2, j)^2 |F|^(2(a2-j)) |B|^(2j)
+              <= C(a2, k)^2 |B|^(2k) (|F| + |B|)^(2(a2-k)),
+
+      so delta is at most m_{J+1} with |F|^(2(a2-J-1)) widened to
+      (|F| + |B|)^(2(a2-J-1)).  For the paper symbol (seed 17, both
+      meshes, D = 48 to 240) the widening is a factor 1.008 on
+      m_3 = 8.6e-19: delta <= 8.7e-19, about 1/400 of
+      eps lambda_1 = 3.4e-16.
 
     Paper with g = 1 has one t2 term per column: G = R^T R with
     R = factor(F^a1 A^a2) over the (D+1)^2 columns, and trace G is the
@@ -489,7 +503,8 @@ def column_gram_operator(params, degree: int, quad: CircleQuadrature,
         cols = np.einsum("ij,ij->j", s_j, s_j)
         mass = float(np.sum(w_j[a2] ** 2 * cols[a1 + a2 - j]))
         if j == 0:
-            cut = _EPS ** 2 * mass / idx.shape[0]
+            # eps lambda_lo <= eps lambda_1, the eigensolver's noise level
+            cut = _EPS * float(cols.max())
         elif mass <= cut:
             break
         trace += mass

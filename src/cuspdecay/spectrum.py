@@ -6,7 +6,8 @@ values are s-numbers of a truncation, which can only undershoot the
 full operator (compressions shrink s-numbers), and the attached
 tail_bound caps the gap in operator norm.  Values at or below the
 tail, or below the eigensolver's rounding floor, carry no information;
-the fitting code refuses to use them.
+the fitting code refuses to use them, and the upper endpoint of a
+value under the rounding floor is the floor plus the tail.
 
 The two-variable spectra come from one dense eigensolve of a small
 core matrix that shares its nonzero eigenvalues with the column Gram
@@ -34,9 +35,9 @@ class SingularSpectrum:
     """Descending singular values plus a truncation uncertainty.
 
     The n-th approximation number of the underlying full operator lies
-    in [values[n-1], values[n-1] + tail_bound].  noise_floor is the
-    level below which the solver that produced the values cannot
-    resolve them (0 when it certifies every value)."""
+    in [values[n-1], max(values[n-1], noise_floor) + tail_bound], where
+    noise_floor is the level below which the solver that produced the
+    values cannot resolve them (0 when it certifies every value)."""
 
     values: np.ndarray
     tail_bound: float
@@ -159,8 +160,8 @@ def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
     with trace G, HS^2 and the signed radicand HS^2 - trace G, which the
     result carries as hs_sq and tail_radicand, and J + 1 as t2_modes.
     M M^T and M^T M share their nonzero eigenvalues, so one dense
-    eigensolve of the core M M^T (567 square for the paper symbol at
-    D = 48; J = 5, and J = 0 for the diagonal) gives every nonzero
+    eigensolve of the core M M^T (288 square for the paper symbol at
+    D = 48; J = 2, and J = 0 for the diagonal) gives every nonzero
     eigenvalue of G, and G's other n - rank eigenvalues are exact
     zeros.  Their square roots are the s-numbers of the compression
     P_J C.
@@ -169,26 +170,33 @@ def composition_spectrum(params, degree: int, quad: hardy.CircleQuadrature,
       hardy.column_gram_operator has the proof), so each s-number of
       P_J C is at most the matching one of the full operator.
     - Tail: by Parseval ||C_full - P_J C||_HS^2 = HS^2 - trace G, the
-      discarded columns' mass plus the dropped modes', so every row,
-      the zero ones included, reads [s_n, s_n + tail] with
+      discarded columns' mass plus the dropped modes', so a resolved
+      row reads [s_n, s_n + tail] with
       tail = sqrt(max(HS^2 - trace G, 0)).
     - Noise: the eigensolve knows each eigenvalue only to about
       eps lambda_1, so a value at or below sqrt(eps lambda_1), the
       noise floor, carries no information: it is reported as 0, still
-      a lower endpoint, and fit_decay never uses it.  Neither endpoint
-      is widened for this rounding."""
+      a lower endpoint, and fit_decay never uses it.  Its row reads
+      [0, noise_floor + tail] (approximation_numbers), so no upper
+      endpoint reads 0 where the tail rounds to 0 (the diagonal from
+      D = 120 on, the paper symbol from D = 195), though a_64 ~ 6.6e-9
+      is not 0.  A resolved value's endpoints are not widened for this
+      rounding."""
     return _column_gram_spectrum(
         hardy.column_gram_operator(params, degree, quad, kind))
 
 
 def approximation_numbers(spectrum: SingularSpectrum, n: int) -> tuple:
-    """Interval [s_n, s_n + tail] containing the full operator's n-th
-    approximation number; 1-indexed, n = 1 is the operator norm."""
+    """Interval containing the full operator's n-th approximation
+    number; 1-indexed, n = 1 is the operator norm.  A resolved value
+    s_n reads [s_n, s_n + tail].  A value at or below the noise floor,
+    0 when composition_spectrum zeroed it, is known only up to that
+    floor, so its row reads [s_n, noise_floor + tail]."""
     if not 1 <= n <= len(spectrum):
         raise CuspDecayError(
             "n = %d outside the computed range 1..%d" % (n, len(spectrum)))
     low = float(spectrum.values[n - 1])
-    return (low, low + spectrum.tail_bound)
+    return (low, max(low, spectrum.noise_floor) + spectrum.tail_bound)
 
 
 def _admissible_n(spectrum: SingularSpectrum, schedule_exponent: int,

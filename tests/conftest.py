@@ -248,6 +248,16 @@ def all_modes_column_gram(params, d, quad, kind="paper"):
                             factors=tuple(factors), expansion=w)
 
 
+def mode_masses(op):
+    """m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], the Gram
+    mass of each t2 mode op holds, from the column sums of squares of
+    its factors, diag T_j^T T_j = diag H_j."""
+    idx = hardy.index_set(op.expansion.shape[0] - 1)
+    diag = np.array([np.sum(t * t, axis=0) for t in op.factors])
+    return np.sum(op.expansion[idx[:, 1]].T ** 2
+                  * diag[:, idx.sum(axis=1)], axis=1)
+
+
 def stacked_product_gram(params, d, quad, kind="paper"):
     """Column Gram oracle for F = A symbols, by the per-j build:
     G = sum_j R_j^T R_j with R_j = [Re M_j; Im M_j],

@@ -301,9 +301,9 @@ def test_matrix_csv(tmp_path, frozen_cfg):
 
 
 def test_spectrum_csv(tmp_path, frozen_cfg):
-    # stamp, header, one row per n with n^2 <= (D+1)^2; upper = lower +
-    # tail, and resolved = 0 exactly when lower is at or under the noise
-    # floor
+    # stamp, header, one row per n with n^2 <= (D+1)^2; resolved = 0
+    # exactly when lower is at or under the noise floor, and upper is
+    # lower + tail on a resolved row, noise floor + tail on the others
     out = str(tmp_path / "art")
     assert cli.main(["spectrum", "--config", frozen_cfg, "--out", out]) == 0
     cfg = cli.load_config(frozen_cfg, {})
@@ -314,8 +314,9 @@ def test_spectrum_csv(tmp_path, frozen_cfg):
     rows = [line.split(",") for line in lines[2:]]
     assert [int(r[0]) for r in rows] == list(range(1, 50))
     for n, lower, upper, resolved in rows:
-        assert float(upper) == float(lower) + decay["tail_bound"]
         assert resolved == str(int(float(lower) > decay["noise_floor"]))
+        assert float(upper) == (float(lower) if resolved == "1" else
+                                decay["noise_floor"]) + decay["tail_bound"]
     assert rows[7][3] == "0" and rows[8][3] == "0"
 
 
@@ -367,6 +368,9 @@ def test_spectrum_diagonal_beta_minus_skips_noise_rows(tmp_path, frozen_cfg,
     assert decay["beta"]["beta_minus"] == min(lows, default=0.0)
     assert decay["beta"]["beta_plus"] == max(
         float(rows[n - 1][2]) ** (1 / n) for n in kept)
+    # a zeroed row reads [0, noise floor + tail]: at D = 120 the tail
+    # rounds to 0 and a_36 ~ 2.9e-10 still lies under the upper endpoint
+    assert all(float(r[2]) >= decay["noise_floor"] for r in rows)
 
 
 def test_spectrum_constant_one_default_degree_fails_honestly(tmp_path,
@@ -405,7 +409,7 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
                          for o in outs)
         assert first == second
     payload = json.load(open(os.path.join(outs[0], "decay_paper.json")))
-    assert payload["t2_modes"] == 6
+    assert payload["t2_modes"] == 3
     # the radicand HS^2 - tr G (3.2e-10 of HS^2 = 2.26 at degree 48) is
     # recorded signed, before the tail clamps it
     assert 2.0 < payload["hs_sq"] < 2.5
@@ -417,7 +421,7 @@ def test_spectrum_paper_verb_reruns_byte_identical(tmp_path, frozen_cfg):
     assert [r.split(",")[3] for r in rows[1:]] == ["1"] * 7 + ["0"] * 42
     assert cli.main(["report", "--config", frozen_cfg, "--out", outs[0]]) == 0
     md = open(os.path.join(outs[0], "report.md")).read()
-    assert "- t2 modes held: 6 of 49\n" in md
+    assert "- t2 modes held: 3 of 49\n" in md
     assert "- tail radicand HS^2 - tr G = " in md
 
 

@@ -16,6 +16,7 @@ from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import (
     all_modes_column_gram,
     dense_column_gram,
+    mode_masses,
     stacked_product_gram,
     window_integrals,
     written_out_gram,
@@ -376,28 +377,19 @@ def test_column_gram_operator_matches_stacked_products(params, meshes, kind,
         assert op.tail_radicand == op.hs_sq - op.trace, mesh
 
 
-def _mode_masses(op):
-    """m_j = sum_alpha W[a2, j]^2 H_j[a1 + a2 - j, a1 + a2 - j], the Gram
-    mass of each t2 mode op holds, from the column sums of squares of
-    its factors, diag T_j^T T_j = diag H_j."""
-    idx = hardy.index_set(op.expansion.shape[0] - 1)
-    diag = np.array([np.sum(t * t, axis=0) for t in op.factors])
-    return np.sum(op.expansion[idx[:, 1]].T ** 2
-                  * diag[:, idx.sum(axis=1)], axis=1)
-
-
 @pytest.mark.parametrize("d,q", [(16, 256), (32, 512)])
 def test_column_gram_holds_the_visible_t2_modes(params, meshes, d, q):
     # the paper symbol's t2 modes lose ~1e-6 of their mass a mode; the
-    # operator holds modes 0..J, the first mass <= eps^2 m_0 / n ends
-    # them, and the cut is a compression whose lost mass joins the tail
+    # operator holds modes 0..J, the first mass <= eps lambda_lo ends
+    # them, lambda_lo = max_s H_0[s, s] <= lambda_1, and the cut is a
+    # compression whose lost mass joins the tail
     for mesh, quad in meshes(q).items():
         op = hardy.column_gram_operator(params, d, quad)
         full = all_modes_column_gram(params, d, quad)
-        masses = _mode_masses(full)
+        masses = mode_masses(full)
         j = op.t2_modes - 1
-        assert masses[j + 1] <= EPS ** 2 * masses[0] / op.order < masses[j], \
-            mesh
+        lam_lo = float(np.max(np.sum(full.factors[0] ** 2, axis=0)))
+        assert masses[j + 1] <= EPS * lam_lo < masses[j], mesh
         assert all(np.array_equal(t, u) for t, u in
                    zip(op.factors, full.factors[:j + 1],
                        strict=True)), mesh
@@ -419,15 +411,15 @@ def test_column_gram_holds_the_visible_t2_modes(params, meshes, d, q):
         assert diagonal.t2_modes == len(diagonal.factors) == 1, mesh
 
 
-def test_paper_symbol_holds_six_t2_modes_at_degree_48(params):
-    # masses 2.3, 1.1e-6, 8.4e-13, 8.5e-19, 1.1e-24, 1.6e-30, then 2.6e-36
-    # under eps^2 m_0 / 2401 = 4.7e-35
+def test_paper_symbol_holds_three_t2_modes_at_degree_48(params):
+    # masses 2.3, 1.1e-6, 8.5e-13, then 8.6e-19 under eps lambda_lo =
+    # 2.2e-16 (lambda_lo = max_s H_0[s, s] = 1)
     op = hardy.column_gram_operator(params, 48, hardy.circle_quadrature(1024))
-    assert op.t2_modes == 6
-    assert [t.shape for t in op.factors] == [(97 - j, 97) for j in range(6)]
-    assert op.expansion.shape == (49, 6)
-    # the core M M^T stacks the six triangular factors' rows
-    assert op.core.shape == (567, 567)
+    assert op.t2_modes == 3
+    assert [t.shape for t in op.factors] == [(97 - j, 97) for j in range(3)]
+    assert op.expansion.shape == (49, 3)
+    # the core M M^T stacks the three triangular factors' rows
+    assert op.core.shape == (288, 288)
 
 
 _FACTOR_PROBE = """

@@ -15,6 +15,7 @@ from cuspdecay.errors import ConfigurationError, CuspDecayError
 from conftest import (
     all_modes_column_gram,
     dense_column_gram,
+    mode_masses,
     pair_stack_split_grams,
     split_quadrature,
     stacked_product_gram,
@@ -138,20 +139,22 @@ def test_beta_estimate_drops_rows_under_the_noise_floor():
     # kept upper half n = 5..8 reads a_25, a_36, a_49, a_64; only a_25
     # clears the floor 0.5^36 (a row at the floor is dropped, as in
     # fit_decay), so beta_minus never takes a noise row's 0, while
-    # beta_plus still takes every kept row's [0, tail] enclosure: at
-    # n = 8 the tail alone, 1e-12^(1/8), tops (a_25 + tail)^(1/5)
+    # beta_plus still takes every kept row's [0, floor + tail]
+    # enclosure: at n = 8, (floor + tail)^(1/8) tops (a_25 + tail)^(1/5)
     vals = 0.5 ** np.arange(1, 65)
     vals[40:] = 0.0
     s = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 36)
     rep = spectrum.beta_estimate(s, 2, range(1, 9))
     assert rep.beta_minus == pytest.approx(0.5 ** 5, rel=1e-14)
-    assert rep.beta_plus == pytest.approx(1e-12 ** (1 / 8), rel=1e-14)
+    assert rep.beta_plus == pytest.approx((0.5 ** 36 + 1e-12) ** (1 / 8),
+                                          rel=1e-14)
     assert rep.beta_plus > (0.5 ** 25 + 1e-12) ** 0.2
     # every kept row under the floor: 0 is the honest lower bound
     quiet = spectrum.SingularSpectrum(vals, 1e-12, 0.5 ** 25)
     rep = spectrum.beta_estimate(quiet, 2, range(1, 9))
     assert rep.beta_minus == 0.0
-    assert rep.beta_plus == pytest.approx(1e-12 ** (1 / 8), rel=1e-14)
+    assert rep.beta_plus == pytest.approx((0.5 ** 25 + 1e-12) ** (1 / 8),
+                                          rel=1e-14)
 
 
 def test_fit_decay_recovers_synthetic_line():
@@ -288,17 +291,20 @@ def _check_against_dense_oracle(params, d, quad, fits):
     assert abs(got.noise_floor - dense.noise_floor) <= 1e-12 * dense.noise_floor
     assert got.tail_bound >= tail - 1e-15 * tail
     # so every reported interval contains the oracle's value, the zeroed
-    # rows included, once the tail exceeds the noise floor
-    assert got.tail_bound > got.noise_floor
+    # rows, read as [0, noise floor + tail], included
     assert np.all(got.values ** 2 <= lam + tol)
-    assert np.all(dense.values <= got.values + got.tail_bound)
-    # the route holds 6 of the D + 1 t2 modes; holding every mode, through
+    assert np.all(dense.values <= _upper_endpoints(got))
+    # the route holds 3 of the D + 1 t2 modes; holding every mode, through
     # the same core, moves no value by eps * lambda_1, the solver's
     # resolution (the all-modes core is 1617 square at D = 32)
     if d <= 32:
-        full = spectrum._column_gram_spectrum(
-            all_modes_column_gram(params, d, quad))
-        assert got.t2_modes == 6 and full.t2_modes == d + 1
+        all_modes = all_modes_column_gram(params, d, quad)
+        full = spectrum._column_gram_spectrum(all_modes)
+        assert got.t2_modes == 3 and full.t2_modes == d + 1
+        # the modes the route drops hold together under eps * lambda_1,
+        # about 1/400 of it
+        dropped = float(np.sum(mode_masses(all_modes)[got.t2_modes:]))
+        assert 0.0 < dropped <= EPS * lam[0]
         assert np.all(np.abs(got.values ** 2 - full.values ** 2)
                       <= EPS * lam[0])
     n_max = math.isqrt(d + 1)
@@ -312,6 +318,11 @@ def _check_against_dense_oracle(params, d, quad, fits):
     assert fit.usable_n == want.usable_n == (1, 2, 3, 4)
     assert abs(fit.rate - want.rate) <= 1e-8 * abs(want.rate)
     assert abs(fit.r_squared - want.r_squared) <= 1e-8 * want.r_squared
+
+
+def _upper_endpoints(s):
+    return np.array([spectrum.approximation_numbers(s, n)[1]
+                     for n in range(1, len(s) + 1)])
 
 
 def _graded_values(params, d, panels=16):
@@ -407,10 +418,8 @@ def test_constant_one_factor_matches_written_out_gram(params, d, q):
     tol = 64 * EPS * lam[0]
     assert np.all(np.abs(got.values ** 2 - np.clip(lam, 0.0, None)) <= tol)
     assert np.all((got.values > got.noise_floor) | (got.values == 0.0))
-    assert got.tail_bound > got.noise_floor
     assert np.all(got.values ** 2 <= lam + tol)
-    assert np.all(np.sqrt(np.clip(lam, 0.0, None))
-                  <= got.values + got.tail_bound)
+    assert np.all(np.sqrt(np.clip(lam, 0.0, None)) <= _upper_endpoints(got))
     assert got.hs_sq == op.hs_sq and got.tail_radicand == op.tail_radicand
     assert got.t2_modes == 1
 
